@@ -14,8 +14,8 @@ import numpy as np
 
 from . import numerics
 from .errors import DegeneratePosition, NotPolarization, Singular
-from .grassmann import (Subspace, check_complementary, principal_angles,
-                        project_parallel, subspace_from_basis)
+from .grassmann import (COMPLEMENT_TOL, Subspace, principal_angles, project_parallel,
+                        subspace_from_basis)
 
 # The six coset labels of the permutation action (see dv_permuted).
 PERMUTATION_LABELS = ("12,34", "34,12", "12,43", "14,32", "13,24", "14,23")
@@ -41,16 +41,7 @@ class CrossRatioResult:
         m = numerics.as_square(m)
         if kmax is None:
             kmax = m.shape[0]
-        spectrum = numerics.eigenvalues(m)
-        traces = []
-        power = np.eye(m.shape[0], dtype=m.dtype)
-        for _ in range(kmax):
-            power = power @ m
-            traces.append(np.trace(power))
-        traces = np.asarray(traces)
-        if not np.iscomplexobj(m):
-            traces = traces.real
-        return cls(m, basis_space, spectrum, traces)
+        return cls(m, basis_space, numerics.eigenvalues(m), numerics.trace_powers(m, kmax))
 
     @property
     def det(self):
@@ -62,16 +53,14 @@ class CrossRatioResult:
 
 
 def _inv_or_singular(m, what):
-    s = numerics.singular_values(m)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * max(s[0], 1.0):
-        raise Singular(f"{what} is not invertible")
+    numerics.require_nonsingular(numerics.singular_values(m), Singular,
+                                 f"{what} is not invertible", chart=True)
     return np.linalg.inv(m)
 
 
 def _composite_matrix(p1, p2, p3, p4):
-    """Matrix of P1 ->(parallel to P4) P3 ->(parallel to P2) P1 in basis(P1)."""
-    check_complementary(p1, p2, error=NotPolarization)
-    check_complementary(p3, p4, error=NotPolarization)
+    """Matrix of P1 ->(parallel to P4) P3 ->(parallel to P2) P1 in basis(P1);
+    each projection checks its own polarization."""
     step1 = project_parallel(p1.basis, p3, p4)
     step2 = project_parallel(step1, p1, p2)
     return p1.basis.conj().T @ step2
@@ -190,10 +179,9 @@ def dv_unequal(p1, p2, p3, p4, kmax=None):
         small_a, small_b, big_a, big_b = p2, p4, p1, p3
         order_in_s = "big_first"
     span = np.hstack([small_a.basis, small_b.basis])
-    s = numerics.singular_values(span)
-    if s[-1] <= 1e-8:
+    s_basis, s, _ = np.linalg.svd(span, full_matrices=False)
+    if s[-1] <= COMPLEMENT_TOL:
         raise DegeneratePosition("the two small subspaces are not in direct sum")
-    s_basis, _, _ = np.linalg.svd(span, full_matrices=False)
     k = small_a.dim
 
     def in_s(w_basis, what):
@@ -219,12 +207,10 @@ def cocycle_product(p1, p2, q1, q2, q3):
     """The product of the three transition cross-ratios, as a matrix on P1.
 
     Computed by chasing the basis of P1 through the six-arrow chain of
-    oblique projections; equals the identity whenever every (Pi, Qj) is a
-    polarization.  Returned for residual inspection.
+    oblique projections, which visits every (Pi, Qj) once and raises
+    NotPolarization when one is not a polarization; equals the identity
+    otherwise.  Returned for residual inspection.
     """
-    for p in (p1, p2):
-        for q in (q1, q2, q3):
-            check_complementary(p, q, error=NotPolarization)
     x = p1.basis
     x = project_parallel(x, p2, q2)
     x = project_parallel(x, p1, q1)

@@ -116,7 +116,8 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
         raise ValueError("flowed mask must have four entries")
     rows = []
     for t in scenario.times:
-        subs = [flow_subspace(scenario.generator, t, w) if move else w
+        g = numerics.expm(t * scenario.generator)
+        subs = [subspace_from_basis(g @ w.basis) if move else w
                 for w, move in zip(scenario.initials, flowed)]
         try:
             result = dv_composition(*subs, kmax=kmax)
@@ -220,11 +221,6 @@ def trace_invariants(d, kmax=None):
     d = numerics.as_square(d, "D")
     if kmax is None:
         kmax = d.shape[0]
-    traces = []
-    power = np.eye(d.shape[0], dtype=d.dtype)
-    for _ in range(kmax):
-        power = power @ d
-        traces.append(float(np.trace(power).real) if not np.iscomplexobj(d)
-                      else complex(np.trace(power)))
-    return np.asarray(traces), float(np.linalg.det(d)) if not np.iscomplexobj(d) \
-        else complex(np.linalg.det(d))
+    if np.iscomplexobj(d):
+        return numerics.trace_powers(d, kmax).astype(complex), complex(np.linalg.det(d))
+    return numerics.trace_powers(d, kmax).astype(float), float(np.linalg.det(d))

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
-from .errors import NotComplementary, NotPolarization, OutsideChart, RankDeficient
+from .errors import NonConvergence, NotPolarization, OutsideChart, RankDeficient
 
 # A stacked basis whose smallest singular value falls below this has an
 # "infinitesimally small" angle between its two halves and is rejected.
@@ -76,10 +76,11 @@ def subspace_from_basis(cols):
     Raises RankDeficient when the columns do not have full rank.
     """
     cols = numerics.as_matrix(cols, "cols")
-    s = numerics.singular_values(cols)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-        raise RankDeficient(f"columns have numerical rank < {cols.shape[1]}")
-    u, _, _ = np.linalg.svd(cols, full_matrices=False)
+    try:
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(str(exc)) from exc
+    numerics.require_nonsingular(s, RankDeficient, f"columns have numerical rank < {cols.shape[1]}")
     return Subspace(u)
 
 
@@ -104,14 +105,15 @@ def _stacked(a, b):
     return np.hstack([a.basis, b.basis])
 
 
-def check_complementary(onto, along, tol=COMPLEMENT_TOL, error=NotComplementary):
-    """Verify onto + along = ambient as a direct sum with a definite angle."""
+def check_complementary(onto, along):
+    """Verify onto + along = ambient as a direct sum with a definite angle;
+    raises NotPolarization, returns the stacked basis [onto | along]."""
     if onto.dim + along.dim != onto.ambient_dim:
-        raise error(f"dims {onto.dim}+{along.dim} != ambient {onto.ambient_dim}")
+        raise NotPolarization(f"dims {onto.dim}+{along.dim} != ambient {onto.ambient_dim}")
     stacked = _stacked(onto, along)
     s = numerics.singular_values(stacked)
-    if s[-1] <= tol:
-        raise error(f"stacked basis nearly singular (sigma_min = {s[-1]:.3e})")
+    if s[-1] <= COMPLEMENT_TOL:
+        raise NotPolarization(f"stacked basis nearly singular (sigma_min = {s[-1]:.3e})")
     return stacked
 
 
@@ -123,7 +125,7 @@ class Polarization:
     vertical: Subspace
 
     def __post_init__(self):
-        check_complementary(self.horizontal, self.vertical, error=NotPolarization)
+        check_complementary(self.horizontal, self.vertical)
 
     @property
     def ambient_dim(self):
@@ -160,7 +162,8 @@ def project_parallel(x, onto, along):
     """Project x onto `onto` parallel to `along` (oblique projection).
 
     x may be a vector or a matrix of column vectors; the unique y in `onto`
-    with x - y in `along` is returned.
+    with x - y in `along` is returned.  Raises NotPolarization unless
+    onto + along is a direct sum.
     """
     stacked = check_complementary(onto, along)
     x = np.asarray(x)
@@ -182,9 +185,8 @@ def graph_coordinate(w, pol):
     coords = np.linalg.solve(pol.frame(), w.basis)
     h = pol.horizontal.dim
     x, y = coords[:h], coords[h:]
-    s = numerics.singular_values(x)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * max(s[0], 1.0):
-        raise OutsideChart("projection onto the horizontal subspace is singular")
+    numerics.require_nonsingular(numerics.singular_values(x), OutsideChart,
+                                 "projection onto the horizontal subspace is singular", chart=True)
     return y @ np.linalg.inv(x)
 
 
@@ -223,10 +225,8 @@ class BlockMobius:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        m = self.assembled()
-        s = numerics.singular_values(m)
-        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-            raise ValueError("assembled block matrix is singular")
+        numerics.require_nonsingular(numerics.singular_values(self.assembled()), ValueError,
+                                     "assembled block matrix is singular")
 
     def assembled(self):
         """The full matrix in the polarization's coordinate frame."""
@@ -250,9 +250,8 @@ def mobius_apply_coordinate(g, t):
     """Chart-level Moebius action T -> (c + d T)(a + b T)^-1."""
     t = numerics.as_matrix(t, "T")
     den = g.a + g.b @ t
-    s = numerics.singular_values(den)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * max(s[0], 1.0):
-        raise OutsideChart("(a + bT) is singular: image leaves the big cell")
+    numerics.require_nonsingular(numerics.singular_values(den), OutsideChart,
+                                 "(a + bT) is singular: image leaves the big cell", chart=True)
     return (g.c + g.d @ t) @ np.linalg.inv(den)
 
 

@@ -9,8 +9,12 @@ import scipy.linalg
 
 from .errors import NonConvergence, Singular
 
-# Relative singular-value threshold below which a matrix counts as singular.
-SINGULAR_RTOL = 1e-12
+# The singularity rule: a factor is numerically singular when its smallest
+# singular value is at most SINGULAR_RTOL times its largest.  Chart-level
+# factors (differences and Moebius denominators of big-cell coordinates)
+# floor that scale at 1, so a factor that is tiny in absolute terms is
+# singular too.
+SINGULAR_RTOL = 1e-10
 
 
 def as_matrix(a, name="matrix"):
@@ -37,32 +41,19 @@ def fro(m):
     return float(np.linalg.norm(m))
 
 
-def eye_like(m):
-    return np.eye(m.shape[0], dtype=m.dtype)
+def require_nonsingular(s, error, message, chart=False):
+    """Raise error(message) when the descending singular values s fail the
+    singularity rule (see SINGULAR_RTOL); chart=True floors the scale at 1."""
+    scale = max(s[0], 1.0) if chart else s[0]
+    if s[0] == 0.0 or s[-1] <= SINGULAR_RTOL * scale:
+        raise error(message)
 
 
-def check_invertible(a, rtol=SINGULAR_RTOL, what="matrix"):
-    """Raise Singular unless the smallest singular value clears rtol * largest."""
+def check_invertible(a, what="matrix"):
+    """Raise Singular when a fails the singularity rule."""
     s = singular_values(a)
-    if s[0] == 0.0 or s[-1] < rtol * s[0]:
-        raise Singular(f"{what} is numerically singular "
-                       f"(smallest/largest singular value = {s[-1]:.3e}/{s[0]:.3e})")
-
-
-def solve(a, b):
-    """Solve A X = B for X.  A must be square and well-conditioned."""
-    a = as_square(a, "A")
-    b = as_matrix(b, "B") if np.ndim(b) == 2 else np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"row count mismatch: A is {a.shape}, B has {b.shape[0]} rows")
-    check_invertible(a, what="A")
-    return np.linalg.solve(a, b)
-
-
-def inv(a):
-    a = as_square(a)
-    check_invertible(a)
-    return np.linalg.inv(a)
+    require_nonsingular(s, Singular, f"{what} is numerically singular (smallest/largest "
+                                     f"singular value = {s[-1]:.3e}/{s[0]:.3e})")
 
 
 def eigenvalues(m):
@@ -80,6 +71,16 @@ def sort_spectrum(w):
     w = np.asarray(w, dtype=complex)
     order = np.lexsort((w.imag, w.real))
     return w[order]
+
+
+def trace_powers(m, kmax):
+    """(tr M, tr M^2, ..., tr M^kmax) of a square matrix."""
+    traces = []
+    power = np.eye(m.shape[0], dtype=m.dtype)
+    for _ in range(kmax):
+        power = power @ m
+        traces.append(np.trace(power))
+    return np.asarray(traces)
 
 
 def spectra_close(w1, w2, tol):

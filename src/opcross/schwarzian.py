@@ -6,6 +6,7 @@ are matrix polynomials so that A' is exact.  All integrators are the
 classical fixed-step fourth-order one-step method.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,8 @@ class CurveJet:
             mats[name] = numerics.as_square(getattr(self, name), name)
         if len({m.shape for m in mats.values()}) != 1:
             raise ValueError("jet matrices must share one square shape")
-        s = numerics.singular_values(mats["z1"])
-        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-            raise Singular("z' is numerically singular")
+        numerics.require_nonsingular(numerics.singular_values(mats["z1"]), Singular,
+                                     f"z' is numerically singular at t = {float(self.t):.6g}")
         for name, m in mats.items():
             object.__setattr__(self, name, m)
         object.__setattr__(self, "t", float(self.t))
@@ -167,7 +167,7 @@ class PhasePoint:
 
     def w(self):
         """Grassmann coordinate W = p q^-1 (requires q invertible)."""
-        numerics.check_invertible(self.q, rtol=1e-10, what="q")
+        numerics.check_invertible(self.q, "q")
         return np.linalg.solve(self.q.T, self.p.T).T
 
 
@@ -219,7 +219,7 @@ def _series_mul(a, b, order):
 
 
 def _series_inv(d, order):
-    numerics.check_invertible(d[0], rtol=1e-10, what="series constant term")
+    numerics.check_invertible(d[0], "series constant term")
     e0 = np.linalg.inv(d[0])
     e = [e0]
     for k in range(1, order + 1):
@@ -258,23 +258,33 @@ def hamiltonian_rhs(sys, t, x):
     return PhasePoint(a @ x.q + x.p, -b @ x.q - a.T @ x.p)
 
 
-def _rk4(f, y0, t0, t1, steps):
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    h = (t1 - t0) / steps
-    ts = [t0]
-    ys = [y0]
-    y, t = y0, t0
-    for _ in range(steps):
+def _rk4(f, y, steps, check=None):
+    """Classical RK4 from y over steps, an iterable of (t, h) pairs.
+
+    Returns y followed by the state after each step; check(t + h, state),
+    when given, sees every new state and may raise.
+    """
+    ys = [y]
+    for t, h in steps:
         k1 = f(t, y)
         k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
         k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
         k4 = f(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        ts.append(t)
+        if check is not None:
+            check(t + h, y)
         ys.append(y)
-    return np.array(ts), ys
+    return ys
+
+
+def _fixed_steps(t0, t1, steps):
+    """Times of a fixed-step run (t advances by repeated addition of h) and
+    its (t, h) steps."""
+    h = (t1 - t0) / steps
+    ts = [t0]
+    for _ in range(steps):
+        ts.append(ts[-1] + h)
+    return np.array(ts), [(t, h) for t in ts[:-1]]
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
@@ -282,24 +292,30 @@ def integrate_hamiltonian(sys, x0, t0, t1, steps):
 
     Returns (times, [PhasePoint, ...]) including both endpoints.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     n = sys.dim
     y0 = np.concatenate([x0.q.reshape(-1), x0.p.reshape(-1)])
 
     def rhs(t, y):
-        x = PhasePoint(y[: n * n].reshape(n, n), y[n * n:].reshape(n, n))
-        d = hamiltonian_rhs(sys, t, x)
-        return np.concatenate([d.q.reshape(-1), d.p.reshape(-1)])
+        q, p = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
+        a, b = sys.a(t), sys.b(t)
+        return np.concatenate([(a @ q + p).reshape(-1), (-b @ q - a.T @ p).reshape(-1)])
 
-    ts, ys = _rk4(rhs, y0, t0, t1, steps)
-    points = [PhasePoint(y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)) for y in ys]
-    return ts, points
+    ts, grid = _fixed_steps(t0, t1, steps)
+    ys = _rk4(rhs, y0, grid)
+    return ts, [PhasePoint(y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)) for y in ys]
 
 
 def riccati_rhs(sys, t, w):
     """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow)."""
-    w = numerics.as_square(w, "W")
     a, b = sys.a(t), sys.b(t)
     return -b - a.T @ w - w @ a - w @ w
+
+
+def _check_blow_up(t, w):
+    if not np.all(np.isfinite(w)) or numerics.fro(w) > BLOWUP_NORM:
+        raise BlowUp(t)
 
 
 def integrate_riccati(sys, w0, t0, t1, steps):
@@ -310,24 +326,11 @@ def integrate_riccati(sys, w0, t0, t1, steps):
     time is intrinsic to Riccati flows).
     """
     w0 = numerics.as_square(w0, "W0")
+    rhs = functools.partial(riccati_rhs, sys)
 
     def attempt(n_steps):
-        h = (t1 - t0) / n_steps
-        ts = [t0]
-        ws = [w0]
-        w, t = w0, t0
-        for _ in range(n_steps):
-            k1 = riccati_rhs(sys, t, w)
-            k2 = riccati_rhs(sys, t + h / 2.0, w + (h / 2.0) * k1)
-            k3 = riccati_rhs(sys, t + h / 2.0, w + (h / 2.0) * k2)
-            k4 = riccati_rhs(sys, t + h, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            if not np.all(np.isfinite(w)) or numerics.fro(w) > BLOWUP_NORM:
-                raise BlowUp(t)
-            ts.append(t)
-            ws.append(w)
-        return np.array(ts), ws
+        ts, grid = _fixed_steps(t0, t1, n_steps)
+        return ts, _rk4(rhs, w0, grid, _check_blow_up)
 
     try:
         return attempt(steps)
@@ -383,7 +386,7 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly=None):
         raise ValueError("need matching times and W values, at least two nodes")
     z0 = numerics.as_square(z0, "z0")
     z1_0 = numerics.as_square(z1_0, "z1_0")
-    numerics.check_invertible(z1_0, rtol=1e-10, what="z1_0")
+    numerics.check_invertible(z1_0, "z1_0")
     n = z0.shape[0]
     spline = scipy.interpolate.CubicSpline(ts, w_stack, axis=0)
     dspline = spline.derivative()
@@ -398,22 +401,13 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly=None):
 
     a_deriv = a_poly.derivative()
     jets = []
-    y = np.concatenate([z0.reshape(-1), z1_0.reshape(-1)])
-    for i, t in enumerate(ts):
+    y0 = np.concatenate([z0.reshape(-1), z1_0.reshape(-1)])
+    ys = _rk4(rhs, y0, zip(ts[:-1], np.diff(ts)))
+    for t, w, y in zip(ts, w_stack, ys):
         z, z1 = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
-        s = numerics.singular_values(z1)
-        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-            raise Singular(f"z' degenerated at t = {t:.6g}")
-        w = w_stack[i]
-        if b_poly is not None:
-            a = a_poly(t)
-            wprime = -b_poly(t) - a.T @ w - w @ a - w @ w
-        else:
-            wprime = dspline(t)
-        z2 = -2.0 * z1 @ (w + a_poly(t))
-        z3 = -2.0 * z2 @ (w + a_poly(t)) - 2.0 * z1 @ (wprime + a_deriv(t))
+        a = a_poly(t)
+        wprime = -b_poly(t) - a.T @ w - w @ a - w @ w if b_poly is not None else dspline(t)
+        z2 = -2.0 * z1 @ (w + a)
+        z3 = -2.0 * z2 @ (w + a) - 2.0 * z1 @ (wprime + a_deriv(t))
         jets.append(CurveJet(t, z, z1, z2, z3))
-        if i + 1 < len(ts):
-            _, ys = _rk4(rhs, y, t, ts[i + 1], 1)
-            y = ys[-1]
     return jets

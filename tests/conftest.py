@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import opcross as oc
-from opcross import crossratio, grassmann
+from opcross import grassmann
 from opcross import schwarzian as sz
+from opcross.errors import OutsideChart
+from opcross.selftest import random_half_dim_config
 
 
 def random_orthogonal(rng, n):
@@ -15,18 +17,14 @@ def random_half_dim_charts(rng, n, need_invertible_verticals=False):
     """Four big-cell coordinates (k x k, k = n/2) giving an admissible
     cross-ratio configuration; optionally T2, T4 invertible so the swapped
     chart exists too."""
-    k = n // 2
-    pol = grassmann.standard_polarization(n, k)
     while True:
-        ts = [rng.standard_normal((k, k)) for _ in range(4)]
+        ts, subs, pol = random_half_dim_config(rng, n)
+        if not need_invertible_verticals:
+            return ts, subs, pol
         try:
-            subs = [grassmann.subspace_from_graph(t, pol) for t in ts]
-            crossratio.dv_composition(*subs)
-            crossratio.dv_matrix(*ts)
-            if need_invertible_verticals:
-                grassmann.graph_coordinate(subs[1], pol.swapped())
-                grassmann.graph_coordinate(subs[3], pol.swapped())
-        except Exception:
+            grassmann.graph_coordinate(subs[1], pol.swapped())
+            grassmann.graph_coordinate(subs[3], pol.swapped())
+        except OutsideChart:
             continue
         return ts, subs, pol
 

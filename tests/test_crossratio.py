@@ -57,6 +57,15 @@ def test_dv_matrix_singular_difference():
     t = scalar_charts(1, 1, 3, 4)
     with pytest.raises(Singular):
         cr.dv_matrix(*t)
+    # A difference that is well conditioned but tiny in absolute terms is
+    # singular at chart level, in agreement with the composition form.
+    pol = gr.standard_polarization(4, 2)
+    t1, t3, t4 = (np.array([[1.0, 0.5], [0.0, 2.0]]) + s * np.eye(2) for s in (0.0, 3.0, 5.0))
+    t2 = t1 - 1e-11 * np.eye(2)
+    with pytest.raises(Singular):
+        cr.dv_matrix(t1, t2, t3, t4)
+    with pytest.raises(NotPolarization):
+        cr.dv_composition(*(gr.subspace_from_graph(t, pol) for t in (t1, t2, t3, t4)))
 
 
 def test_permutation_table_scalar():

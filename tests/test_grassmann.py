@@ -26,6 +26,9 @@ def test_subspace_from_basis_rejects_rank_deficient():
     cols = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     with pytest.raises(RankDeficient):
         gr.subspace_from_basis(cols)
+    # The rank test is relative: uniformly tiny columns still span.
+    w = gr.subspace_from_basis(1e-30 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]))
+    assert w.dim == 2
 
 
 def test_same_subspace_is_basis_independent(rng):
@@ -59,8 +62,11 @@ def test_project_parallel_decomposition(rng):
 def test_project_parallel_rejects_non_complementary():
     e = np.eye(4)
     w1 = gr.Subspace(e[:, :2])
-    with pytest.raises(NotComplementary):
+    with pytest.raises(NotPolarization):
         gr.project_parallel(e[:, 0], w1, gr.Subspace(e[:, 1:3]))
+    # NotPolarization is a NotComplementary, so older handlers still catch it.
+    with pytest.raises(NotComplementary):
+        gr.project_parallel(e[:, 0], w1, gr.Subspace(e[:, 1:2]))
 
 
 def test_polarization_validates():
@@ -93,6 +99,18 @@ def test_graph_coordinate_outside_chart():
     vertical = pol.vertical
     with pytest.raises(OutsideChart):
         gr.graph_coordinate(vertical, pol)
+    e = np.eye(4)
+    c = np.sqrt(1.0 - 1e-24)
+    # Horizontal block with singular values (1, 1e-12).
+    w = gr.Subspace(np.column_stack([e[:, 0], 1e-12 * e[:, 1] + c * e[:, 2]]))
+    with pytest.raises(OutsideChart):
+        gr.graph_coordinate(w, pol)
+    # Singular values (1e-12, 1e-12): well conditioned, but the chart-level
+    # rule floors the scale at 1, so it is still outside the chart.
+    w = gr.Subspace(np.column_stack([1e-12 * e[:, 0] + c * e[:, 2],
+                                     1e-12 * e[:, 1] + c * e[:, 3]]))
+    with pytest.raises(OutsideChart):
+        gr.graph_coordinate(w, pol)
 
 
 def test_mobius_action_commutes_with_charts(rng):

@@ -29,6 +29,9 @@ def test_jet_validates():
         scalar_jet(0.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         sz.CurveJet(0.0, np.eye(2), np.eye(2), np.eye(2), np.eye(3))
+    # The z' test is relative: a tiny but well-conditioned z' is accepted.
+    jet = sz.CurveJet(0.0, np.eye(2), 1e-30 * np.eye(2), np.eye(2), np.eye(2))
+    assert jet.dim == 2
 
 
 def test_schwarzian_of_tan_is_two():
@@ -138,6 +141,14 @@ def test_riccati_blow_up_detected():
     with pytest.raises(BlowUp) as exc_info:
         sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, 2.0, 800)
     assert abs(exc_info.value.t - np.pi / 2) < 0.05
+
+
+def test_riccati_overflow_is_blow_up():
+    # W' = -B overflows inside the first step; that is a blow-up, not bad input.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUp):
+        sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([np.zeros((2, 2))]),
+                                    sz.MatrixPolynomial([1e300 * np.eye(2)]))
+        sz.integrate_riccati(sys_, np.zeros((2, 2)), 0.0, 1.0, 10)
 
 
 def test_w_from_jet_matches_riccati_solution():
