@@ -14,9 +14,9 @@ from .grassmann import (BlockMobius, Polarization, Subspace, graph_coordinate,
                         subspace_from_basis, subspace_from_graph)
 from .schwarzian import (CurveJet, HamiltonianSystem, MatrixPolynomial,
                       PhasePoint, curve_from_riccati, euler_residual,
-                      hamiltonian_rhs, integrate_hamiltonian,
-                      integrate_riccati, mobius_curve_jet, riccati_rhs,
-                      schwarz, schwarz_equation_residual, schwarz_from_samples,
+                      integrate_hamiltonian, integrate_riccati,
+                      mobius_curve_jet, riccati_rhs, schwarz,
+                      schwarz_equation_residual, schwarz_from_samples,
                       w_from_jet)
 from .flows import (AlmostNilpotent, FlowScenario, commuting_flow_residual,
                     flow_subspace, shift_generator, spectrum_along_flow,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DegeneratePosition, NotPolarization, Singular
+from .errors import DegeneratePosition, NotPolarization, Overflow, Singular
 from .grassmann import (COMPLEMENT_TOL, Subspace, principal_angles, project_parallel,
                         subspace_from_basis)
 
@@ -45,8 +45,10 @@ class CrossRatioResult:
 
     @property
     def det(self):
-        """Determinant of the operator (the tau-function analog)."""
+        """Determinant of the operator (the tau-function analog); Overflow if not finite."""
         d = complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0
+        if not np.isfinite(d):
+            raise Overflow("the determinant is not finite")
         if abs(d.imag) < 1e-12 * max(1.0, abs(d.real)):
             return d.real
         return d

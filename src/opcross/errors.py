@@ -46,6 +46,10 @@ class DefectiveSpectrum(NumericalError):
     """A requested invariant-subspace split is not numerically resolvable."""
 
 
+class Overflow(NumericalError):
+    """A computed quantity left the floating-point range."""
+
+
 class BlowUp(NumericalError):
     """A Riccati solution escaped to infinity inside the integration window."""
 

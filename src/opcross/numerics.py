@@ -7,7 +7,7 @@ matrix encoding.  All functions are pure; inputs are never mutated.
 import numpy as np
 import scipy.linalg
 
-from .errors import NonConvergence, Singular
+from .errors import NonConvergence, Overflow, Singular
 
 # The singularity rule: a factor is numerically singular when its smallest
 # singular value is at most SINGULAR_RTOL times its largest.  Chart-level
@@ -74,12 +74,14 @@ def sort_spectrum(w):
 
 
 def trace_powers(m, kmax):
-    """(tr M, tr M^2, ..., tr M^kmax) of a square matrix."""
+    """(tr M, tr M^2, ..., tr M^kmax) of a square matrix; Overflow if one is not finite."""
     traces = []
     power = np.eye(m.shape[0], dtype=m.dtype)
     for _ in range(kmax):
         power = power @ m
         traces.append(np.trace(power))
+    if not np.isfinite(traces).all():
+        raise Overflow(f"tr M^{np.argmin(np.isfinite(traces)) + 1} is not finite")
     return np.asarray(traces)
 
 
@@ -123,11 +125,11 @@ def matrix_to_json(m):
 
 
 def _entry_from_json(v):
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise ValueError(f"bad matrix entry: {v!r}")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    # bool is an int subclass, but JSON true/false are not numbers.
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise ValueError(f"bad matrix entry: {v!r}")
+    return complex(*parts) if len(parts) == 2 else float(v)
 
 
 def matrix_from_json(obj):

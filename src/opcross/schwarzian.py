@@ -6,14 +6,14 @@ are matrix polynomials so that A' is exact.  All integrators are the
 classical fixed-step fourth-order one-step method.
 """
 
+import bisect
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.interpolate
 
 from . import numerics
-from .errors import BlowUp, Singular
+from .errors import BlowUp, Overflow, Singular
 
 BLOWUP_NORM = 1e8
 
@@ -100,13 +100,8 @@ class MatrixPolynomial:
     def from_json(cls, obj, dim=None):
         if not isinstance(obj, list):
             raise ValueError("matrix polynomial JSON must be a list of matrices")
-        coeffs = []
-        for c in obj:
-            if isinstance(c, dict):
-                coeffs.append(numerics.matrix_from_json(c))
-            else:
-                coeffs.append(numerics.as_square(np.asarray(c, dtype=float), "coefficient"))
-        return cls(coeffs, dim=dim)
+        return cls([numerics.matrix_from_json(c) if isinstance(c, dict)
+                    else np.asarray(c, dtype=float) for c in obj], dim=dim)
 
 
 @dataclass(frozen=True)
@@ -132,9 +127,6 @@ class HamiltonianSystem:
     @property
     def dim(self):
         return self.a.dim
-
-    def a_deriv(self):
-        return self.a.derivative()
 
     def to_json(self):
         return {"dim": self.dim, "A": self.a.to_json(), "B": self.b.to_json(),
@@ -252,12 +244,6 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
     return CurveJet(jet.t, w[0], w[1], 2.0 * w[2], 6.0 * w[3])
 
 
-def hamiltonian_rhs(sys, t, x):
-    """Right-hand side of the linear Hamiltonian system at (t, x)."""
-    a, b = sys.a(t), sys.b(t)
-    return PhasePoint(a @ x.q + x.p, -b @ x.q - a.T @ x.p)
-
-
 def _rk4(f, y, steps, check=None):
     """Classical RK4 from y over steps, an iterable of (t, h) pairs.
 
@@ -280,6 +266,8 @@ def _rk4(f, y, steps, check=None):
 def _fixed_steps(t0, t1, steps):
     """Times of a fixed-step run (t advances by repeated addition of h) and
     its (t, h) steps."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     h = (t1 - t0) / steps
     ts = [t0]
     for _ in range(steps):
@@ -290,27 +278,28 @@ def _fixed_steps(t0, t1, steps):
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
     """Fixed-step RK4 trajectory of the Hamiltonian system.
 
-    Returns (times, [PhasePoint, ...]) including both endpoints.
+    Returns (times, [PhasePoint, ...]) including both endpoints; raises
+    Overflow at the first time the state is no longer finite.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    n = sys.dim
-    y0 = np.concatenate([x0.q.reshape(-1), x0.p.reshape(-1)])
 
     def rhs(t, y):
-        q, p = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
+        q, p = y[0], y[1]
         a, b = sys.a(t), sys.b(t)
-        return np.concatenate([(a @ q + p).reshape(-1), (-b @ q - a.T @ p).reshape(-1)])
+        return np.array([a @ q + p, -b @ q - a.T @ p])
 
     ts, grid = _fixed_steps(t0, t1, steps)
-    ys = _rk4(rhs, y0, grid)
-    return ts, [PhasePoint(y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)) for y in ys]
+    ys = np.array(_rk4(rhs, np.array([x0.q, x0.p]), grid))
+    finite = np.isfinite(ys).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise Overflow(f"the Hamiltonian state overflowed at t = {ts[np.argmin(finite)]:.6g}")
+    return ts, [PhasePoint(q, p) for q, p in ys]
 
 
 def riccati_rhs(sys, t, w):
-    """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow)."""
+    """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow); t may
+    be an (N, 1, 1) column of times for a stack of N matrices w."""
     a, b = sys.a(t), sys.b(t)
-    return -b - a.T @ w - w @ a - w @ w
+    return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
 
 
 def _check_blow_up(t, w):
@@ -360,7 +349,7 @@ def schwarz_equation_residual(jet, sys, t=None):
     if t is None:
         t = jet.t
     a = sys.a(t)
-    return schwarz(jet) - 2.0 * (sys.b(t) - sys.a_deriv()(t) - a @ a)
+    return schwarz(jet) - 2.0 * (sys.b(t) - sys.a.derivative()(t) - a @ a)
 
 
 def euler_residual(q, q1, q2, sys, t):
@@ -368,17 +357,17 @@ def euler_residual(q, q1, q2, sys, t):
     q = np.asarray(q, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    a, b, ad = sys.a(t), sys.b(t), sys.a_deriv()(t)
+    a, b, ad = sys.a(t), sys.b(t), sys.a.derivative()(t)
     return q2 + (a.T - a) @ q1 + (b - ad - a.T @ a) @ q
 
 
-def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly=None):
-    """Integrate z'' = -2 z' (W(t) + A(t)) along a Riccati trajectory.
+def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
+    """Integrate z'' = -2 z' (W(t) + A(t)) along a trajectory ts, ws of the
+    Riccati equation with coefficients a_poly, b_poly.
 
-    ts, ws is the trajectory grid; W between nodes is cubic-spline
-    interpolated.  W' in the third-derivative member of each jet comes from
-    the Riccati right-hand side when b_poly is supplied, otherwise from the
-    spline derivative.  Returns one CurveJet per grid node.
+    The Riccati slopes W' at the nodes give W between nodes, as the cubic
+    Hermite interpolant of the node values and slopes, and the W' in the
+    third-derivative member of each jet.  Returns one CurveJet per node.
     """
     ts = np.asarray(ts, dtype=float)
     w_stack = np.array([numerics.as_square(w, "W") for w in ws])
@@ -387,27 +376,27 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly=None):
     z0 = numerics.as_square(z0, "z0")
     z1_0 = numerics.as_square(z1_0, "z1_0")
     numerics.check_invertible(z1_0, "z1_0")
-    n = z0.shape[0]
-    spline = scipy.interpolate.CubicSpline(ts, w_stack, axis=0)
-    dspline = spline.derivative()
+    tcol = ts[:, None, None]
+    slopes = riccati_rhs(HamiltonianSystem(a_poly, b_poly), tcol, w_stack)
+    # On [t_i, t_(i+1)], W(t_i + s h_i) = (1, s, s^2, s^3) @ coef[i].
+    hs = np.diff(tcol, axis=0)
+    dw, m0, m1 = np.diff(w_stack, axis=0), hs * slopes[:-1], hs * slopes[1:]
+    coef = np.stack([w_stack[:-1], m0, 3.0 * dw - 2.0 * m0 - m1, m0 + m1 - 2.0 * dw], axis=1)
+    coef = coef.reshape(len(dw), 4, -1)
+    nodes = ts.tolist()
 
     def w_at(t):
-        return spline(np.clip(t, ts[0], ts[-1]))
+        i = bisect.bisect_right(nodes, t, 1, len(nodes) - 1) - 1
+        s = (t - nodes[i]) / (nodes[i + 1] - nodes[i])
+        return (np.array([1.0, s, s * s, s * s * s]) @ coef[i]).reshape(z0.shape)
 
     def rhs(t, y):
-        z, z1 = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
-        z2 = -2.0 * z1 @ (w_at(t) + a_poly(t))
-        return np.concatenate([z1.reshape(-1), z2.reshape(-1)])
+        z1 = y[1]
+        return np.array([z1, -2.0 * z1 @ (w_at(t) + a_poly(t))])
 
-    a_deriv = a_poly.derivative()
-    jets = []
-    y0 = np.concatenate([z0.reshape(-1), z1_0.reshape(-1)])
-    ys = _rk4(rhs, y0, zip(ts[:-1], np.diff(ts)))
-    for t, w, y in zip(ts, w_stack, ys):
-        z, z1 = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
-        a = a_poly(t)
-        wprime = -b_poly(t) - a.T @ w - w @ a - w @ w if b_poly is not None else dspline(t)
-        z2 = -2.0 * z1 @ (w + a)
-        z3 = -2.0 * z2 @ (w + a) - 2.0 * z1 @ (wprime + a_deriv(t))
-        jets.append(CurveJet(t, z, z1, z2, z3))
-    return jets
+    ys = np.array(_rk4(rhs, np.array([z0, z1_0]), zip(ts[:-1], np.diff(ts))))
+    z, z1 = ys[:, 0], ys[:, 1]
+    wa = w_stack + a_poly(tcol)
+    z2 = -2.0 * z1 @ wa
+    z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes + a_poly.derivative()(tcol))
+    return [CurveJet(*jet) for jet in zip(ts, z, z1, z2, z3)]

@@ -29,6 +29,17 @@ def random_half_dim_charts(rng, n, need_invertible_verticals=False):
         return ts, subs, pol
 
 
+def overflowing_dv_config():
+    """Four n = 256 subspaces (k = 128, standard polarization, seed 0,
+    T3 = T4 + 1e-3 I) whose cross-ratio has traces of powers beyond the
+    floating-point range."""
+    rng = np.random.default_rng(0)
+    pol = grassmann.standard_polarization(256, 128)
+    ts = [rng.standard_normal((128, 128)) for _ in range(4)]
+    ts[2] = ts[3] + 1e-3 * np.eye(128)
+    return [grassmann.subspace_from_graph(t, pol) for t in ts]
+
+
 def random_conditioned(rng, n, cond_max=1e3):
     """Random invertible matrix with condition number below cond_max."""
     while True:

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from opcross import cli, grassmann, numerics
+from conftest import overflowing_dv_config
 
 
 def write_json(path, obj):
@@ -105,6 +108,37 @@ def test_riccati_blow_up_reported_not_crashed(tmp_path):
     status, text = run_to_files(tmp_path, "riccati", payload)
     assert status == 3
     assert "BlowUp" in json.loads(text)["error"]
+
+
+def test_zero_steps_exit_2(tmp_path):
+    payload = {"system": oscillator_json(), "w0": {"rows": 1, "cols": 1,
+               "data": [[0.0]]}, "t0": 0.0, "t1": 1.0, "steps": 0}
+    status, text = run_to_files(tmp_path, "riccati", payload)
+    assert status == 2
+    assert json.loads(text)["error"].startswith("ValidationError")
+
+
+def test_overflow_exit_3(tmp_path):
+    payload = {"system": {"dim": 1, "A": [[[300.0]]], "B": [[[0.0]]]},
+               "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
+               "p0": {"rows": 1, "cols": 1, "data": [[0.0]]},
+               "t0": 0.0, "t1": 10.0, "steps": 1000}
+    with np.errstate(over="ignore", invalid="ignore"):
+        status, text = run_to_files(tmp_path, "hamiltonian", payload)
+        assert status == 3
+        assert json.loads(text)["error"].startswith("Overflow")
+        payload = {"subspaces": [w.to_json() for w in overflowing_dv_config()]}
+        status, text = run_to_files(tmp_path, "dv", payload, name="dv.json")
+    assert status == 3
+    assert json.loads(text)["error"].startswith("Overflow")
+
+
+def test_cli_import_skips_scipy_interpolate():
+    code = "import sys, opcross.cli; print('scipy.interpolate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_hamiltonian_verb(tmp_path):

@@ -4,8 +4,9 @@ import pytest
 from opcross import crossratio as cr
 from opcross import grassmann as gr
 from opcross import numerics
-from opcross.errors import NotPolarization, Singular
-from conftest import pair_with_angles, random_half_dim_charts, random_orthogonal
+from opcross.errors import NotPolarization, Overflow, Singular
+from conftest import (overflowing_dv_config, pair_with_angles, random_half_dim_charts,
+                      random_orthogonal)
 
 
 def scalar_charts(t1, t2, t3, t4):
@@ -210,3 +211,12 @@ def test_result_invariants(rng):
     assert len(d.trace_powers) == 3
     assert abs(d.trace_powers[0] - np.trace(d.matrix)) < 1e-10
     assert abs(d.det - np.linalg.det(d.matrix)) < 1e-8
+
+
+def test_non_finite_invariants_raise_overflow():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(Overflow):
+            cr.dv_composition(*overflowing_dv_config())
+        huge = cr.CrossRatioResult.from_matrix(1e200 * np.eye(2), "P1", kmax=1)
+        with pytest.raises(Overflow):
+            huge.det

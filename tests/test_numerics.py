@@ -59,6 +59,8 @@ def test_matrix_json_rejects_garbage():
     for bad in (None, [], {"rows": 2, "cols": 2},
                 {"rows": 2, "cols": 2, "data": [[1.0, 2.0]]},
                 {"rows": 1, "cols": 1, "data": [["x"]]},
+                {"rows": 1, "cols": 1, "data": [[True]]},
+                {"rows": 1, "cols": 1, "data": [[[1.0, False]]]},
                 {"rows": 0, "cols": 0, "data": []}):
         with pytest.raises(ValueError):
             numerics.matrix_from_json(bad)

@@ -3,7 +3,7 @@ import pytest
 
 from opcross import numerics
 from opcross import schwarzian as sz
-from opcross.errors import BlowUp, Singular
+from opcross.errors import BlowUp, Overflow, Singular
 from conftest import polynomial_curve
 
 
@@ -151,6 +151,34 @@ def test_riccati_overflow_is_blow_up():
         sz.integrate_riccati(sys_, np.zeros((2, 2)), 0.0, 1.0, 10)
 
 
+def test_steps_must_be_positive():
+    x0 = sz.PhasePoint(np.eye(1), np.zeros((1, 1)))
+    for steps in (0, -3):
+        with pytest.raises(ValueError):
+            sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, 1.0, steps)
+        with pytest.raises(ValueError):
+            sz.integrate_hamiltonian(oscillator(), x0, 0.0, 1.0, steps)
+
+
+def test_hamiltonian_overflow_is_numerical():
+    # q' = 300 q grows like exp(300 t) and leaves the float range before t = 10.
+    sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([300.0 * np.eye(1)]),
+                                sz.MatrixPolynomial([np.zeros((1, 1))]))
+    x0 = sz.PhasePoint(np.eye(1), np.zeros((1, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Overflow):
+        sz.integrate_hamiltonian(sys_, x0, 0.0, 10.0, 1000)
+
+
+def test_curve_from_riccati_tan():
+    # A = 0, B = I, W0 = 0: W = -tan t, and z'' = 2 z' tan t with z(0) = 0,
+    # z'(0) = I gives z = tan t, z' = sec^2 t.
+    sys_ = oscillator()
+    ts, ws = sz.integrate_riccati(sys_, np.zeros((1, 1)), 0.0, 1.2, 600)
+    jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((1, 1)), np.eye(1), sys_.b)
+    assert max(abs(j.z[0, 0] - np.tan(j.t)) for j in jets) < 1e-9
+    assert max(abs(j.z1[0, 0] - 1.0 / np.cos(j.t) ** 2) for j in jets) < 1e-9
+
+
 def test_w_from_jet_matches_riccati_solution():
     # For z = tan with A = 0, W = -(1/2)(z')^-1 z'' solves the oscillator
     # Riccati equation: W(t) = -tan(t).
@@ -188,9 +216,11 @@ def test_euler_residual_on_hamiltonian_solutions(rng):
     x0 = sz.PhasePoint(np.eye(2), 0.1 * rng.standard_normal((2, 2)))
     ts, points = sz.integrate_hamiltonian(sys_, x0, 0.0, 0.5, 250)
     for t, pt in list(zip(ts, points))[::50]:
-        d = sz.hamiltonian_rhs(sys_, t, pt)
-        q2 = sys_.a(t) @ d.q + d.p  # differentiate q' = Aq + p (A constant)
-        res = sz.euler_residual(pt.q, d.q, q2, sys_, t)
+        a, b = sys_.a(t), sys_.b(t)
+        q1 = a @ pt.q + pt.p
+        p1 = -b @ pt.q - a.T @ pt.p
+        q2 = a @ q1 + p1  # differentiate q' = Aq + p (A constant)
+        res = sz.euler_residual(pt.q, q1, q2, sys_, t)
         assert numerics.fro(res) < 1e-10
 
 
