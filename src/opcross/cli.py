@@ -27,9 +27,13 @@ TOL_ENV_VAR = "OPCROSS_TOL"
 
 # --- deterministic JSON with 17-significant-digit floats ------------------
 
+class _NonFinite(ValueError):
+    """A non-finite float reached the report or CSV; run() reports it as Overflow."""
+
+
 def _format_float(x):
     if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite float in report")
+        raise _NonFinite(f"non-finite float in output: {x!r}")
     text = format(float(x), ".17g")
     # Keep floats recognizably floats.
     if "e" not in text and "." not in text and "n" not in text:
@@ -39,12 +43,8 @@ def _format_float(x):
 
 def dumps_report(obj, indent=0):
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -67,12 +67,10 @@ def dumps_report(obj, indent=0):
 
 def _jsonable(value):
     """Convert numpy scalars/arrays and complex numbers to plain JSON values."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, complex) or isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
             return numerics.matrix_to_json(value)
@@ -97,26 +95,18 @@ def emit_report(verb, seed, input_digest, results, error=None):
     return dumps_report(report) + "\n"
 
 
-def _spectrum_pairs(spectrum):
-    return [[float(z.real), float(z.imag)] for z in spectrum]
-
-
 # --- verb handlers --------------------------------------------------------
 
-def _result_fields(result, wanted):
-    out = {}
-    for field in wanted:
-        if field == "matrix":
-            out["matrix"] = numerics.matrix_to_json(result.matrix)
-        elif field == "spectrum":
-            out["spectrum"] = _spectrum_pairs(result.spectrum)
-        elif field == "traces":
-            out["traces"] = [_jsonable(complex(t)) for t in result.trace_powers]
-        elif field == "det":
-            out["det"] = _jsonable(result.det)
-        else:
-            raise ValueError(f"unknown report field {field!r}")
-    return out
+_RESULT_FIELDS = {"matrix": lambda r: r.matrix, "spectrum": lambda r: r.spectrum,
+                  "traces": lambda r: r.trace_powers.astype(complex), "det": lambda r: r.det}
+
+
+def _result_fields(result, data):
+    wanted = data.get("report", list(_RESULT_FIELDS))
+    unknown = [field for field in wanted if field not in _RESULT_FIELDS]
+    if unknown:
+        raise ValueError(f"unknown report field {unknown[0]!r}")
+    return {field: _jsonable(_RESULT_FIELDS[field](result)) for field in wanted}
 
 
 def _handle_dv(data, seed, tol):
@@ -124,20 +114,18 @@ def _handle_dv(data, seed, tol):
     if not isinstance(subs, list) or len(subs) != 4:
         raise ValueError("'subspaces' must list exactly four subspaces")
     p1, p2, p3, p4 = (grassmann.Subspace.from_json(s) for s in subs)
-    wanted = data.get("report", ["matrix", "spectrum", "traces", "det"])
     if p1.dim == p2.dim:
         result = crossratio.dv_composition(p1, p2, p3, p4)
     else:
         result = crossratio.dv_unequal(p1, p2, p3, p4)
-    return _result_fields(result, wanted), None
+    return _result_fields(result, data), None
 
 
 def _handle_angle(data, seed, tol):
     a = numerics.matrix_from_json(data["a"])
     b = numerics.matrix_from_json(data["b"])
     result = crossratio.operator_angle(a, b)
-    wanted = data.get("report", ["matrix", "spectrum", "traces", "det"])
-    return _result_fields(result, wanted), None
+    return _result_fields(result, data), None
 
 
 def _handle_equiv(data, seed, tol):
@@ -170,14 +158,15 @@ def _handle_schwarz(data, seed, tol):
         s = schwarz.schwarz(jet)
     elif "samples" in data:
         samples = [numerics.matrix_from_json(m) for m in data["samples"]]
-        s = schwarz.schwarz_from_samples(samples, float(data["h"]))
+        s = schwarz.schwarz_from_samples(samples, numerics.number_from_json(data["h"], "h"))
     else:
         raise ValueError("schwarz input needs 'jet' or 'samples' + 'h'")
     return {"schwarzian": numerics.matrix_to_json(s),
-            "spectrum": _spectrum_pairs(numerics.eigenvalues(s))}, None
+            "spectrum": _jsonable(numerics.eigenvalues(s))}, None
 
 
 def _trajectory_csv(ts, mats):
+    """One CSV row per time: t, then the entries of its matrix (or vector)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for t, m in zip(ts, mats):
@@ -186,11 +175,16 @@ def _trajectory_csv(ts, mats):
     return buf.getvalue()
 
 
+def _time_grid(data):
+    """(t0, t1, steps) of a trajectory input; steps defaults to 1000."""
+    num = numerics.number_from_json
+    return num(data["t0"], "t0"), num(data["t1"], "t1"), num(data.get("steps", 1000), "steps", int)
+
+
 def _handle_riccati(data, seed, tol):
     sys_ = schwarz.HamiltonianSystem.from_json(data["system"])
     w0 = numerics.matrix_from_json(data["w0"])
-    ts, ws = schwarz.integrate_riccati(sys_, w0, float(data["t0"]),
-                                       float(data["t1"]), int(data.get("steps", 1000)))
+    ts, ws = schwarz.integrate_riccati(sys_, w0, *_time_grid(data))
     results = {"t_final": float(ts[-1]),
                "w_final": numerics.matrix_to_json(ws[-1]),
                "steps": len(ts) - 1}
@@ -201,8 +195,7 @@ def _handle_hamiltonian(data, seed, tol):
     sys_ = schwarz.HamiltonianSystem.from_json(data["system"])
     x0 = schwarz.PhasePoint(numerics.matrix_from_json(data["q0"]),
                             numerics.matrix_from_json(data["p0"]))
-    ts, points = schwarz.integrate_hamiltonian(
-        sys_, x0, float(data["t0"]), float(data["t1"]), int(data.get("steps", 1000)))
+    ts, points = schwarz.integrate_hamiltonian(sys_, x0, *_time_grid(data))
     rows = [np.concatenate([pt.q.reshape(-1), pt.p.reshape(-1)]) for pt in points]
     results = {"t_final": float(ts[-1]),
                "q_final": numerics.matrix_to_json(points[-1].q),
@@ -214,21 +207,11 @@ def _handle_hamiltonian(data, seed, tol):
 def _handle_flow(data, seed, tol):
     scenario = flows.FlowScenario.from_json(data)
     table = flows.spectrum_along_flow(scenario)
-    results = {"rows": [{"t": t,
-                         "spectrum": _spectrum_pairs(spec),
-                         "traces": [_jsonable(complex(v)) for v in traces],
-                         "det": _jsonable(det)}
+    results = {"rows": [{"t": t, "spectrum": spec, "traces": traces.astype(complex), "det": det}
                         for t, spec, traces, det in table]}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for t, spec, traces, det in table:
-        row = [_format_float(t)]
-        for z in spec:
-            row += [_format_float(z.real), _format_float(z.imag)]
-        row += [_format_float(complex(v).real) for v in traces]
-        row.append(_format_float(complex(det).real))
-        writer.writerow(row)
-    return results, buf.getvalue()
+    rows = [np.concatenate([np.column_stack([s.real, s.imag]).ravel(), np.real(tr), [np.real(d)]])
+            for _, s, tr, d in table]
+    return results, _trajectory_csv([t for t, _, _, _ in table], rows)
 
 
 def _handle_selftest(data, seed, tol):
@@ -262,15 +245,14 @@ def run(verb, input_path, output_path, seed=0, tol=None):
     if tol is None:
         tol = float(os.environ.get(TOL_ENV_VAR, "1e-6"))
 
-    def write_report(results, error=None):
-        text = emit_report(verb, seed, digest, results, error)
-        if output_path:
-            with open(output_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    def fail(status, error):
+        try:
+            _write(output_path, emit_report(verb, seed, digest, {}, error))
+        except OSError:
+            pass
+        print(("numerical error: " if status == 3 else "error: ") + error, file=sys.stderr)
+        return status
 
-    digest = ""
     raw = b""
     if verb != "selftest":
         if input_path is None:
@@ -288,33 +270,40 @@ def run(verb, input_path, output_path, seed=0, tol=None):
         if not isinstance(data, dict):
             raise ValueError("input must be a JSON object")
     except (ValueError, UnicodeDecodeError) as exc:
-        try:
-            write_report({}, error=f"ValidationError: {exc}")
-        except OSError:
-            pass
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return fail(2, f"ValidationError: {exc}")
 
+    # Everything is serialized before any file is opened.
     try:
         results, csv_text = _HANDLERS[verb](data, seed, tol)
+        text = emit_report(verb, seed, digest, results)
+    except _NonFinite as exc:
+        return fail(3, f"Overflow: {exc}")
     except NumericalError as exc:
-        write_report({}, error=f"{type(exc).__name__}: {exc}")
-        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return fail(3, f"{type(exc).__name__}: {exc}")
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        try:
-            write_report({}, error=f"ValidationError: {detail}")
-        except OSError:
-            pass
-        print(f"error: {detail}", file=sys.stderr)
-        return 2
+        return fail(2, f"ValidationError: {detail}")
 
-    write_report(results)
+    _write(output_path, text)
     if csv_text is not None and output_path:
-        with open(_csv_path(output_path), "w") as fh:
-            fh.write(csv_text)
+        _write(_csv_path(output_path), csv_text)
     return 0
+
+
+def _write(path, text):
+    """Write text to path via a temporary sibling and os.replace (never a
+    partial file); no path means stdout."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _csv_path(output_path):

@@ -28,7 +28,8 @@ class CrossRatioResult:
     matrix       -- the operator in the basis named by basis_space
     basis_space  -- which space carries the matrix ("P1", "chart", ...)
     spectrum     -- eigenvalue multiset, sorted by (real, imag)
-    trace_powers -- tr(D^k) for k = 1..K
+    trace_powers -- tr(D^k) for k = 1..K, the power sums of the spectrum
+                    (real for a real matrix); det is its product
     """
 
     matrix: np.ndarray
@@ -39,9 +40,9 @@ class CrossRatioResult:
     @classmethod
     def from_matrix(cls, m, basis_space, kmax=None):
         m = numerics.as_square(m)
-        if kmax is None:
-            kmax = m.shape[0]
-        return cls(m, basis_space, numerics.eigenvalues(m), numerics.trace_powers(m, kmax))
+        spectrum = numerics.eigenvalues(m)
+        traces = numerics.power_sums(spectrum, m.shape[0] if kmax is None else kmax)
+        return cls(m, basis_space, spectrum, traces if np.iscomplexobj(m) else traces.real)
 
     @property
     def det(self):

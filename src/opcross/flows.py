@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
-from .crossratio import dv_composition
+from .crossratio import CrossRatioResult, dv_composition
 from .errors import DefectiveSpectrum, NotPolarization
 from .grassmann import Subspace, subspace_from_basis
 
@@ -55,7 +55,7 @@ class FlowScenario:
             raise ValueError("scenario JSON must be an object")
         return cls(numerics.matrix_from_json(obj["generator"]),
                    [Subspace.from_json(s) for s in obj["initials"]],
-                   obj["times"])
+                   [numerics.number_from_json(t, "times entry") for t in obj["times"]])
 
 
 @dataclass(frozen=True)
@@ -214,13 +214,12 @@ def commuting_flow_residual(m1, m2, w0, t, s):
 def trace_invariants(d, kmax=None):
     """(tr D, tr D^2, ..., tr D^kmax) plus det D; kmax defaults to the size.
 
-    Newton's identities make higher traces redundant at finite dimension.
+    Both come from the spectrum (power sums and product), so Newton's
+    identities make higher traces redundant at finite dimension; Overflow
+    when a trace or the determinant is not finite.
     """
     if isinstance(d, AlmostNilpotent):
         d = d.matrix
-    d = numerics.as_square(d, "D")
-    if kmax is None:
-        kmax = d.shape[0]
-    if np.iscomplexobj(d):
-        return numerics.trace_powers(d, kmax).astype(complex), complex(np.linalg.det(d))
-    return numerics.trace_powers(d, kmax).astype(float), float(np.linalg.det(d))
+    r = CrossRatioResult.from_matrix(numerics.as_square(d, "D"), "D", kmax)
+    det = complex(r.det)
+    return r.trace_powers, det if np.iscomplexobj(r.matrix) else det.real

@@ -63,10 +63,9 @@ class Subspace:
         if not isinstance(obj, dict) or "basis" not in obj:
             raise ValueError("subspace JSON must be an object with a 'basis' field")
         basis = numerics.matrix_from_json(obj["basis"])
-        if "ambient" in obj and int(obj["ambient"]) != basis.shape[0]:
-            raise ValueError("subspace 'ambient' disagrees with basis shape")
-        if "dim" in obj and int(obj["dim"]) != basis.shape[1]:
-            raise ValueError("subspace 'dim' disagrees with basis shape")
+        for field, size in (("ambient", basis.shape[0]), ("dim", basis.shape[1])):
+            if field in obj and numerics.number_from_json(obj[field], field, int) != size:
+                raise ValueError(f"subspace {field!r} disagrees with basis shape")
         return subspace_from_basis(basis)
 
 

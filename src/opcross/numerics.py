@@ -4,6 +4,8 @@ Thin, contract-enforcing wrappers around numpy/scipy plus the JSON
 matrix encoding.  All functions are pure; inputs are never mutated.
 """
 
+import sys
+
 import numpy as np
 import scipy.linalg
 
@@ -73,16 +75,14 @@ def sort_spectrum(w):
     return w[order]
 
 
-def trace_powers(m, kmax):
-    """(tr M, tr M^2, ..., tr M^kmax) of a square matrix; Overflow if one is not finite."""
-    traces = []
-    power = np.eye(m.shape[0], dtype=m.dtype)
-    for _ in range(kmax):
-        power = power @ m
-        traces.append(np.trace(power))
-    if not np.isfinite(traces).all():
-        raise Overflow(f"tr M^{np.argmin(np.isfinite(traces)) + 1} is not finite")
-    return np.asarray(traces)
+def power_sums(w, kmax):
+    """(sum w, ..., sum w^kmax) of an eigenvalue multiset w, as complex: the
+    traces of powers of any matrix with spectrum w.  Overflow names the
+    first power whose sum is not finite."""
+    sums = w[None].repeat(kmax, axis=0).cumprod(axis=0).sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise Overflow(f"tr M^{np.argmin(np.isfinite(sums)) + 1} is not finite")
+    return sums
 
 
 def spectra_close(w1, w2, tol):
@@ -124,20 +124,29 @@ def matrix_to_json(m):
     return {"rows": rows, "cols": cols, "data": data}
 
 
+def number_from_json(v, name, kind=float):
+    """A finite JSON number as kind (float, or int for a count); else ValueError."""
+    # bool is an int subclass, but JSON true/false are not numbers; the
+    # magnitude test also rejects nan and integers too large for a float.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= sys.float_info.max or (kind is int and v != int(v)):
+        raise ValueError(f"{name} must be a finite {kind.__name__}, got {v!r}")
+    return kind(v)
+
+
 def _entry_from_json(v):
     parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    # bool is an int subclass, but JSON true/false are not numbers.
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-        raise ValueError(f"bad matrix entry: {v!r}")
-    return complex(*parts) if len(parts) == 2 else float(v)
+    parts = [number_from_json(x, "matrix entry") for x in parts]
+    return complex(*parts) if len(parts) == 2 else parts[0]
 
 
 def matrix_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols = (number_from_json(obj[k], k, int) for k in ("rows", "cols"))
+        data = obj["data"]
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"matrix JSON missing/bad field: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
@@ -148,5 +157,4 @@ def matrix_from_json(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"expected rows of length {cols}")
         entries.append([_entry_from_json(v) for v in row])
-    m = np.array(entries)
-    return as_matrix(m)
+    return np.array(entries)

@@ -55,7 +55,7 @@ class CurveJet:
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("jet JSON must be an object")
-        return cls(float(obj.get("t", 0.0)),
+        return cls(numerics.number_from_json(obj.get("t", 0.0), "t"),
                    *(numerics.matrix_from_json(obj[k]) for k in ("z", "z1", "z2", "z3")))
 
 
@@ -100,8 +100,9 @@ class MatrixPolynomial:
     def from_json(cls, obj, dim=None):
         if not isinstance(obj, list):
             raise ValueError("matrix polynomial JSON must be a list of matrices")
-        return cls([numerics.matrix_from_json(c) if isinstance(c, dict)
-                    else np.asarray(c, dtype=float) for c in obj], dim=dim)
+        return cls([numerics.matrix_from_json(c) if isinstance(c, dict) else
+                    [[numerics.number_from_json(v, "coefficient entry") for v in row]
+                     for row in c] for c in obj], dim=dim)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class HamiltonianSystem:
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("system JSON must be an object")
-        dim = int(obj["dim"]) if "dim" in obj else None
+        dim = numerics.number_from_json(obj["dim"], "dim", int) if "dim" in obj else None
         a = MatrixPolynomial.from_json(obj.get("A", []), dim=dim)
         b = MatrixPolynomial.from_json(obj.get("B", []), dim=dim)
         return cls(a, b, bool(obj.get("symmetric_A", False)))

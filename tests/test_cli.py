@@ -133,6 +133,51 @@ def test_overflow_exit_3(tmp_path):
     assert json.loads(text)["error"].startswith("Overflow")
 
 
+def test_json_booleans_exit_2(tmp_path):
+    base = {"system": {"A": [[[0.0]]], "B": [[[0.0]]]},
+            "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
+            "p0": {"rows": 1, "cols": 1, "data": [[0.0]]},
+            "t0": 0.0, "t1": 1.0, "steps": 10}
+    assert run_to_files(tmp_path, "hamiltonian", base)[0] == 0
+    bad = [{"system": {"A": [[[True]]], "B": [[[0.0]]]}},
+           {"system": {"A": [[[0.0]]], "B": [{"rows": True, "cols": 1, "data": [[0.0]]}]}},
+           {"system": {"dim": True, "A": [[[0.0]]], "B": [[[0.0]]]}},
+           {"t1": True}, {"steps": True}, {"t0": "0"}]
+    for i, change in enumerate(bad):
+        status, text = run_to_files(tmp_path, "hamiltonian", {**base, **change},
+                                    name=f"bad{i}.json")
+        assert status == 2, change
+        assert json.loads(text)["error"].startswith("ValidationError"), change
+    subs = dv_input()["subspaces"]
+    subs[0] = {**subs[0], "dim": True}
+    assert run_to_files(tmp_path, "dv", {"subspaces": subs}, name="dv.json")[0] == 2
+
+
+def test_non_finite_result_exit_3_and_atomic_report(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "angle",
+                        lambda data, seed, tol: ({"x": float("inf")}, None))
+    out = tmp_path / "out.json"
+    out.write_text('{"stale": "report of an earlier run"}\n')
+    assert cli.run("angle", write_json(tmp_path / "in.json", {}), str(out)) == 3
+    report = json.loads(out.read_text())
+    assert report["error"].startswith("Overflow") and "stale" not in report
+    assert sorted(os.listdir(tmp_path)) == ["in.json", "out.json"]
+
+
+def test_failed_write_keeps_the_old_report(tmp_path, monkeypatch):
+    out = tmp_path / "out.json"
+    out.write_text("old report\n")
+
+    def no_space(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", no_space)
+    with pytest.raises(OSError):
+        cli.run("dv", write_json(tmp_path / "in.json", dv_input()), str(out))
+    assert out.read_text() == "old report\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.json", "out.json"]
+
+
 def test_cli_import_skips_scipy_interpolate():
     code = "import sys, opcross.cli; print('scipy.interpolate' in sys.modules)"
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -220,3 +220,60 @@ def test_non_finite_invariants_raise_overflow():
         huge = cr.CrossRatioResult.from_matrix(1e200 * np.eye(2), "P1", kmax=1)
         with pytest.raises(Overflow):
             huge.det
+
+
+def mp_trace_powers(m, kmax):
+    """tr M^j for j = 1..kmax in 50-digit mpmath arithmetic, as complex.
+
+    Powers up to h = ceil(kmax / 2) are formed by the chain; the higher traces
+    use tr(M^h M^i) = sum of the entries of M^h * (M^i)^T.
+    """
+    import mpmath
+    with mpmath.workdps(50):
+        a = np.vectorize(mpmath.mpmathify, otypes=[object])(m)
+        powers = [a]
+        for _ in range((kmax + 1) // 2 - 1):
+            powers.append(powers[-1].dot(a))
+        traces = [p.trace() for p in powers]
+        traces += [(powers[-1] * p.T).sum() for p in powers]
+        return np.array([complex(t) for t in traces[:kmax]])
+
+
+def rel_err_above_one(got, ref):
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+def test_trace_powers_match_mpmath(rng):
+    for k in (2, 6, 32):
+        ts, _, _ = random_half_dim_charts(rng, 2 * k)
+        d = cr.dv_matrix(*ts)
+        assert rel_err_above_one(d.trace_powers, mp_trace_powers(d.matrix, k)) <= 1e-10
+    # A rotated Jordan block J_6(1): its computed spectrum is spread by about
+    # eps^(1/6), but the power sums of the cluster stay accurate.
+    q = random_orthogonal(rng, 6)
+    jordan = q @ (np.eye(6) + np.eye(6, k=1)) @ q.T
+    d = cr.CrossRatioResult.from_matrix(jordan, "P1")
+    assert rel_err_above_one(d.trace_powers, mp_trace_powers(jordan, 6)) <= 1e-10
+
+
+def test_trace_powers_match_matrix_power(rng):
+    for m in (rng.standard_normal((6, 6)),
+              rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))):
+        n = m.shape[0]
+        d = cr.CrossRatioResult.from_matrix(m, "P1", kmax=2 * n)
+        ref = np.array([np.trace(np.linalg.matrix_power(m, j)) for j in range(1, 2 * n + 1)])
+        assert rel_err_above_one(d.trace_powers, ref) <= 1e-10
+
+
+def test_trace_powers_dtype_follows_matrix(rng):
+    m = rng.standard_normal((4, 4))
+    assert cr.CrossRatioResult.from_matrix(m, "P1").trace_powers.dtype == np.float64
+    z = cr.CrossRatioResult.from_matrix(m + 1j * m.T, "P1").trace_powers
+    assert z.dtype == np.complex128
+
+
+def test_overflow_names_first_non_finite_power():
+    # tr M^j = 1e100^j + 1 leaves the float range at j = 4.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Overflow, match=r"tr M\^4 is not finite"):
+        cr.CrossRatioResult.from_matrix(np.diag([1e100, 1.0]), "P1", kmax=6)

@@ -3,7 +3,7 @@ import pytest
 
 from opcross import flows, numerics
 from opcross import grassmann as gr
-from opcross.errors import DefectiveSpectrum, NotPolarization
+from opcross.errors import DefectiveSpectrum, NotPolarization, Overflow
 from conftest import random_orthogonal
 
 
@@ -133,6 +133,25 @@ def test_trace_invariants_fixture():
     traces, det = flows.trace_invariants(d)
     assert np.allclose(traces, [6.0, 14.0, 36.0])
     assert abs(det - 6.0) < 1e-12
+
+
+def test_trace_invariants_types_and_overflow():
+    traces, det = flows.trace_invariants(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert traces.dtype == np.float64 and isinstance(det, float)
+    assert np.allclose(traces, [0.0, -2.0]) and abs(det - 1.0) < 1e-12
+    traces, det = flows.trace_invariants(np.diag([1j, 2.0]))
+    assert traces.dtype == np.complex128 and isinstance(det, complex)
+    assert np.allclose(traces, [2 + 1j, 3]) and abs(det - 2j) < 1e-12
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Overflow, match="determinant"):
+        flows.trace_invariants(1e200 * np.eye(2), kmax=1)
+
+
+def test_scenario_json_rejects_boolean_times(rng):
+    obj = flows.FlowScenario(flows.shift_generator(4, 1), generic_initials(4, rng),
+                             [0.0, 1.0]).to_json()
+    obj["times"] = [False, True]
+    with pytest.raises(ValueError, match="times"):
+        flows.FlowScenario.from_json(obj)
 
 
 def test_scenario_json_round_trip(rng):

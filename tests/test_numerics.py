@@ -66,6 +66,22 @@ def test_matrix_json_rejects_garbage():
             numerics.matrix_from_json(bad)
 
 
+def test_json_numbers_reject_booleans_and_non_numbers():
+    assert numerics.number_from_json(3, "n", int) == 3
+    assert numerics.number_from_json(3.0, "n", int) == 3
+    assert numerics.number_from_json(2, "t") == 2.0
+    for bad, kind in ((True, float), (False, int), ("1", float), (None, float),
+                      (float("nan"), float), (float("inf"), float), (10**400, float),
+                      (1.5, int), ([1.0], float)):
+        with pytest.raises(ValueError):
+            numerics.number_from_json(bad, "x", kind)
+    for field in ("rows", "cols"):
+        obj = {"rows": 1, "cols": 1, "data": [[1.0]]}
+        obj[field] = True
+        with pytest.raises(ValueError):
+            numerics.matrix_from_json(obj)
+
+
 def test_expm_matches_series():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(numerics.expm(m), np.eye(2) + m)

@@ -248,6 +248,20 @@ def test_json_round_trips(rng):
     assert numerics.fro(back.a(0.5) - sys_.a(0.5)) < 1e-15
 
 
+def test_json_rejects_boolean_numbers():
+    assert np.array_equal(sz.MatrixPolynomial.from_json([[[1, 2.5], [0, 1]]]).coeffs[0],
+                          [[1.0, 2.5], [0.0, 1.0]])
+    for coeffs in ([[[True]]], [[[1.0, "x"]]], [[[1.0], [1.0, 2.0]]]):
+        with pytest.raises(ValueError):
+            sz.MatrixPolynomial.from_json(coeffs)
+    with pytest.raises(ValueError):
+        sz.HamiltonianSystem.from_json({"dim": True, "A": [[[0.0]]], "B": [[[0.0]]]})
+    obj = tan_jet(0.3).to_json()
+    obj["t"] = True
+    with pytest.raises(ValueError):
+        sz.CurveJet.from_json(obj)
+
+
 def _sym(rng, n):
     m = rng.standard_normal((n, n))
     return 0.5 * (m + m.T)
