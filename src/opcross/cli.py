@@ -1,8 +1,8 @@
 """Batch front door: read a JSON problem file, dispatch, write a report.
 
-Exit status: 0 success, 2 validation error (bad file / schema), 3 numerical
-error (Singular, BlowUp, NotPolarization, ...).  Reports are byte-identical
-for identical (input, seed, version).
+Exit status: 0 success, 2 validation error (bad file / schema / tolerance)
+or unwritable output, 3 numerical error (Singular, BlowUp, NotPolarization,
+...).  Reports are byte-identical for identical (input, seed, version).
 """
 
 import csv
@@ -242,8 +242,6 @@ def run(verb, input_path, output_path, seed=0, tol=None):
     """Execute one command; returns the process exit status (0, 2 or 3)."""
     if verb not in _HANDLERS:
         raise ValueError(f"unknown verb {verb!r}")
-    if tol is None:
-        tol = float(os.environ.get(TOL_ENV_VAR, "1e-6"))
 
     def fail(status, error):
         try:
@@ -266,6 +264,7 @@ def run(verb, input_path, output_path, seed=0, tol=None):
             return 2
     digest = hashlib.sha256(raw).hexdigest()
     try:
+        tol = _decision_tol(tol)
         data = json.loads(raw) if raw else {}
         if not isinstance(data, dict):
             raise ValueError("input must be a JSON object")
@@ -284,10 +283,27 @@ def run(verb, input_path, output_path, seed=0, tol=None):
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         return fail(2, f"ValidationError: {detail}")
 
-    _write(output_path, text)
-    if csv_text is not None and output_path:
-        _write(_csv_path(output_path), csv_text)
+    try:
+        _write(output_path, text)
+        if csv_text is not None and output_path:
+            _write(_csv_path(output_path), csv_text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
+
+
+def _decision_tol(tol):
+    """tol, else $OPCROSS_TOL, else 1e-6; ValueError unless a finite number >= 0."""
+    if tol is None:
+        text = os.environ.get(TOL_ENV_VAR, "1e-6")
+        try:
+            tol = float(text)
+        except ValueError:
+            raise ValueError(f"{TOL_ENV_VAR} is not a number: {text!r}") from None
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _write(path, text):

@@ -6,9 +6,8 @@ are matrix polynomials so that A' is exact.  All integrators are the
 classical fixed-step fourth-order one-step method.
 """
 
-import bisect
-import functools
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,9 +88,9 @@ class MatrixPolynomial:
             return MatrixPolynomial([np.zeros_like(self.coeffs[0])])
         return MatrixPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def is_symmetric(self, tol=1e-12, sample=(-1.0, 0.0, 0.37, 1.0, 2.0)):
-        return all(numerics.fro(self(t) - self(t).T) <= tol * max(1.0, numerics.fro(self(t)))
-                   for t in sample)
+    def is_symmetric(self):
+        """Symmetric for every t, which holds exactly when every coefficient is."""
+        return all(numerics.fro(c - c.T) <= 1e-12 * max(1.0, numerics.fro(c)) for c in self.coeffs)
 
     def to_json(self):
         return [numerics.matrix_to_json(c) for c in self.coeffs]
@@ -245,35 +244,49 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
     return CurveJet(jet.t, w[0], w[1], 2.0 * w[2], 6.0 * w[3])
 
 
-def _rk4(f, y, steps, check=None):
-    """Classical RK4 from y over steps, an iterable of (t, h) pairs.
+def _stage_times(ts, hs):
+    """t0, t0 + h0/2, t1, ..., tN: where RK4 over the steps hs from the nodes
+    ts reads its coefficients (index 2i is node i, 2i + 1 the midpoint of step i)."""
+    return np.insert(ts, np.arange(1, len(ts)), ts[:-1] + np.divide(hs, 2.0))
 
-    Returns y followed by the state after each step; check(t + h, state),
-    when given, sees every new state and may raise.
+
+def _rk4(f, y, hs, coef, check=None):
+    """Classical RK4 from y over the steps hs for y' = f(y, c), where c is
+    coef(k) at stage time k (see _stage_times), read once per stage time.
+    Returns y followed by the state after each step; check(i, state), when
+    given, sees the state at node i >= 1 and may raise.
     """
-    ys = [y]
-    for t, h in steps:
-        k1 = f(t, y)
-        k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
-        k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
-        k4 = f(t + h, y + h * k3)
+    ys, c = [y], coef(0)
+    for i, h in enumerate(hs):
+        k1 = f(y, c)
+        c = coef(2 * i + 1)
+        k2 = f(y + (h / 2.0) * k1, c)
+        k3 = f(y + (h / 2.0) * k2, c)
+        c = coef(2 * i + 2)
+        k4 = f(y + h * k3, c)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if check is not None:
-            check(t + h, y)
+            check(i + 1, y)
         ys.append(y)
     return ys
 
 
-def _fixed_steps(t0, t1, steps):
-    """Times of a fixed-step run (t advances by repeated addition of h) and
-    its (t, h) steps."""
+def _fixed_steps(sys, t0, t1, steps):
+    """Node times of a fixed-step run (t advances by repeated addition of h),
+    its steps, and coef(k) = (A, B) at its k-th stage time."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h = (t1 - t0) / steps
-    ts = [t0]
-    for _ in range(steps):
-        ts.append(ts[-1] + h)
-    return np.array(ts), [(t, h) for t in ts[:-1]]
+    hs = [(t1 - t0) / steps] * steps
+    ts = np.array(list(accumulate(hs, initial=t0)))
+    st = _stage_times(ts, hs)
+    return ts, hs, lambda k: (sys.a(st.item(k)), sys.b(st.item(k)))
+
+
+def _check_finite(ts, what, *stacks):
+    """Raise Overflow at the first node time ts[i] at which some stack[i] is not finite."""
+    finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in stacks], axis=0)
+    if not finite.all():
+        raise Overflow(f"{what} overflowed at t = {ts[np.argmin(finite)]:.6g}")
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
@@ -283,29 +296,21 @@ def integrate_hamiltonian(sys, x0, t0, t1, steps):
     Overflow at the first time the state is no longer finite.
     """
 
-    def rhs(t, y):
-        q, p = y[0], y[1]
-        a, b = sys.a(t), sys.b(t)
+    def rhs(y, c):
+        (a, b), q, p = c, y[0], y[1]
         return np.array([a @ q + p, -b @ q - a.T @ p])
 
-    ts, grid = _fixed_steps(t0, t1, steps)
-    ys = np.array(_rk4(rhs, np.array([x0.q, x0.p]), grid))
-    finite = np.isfinite(ys).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise Overflow(f"the Hamiltonian state overflowed at t = {ts[np.argmin(finite)]:.6g}")
+    ts, hs, coef = _fixed_steps(sys, t0, t1, steps)
+    ys = np.array(_rk4(rhs, np.array([x0.q, x0.p]), hs, coef))
+    _check_finite(ts, "the Hamiltonian state", ys)
     return ts, [PhasePoint(q, p) for q, p in ys]
 
 
-def riccati_rhs(sys, t, w):
-    """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow); t may
-    be an (N, 1, 1) column of times for a stack of N matrices w."""
-    a, b = sys.a(t), sys.b(t)
+def riccati_rhs(w, c):
+    """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow) for
+    c = (A, B); w, A and B may be stacks of N matrices."""
+    a, b = c
     return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
-
-
-def _check_blow_up(t, w):
-    if not np.all(np.isfinite(w)) or numerics.fro(w) > BLOWUP_NORM:
-        raise BlowUp(t)
 
 
 def integrate_riccati(sys, w0, t0, t1, steps):
@@ -316,11 +321,15 @@ def integrate_riccati(sys, w0, t0, t1, steps):
     time is intrinsic to Riccati flows).
     """
     w0 = numerics.as_square(w0, "W0")
-    rhs = functools.partial(riccati_rhs, sys)
 
     def attempt(n_steps):
-        ts, grid = _fixed_steps(t0, t1, n_steps)
-        return ts, _rk4(rhs, w0, grid, _check_blow_up)
+        ts, hs, coef = _fixed_steps(sys, t0, t1, n_steps)
+
+        def check(i, w):
+            if not np.all(np.isfinite(w)) or numerics.fro(w) > BLOWUP_NORM:
+                raise BlowUp(ts.item(i))
+
+        return ts, _rk4(riccati_rhs, w0, hs, coef, check)
 
     try:
         return attempt(steps)
@@ -366,9 +375,11 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     """Integrate z'' = -2 z' (W(t) + A(t)) along a trajectory ts, ws of the
     Riccati equation with coefficients a_poly, b_poly.
 
-    The Riccati slopes W' at the nodes give W between nodes, as the cubic
-    Hermite interpolant of the node values and slopes, and the W' in the
-    third-derivative member of each jet.  Returns one CurveJet per node.
+    RK4 reads W at the nodes and at the step midpoints, where it takes the
+    cubic Hermite interpolant of the node values and the Riccati slopes W';
+    the same slopes give W' in the third-derivative member of each jet.
+    Returns one CurveJet per node; raises Overflow at the first node whose
+    jet is not finite.
     """
     ts = np.asarray(ts, dtype=float)
     w_stack = np.array([numerics.as_square(w, "W") for w in ws])
@@ -377,27 +388,21 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     z0 = numerics.as_square(z0, "z0")
     z1_0 = numerics.as_square(z1_0, "z1_0")
     numerics.check_invertible(z1_0, "z1_0")
+    HamiltonianSystem(a_poly, b_poly)  # rejects a non-symmetric or mis-sized b_poly
+    hs = np.diff(ts)
     tcol = ts[:, None, None]
-    slopes = riccati_rhs(HamiltonianSystem(a_poly, b_poly), tcol, w_stack)
-    # On [t_i, t_(i+1)], W(t_i + s h_i) = (1, s, s^2, s^3) @ coef[i].
-    hs = np.diff(tcol, axis=0)
-    dw, m0, m1 = np.diff(w_stack, axis=0), hs * slopes[:-1], hs * slopes[1:]
-    coef = np.stack([w_stack[:-1], m0, 3.0 * dw - 2.0 * m0 - m1, m0 + m1 - 2.0 * dw], axis=1)
-    coef = coef.reshape(len(dw), 4, -1)
-    nodes = ts.tolist()
+    a_st = a_poly(_stage_times(ts, hs)[:, None, None])
+    slopes = riccati_rhs(w_stack, (a_st[::2], b_poly(tcol)))
+    mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
+    wa = np.insert(w_stack, np.arange(1, len(ts)), mid, axis=0) + a_st
 
-    def w_at(t):
-        i = bisect.bisect_right(nodes, t, 1, len(nodes) - 1) - 1
-        s = (t - nodes[i]) / (nodes[i + 1] - nodes[i])
-        return (np.array([1.0, s, s * s, s * s * s]) @ coef[i]).reshape(z0.shape)
-
-    def rhs(t, y):
+    def rhs(y, c):
         z1 = y[1]
-        return np.array([z1, -2.0 * z1 @ (w_at(t) + a_poly(t))])
+        return np.array([z1, -2.0 * z1 @ c])
 
-    ys = np.array(_rk4(rhs, np.array([z0, z1_0]), zip(ts[:-1], np.diff(ts))))
-    z, z1 = ys[:, 0], ys[:, 1]
-    wa = w_stack + a_poly(tcol)
+    ys = np.array(_rk4(rhs, np.array([z0, z1_0]), hs, lambda k: wa[k]))
+    z, z1, wa = ys[:, 0], ys[:, 1], wa[::2]
     z2 = -2.0 * z1 @ wa
     z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes + a_poly.derivative()(tcol))
+    _check_finite(ts, "the curve jet", ys, z2, z3)
     return [CurveJet(*jet) for jet in zip(ts, z, z1, z2, z3)]

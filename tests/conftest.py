@@ -40,6 +40,15 @@ def overflowing_dv_config():
     return [grassmann.subspace_from_graph(t, pol) for t in ts]
 
 
+def sampled_symmetric_b():
+    """Coefficients of B(t) = I + p(t) K, K = [[0, 1], [-1, 0]],
+    p(t) = (t+1) t (t-0.37) (t-1) (t-2): B is symmetric at those five times
+    only (at t = 0.5 its off-diagonal entries are +-0.0731)."""
+    p = np.poly([-1.0, 0.0, 0.37, 1.0, 2.0])[::-1]
+    k = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return [np.eye(2) + p[0] * k] + [c * k for c in p[1:]]
+
+
 def random_conditioned(rng, n, cond_max=1e3):
     """Random invertible matrix with condition number below cond_max."""
     while True:

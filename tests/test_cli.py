@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opcross import cli, grassmann, numerics
-from conftest import overflowing_dv_config
+from conftest import overflowing_dv_config, sampled_symmetric_b
 
 
 def write_json(path, obj):
@@ -118,6 +118,16 @@ def test_zero_steps_exit_2(tmp_path):
     assert json.loads(text)["error"].startswith("ValidationError")
 
 
+def test_non_symmetric_b_exit_2(tmp_path):
+    b = [c.tolist() for c in sampled_symmetric_b()]
+    payload = {"system": {"dim": 2, "A": [np.zeros((2, 2)).tolist()], "B": b},
+               "w0": {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]},
+               "t0": 0.0, "t1": 1.0, "steps": 10}
+    status, text = run_to_files(tmp_path, "riccati", payload)
+    assert status == 2
+    assert "B(t) must be symmetric" in json.loads(text)["error"]
+
+
 def test_overflow_exit_3(tmp_path):
     payload = {"system": {"dim": 1, "A": [[[300.0]]], "B": [[[0.0]]]},
                "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
@@ -172,10 +182,16 @@ def test_failed_write_keeps_the_old_report(tmp_path, monkeypatch):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(cli.os, "replace", no_space)
-    with pytest.raises(OSError):
-        cli.run("dv", write_json(tmp_path / "in.json", dv_input()), str(out))
+    assert cli.run("dv", write_json(tmp_path / "in.json", dv_input()), str(out)) == 2
     assert out.read_text() == "old report\n"
     assert sorted(os.listdir(tmp_path)) == ["in.json", "out.json"]
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    inp = write_json(tmp_path / "in.json", dv_input())
+    assert cli.run("dv", inp, str(tmp_path / "no" / "such" / "r.json")) == 2
+    assert "error: cannot write output:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
 def test_cli_import_skips_scipy_interpolate():
@@ -285,6 +301,21 @@ def test_tol_env_var(tmp_path, monkeypatch):
     assert cli.run("equiv", inp, out) == 0
     loose = json.loads(open(out).read())["results"]["equivalent"]
     assert loose is True and strict is False
+
+
+def test_invalid_tolerance_exit_2(tmp_path, monkeypatch):
+    payload = {"first": dv_input()["subspaces"][:2], "second": dv_input(1)["subspaces"][:2]}
+    for text in ("abc", "nan"):
+        monkeypatch.setenv(cli.TOL_ENV_VAR, text)
+        status, report = run_to_files(tmp_path, "equiv", payload)
+        assert status == 2, text
+        assert json.loads(report)["error"].startswith("ValidationError"), text
+    monkeypatch.delenv(cli.TOL_ENV_VAR)
+    for tol in (float("nan"), -1.0):
+        status, report = run_to_files(tmp_path, "equiv", payload, tol=tol)
+        assert status == 2, tol
+        assert json.loads(report)["error"].startswith("ValidationError"), tol
+    assert run_to_files(tmp_path, "equiv", payload, tol=0.0)[0] == 0
 
 
 def test_float_formatting_is_deterministic():

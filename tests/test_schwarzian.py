@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from opcross import numerics
 from opcross import schwarzian as sz
 from opcross.errors import BlowUp, Overflow, Singular
-from conftest import polynomial_curve
+from conftest import polynomial_curve, sampled_symmetric_b
 
 
 def scalar_jet(t, z, z1, z2, z3):
@@ -179,6 +181,37 @@ def test_curve_from_riccati_tan():
     assert max(abs(j.z1[0, 0] - 1.0 / np.cos(j.t) ** 2) for j in jets) < 1e-9
 
 
+def test_curve_overflow_is_overflow():
+    ws = [1e200 * np.eye(2)] * 2
+    zero = sz.MatrixPolynomial([np.zeros((2, 2))])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Overflow, match="t = 0"):
+        sz.curve_from_riccati([0.0, 1.0], ws, zero, np.zeros((2, 2)), np.eye(2), zero)
+
+
+def test_time_dependent_coefficients_closed_form():
+    # A(t) = t, B = 0 on [0, 1].  With u = 1 + (sqrt(pi)/2) erf t: W = u'/u
+    # from W(0) = 1, z' = u'/u^2 from z(0) = 0, z'(0) = 1, and q = exp(t^2/2)
+    # from (q, p) = (1, 0).  A stage read at the wrong time drops RK4's order.
+    sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([np.zeros((1, 1)), np.eye(1)]),
+                                sz.MatrixPolynomial([np.zeros((1, 1))]), symmetric_a=True)
+
+    def errors(steps):
+        ts, ws = sz.integrate_riccati(sys_, np.eye(1), 0.0, 1.0, steps)
+        jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((1, 1)), np.eye(1), sys_.b)
+        _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(1), np.zeros((1, 1))),
+                                             0.0, 1.0, steps)
+        u = np.array([1.0 + math.sqrt(math.pi) / 2.0 * math.erf(t) for t in ts])
+        du = np.exp(-ts ** 2)
+        return np.array([
+            np.max(np.abs(np.array(ws)[:, 0, 0] - du / u)),
+            max(abs(j.z1[0, 0] - d / v ** 2) for j, d, v in zip(jets, du, u)),
+            np.max(np.abs(np.array([pt.q[0, 0] for pt in points]) - np.exp(ts ** 2 / 2.0)))])
+
+    coarse, fine = errors(100), errors(200)
+    assert np.all(fine <= 1e-10), fine
+    assert np.all(coarse / fine >= 12.0), coarse / fine
+
+
 def test_w_from_jet_matches_riccati_solution():
     # For z = tan with A = 0, W = -(1/2)(z')^-1 z'' solves the oscillator
     # Riccati equation: W(t) = -tan(t).
@@ -229,6 +262,10 @@ def test_system_validation(rng):
     sym = sz.MatrixPolynomial([np.eye(2)])
     with pytest.raises(ValueError):
         sz.HamiltonianSystem(sym, asym)  # B not symmetric
+    b = sz.MatrixPolynomial(sampled_symmetric_b())
+    assert numerics.fro(b(0.5) - b(0.5).T) > 0.1
+    with pytest.raises(ValueError):
+        sz.HamiltonianSystem(sym, b)
     with pytest.raises(ValueError):
         sz.HamiltonianSystem(asym, sym, symmetric_a=True)
     sz.HamiltonianSystem(asym, sym)  # fine without the flag
