@@ -3,7 +3,15 @@ Hamiltonian systems and matrix Riccati equations.
 
 Curves are handled through third-order jets; coefficient matrices A(t), B(t)
 are matrix polynomials so that A' is exact.  All integrators are the
-classical fixed-step fourth-order one-step method.
+classical fixed-step fourth-order one-step method, run by one kernel.
+
+integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
+Hamiltonian system in one chart, off the run from (q, p) = (I, W0).  The
+chart is lost where the state is not finite, q is exactly singular,
+||W||_F >= 1/SINGULAR_RTOL (the singularity rule on the q block of an
+orthonormal basis of span(q; p), whose smallest singular value is
+(1 + ||W||_2^2)^-1/2), or the step to the node holds a pole: q_{i+1} q_i^-1
+has an eigenvalue with real part <= 0.  BlowUp.t is the first such node.
 """
 
 from dataclasses import dataclass
@@ -13,8 +21,6 @@ import numpy as np
 
 from . import numerics
 from .errors import BlowUp, Overflow, Singular
-
-BLOWUP_NORM = 1e8
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,11 @@ class MatrixPolynomial:
         return self.coeffs[0].shape[0]
 
     def __call__(self, t):
-        out = np.zeros_like(self.coeffs[0])
-        for c in reversed(self.coeffs):
+        """sum_k C_k t^k, a new array of the shape of t and C_k broadcast together."""
+        *lower, out = self.coeffs
+        for c in reversed(lower):
             out = out * t + c
-        return out
+        return out if lower else out + np.zeros_like(t)
 
     def derivative(self):
         if len(self.coeffs) == 1:
@@ -250,13 +257,13 @@ def _stage_times(ts, hs):
     return np.insert(ts, np.arange(1, len(ts)), ts[:-1] + np.divide(hs, 2.0))
 
 
-def _rk4(f, y, hs, coef, check=None):
+def _rk4(f, y, hs, coef, error=None):
     """Classical RK4 from y over the steps hs for y' = f(y, c), where c is
     coef(k) at stage time k (see _stage_times), read once per stage time.
-    Returns y followed by the state after each step; check(i, state), when
-    given, sees the state at node i >= 1 and may raise.
+    Returns one array of y and the states after each step; error(i), when
+    given, is raised at the first node i whose state is not finite.
     """
-    ys, c = [y], coef(0)
+    y0, c = y, coef(0)
     for i, h in enumerate(hs):
         k1 = f(y, c)
         c = coef(2 * i + 1)
@@ -265,28 +272,31 @@ def _rk4(f, y, hs, coef, check=None):
         c = coef(2 * i + 2)
         k4 = f(y + h * k3, c)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if check is not None:
-            check(i + 1, y)
-        ys.append(y)
+        if error is not None and not np.isfinite(y).all():
+            raise error(i + 1)
+        if i == 0:
+            ys = np.empty((len(hs) + 1, *y.shape), y.dtype)
+            ys[0] = y0
+        ys[i + 1] = y
     return ys
 
 
-def _fixed_steps(sys, t0, t1, steps):
-    """Node times of a fixed-step run (t advances by repeated addition of h),
-    its steps, and coef(k) = (A, B) at its k-th stage time."""
+def hamiltonian_rhs(y, c):
+    """q' = A q + p, p' = -B q - A^T p for the state y = (q, p) and c = (A, B)."""
+    (a, b), (q, p) = c, y
+    return np.array([a @ q + p, -b @ q - a.T @ p])
+
+
+def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
+    """Node times (t advances by repeated addition of h) and RK4 states (q, p)
+    from (q0, p0); raises error(t) at the first node time t where one is not finite."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     hs = [(t1 - t0) / steps] * steps
     ts = np.array(list(accumulate(hs, initial=t0)))
     st = _stage_times(ts, hs)
-    return ts, hs, lambda k: (sys.a(st.item(k)), sys.b(st.item(k)))
-
-
-def _check_finite(ts, what, *stacks):
-    """Raise Overflow at the first node time ts[i] at which some stack[i] is not finite."""
-    finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in stacks], axis=0)
-    if not finite.all():
-        raise Overflow(f"{what} overflowed at t = {ts[np.argmin(finite)]:.6g}")
+    return ts, _rk4(hamiltonian_rhs, np.array([q0, p0]), hs,
+                    lambda k: (sys.a(st.item(k)), sys.b(st.item(k))), lambda i: error(ts.item(i)))
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
@@ -295,14 +305,8 @@ def integrate_hamiltonian(sys, x0, t0, t1, steps):
     Returns (times, [PhasePoint, ...]) including both endpoints; raises
     Overflow at the first time the state is no longer finite.
     """
-
-    def rhs(y, c):
-        (a, b), q, p = c, y[0], y[1]
-        return np.array([a @ q + p, -b @ q - a.T @ p])
-
-    ts, hs, coef = _fixed_steps(sys, t0, t1, steps)
-    ys = np.array(_rk4(rhs, np.array([x0.q, x0.p]), hs, coef))
-    _check_finite(ts, "the Hamiltonian state", ys)
+    ts, ys = _hamiltonian_run(sys, x0.q, x0.p, t0, t1, steps, lambda t: Overflow(
+        f"the Hamiltonian state overflowed at t = {t:.6g}"))
     return ts, [PhasePoint(q, p) for q, p in ys]
 
 
@@ -313,28 +317,41 @@ def riccati_rhs(w, c):
     return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
 
 
-def integrate_riccati(sys, w0, t0, t1, steps):
-    """Fixed-step RK4 for the matrix Riccati equation with blow-up detection.
+def _sq_fro(x):
+    """Squared Frobenius norms of a stack of matrices (inf where they overflow)."""
+    return np.einsum("...ij,...ij->...", x.conj(), x).real
 
-    When the iterate norm passes the blow-up threshold the integration is
-    retried once at half step; a second escape raises BlowUp (finite escape
-    time is intrinsic to Riccati flows).
-    """
-    w0 = numerics.as_square(w0, "W0")
 
-    def attempt(n_steps):
-        ts, hs, coef = _fixed_steps(sys, t0, t1, n_steps)
-
-        def check(i, w):
-            if not np.all(np.isfinite(w)) or numerics.fro(w) > BLOWUP_NORM:
-                raise BlowUp(ts.item(i))
-
-        return ts, _rk4(riccati_rhs, w0, hs, coef, check)
-
+def _read_chart(ts, ys):
+    """W = p q^-1 at the nodes ts of a Hamiltonian run ys from q = I, or BlowUp."""
+    qt, pt = ys[:, 0].swapaxes(-1, -2), ys[:, 1].swapaxes(-1, -2)
     try:
-        return attempt(steps)
-    except BlowUp:
-        return attempt(2 * steps)
+        # d[i] = (q_{i+1} q_i^-1)^T - I; a step with ||d[i]||_F < 1 holds no pole.
+        d = np.linalg.solve(qt[:-1], qt[1:])
+        d -= np.eye(ys.shape[-1])
+        poles = (i + 1 for i in np.flatnonzero(~(_sq_fro(d) < 1.0))
+                 if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
+        lost = next(poles, len(ts))
+        del d  # the reading holds one stack of matrices at a time
+        wt = np.linalg.solve(qt[:lost], pt[:lost])
+    except np.linalg.LinAlgError:
+        # q is exactly singular at a node: the chart is lost there if not before.
+        lost = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
+        _read_chart(ts[:lost], ys[:lost])
+        raise BlowUp(ts.item(lost)) from None
+    big = ~(_sq_fro(wt) < numerics.SINGULAR_RTOL ** -2)
+    if big.any() or lost < len(ts):
+        raise BlowUp(ts.item(np.argmax(big) if big.any() else lost))
+    return list(wt.swapaxes(-1, -2))
+
+
+def integrate_riccati(sys, w0, t0, t1, steps):
+    """Fixed-step RK4 solution (times, [W, ...]) of the matrix Riccati equation,
+    read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
+    BlowUp at the first node where that chart is lost (see the module docstring)."""
+    w0 = numerics.as_square(w0, "W0")
+    ts, ys = _hamiltonian_run(sys, np.eye(len(w0)), w0, t0, t1, steps, BlowUp)
+    return ts, _read_chart(ts, ys)
 
 
 def w_from_jet(jet, a_t):
@@ -364,9 +381,7 @@ def schwarz_equation_residual(jet, sys, t=None):
 
 def euler_residual(q, q1, q2, sys, t):
     """q'' + (A^T - A) q' + (B - A' - A^T A) q, the Euler-equation residual."""
-    q = np.asarray(q, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
+    q, q1, q2 = (numerics.as_square(m, name) for m, name in ((q, "q"), (q1, "q'"), (q2, "q''")))
     a, b, ad = sys.a(t), sys.b(t), sys.a.derivative()(t)
     return q2 + (a.T - a) @ q1 + (b - ad - a.T @ a) @ q
 
@@ -400,9 +415,11 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
         z1 = y[1]
         return np.array([z1, -2.0 * z1 @ c])
 
-    ys = np.array(_rk4(rhs, np.array([z0, z1_0]), hs, lambda k: wa[k]))
+    ys = _rk4(rhs, np.array([z0, z1_0]), hs, lambda k: wa[k])
     z, z1, wa = ys[:, 0], ys[:, 1], wa[::2]
     z2 = -2.0 * z1 @ wa
     z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes + a_poly.derivative()(tcol))
-    _check_finite(ts, "the curve jet", ys, z2, z3)
+    finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in (ys, z2, z3)], axis=0)
+    if not finite.all():
+        raise Overflow(f"the curve jet overflowed at t = {ts[np.argmin(finite)]:.6g}")
     return [CurveJet(*jet) for jet in zip(ts, z, z1, z2, z3)]

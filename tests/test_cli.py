@@ -110,6 +110,15 @@ def test_riccati_blow_up_reported_not_crashed(tmp_path):
     assert "BlowUp" in json.loads(text)["error"]
 
 
+def test_riccati_pole_at_a_node_exit_3(tmp_path):
+    # W' = -W^2 from W0 = -1 escapes exactly at the last node, t = 1.
+    payload = {"system": {"dim": 1, "A": [[[0.0]]], "B": [[[0.0]]]},
+               "w0": {"rows": 1, "cols": 1, "data": [[-1.0]]}, "t0": 0.0, "t1": 1.0, "steps": 4}
+    status, text = run_to_files(tmp_path, "riccati", payload)
+    assert status == 3
+    assert json.loads(text)["error"].startswith("BlowUp")
+
+
 def test_zero_steps_exit_2(tmp_path):
     payload = {"system": oscillator_json(), "w0": {"rows": 1, "cols": 1,
                "data": [[0.0]]}, "t0": 0.0, "t1": 1.0, "steps": 0}

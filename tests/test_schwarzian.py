@@ -153,6 +153,71 @@ def test_riccati_overflow_is_blow_up():
         sz.integrate_riccati(sys_, np.zeros((2, 2)), 0.0, 1.0, 10)
 
 
+def constant_system(a, b):
+    return sz.HamiltonianSystem(sz.MatrixPolynomial([np.array(a, dtype=float)]),
+                                sz.MatrixPolynomial([np.array(b, dtype=float)]))
+
+
+def test_riccati_near_pole_accuracy():
+    # W' = -1 - W^2 read off q = cos t, p = -sin t, 2.7e-8 short of the pole.
+    t1 = 1.5707963
+    _, ws = sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, t1, 1000)
+    assert abs(ws[-1][0, 0] + np.tan(t1)) <= 1e-5 * np.tan(t1)
+
+
+def test_riccati_pole_at_a_node():
+    # W' = -W^2, W0 = -1: W = -1/(1 - t), and q = 1 - t is exactly 0 at t = 1,
+    # the last node of [0, 1] and an inner node of [0, 2].
+    for t1, steps in ((1.0, 4), (2.0, 8)):
+        with pytest.raises(BlowUp) as exc_info:
+            sz.integrate_riccati(constant_system([[0.0]], [[0.0]]), -np.eye(1), 0.0, t1, steps)
+        assert exc_info.value.t == 1.0 and type(exc_info.value.t) is float
+
+
+def test_riccati_chart_norm_rule():
+    # One step to 1e-12 short of the pole: no pole inside the step, but
+    # ||W|| = 1e12 is past 1/SINGULAR_RTOL.
+    t1 = 1.0 - 1e-12
+    with pytest.raises(BlowUp) as exc_info:
+        sz.integrate_riccati(constant_system([[0.0]], [[0.0]]), -np.eye(1), 0.0, t1, 1)
+    assert exc_info.value.t == t1
+
+
+@pytest.mark.parametrize("b, pole", [(np.eye(2), np.pi / 2), (np.diag([1.0, 4.0]), np.pi / 4)])
+def test_riccati_matrix_poles(b, pole):
+    # B = I: both eigen-directions escape at pi/2 together, so det q = cos^2 t
+    # never changes sign; B = diag(1, 4): the first escape is at pi/4.
+    with pytest.raises(BlowUp) as exc_info:
+        sz.integrate_riccati(constant_system(np.zeros((2, 2)), b), np.zeros((2, 2)), 0.0, 2.0, 800)
+    assert pole <= exc_info.value.t <= pole + 2.0 / 800
+
+
+def test_riccati_against_mpmath():
+    # Non-symmetric A(t) that commutes neither with itself nor with B(t).
+    import mpmath
+
+    a = [np.array([[0.3, 0.8], [0.6, -0.5]]), np.array([[-0.4, 0.7], [-1.0, 0.6]])]
+    b = [np.array([[1.2, -0.5], [-0.5, -0.8]]), np.array([[-1.0, -0.1], [-0.1, 0.2]])]
+    w0 = np.array([[1.0, 0.6], [0.2, 1.0]])
+
+    def rhs(t, y):
+        w = mpmath.matrix([y[:2], y[2:]])
+        at, bt = (mpmath.matrix((c0 + t * c1).tolist()) for c0, c1 in (a, b))
+        dw = -bt - at.T * w - w * at - w * w
+        return [dw[i, j] for i in range(2) for j in range(2)]
+
+    with mpmath.workdps(20):
+        exact = mpmath.odefun(rhs, 0, list(w0.ravel()))
+        ref = np.array([[float(v) for v in exact(t)] for t in (0.5, 1.0)]).reshape(-1, 2, 2)
+    sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial(a), sz.MatrixPolynomial(b))
+    errors = []
+    for steps in (50, 100, 200):
+        _, ws = sz.integrate_riccati(sys_, w0, 0.0, 1.0, steps)
+        errors.append(np.max(np.abs(np.array(ws[steps // 2::steps // 2]) - ref)))
+    assert errors[-1] <= 1e-9, errors
+    assert errors[0] / errors[1] >= 14.0 and errors[1] / errors[2] >= 14.0, errors
+
+
 def test_steps_must_be_positive():
     x0 = sz.PhasePoint(np.eye(1), np.zeros((1, 1)))
     for steps in (0, -3):
@@ -255,6 +320,29 @@ def test_euler_residual_on_hamiltonian_solutions(rng):
         q2 = a @ q1 + p1  # differentiate q' = Aq + p (A constant)
         res = sz.euler_residual(pt.q, q1, q2, sys_, t)
         assert numerics.fro(res) < 1e-10
+
+
+def test_euler_residual_is_complex_linear(rng):
+    a = sz.MatrixPolynomial([0.2 * _sym(rng, 2)])
+    sys_ = sz.HamiltonianSystem(a, sz.MatrixPolynomial([_sym(rng, 2)]))
+    q, q1, q2 = (rng.standard_normal((2, 2)) for _ in range(3))
+    res = sz.euler_residual(q, q1, q2, sys_, 0.3)
+    c = 1.0 + 1.0j
+    assert np.allclose(sz.euler_residual(c * q, c * q1, c * q2, sys_, 0.3), c * res,
+                       rtol=0.0, atol=1e-14 * numerics.fro(res))
+    for bad in (np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            sz.euler_residual(bad, q1, q2, sys_, 0.3)
+
+
+def test_polynomial_on_a_time_stack(rng):
+    ts = np.array([-0.7, 0.0, 0.4, 1.9])
+    for coeffs in ([rng.standard_normal((3, 3))], [rng.standard_normal((3, 3)) for _ in range(3)]):
+        poly = sz.MatrixPolynomial(coeffs)
+        stacked = poly(ts[:, None, None])
+        assert stacked.shape == (4, 3, 3)
+        assert np.array_equal(stacked, np.array([poly(t) for t in ts]))
+        assert not np.shares_memory(poly(0.5), poly.coeffs[-1])
 
 
 def test_system_validation(rng):
