@@ -88,7 +88,7 @@ class MatrixPolynomial:
         *lower, out = self.coeffs
         for c in reversed(lower):
             out = out * t + c
-        return out if lower else out + np.zeros_like(t)
+        return out if lower else out + 0 * t
 
     def derivative(self):
         if len(self.coeffs) == 1:
@@ -350,7 +350,7 @@ def integrate_riccati(sys, w0, t0, t1, steps):
     read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
     BlowUp at the first node where that chart is lost (see the module docstring)."""
     w0 = numerics.as_square(w0, "W0")
-    ts, ys = _hamiltonian_run(sys, np.eye(len(w0)), w0, t0, t1, steps, BlowUp)
+    ts, ys = _hamiltonian_run(sys, np.eye(len(w0), dtype=w0.dtype), w0, t0, t1, steps, BlowUp)
     return ts, _read_chart(ts, ys)
 
 

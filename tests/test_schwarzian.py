@@ -343,6 +343,8 @@ def test_polynomial_on_a_time_stack(rng):
         assert stacked.shape == (4, 3, 3)
         assert np.array_equal(stacked, np.array([poly(t) for t in ts]))
         assert not np.shares_memory(poly(0.5), poly.coeffs[-1])
+    # A Python float time keeps float32 coefficients in float32.
+    assert sz.MatrixPolynomial([np.eye(2, dtype=np.float32)])(0.5).dtype == np.float32
 
 
 def test_system_validation(rng):
