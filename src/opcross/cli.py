@@ -196,10 +196,10 @@ def _handle_hamiltonian(data, seed, tol):
     x0 = schwarz.PhasePoint(numerics.matrix_from_json(data["q0"]),
                             numerics.matrix_from_json(data["p0"]))
     ts, points = schwarz.integrate_hamiltonian(sys_, x0, *_time_grid(data))
-    rows = [np.concatenate([pt.q.reshape(-1), pt.p.reshape(-1)]) for pt in points]
+    rows = np.concatenate([points.q, points.p], axis=1).reshape(len(ts), -1)
     results = {"t_final": float(ts[-1]),
-               "q_final": numerics.matrix_to_json(points[-1].q),
-               "p_final": numerics.matrix_to_json(points[-1].p),
+               "q_final": numerics.matrix_to_json(points.q[-1]),
+               "p_final": numerics.matrix_to_json(points.p[-1]),
                "steps": len(ts) - 1}
     return results, _trajectory_csv(ts, rows)
 
@@ -274,6 +274,9 @@ def run(verb, input_path, output_path, seed=0, tol=None):
     # Everything is serialized before any file is opened.
     try:
         results, csv_text = _HANDLERS[verb](data, seed, tol)
+        if csv_text is not None and output_path and _csv_path(output_path) == output_path:
+            raise ValueError(f"--out {output_path} is where the {verb} CSV goes; "
+                             "give the report another extension")
         text = emit_report(verb, seed, digest, results)
     except _NonFinite as exc:
         return fail(3, f"Overflow: {exc}")
@@ -332,7 +335,8 @@ def _verb_command(verb):
     @click.option("--in", "input_path", type=click.Path(), default=None,
                   help="Input JSON file.")
     @click.option("--out", "output_path", type=click.Path(), default=None,
-                  help="Report JSON file (trajectory verbs also write a .csv sibling).")
+                  help="Report JSON file (trajectory verbs also write a .csv sibling, "
+                       "so theirs must not end in .csv).")
     @click.option("--seed", type=int, default=0, show_default=True)
     @click.option("--tol", type=float, default=None,
                   help=f"Decision tolerance (default from ${TOL_ENV_VAR} or 1e-6).")

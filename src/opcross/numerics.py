@@ -19,21 +19,21 @@ from .errors import NonConvergence, Overflow, Singular
 SINGULAR_RTOL = 1e-10
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a 2-d float/complex ndarray and reject non-finite entries."""
+def as_matrix(a, name="matrix", stack=False):
+    """Coerce to a 2-d (stack: 3-d) float/complex ndarray and reject non-finite entries."""
     m = np.asarray(a)
     if m.dtype.kind not in "fc":
         m = m.astype(float)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.ndim != 2 + stack:
+        raise ValueError(f"{name} must be {2 + stack}-dimensional, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def as_square(a, name="matrix"):
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+def as_square(a, name="matrix", stack=False):
+    m = as_matrix(a, name, stack)
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
@@ -45,10 +45,12 @@ def fro(m):
 
 def require_nonsingular(s, error, message, chart=False):
     """Raise error(message) when the descending singular values s fail the
-    singularity rule (see SINGULAR_RTOL); chart=True floors the scale at 1."""
-    scale = max(s[0], 1.0) if chart else s[0]
-    if s[0] == 0.0 or s[-1] <= SINGULAR_RTOL * scale:
-        raise error(message)
+    singularity rule (see SINGULAR_RTOL); chart=True floors the scale at 1.
+    A stack's rows are judged each; a callable message gets the first failing row."""
+    top, low = s.T[0], s.T[-1]  # scalars, or one per matrix of a stack
+    failing = (top == 0.0) | (low <= SINGULAR_RTOL * (np.maximum(top, 1.0) if chart else top))
+    if failing.any() if s.ndim > 1 else failing:
+        raise error(message(int(failing.argmax())) if callable(message) else message)
 
 
 def check_invertible(a, what="matrix"):
@@ -94,9 +96,9 @@ def spectra_close(w1, w2, tol):
     return bool(np.max(np.abs(w1 - w2), initial=0.0) <= tol)
 
 
-def singular_values(m):
-    """Singular values, descending."""
-    m = as_matrix(m)
+def singular_values(m, stack=False):
+    """Singular values, descending (one row per matrix of a stack)."""
+    m = as_matrix(m, stack=stack)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

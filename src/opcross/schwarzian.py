@@ -14,7 +14,7 @@ orthonormal basis of span(q; p), whose smallest singular value is
 has an eigenvalue with real part <= 0.  BlowUp.t is the first such node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
@@ -23,9 +23,20 @@ from . import numerics
 from .errors import BlowUp, Overflow, Singular
 
 
+class _Nodes:
+    """len(x), x[i] and iteration over the nodes of a stack (a single node has
+    none): node i is built by the class's validated constructor from row i of every field."""
+
+    def __len__(self):
+        return len(getattr(self, fields(self)[-1].name)[..., 0, 0])
+
+    def __getitem__(self, i):
+        return type(self)(*(getattr(self, f.name)[i] for f in fields(self)))
+
+
 @dataclass(frozen=True)
-class CurveJet:
-    """A curve value with its first three derivatives at one parameter value."""
+class CurveJet(_Nodes):
+    """A curve value with its first three derivatives at a time t, or stacked at times t (N,)."""
 
     t: float
     z: np.ndarray
@@ -34,20 +45,21 @@ class CurveJet:
     z3: np.ndarray
 
     def __post_init__(self):
+        t = np.asarray(self.t if np.ndim(self.t) else float(self.t), dtype=float)
         mats = {}
         for name in ("z", "z1", "z2", "z3"):
-            mats[name] = numerics.as_square(getattr(self, name), name)
-        if len({m.shape for m in mats.values()}) != 1:
-            raise ValueError("jet matrices must share one square shape")
-        numerics.require_nonsingular(numerics.singular_values(mats["z1"]), Singular,
-                                     f"z' is numerically singular at t = {float(self.t):.6g}")
+            mats[name] = numerics.as_square(getattr(self, name), name, stack=t.ndim > 0)
+        if len({m.shape for m in mats.values()} | {t.shape + mats["z"].shape[-2:]}) != 1:
+            raise ValueError("jet matrices must share one square shape, one per time")
+        numerics.require_nonsingular(numerics.singular_values(mats["z1"], t.ndim > 0), Singular,
+                                     lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
         for name, m in mats.items():
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t if t.ndim else float(t))
 
     @property
     def dim(self):
-        return self.z.shape[0]
+        return self.z.shape[-1]
 
     def to_json(self):
         return {"t": self.t,
@@ -150,15 +162,16 @@ class HamiltonianSystem:
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """Fundamental-system phase point: q and p are both n x n matrices."""
+class PhasePoint(_Nodes):
+    """Fundamental-system phase point: q and p are both n x n matrices, or (N, n, n) stacks."""
 
     q: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        q = numerics.as_square(self.q, "q")
-        p = numerics.as_square(self.p, "p")
+        stack = np.ndim(self.q) == 3
+        q = numerics.as_square(self.q, "q", stack)
+        p = numerics.as_square(self.p, "p", stack)
         if q.shape != p.shape:
             raise ValueError("q and p shapes differ")
         object.__setattr__(self, "q", q)
@@ -184,10 +197,13 @@ _D3_W = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 
 
 def jet_from_samples(samples, h, t=0.0):
-    """Finite-difference jet from an odd-length centered stencil of >= 7 points."""
-    samples = [numerics.as_square(s, "sample") for s in samples]
+    """Finite-difference jet from an odd-length centered stencil of >= 7 points
+    spaced by a finite nonzero step h."""
+    samples = numerics.as_square(samples, "sample", stack=True)
     if len(samples) < 7 or len(samples) % 2 == 0:
         raise ValueError("need an odd number of samples, at least 7")
+    if not (np.isfinite(h) and h != 0.0):
+        raise ValueError(f"h must be a finite nonzero step, got {h!r}")
     mid = len(samples) // 2
     window = samples[mid - 3: mid + 4]
     z1 = sum(w * s for w, s in zip(_D1_W, window)) / h
@@ -300,14 +316,14 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
-    """Fixed-step RK4 trajectory of the Hamiltonian system.
+    """Fixed-step RK4 trajectory of the Hamiltonian system from one phase point x0.
 
-    Returns (times, [PhasePoint, ...]) including both endpoints; raises
-    Overflow at the first time the state is no longer finite.
+    Returns (times, PhasePoint) with the states stacked, both endpoints included;
+    raises Overflow at the first time the state is no longer finite.
     """
-    ts, ys = _hamiltonian_run(sys, x0.q, x0.p, t0, t1, steps, lambda t: Overflow(
-        f"the Hamiltonian state overflowed at t = {t:.6g}"))
-    return ts, [PhasePoint(q, p) for q, p in ys]
+    ts, ys = _hamiltonian_run(sys, numerics.as_square(x0.q, "x0.q"), x0.p, t0, t1, steps, lambda t:
+                              Overflow(f"the Hamiltonian state overflowed at t = {t:.6g}"))
+    return ts, PhasePoint(ys[:, 0], ys[:, 1])
 
 
 def riccati_rhs(w, c):
@@ -342,11 +358,11 @@ def _read_chart(ts, ys):
     big = ~(_sq_fro(wt) < numerics.SINGULAR_RTOL ** -2)
     if big.any() or lost < len(ts):
         raise BlowUp(ts.item(np.argmax(big) if big.any() else lost))
-    return list(wt.swapaxes(-1, -2))
+    return wt.swapaxes(-1, -2)
 
 
 def integrate_riccati(sys, w0, t0, t1, steps):
-    """Fixed-step RK4 solution (times, [W, ...]) of the matrix Riccati equation,
+    """Fixed-step RK4 solution (times, W stack) of the matrix Riccati equation,
     read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
     BlowUp at the first node where that chart is lost (see the module docstring)."""
     w0 = numerics.as_square(w0, "W0")
@@ -373,8 +389,7 @@ def schwarz_equation_residual(jet, sys, t=None):
     """
     if not sys.symmetric_a:
         raise ValueError("the Schwarz equation requires symmetric A")
-    if t is None:
-        t = jet.t
+    t = np.asarray(jet.t if t is None else t, dtype=float)[..., None, None]
     a = sys.a(t)
     return schwarz(jet) - 2.0 * (sys.b(t) - sys.a.derivative()(t) - a @ a)
 
@@ -393,11 +408,11 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     RK4 reads W at the nodes and at the step midpoints, where it takes the
     cubic Hermite interpolant of the node values and the Riccati slopes W';
     the same slopes give W' in the third-derivative member of each jet.
-    Returns one CurveJet per node; raises Overflow at the first node whose
-    jet is not finite.
+    Returns one CurveJet stacked over the nodes; raises Overflow at the first
+    node whose jet is not finite.
     """
     ts = np.asarray(ts, dtype=float)
-    w_stack = np.array([numerics.as_square(w, "W") for w in ws])
+    w_stack = numerics.as_square(ws, "W", stack=True)
     if len(ts) != len(w_stack) or len(ts) < 2:
         raise ValueError("need matching times and W values, at least two nodes")
     z0 = numerics.as_square(z0, "z0")
@@ -422,4 +437,4 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in (ys, z2, z3)], axis=0)
     if not finite.all():
         raise Overflow(f"the curve jet overflowed at t = {ts[np.argmin(finite)]:.6g}")
-    return [CurveJet(*jet) for jet in zip(ts, z, z1, z2, z3)]
+    return CurveJet(ts, z, z1, z2, z3)

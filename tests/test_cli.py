@@ -337,3 +337,25 @@ def test_float_formatting_is_deterministic():
 def test_unknown_verb_rejected():
     with pytest.raises(ValueError):
         cli.run("frobnicate", None, None)
+
+
+def test_trajectory_report_named_like_its_csv_exit_2(tmp_path):
+    payloads = {"riccati": {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}},
+                "hamiltonian": {"q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
+                                "p0": {"rows": 1, "cols": 1, "data": [[0.0]]}}}
+    for verb, payload in payloads.items():
+        inp = write_json(tmp_path / f"{verb}.json",
+                         {"system": oscillator_json(), "t0": 0.0, "t1": 1.0, "steps": 20, **payload})
+        out = tmp_path / f"{verb}.csv"
+        assert cli.run(verb, inp, str(out)) == 2
+        report = json.loads(out.read_text())
+        assert report["error"].startswith("ValidationError") and report["results"] == {}
+        assert cli.run(verb, inp, str(tmp_path / f"{verb}.out")) == 0
+        assert (tmp_path / f"{verb}.csv").read_text().count("\n") == 21
+
+
+def test_schwarz_verb_zero_step_exit_2(tmp_path):
+    samples = [{"rows": 1, "cols": 1, "data": [[float(k)]]} for k in range(7)]
+    status, text = run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 0})
+    assert status == 2
+    assert json.loads(text)["error"] == "ValidationError: h must be a finite nonzero step, got 0.0"

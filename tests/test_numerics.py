@@ -85,3 +85,24 @@ def test_json_numbers_reject_booleans_and_non_numbers():
 def test_expm_matches_series():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(numerics.expm(m), np.eye(2) + m)
+
+
+def test_stacks_only_where_asked():
+    stack = np.array([np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))])
+    assert numerics.as_square(stack, "W", stack=True) is stack
+    s = numerics.singular_values(stack, stack=True)
+    assert s.shape == (3, 2)
+    with pytest.raises(Singular, match="row 1"):
+        numerics.require_nonsingular(s, Singular, lambda i: f"row {i}")
+    numerics.require_nonsingular(s[:1], Singular, lambda i: f"row {i}")
+    with pytest.raises(ValueError, match="3-dimensional"):
+        numerics.as_square(np.eye(2), "W", stack=True)
+    with pytest.raises(ValueError, match="square"):
+        numerics.as_square(np.zeros((3, 2, 3)), stack=True)
+    with pytest.raises(ValueError, match="non-finite"):
+        numerics.as_square(np.full((3, 2, 2), np.nan), stack=True)
+    for single in (numerics.as_matrix, numerics.as_square, numerics.singular_values,
+                   numerics.check_invertible, numerics.eigenvalues, numerics.expm,
+                   numerics.matrix_to_json):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            single(stack)

@@ -392,3 +392,93 @@ def test_json_rejects_boolean_numbers():
 def _sym(rng, n):
     m = rng.standard_normal((n, n))
     return 0.5 * (m + m.T)
+
+
+def _random_trajectories(rng, steps):
+    a = sz.MatrixPolynomial([0.2 * _sym(rng, 2), 0.1 * _sym(rng, 2)])
+    b = sz.MatrixPolynomial([_sym(rng, 2), 0.2 * _sym(rng, 2)])
+    sys_ = sz.HamiltonianSystem(a, b, symmetric_a=True)
+    w0 = 0.1 * _sym(rng, 2)
+    ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
+    jets = sz.curve_from_riccati(ts, ws, a, np.zeros((2, 2)), np.eye(2), b_poly=b)
+    _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(2), w0), 0.0, 0.6, steps)
+    return sys_, ts, ws, jets, points
+
+
+def test_trajectories_are_validated_once(rng, monkeypatch):
+    # One stacked object per trajectory: the curve makes one SVD for z'(0)
+    # and one for the z' of all nodes, the Hamiltonian run one PhasePoint.
+    svds, builds = [], []
+    singular_values, post_init = numerics.singular_values, sz.PhasePoint.__post_init__
+    monkeypatch.setattr(numerics, "singular_values",
+                        lambda *args, **kw: svds.append(1) or singular_values(*args, **kw))
+    monkeypatch.setattr(sz.PhasePoint, "__post_init__",
+                        lambda self: builds.append(1) or post_init(self))
+    sys_, ts, ws, _, _ = _random_trajectories(rng, 1000)
+    x0 = sz.PhasePoint(np.eye(2), ws[0])
+    svds.clear()
+    builds.clear()
+    jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((2, 2)), np.eye(2), b_poly=sys_.b)
+    _, points = sz.integrate_hamiltonian(sys_, x0, 0.0, 0.6, 1000)
+    assert len(svds) <= 2 and len(builds) <= 2, (len(svds), len(builds))
+    assert jets.z.shape == points.q.shape == (1001, 2, 2)
+
+
+def test_stacked_jet_names_the_first_singular_node():
+    ts = np.linspace(0.0, 1.0, 11)
+    z1 = np.array([np.eye(2)] * 11)
+    z1[7] = [[1.0, 2.0], [2.0, 4.0]]
+    z1[9] = 0.0
+    with pytest.raises(Singular) as node:
+        sz.CurveJet(ts[7], z1[7], z1[7], z1[7], z1[7])
+    with pytest.raises(Singular) as stack:
+        sz.CurveJet(ts, z1, z1, z1, z1)
+    assert str(stack.value) == str(node.value) == f"z' is numerically singular at t = {ts[7]:.6g}"
+
+
+def test_stacked_jet_shapes_must_agree():
+    stack = np.array([np.eye(2)] * 3)
+    for t, z in ((np.zeros(2), stack), (np.zeros((3, 1)), stack), (0.0, stack), (np.zeros(3), np.eye(2))):
+        with pytest.raises(ValueError):
+            sz.CurveJet(t, z, z, z, z)
+
+
+def test_stacked_schwarz_equation_residual_matches_nodes(rng):
+    sys_, _, _, jets, _ = _random_trajectories(rng, 300)
+    pair = jets[[0, 300]]
+    per_node = np.array([sz.schwarz_equation_residual(jet, sys_) for jet in pair])
+    assert per_node.shape == (2, 2, 2) and np.max(np.abs(per_node)) < 1e-8
+    assert np.max(np.abs(sz.schwarz_equation_residual(pair, sys_) - per_node)) <= 1e-12
+
+
+def test_integrate_hamiltonian_rejects_a_stacked_start():
+    x0 = sz.PhasePoint(np.array([np.eye(2)] * 3), np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="x0"):
+        sz.integrate_hamiltonian(constant_system(np.zeros((2, 2)), np.eye(2)), x0, 0.0, 1.0, 10)
+
+
+def test_nodes_are_the_stack_rows(rng):
+    _, ts, ws, jets, points = _random_trajectories(rng, 50)
+    nodes, phase = list(jets), list(points)
+    assert len(jets) == len(points) == len(nodes) == len(phase) == len(ts) == len(ws)
+    for i, (jet, pt) in enumerate(zip(nodes, phase)):
+        assert type(jet.t) is float and jet.t == ts[i]
+        for node, stacked, names in ((jet, jets, ("z", "z1", "z2", "z3")), (pt, points, ("q", "p"))):
+            for name in names:
+                assert getattr(node, name).tobytes() == getattr(stacked, name)[i].tobytes()
+    assert jets[-1].t == ts[-1] and points[-1].q.tobytes() == points.q[-1].tobytes()
+    for single in (jets[0], points[0]):
+        with pytest.raises(TypeError):
+            len(single)
+        with pytest.raises((TypeError, ValueError)):
+            single[0]
+
+
+@pytest.mark.parametrize("h", [0.0, float("nan"), float("inf")])
+def test_finite_difference_step_must_be_finite_and_nonzero(h):
+    samples = [np.array([[np.tan(k * 0.01)]]) for k in range(-3, 4)]
+    for call in (sz.jet_from_samples, sz.schwarz_from_samples):
+        with pytest.raises(ValueError, match="h must be"):
+            call(samples, h)
+    with pytest.raises(ValueError, match="h must be"):
+        sz.schwarz_richardson(samples, samples, h)
