@@ -9,7 +9,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .crossratio import CrossRatioResult, dv_composition
@@ -158,12 +157,13 @@ def stationary_subspaces(m, k, cluster_tol=DEFAULT_CLUSTER_TOL, max_results=8):
         power = np.eye(n)
         for _ in range(1, n + 1):
             power = power @ m
-            ns = scipy.linalg.null_space(power, rcond=1e-10)
+            ns = numerics.null_space(power, 1e-10)
             if ns.shape[1] == k:
                 return [subspace_from_basis(ns)]
             if ns.shape[1] > k:
                 break
         raise DefectiveSpectrum(f"no kernel-chain member of dimension {k}")
+    import scipy.linalg  # for the ordered Schur form, which numpy lacks
     clusters = _eig_clusters(eigs, cluster_tol * scale)
     sizes = [len(c) for c in clusters]
     results = []

@@ -8,7 +8,6 @@ structure lives in the operations, not the type.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import NonConvergence, NotPolarization, OutsideChart, RankDeficient
@@ -277,7 +276,7 @@ def intersect_subspaces(w1, w2, tol=1e-8):
     if w1.ambient_dim != w2.ambient_dim:
         raise ValueError("ambient dimensions differ")
     stacked = np.hstack([w1.basis, -w2.basis])
-    ns = scipy.linalg.null_space(stacked, rcond=tol)
+    ns = numerics.null_space(stacked, tol)
     if ns.shape[1] == 0:
         return np.zeros((w1.ambient_dim, 0))
     cols = w1.basis @ ns[: w1.dim]

@@ -1,13 +1,14 @@
 """Dense linear-algebra kernel used by every other module.
 
-Thin, contract-enforcing wrappers around numpy/scipy plus the JSON
-matrix encoding.  All functions are pure; inputs are never mutated.
+Thin, contract-enforcing wrappers around numpy plus the JSON matrix
+encoding.  All functions are pure; inputs are never mutated.  Only
+``expm`` needs scipy, and it imports ``scipy.linalg`` when first called, so
+importing this module loads numpy alone.
 """
 
 import sys
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergence, Overflow, Singular
 
@@ -105,9 +106,21 @@ def singular_values(m, stack=False):
         raise NonConvergence(str(exc)) from exc
 
 
+def null_space(a, rcond):
+    """Orthonormal basis (columns) of the null space of a: the right singular
+    vectors past the rank, which counts the singular values above rcond
+    times the largest (scipy.linalg.null_space's rule)."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = np.count_nonzero(s > rcond * s.max(initial=0.0))
+    # Row-major, like scipy.linalg.null_space's result: a BLAS product with
+    # a column-major basis takes another kernel and rounds differently.
+    return np.ascontiguousarray(vh[rank:].conj().T)
+
+
 def expm(m):
     """Matrix exponential (scaling and squaring)."""
     m = as_square(m)
+    import scipy.linalg  # the one numerics call without a numpy equivalent
     return scipy.linalg.expm(m)
 
 

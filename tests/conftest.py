@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,6 +96,17 @@ def pair_with_angles(thetas, n, rng=None):
         p = oc.subspace_from_basis(g @ p.basis)
         q = oc.subspace_from_basis(g @ q.basis)
     return p, q
+
+
+def fresh_python(code):
+    """stdout of code run by a new interpreter that imports opcross from this
+    checkout, so sys.modules shows what the code alone loaded."""
+    src = os.path.dirname(os.path.dirname(oc.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+LOADED_SCIPY = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
 
 
 @pytest.fixture

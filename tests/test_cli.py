@@ -1,13 +1,11 @@
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from opcross import cli, grassmann, numerics
-from conftest import overflowing_dv_config, sampled_symmetric_b
+from conftest import LOADED_SCIPY, fresh_python, overflowing_dv_config, sampled_symmetric_b
 
 
 def write_json(path, obj):
@@ -203,12 +201,41 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
-def test_cli_import_skips_scipy_interpolate():
-    code = "import sys, opcross.cli; print('scipy.interpolate' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+def test_cli_loads_no_scipy(tmp_path):
+    # Only the flow and selftest verbs need scipy: importing the package and
+    # running any other verb, to success or to an error exit, loads none of it.
+    unequal = [grassmann.random_subspace(3, d, 10 + i) for i, d in enumerate((1, 2, 1, 2))]
+    rng = np.random.default_rng(3)
+    cocycle = {key: [grassmann.random_subspace(4, 2, int(rng.integers(2**31))).to_json()
+                     for _ in range(count)] for key, count in (("p", 2), ("q", 3))}
+
+    def one(v):
+        return numerics.matrix_to_json([[v]])
+
+    cases = [
+        ("dv", dv_input(), 0),
+        ("dv", {"subspaces": [w.to_json() for w in unequal]}, 0),
+        ("angle", {"a": one(1.0), "b": one(2.0)}, 0),
+        ("cocycle", cocycle, 0),
+        ("riccati", {"system": oscillator_json(), "w0": one(0.0),
+                     "t0": 0.0, "t1": 1.0, "steps": 20}, 0),
+        ("hamiltonian", {"system": oscillator_json(), "q0": one(1.0), "p0": one(0.0),
+                         "t0": 0.0, "t1": 1.0, "steps": 20}, 0),
+        ("dv", {"subspaces": []}, 2),
+        ("dv", {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4}, 3),
+    ]
+    runs = [(verb, write_json(tmp_path / f"in{i}.json", payload), str(tmp_path / f"out{i}.json"))
+            for i, (verb, payload, _) in enumerate(cases)]
+    seen = json.loads(fresh_python(f"""
+import json, sys
+import opcross, opcross.cli
+seen = [{LOADED_SCIPY}]
+for verb, inp, out in {runs!r}:
+    seen.append((opcross.cli.run(verb, inp, out), {LOADED_SCIPY}))
+print(json.dumps(seen))
+"""))
+    assert seen[0] == []
+    assert seen[1:] == [[status, []] for _, _, status in cases]
 
 
 def test_hamiltonian_verb(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from opcross import numerics
+from opcross import flows, grassmann, numerics
 from opcross.errors import Singular
+from conftest import LOADED_SCIPY, fresh_python
 
 
 def test_as_matrix_rejects_non_finite():
@@ -106,3 +108,52 @@ def test_stacks_only_where_asked():
                    numerics.matrix_to_json):
         with pytest.raises(ValueError, match="2-dimensional"):
             single(stack)
+    # expm rejects a stack or a non-finite matrix before it loads scipy.
+    out = fresh_python(f"""
+import sys
+from opcross import numerics
+for bad in ([[[0.0]]], [[float("nan")]]):
+    try:
+        numerics.expm(bad)
+    except ValueError as exc:
+        print(exc)
+print({LOADED_SCIPY})
+""")
+    assert out.splitlines() == ["matrix must be 2-dimensional, got shape (1, 1, 1)",
+                                "matrix contains non-finite entries", "[]"]
+
+
+def _same_null_space(a, rcond):
+    ours, ref = numerics.null_space(a, rcond), scipy.linalg.null_space(a, rcond=rcond)
+    assert ours.shape == ref.shape
+    np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14)
+    return ours
+
+
+def test_null_space_matches_scipy(rng):
+    # [B1 | -B2] stacks as intersect_subspaces builds them, real and complex,
+    # with and without a common direction.
+    for n, k1, k2 in ((3, 1, 2), (4, 2, 2), (6, 3, 4), (12, 5, 9), (12, 6, 6)):
+        for cplx in (False, True):
+            shape = (n, k1 + k2)
+            a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0)
+            b1, _ = np.linalg.qr(a[:, :k1])
+            b2, _ = np.linalg.qr(a[:, k1:])
+            ns = _same_null_space(np.hstack([b1, -b2]), 1e-8)
+            assert ns.shape == (k1 + k2, max(0, k1 + k2 - n))
+    # Full column rank: an empty basis.  The zero matrix: the identity basis.
+    assert _same_null_space(rng.standard_normal((6, 3)), 1e-8).shape == (3, 0)
+    assert np.array_equal(_same_null_space(np.zeros((3, 4)), 1e-10), np.eye(4))
+
+
+def test_kernel_chain_unchanged(rng):
+    # A strictly lower-triangular M is nilpotent and ker M^k has dimension k,
+    # so stationary_subspaces returns the kernel chain's k-th member.
+    m = np.tril(rng.standard_normal((5, 5)), -1)
+    power = np.eye(5)
+    for k in range(1, 5):
+        power = power @ m
+        (w,) = flows.stationary_subspaces(m, k)
+        _same_null_space(power, 1e-10)
+        ref = grassmann.subspace_from_basis(scipy.linalg.null_space(power, rcond=1e-10))
+        np.testing.assert_allclose(w.basis, ref.basis, rtol=0, atol=1e-14)
