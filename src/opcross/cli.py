@@ -97,16 +97,9 @@ def emit_report(verb, seed, input_digest, results, error=None):
 
 # --- verb handlers --------------------------------------------------------
 
-_RESULT_FIELDS = {"matrix": lambda r: r.matrix, "spectrum": lambda r: r.spectrum,
-                  "traces": lambda r: r.trace_powers.astype(complex), "det": lambda r: r.det}
-
-
-def _result_fields(result, data):
-    wanted = data.get("report", list(_RESULT_FIELDS))
-    unknown = [field for field in wanted if field not in _RESULT_FIELDS]
-    if unknown:
-        raise ValueError(f"unknown report field {unknown[0]!r}")
-    return {field: _jsonable(_RESULT_FIELDS[field](result)) for field in wanted}
+def _result_fields(result):
+    return {"matrix": result.matrix, "spectrum": result.spectrum,
+            "traces": result.trace_powers.astype(complex), "det": result.det}
 
 
 def _handle_dv(data, seed, tol):
@@ -118,14 +111,14 @@ def _handle_dv(data, seed, tol):
         result = crossratio.dv_composition(p1, p2, p3, p4)
     else:
         result = crossratio.dv_unequal(p1, p2, p3, p4)
-    return _result_fields(result, data), None
+    return _result_fields(result), None
 
 
 def _handle_angle(data, seed, tol):
     a = numerics.matrix_from_json(data["a"])
     b = numerics.matrix_from_json(data["b"])
     result = crossratio.operator_angle(a, b)
-    return _result_fields(result, data), None
+    return _result_fields(result), None
 
 
 def _handle_equiv(data, seed, tol):
@@ -135,9 +128,9 @@ def _handle_equiv(data, seed, tol):
         raise ValueError("'first' and 'second' must each list two subspaces")
     equivalent = crossratio.pair_equivalent(*first, *second, tol=tol)
     return {
-        "equivalent": bool(equivalent),
-        "angles_first": [float(a) for a in grassmann.principal_angles(*first)],
-        "angles_second": [float(a) for a in grassmann.principal_angles(*second)],
+        "equivalent": equivalent,
+        "angles_first": grassmann.principal_angles(*first),
+        "angles_second": grassmann.principal_angles(*second),
     }, None
 
 
@@ -148,8 +141,7 @@ def _handle_cocycle(data, seed, tol):
         raise ValueError("'p' must list two subspaces and 'q' three")
     product = crossratio.cocycle_product(*p, *q)
     residual = numerics.fro(product - np.eye(product.shape[0]))
-    return {"product": numerics.matrix_to_json(product),
-            "residual": residual}, None
+    return {"product": product, "residual": residual}, None
 
 
 def _handle_schwarz(data, seed, tol):
@@ -161,8 +153,7 @@ def _handle_schwarz(data, seed, tol):
         s = schwarz.schwarz_from_samples(samples, numerics.number_from_json(data["h"], "h"))
     else:
         raise ValueError("schwarz input needs 'jet' or 'samples' + 'h'")
-    return {"schwarzian": numerics.matrix_to_json(s),
-            "spectrum": _jsonable(numerics.eigenvalues(s))}, None
+    return {"schwarzian": s, "spectrum": numerics.eigenvalues(s)}, None
 
 
 def _trajectory_csv(ts, mats):
@@ -185,9 +176,7 @@ def _handle_riccati(data, seed, tol):
     sys_ = schwarz.HamiltonianSystem.from_json(data["system"])
     w0 = numerics.matrix_from_json(data["w0"])
     ts, ws = schwarz.integrate_riccati(sys_, w0, *_time_grid(data))
-    results = {"t_final": float(ts[-1]),
-               "w_final": numerics.matrix_to_json(ws[-1]),
-               "steps": len(ts) - 1}
+    results = {"t_final": ts[-1], "w_final": ws[-1], "steps": len(ts) - 1}
     return results, _trajectory_csv(ts, ws)
 
 
@@ -197,9 +186,7 @@ def _handle_hamiltonian(data, seed, tol):
                             numerics.matrix_from_json(data["p0"]))
     ts, points = schwarz.integrate_hamiltonian(sys_, x0, *_time_grid(data))
     rows = np.concatenate([points.q, points.p], axis=1).reshape(len(ts), -1)
-    results = {"t_final": float(ts[-1]),
-               "q_final": numerics.matrix_to_json(points.q[-1]),
-               "p_final": numerics.matrix_to_json(points.p[-1]),
+    results = {"t_final": ts[-1], "q_final": points.q[-1], "p_final": points.p[-1],
                "steps": len(ts) - 1}
     return results, _trajectory_csv(ts, rows)
 
@@ -216,7 +203,7 @@ def _handle_flow(data, seed, tol):
 
 def _handle_selftest(data, seed, tol):
     from . import selftest
-    checks = selftest.run_all(seed=seed, tol=tol)
+    checks = selftest.run_all(seed=seed)
     results = {"checks": [{"name": name, "passed": bool(ok), "detail": detail}
                           for name, ok, detail in checks]}
     if not all(ok for _, ok, _ in checks):

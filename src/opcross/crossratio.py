@@ -14,8 +14,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegeneratePosition, NotPolarization, Overflow, Singular
-from .grassmann import (COMPLEMENT_TOL, Subspace, principal_angles, project_parallel,
-                        subspace_from_basis)
+from .grassmann import COMPLEMENT_TOL, principal_angles, project_parallel
 
 # The six coset labels of the permutation action (see dv_permuted).
 PERMUTATION_LABELS = ("12,34", "34,12", "12,43", "14,32", "13,24", "14,23")
@@ -39,7 +38,13 @@ class CrossRatioResult:
 
     @classmethod
     def from_matrix(cls, m, basis_space, kmax=None):
-        m = numerics.as_square(m)
+        """Overflow when the computed operator m is not finite."""
+        try:
+            m = numerics.as_square(m)
+        except ValueError:
+            if np.isfinite(m).all():
+                raise
+            raise Overflow("the operator is not finite") from None
         spectrum = numerics.eigenvalues(m)
         traces = numerics.power_sums(spectrum, m.shape[0] if kmax is None else kmax)
         return cls(m, basis_space, spectrum, traces if np.iscomplexobj(m) else traces.real)
@@ -149,61 +154,28 @@ def dv_permuted(d, perm, kmax=None):
     return CrossRatioResult.from_matrix(out, "P1", kmax)
 
 
-def _restrict_to(space_basis, w, expected_dim, what):
-    """Coordinates of a subspace of span(space_basis) in that orthonormal basis."""
-    coords = space_basis.conj().T @ w
-    sub = subspace_from_basis(coords)
-    if sub.dim != expected_dim:
-        raise DegeneratePosition(f"{what} has dimension {sub.dim}, expected {expected_dim}")
-    # Confirm w really lies inside the space.
-    if numerics.fro(w - space_basis @ coords) > 1e-8:
-        raise DegeneratePosition(f"{what} does not lie in the invariant subspace")
-    return sub
-
-
 def dv_unequal(p1, p2, p3, p4, kmax=None):
-    """Cross-ratio for arguments of unequal dimensions.
+    """Cross-ratio for arguments of unequal dimensions: the dv_composition
+    operator with the smaller pair first.
 
-    The pair of smaller subspaces spans an invariant subspace S; the larger
-    two are intersected with S and the cross-ratio is computed inside S.
-    Coincides with dv_composition when all dimensions already agree.
+    When dim P1 > dim P2 the arguments become (P2, P1; P4, P3), whose
+    operator has the same spectrum.  The two smaller subspaces must be in
+    direct sum (else DegeneratePosition); both projections of the composite
+    then map their span S into itself, so the operator is the paper's
+    reduction to S.  Its matrix is in the stored basis of the smaller first
+    argument (P1, or P2 when P1 is the larger; basis_space reads "P1" either
+    way).  Coincides with dv_composition when all dimensions already agree.
     """
-    from .grassmann import intersect_subspaces
     if p1.dim != p3.dim or p2.dim != p4.dim:
         raise ValueError("need dim P1 = dim P3 and dim P2 = dim P4")
     if p1.dim + p2.dim != p1.ambient_dim:
         raise NotPolarization("dim P1 + dim P2 != ambient dimension")
-    if p1.dim == p2.dim:
-        return dv_composition(p1, p2, p3, p4, kmax)
-    if p1.dim < p2.dim:
-        small_a, small_b, big_a, big_b = p1, p3, p2, p4
-        order_in_s = "small_first"
-    else:
-        small_a, small_b, big_a, big_b = p2, p4, p1, p3
-        order_in_s = "big_first"
-    span = np.hstack([small_a.basis, small_b.basis])
-    s_basis, s, _ = np.linalg.svd(span, full_matrices=False)
-    if s[-1] <= COMPLEMENT_TOL:
+    if p1.dim > p2.dim:
+        p1, p2, p3, p4 = p2, p1, p4, p3
+    if p1.dim < p2.dim and numerics.singular_values(np.hstack([p1.basis, p3.basis]))[-1] \
+            <= COMPLEMENT_TOL:
         raise DegeneratePosition("the two small subspaces are not in direct sum")
-    k = small_a.dim
-
-    def in_s(w_basis, what):
-        return _restrict_to(s_basis, w_basis, k, what)
-
-    sa = in_s(small_a.basis, "first small subspace")
-    sb = in_s(small_b.basis, "second small subspace")
-    ia = intersect_subspaces(big_a, subspace_from_basis(s_basis))
-    ib = intersect_subspaces(big_b, subspace_from_basis(s_basis))
-    if ia.shape[1] != k or ib.shape[1] != k:
-        raise DegeneratePosition(
-            f"intersections have dims {ia.shape[1]}, {ib.shape[1]}; expected {k}")
-    ba = in_s(ia, "first intersection")
-    bb = in_s(ib, "second intersection")
-    if order_in_s == "small_first":
-        q1, q2, q3, q4 = sa, ba, sb, bb
-    else:
-        q1, q2, q3, q4 = ba, sa, bb, sb
-    return dv_composition(q1, q2, q3, q4, kmax)
+    return dv_composition(p1, p2, p3, p4, kmax)
 
 
 def cocycle_product(p1, p2, q1, q2, q3):

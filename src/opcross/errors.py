@@ -35,11 +35,7 @@ class NotPolarization(NotComplementary):
 
 
 class DegeneratePosition(NumericalError):
-    """Intersections required by the unequal-dimension reduction are off-generic."""
-
-
-class ChartFailure(NumericalError):
-    """A configuration falls outside every chart the operation can use."""
+    """The smaller pair of an unequal-dimension cross-ratio is not a direct sum."""
 
 
 class DefectiveSpectrum(NumericalError):

@@ -136,17 +136,6 @@ class Polarization:
         """The (invertible) n x n matrix [horizontal basis | vertical basis]."""
         return np.hstack([self.horizontal.basis, self.vertical.basis])
 
-    def to_json(self):
-        return {"horizontal": self.horizontal.to_json(),
-                "vertical": self.vertical.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("polarization JSON must be an object")
-        return cls(Subspace.from_json(obj["horizontal"]),
-                   Subspace.from_json(obj["vertical"]))
-
 
 def standard_polarization(n, k=None):
     """First-k-coordinates vs the rest; k defaults to ceil(n/2)."""

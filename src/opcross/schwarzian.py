@@ -184,10 +184,14 @@ class PhasePoint(_Nodes):
 
 
 def schwarz(jet):
-    """Operator Schwarzian S(z) = (z')^-1 z''' - (3/2) ((z')^-1 z'')^2."""
+    """Operator Schwarzian S(z) = (z')^-1 z''' - (3/2) ((z')^-1 z'')^2;
+    Overflow when it is not finite."""
     q2 = np.linalg.solve(jet.z1, jet.z2)
     q3 = np.linalg.solve(jet.z1, jet.z3)
-    return q3 - 1.5 * (q2 @ q2)
+    s = q3 - 1.5 * (q2 @ q2)
+    if not np.isfinite(s).all():
+        raise Overflow("the Schwarzian is not finite")
+    return s
 
 
 # Centered 7-point finite-difference weights for offsets -3..3.

@@ -27,7 +27,7 @@ def random_half_dim_config(rng, n):
         return ts, subs, pol
 
 
-def run_all(seed=0, tol=1e-6, rounds=20):
+def run_all(seed=0, rounds=20):
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -44,6 +44,13 @@ def overflowing_dv_config():
     return [grassmann.subspace_from_graph(t, pol) for t in ts]
 
 
+def unequal_sharing_config():
+    """Planes P1, P3 and 3-spaces P2, P4 of R^5 with P1 + P2 and P3 + P4
+    direct sums, but P1 and P3 share the vector e0."""
+    e = np.eye(5)
+    return [grassmann.Subspace(e[:, cols]) for cols in ([0, 1], [2, 3, 4], [0, 2], [1, 3, 4])]
+
+
 def sampled_symmetric_b():
     """Coefficients of B(t) = I + p(t) K, K = [[0, 1], [-1, 0]],
     p(t) = (t+1) t (t-0.37) (t-1) (t-2): B is symmetric at those five times

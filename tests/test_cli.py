@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from opcross import cli, grassmann, numerics
-from conftest import LOADED_SCIPY, fresh_python, overflowing_dv_config, sampled_symmetric_b
+from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config, sampled_symmetric_b,
+                      unequal_sharing_config)
 
 
 def write_json(path, obj):
@@ -85,6 +86,12 @@ def test_numerical_error_exit_3(tmp_path):
     status, text = run_to_files(tmp_path, "dv", payload)
     assert status == 3
     assert "NotPolarization" in json.loads(text)["error"]
+    # Unequal dimensions whose smaller pair shares a vector, in both orders.
+    p1, p2, p3, p4 = unequal_sharing_config()
+    for order in ((p1, p2, p3, p4), (p2, p1, p4, p3)):
+        status, text = run_to_files(tmp_path, "dv", {"subspaces": [w.to_json() for w in order]})
+        assert status == 3
+        assert json.loads(text)["error"].startswith("DegeneratePosition")
 
 
 def test_riccati_verb_writes_csv(tmp_path):
@@ -146,8 +153,17 @@ def test_overflow_exit_3(tmp_path):
         assert json.loads(text)["error"].startswith("Overflow")
         payload = {"subspaces": [w.to_json() for w in overflowing_dv_config()]}
         status, text = run_to_files(tmp_path, "dv", payload, name="dv.json")
-    assert status == 3
-    assert json.loads(text)["error"].startswith("Overflow")
+        assert status == 3
+        assert json.loads(text)["error"].startswith("Overflow")
+        # Finite, well-formed inputs whose operator leaves the float range.
+        eye = numerics.matrix_to_json(np.eye(2))
+        jet = {"z": eye, "z1": eye, "z2": numerics.matrix_to_json(1e200 * np.eye(2)), "z3": eye}
+        for verb, payload in (("angle", {"a": numerics.matrix_to_json(np.full((2, 2), 1e200)),
+                                         "b": eye}),
+                              ("schwarz", {"jet": jet})):
+            status, text = run_to_files(tmp_path, verb, payload, name=f"{verb}.json")
+            assert status == 3, verb
+            assert json.loads(text)["error"].startswith("Overflow"), verb
 
 
 def test_json_booleans_exit_2(tmp_path):

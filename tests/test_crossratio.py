@@ -4,9 +4,9 @@ import pytest
 from opcross import crossratio as cr
 from opcross import grassmann as gr
 from opcross import numerics
-from opcross.errors import NotPolarization, Overflow, Singular
+from opcross.errors import DegeneratePosition, NotPolarization, Overflow, Singular
 from conftest import (overflowing_dv_config, pair_with_angles, random_half_dim_charts,
-                      random_orthogonal)
+                      random_orthogonal, unequal_sharing_config)
 
 
 def scalar_charts(t1, t2, t3, t4):
@@ -128,6 +128,35 @@ def test_unequal_dimensions_reduction(rng):
         assert abs(d.spectrum[0] - lam) < 1e-8
 
 
+def test_unequal_larger_first_pair(rng):
+    # dim P1 > dim P2: the composite on the larger P1 has the reduced
+    # spectrum plus 2 dim P1 - n eigenvalues 1, which live on the
+    # intersection of P1 and P3.
+    checked = 0
+    for n, k in ((3, 2), (5, 3), (7, 5), (8, 5)):
+        for _ in range(10):
+            p1, p3 = (gr.random_subspace(n, k, int(rng.integers(2**31))) for _ in range(2))
+            p2, p4 = (gr.random_subspace(n, n - k, int(rng.integers(2**31))) for _ in range(2))
+            try:
+                full = cr.dv_composition(p1, p2, p3, p4).spectrum
+            except NotPolarization:
+                continue
+            reduced = cr.dv_unequal(p1, p2, p3, p4).spectrum
+            assert len(reduced) == n - k
+            expected = numerics.sort_spectrum(np.concatenate([reduced, np.ones(2 * k - n)]))
+            assert np.max(np.abs(full - expected)) < 1e-9
+            checked += 1
+    assert checked >= 30
+
+
+def test_unequal_small_pair_sharing_a_vector_is_degenerate():
+    p1, p2, p3, p4 = unequal_sharing_config()
+    with pytest.raises(DegeneratePosition):
+        cr.dv_unequal(p1, p2, p3, p4)
+    with pytest.raises(DegeneratePosition):
+        cr.dv_unequal(p2, p1, p4, p3)
+
+
 def test_unequal_passes_through_at_equal_dims(rng):
     _, subs, _ = random_half_dim_charts(rng, 4)
     a = cr.dv_composition(*subs).spectrum
@@ -220,6 +249,11 @@ def test_non_finite_invariants_raise_overflow():
         huge = cr.CrossRatioResult.from_matrix(1e200 * np.eye(2), "P1", kmax=1)
         with pytest.raises(Overflow):
             huge.det
+        # Finite, well-formed inputs whose operator leaves the float range.
+        with pytest.raises(Overflow):
+            cr.dv_matrix(*scalar_charts(0.0, 1.0, 1e300, 1e300 * (1 + 1e-10)))
+        with pytest.raises(Overflow):
+            cr.operator_angle(np.full((2, 2), 1e200), np.eye(2))
 
 
 def mp_trace_powers(m, kmax):

@@ -49,6 +49,12 @@ def test_schwarzian_of_affine_curve_is_zero(rng):
     assert numerics.fro(sz.schwarz(jet)) < 1e-12
 
 
+def test_schwarzian_overflow_is_overflow():
+    eye = np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Overflow):
+        sz.schwarz(sz.CurveJet(0.0, eye, eye, 1e200 * eye, eye))
+
+
 def test_stencil_derivatives(rng):
     coeffs, jet_at = polynomial_curve(rng, 2)
     h = 1e-2
