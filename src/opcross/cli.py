@@ -73,6 +73,8 @@ def _jsonable(value):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
+            if not np.isfinite(value).all():
+                raise _NonFinite("non-finite matrix in output")
             return numerics.matrix_to_json(value)
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -106,11 +108,7 @@ def _handle_dv(data, seed, tol):
     subs = data["subspaces"]
     if not isinstance(subs, list) or len(subs) != 4:
         raise ValueError("'subspaces' must list exactly four subspaces")
-    p1, p2, p3, p4 = (grassmann.Subspace.from_json(s) for s in subs)
-    if p1.dim == p2.dim:
-        result = crossratio.dv_composition(p1, p2, p3, p4)
-    else:
-        result = crossratio.dv_unequal(p1, p2, p3, p4)
+    result = crossratio.dv_unequal(*(grassmann.Subspace.from_json(s) for s in subs))
     return _result_fields(result), None
 
 

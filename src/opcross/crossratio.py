@@ -8,7 +8,7 @@ composite is expressed in the stored orthonormal basis of the first subspace;
 only spectra and traces of powers are meaningful across bases.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,15 +163,15 @@ def dv_unequal(p1, p2, p3, p4, kmax=None):
     direct sum (else DegeneratePosition); both projections of the composite
     then map their span S into itself, so the operator is the paper's
     reduction to S.  Its matrix is in the stored basis of the smaller first
-    argument (P1, or P2 when P1 is the larger; basis_space reads "P1" either
-    way).  Coincides with dv_composition when all dimensions already agree.
+    argument, which basis_space names: "P1", or "P2" when P1 is the larger.
+    Coincides with dv_composition when all dimensions already agree.
     """
     if p1.dim != p3.dim or p2.dim != p4.dim:
         raise ValueError("need dim P1 = dim P3 and dim P2 = dim P4")
     if p1.dim + p2.dim != p1.ambient_dim:
         raise NotPolarization("dim P1 + dim P2 != ambient dimension")
     if p1.dim > p2.dim:
-        p1, p2, p3, p4 = p2, p1, p4, p3
+        return replace(dv_unequal(p2, p1, p4, p3, kmax), basis_space="P2")
     if p1.dim < p2.dim and numerics.singular_values(np.hstack([p1.basis, p3.basis]))[-1] \
             <= COMPLEMENT_TOL:
         raise DegeneratePosition("the two small subspaces are not in direct sum")

@@ -3,7 +3,8 @@ Hamiltonian systems and matrix Riccati equations.
 
 Curves are handled through third-order jets; coefficient matrices A(t), B(t)
 are matrix polynomials so that A' is exact.  All integrators are the
-classical fixed-step fourth-order one-step method, run by one kernel.
+classical fixed-step fourth-order one-step method, run by one kernel; the
+systems are linear in the state, so it takes one RK4 step matrix per step.
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
 Hamiltonian system in one chart, off the run from (q, p) = (I, W0).  The
@@ -277,34 +278,50 @@ def _stage_times(ts, hs):
     return np.insert(ts, np.arange(1, len(ts)), ts[:-1] + np.divide(hs, 2.0))
 
 
-def _rk4(f, y, hs, coef, error=None):
-    """Classical RK4 from y over the steps hs for y' = f(y, c), where c is
-    coef(k) at stage time k (see _stage_times), read once per stage time.
-    Returns one array of y and the states after each step; error(i), when
-    given, is raised at the first node i whose state is not finite.
+# Steps whose RK4 step matrices are built together: one stack per chunk keeps
+# the run's memory at its states (a whole run's stage stacks would not be).
+_CHUNK = 64
+
+
+def _blocks(a, b, c, d):
+    """The stack of block matrices [[a, b], [c, d]], the blocks broadcast to one stack."""
+    n, blocks = a.shape[-1], (a, b, c, d)
+    out = np.empty((*np.broadcast_shapes(*(x.shape for x in blocks))[:-2], 2 * n, 2 * n),
+                   np.result_type(*blocks))
+    out[..., :n, :n], out[..., :n, n:], out[..., n:, :n], out[..., n:, n:] = blocks
+    return out
+
+
+def _rk4(g, y, hs, error=None):
+    """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
+    where g(s) is the stack of G at the stage times s (a slice of the indices of
+    _stage_times).  On a linear system RK4 is the step matrix y_{i+1} = M_i y_i,
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1),
+    K3 = G(t_i + h/2)(I + h/2 K2) and K4 = G(t_{i+1})(I + h K3): the stage vectors
+    are K_j y_i, so the method and its nodes are the classical ones.  The M_i are
+    built as stacks _CHUNK steps at a time.  Returns one array of y and the states
+    after each step; error(i), when given, is raised at the first node i whose
+    state is not finite (the run stops after that node's chunk).
     """
-    y0, c = y, coef(0)
-    for i, h in enumerate(hs):
-        k1 = f(y, c)
-        c = coef(2 * i + 1)
-        k2 = f(y + (h / 2.0) * k1, c)
-        k3 = f(y + (h / 2.0) * k2, c)
-        c = coef(2 * i + 2)
-        k4 = f(y + h * k3, c)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if error is not None and not np.isfinite(y).all():
-            raise error(i + 1)
-        if i == 0:
-            ys = np.empty((len(hs) + 1, *y.shape), y.dtype)
-            ys[0] = y0
-        ys[i + 1] = y
+    hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
+    for j in range(0, len(hs), _CHUNK):
+        h = hs[j:j + _CHUNK, None, None]
+        gs = g(slice(2 * j, 2 * (j + len(h)) + 1))
+        k1, gm = gs[:-1:2], gs[1::2]
+        k2 = gm @ (eye + h / 2.0 * k1)
+        k3 = gm @ (eye + h / 2.0 * k2)
+        k4 = gs[2::2] @ (eye + h * k3)
+        m = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if ys is None:
+            ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
+            ys[0] = y
+        for i, mi in enumerate(m, j):
+            np.matmul(mi, ys[i], out=ys[i + 1])
+        if error is not None:
+            finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
+            if not finite.all():
+                raise error(j + 1 + int(np.argmin(finite)))
     return ys
-
-
-def hamiltonian_rhs(y, c):
-    """q' = A q + p, p' = -B q - A^T p for the state y = (q, p) and c = (A, B)."""
-    (a, b), (q, p) = c, y
-    return np.array([a @ q + p, -b @ q - a.T @ p])
 
 
 def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
@@ -315,8 +332,15 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
     hs = [(t1 - t0) / steps] * steps
     ts = np.array(list(accumulate(hs, initial=t0)))
     st = _stage_times(ts, hs)
-    return ts, _rk4(hamiltonian_rhs, np.array([q0, p0]), hs,
-                    lambda k: (sys.a(st.item(k)), sys.b(st.item(k))), lambda i: error(ts.item(i)))
+
+    def g(s):
+        # (q, p)' = [[A, I], [-B, -A^T]] (q, p)
+        t = st[s, None, None]
+        a = sys.a(t)
+        return _blocks(a, np.eye(sys.dim), -sys.b(t), -a.swapaxes(-1, -2))
+
+    ys = _rk4(g, np.concatenate([q0, p0]), hs, lambda i: error(ts.item(i)))
+    return ts, ys.reshape(len(ts), 2, *q0.shape)
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
@@ -430,12 +454,11 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
     wa = np.insert(w_stack, np.arange(1, len(ts)), mid, axis=0) + a_st
 
-    def rhs(y, c):
-        z1 = y[1]
-        return np.array([z1, -2.0 * z1 @ c])
-
-    ys = _rk4(rhs, np.array([z0, z1_0]), hs, lambda k: wa[k])
-    z, z1, wa = ys[:, 0], ys[:, 1], wa[::2]
+    # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T)
+    n, zero = len(z0), np.zeros_like(z0)
+    ys = _rk4(lambda s: _blocks(zero, np.eye(n), zero, -2.0 * wa[s].swapaxes(-1, -2)),
+              np.concatenate([z0.T, z1_0.T]), hs)
+    z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[::2]
     z2 = -2.0 * z1 @ wa
     z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes + a_poly.derivative()(tcol))
     finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in (ys, z2, z3)], axis=0)

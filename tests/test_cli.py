@@ -197,6 +197,26 @@ def test_non_finite_result_exit_3_and_atomic_report(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["in.json", "out.json"]
 
 
+def test_non_finite_matrix_in_a_report_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "angle",
+                        lambda data, seed, tol: ({"m": np.inf * np.ones((2, 2))}, None))
+    status, text = run_to_files(tmp_path, "angle", {})
+    assert status == 3 and json.loads(text)["error"].startswith("Overflow")
+
+
+def test_dv_verb_statuses_for_mismatched_dims(tmp_path):
+    # Equal dim P1 = dim P2 with a P3 of another dim is malformed input; dims
+    # that do not sum to the ambient dimension are no polarization.
+    pair = [grassmann.random_subspace(4, 2, seed) for seed in (1, 2)]
+    cases = ((pair + [grassmann.random_subspace(4, 1, 3), pair[1]], 2,
+              "ValidationError: need dim P1 = dim P3"),
+             ([grassmann.random_subspace(5, 2, seed) for seed in (1, 2, 3, 4)], 3,
+              "NotPolarization: dim P1 + dim P2"))
+    for subs, expected, error in cases:
+        status, text = run_to_files(tmp_path, "dv", {"subspaces": [w.to_json() for w in subs]})
+        assert status == expected and json.loads(text)["error"].startswith(error)
+
+
 def test_failed_write_keeps_the_old_report(tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     out.write_text("old report\n")

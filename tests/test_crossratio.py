@@ -157,6 +157,17 @@ def test_unequal_small_pair_sharing_a_vector_is_degenerate():
         cr.dv_unequal(p2, p1, p4, p3)
 
 
+def test_unequal_names_the_basis_of_its_matrix():
+    # dims (3, 2, 3, 2) in R^5 run as (P2, P1; P4, P3): the 2 x 2 matrix is
+    # in the stored basis of P2.
+    big = [gr.random_subspace(5, 3, seed) for seed in (1, 3)]
+    small = [gr.random_subspace(5, 2, seed) for seed in (2, 4)]
+    d = cr.dv_unequal(big[0], small[0], big[1], small[1])
+    swapped = cr.dv_unequal(small[0], big[0], small[1], big[1])
+    assert (d.basis_space, swapped.basis_space) == ("P2", "P1")
+    assert d.matrix.shape == (2, 2) and np.array_equal(d.matrix, swapped.matrix)
+
+
 def test_unequal_passes_through_at_equal_dims(rng):
     _, subs, _ = random_half_dim_charts(rng, 4)
     a = cr.dv_composition(*subs).spectrum

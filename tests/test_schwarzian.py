@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -488,3 +490,175 @@ def test_finite_difference_step_must_be_finite_and_nonzero(h):
             call(samples, h)
     with pytest.raises(ValueError, match="h must be"):
         sz.schwarz_richardson(samples, samples, h)
+
+
+# --- the step-matrix kernel against classical RK4 run stage by stage ---------
+
+def reference_rk4(f, y, hs, coef, error=None):
+    """Classical RK4 for y' = f(y, c), c = coef(k) at stage time k, one stage
+    vector at a time; error(i) at the first node i whose state is not finite."""
+    y0, c = y, coef(0)
+    for i, h in enumerate(hs):
+        k1 = f(y, c)
+        c = coef(2 * i + 1)
+        k2 = f(y + (h / 2.0) * k1, c)
+        k3 = f(y + (h / 2.0) * k2, c)
+        c = coef(2 * i + 2)
+        k4 = f(y + h * k3, c)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if error is not None and not np.isfinite(y).all():
+            raise error(i + 1)
+        if i == 0:
+            ys = np.empty((len(hs) + 1, *y.shape), y.dtype)
+            ys[0] = y0
+        ys[i + 1] = y
+    return ys
+
+
+def reference_hamiltonian_run(sys_, q0, p0, t1, steps, error=None):
+    """Node times and states (q, p) from t = 0 by reference_rk4, in the
+    precision of q0 and p0."""
+    hs = [t1 / steps] * steps
+    ts = np.array(list(accumulate(hs, initial=0.0)))
+    st = sz._stage_times(ts, hs)
+
+    def rhs(y, c):
+        (a, b), (q, p) = c, y
+        return np.array([a @ q + p, -b @ q - a.T @ p])
+
+    return ts, reference_rk4(rhs, np.array([q0, p0]), hs,
+                             lambda k: (sys_.a(st.item(k)), sys_.b(st.item(k))),
+                             error and (lambda i: error(ts.item(i))))
+
+
+def reference_curve(ts, ws, a_poly, z0, z1_0, b_poly, dtype=None):
+    """z and z' of curve_from_riccati by reference_rk4, or its Overflow; the
+    states are integrated in dtype (default: that of z0 and W) and the jets
+    formed in the precision of z0 and W."""
+    hs, tcol = np.diff(ts), ts[:, None, None]
+    a_st = a_poly(sz._stage_times(ts, hs)[:, None, None])
+    slopes = sz.riccati_rhs(ws, (a_st[::2], b_poly(tcol)))
+    mid = (ws[:-1] + ws[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
+    wa = np.insert(ws, np.arange(1, len(ts)), mid, axis=0) + a_st
+    ys = reference_rk4(lambda y, c: np.array([y[1], -2.0 * y[1] @ c]),
+                       np.array([z0, z1_0], dtype), hs, lambda k: wa[k])
+    ys = ys.astype(np.result_type(ws, z0))
+    z2 = -2.0 * ys[:, 1] @ wa[::2]
+    z3 = -2.0 * z2 @ wa[::2] - 2.0 * ys[:, 1] @ (slopes + a_poly.derivative()(tcol))
+    finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in (ys, z2, z3)], axis=0)
+    if not finite.all():
+        raise Overflow(f"the curve jet overflowed at t = {ts[np.argmin(finite)]:.6g}")
+    return ys[:, 0], ys[:, 1]
+
+
+def _rel(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def linear_system(rng, n):
+    a = sz.MatrixPolynomial([0.2 * _sym(rng, n), 0.1 * _sym(rng, n)])
+    return sz.HamiltonianSystem(a, sz.MatrixPolynomial([_sym(rng, n), 0.2 * _sym(rng, n)]),
+                                symmetric_a=True)
+
+
+def test_constant_coefficients_step_by_the_stability_polynomial(rng):
+    # For constant G, RK4's step matrix is R(hG) = sum_{k<=4} (hG)^k / k!.
+    for n in (1, 2, 6):
+        a, b, q0, p0 = 0.3 * rng.standard_normal((n, n)), _sym(rng, n), *rng.standard_normal((2, n, n))
+        steps, t1 = 200, 0.8
+        hg = t1 / steps * np.block([[a, np.eye(n)], [-b, -a.T]])
+        r = sum(np.linalg.matrix_power(hg, k) / math.factorial(k) for k in range(5))
+        y = np.concatenate([q0, p0])
+        ref = [y := r @ y for _ in range(steps)]
+        _, points = sz.integrate_hamiltonian(constant_system(a, b), sz.PhasePoint(q0, p0), 0.0, t1, steps)
+        assert _rel(np.concatenate([points.q, points.p], axis=1)[1:], np.array(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+def test_integrators_match_stage_by_stage_rk4(rng, n, steps):
+    sys_ = linear_system(rng, n)
+    for w0 in (0.1 * _sym(rng, n), 0.1 * (_sym(rng, n) + 1j * _sym(rng, n))):
+        ts, ref = reference_hamiltonian_run(sys_, np.eye(n), w0, 0.6, steps, BlowUp)
+        _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w0), 0.0, 0.6, steps)
+        assert _rel(np.stack([points.q, points.p], axis=1), ref) <= 1e-12
+        _, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
+        ref_ws = sz._read_chart(ts, ref)
+        assert _rel(ws, ref_ws) <= 1e-12
+        z0, z1_0 = 0.5 * rng.standard_normal((n, n)), np.eye(n)
+        jets = sz.curve_from_riccati(ts, ref_ws, sys_.a, z0, z1_0, sys_.b)
+        ref_z, ref_z1 = reference_curve(ts, ref_ws, sys_.a, z0, z1_0, sys_.b)
+        assert _rel(jets.z, ref_z) <= 1e-12 and _rel(jets.z1, ref_z1) <= 1e-12
+
+
+def test_chunk_size_does_not_change_a_bit(rng, monkeypatch):
+    steps = 130
+    sys_ = linear_system(rng, 3)
+    w0 = 0.1 * _sym(rng, 3)
+
+    def run():
+        ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
+        jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((3, 3)), np.eye(3), sys_.b)
+        _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(3), w0), 0.0, 0.6, steps)
+        return b"".join(x.tobytes() for x in (ws, jets.z, jets.z1, jets.z2, jets.z3, points.q, points.p))
+
+    runs = []
+    for chunk in (1, 64, steps):
+        monkeypatch.setattr(sz, "_CHUNK", chunk)
+        runs.append(run())
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range():
+    # A(t) = 2e5 t I: q = exp(1e5 t^2) leaves the float range at a node of
+    # the second chunk of 64 steps, and so does z' under W + A = -4000 I.
+    # The oracle is the stage-by-stage loop run in long double, whose range
+    # holds these states: the first node whose state is beyond the float
+    # range is where the integrators must stop.
+    n, steps = 2, 1000
+    sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([np.zeros((n, n)), 2e5 * np.eye(n)]),
+                                sz.MatrixPolynomial([np.zeros((n, n))]))
+    x0 = sz.PhasePoint(np.eye(n), np.zeros((n, n)))
+    zero = sz.MatrixPolynomial([np.zeros((n, n))])
+    ws = np.array([-4000.0 * np.eye(n)] * (steps + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts, wide = reference_hamiltonian_run(sys_, x0.q.astype(np.longdouble), x0.p, 1.0, steps)
+        node = int(np.argmin(np.isfinite(wide.astype(float)).reshape(steps + 1, -1).all(axis=1)))
+        with pytest.raises(Overflow) as ref_curve:
+            reference_curve(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero, np.longdouble)
+        with pytest.raises(BlowUp) as staged:
+            reference_hamiltonian_run(sys_, x0.q, x0.p, 1.0, steps, BlowUp)
+        with pytest.raises(BlowUp) as blowup:
+            sz.integrate_riccati(sys_, x0.p, 0.0, 1.0, steps)
+        with pytest.raises(Overflow) as overflow:
+            sz.integrate_hamiltonian(sys_, x0, 0.0, 1.0, steps)
+        with pytest.raises(Overflow) as curve:
+            sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
+    assert 64 < node <= 128 and blowup.value.t == ts[node]
+    assert str(overflow.value) == f"the Hamiltonian state overflowed at t = {ts[node]:.6g}"
+    assert str(curve.value) == str(ref_curve.value)
+    assert 64 < float(str(curve.value).split("= ")[1]) * steps <= 128
+    # Run in float64, the stage-by-stage loop stops a node early: its stage
+    # vectors G y are 1/h larger than the state and overflow first.
+    assert staged.value.t == ts[node - 1]
+
+
+def test_trajectory_memory_stays_at_its_states(rng):
+    # The step matrices are built a chunk at a time: a 1000-step dim-6 run
+    # peaks at about 3.87 MiB, where building the whole run's stacks at once
+    # takes about 9.7 MiB.
+    sys_ = linear_system(rng, 6)
+    w0 = 0.1 * _sym(rng, 6)
+
+    def run():
+        ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, 1000)
+        sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((6, 6)), np.eye(6), sys_.b)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 2 ** 20, peak / 2 ** 20
