@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegeneratePosition, NotPolarization, Overflow, Singular
-from .grassmann import COMPLEMENT_TOL, principal_angles, project_parallel
+from .grassmann import degenerate_sigma_min, principal_angles, project_parallel
 
 # The six coset labels of the permutation action (see dv_permuted).
 PERMUTATION_LABELS = ("12,34", "34,12", "12,43", "14,32", "13,24", "14,23")
@@ -172,8 +172,7 @@ def dv_unequal(p1, p2, p3, p4, kmax=None):
         raise NotPolarization("dim P1 + dim P2 != ambient dimension")
     if p1.dim > p2.dim:
         return replace(dv_unequal(p2, p1, p4, p3, kmax), basis_space="P2")
-    if p1.dim < p2.dim and numerics.singular_values(np.hstack([p1.basis, p3.basis]))[-1] \
-            <= COMPLEMENT_TOL:
+    if p1.dim < p2.dim and degenerate_sigma_min(p1, p3) is not None:
         raise DegeneratePosition("the two small subspaces are not in direct sum")
     return dv_composition(p1, p2, p3, p4, kmax)
 
@@ -239,8 +238,8 @@ def comparability_witness(v, w):
     w = numerics.as_matrix(w, "W")
     if v.shape != w.shape:
         raise ValueError("V and W must have the same shape")
-    u1, _, v1h = np.linalg.svd(v)
-    u2, _, v2h = np.linalg.svd(w)
+    u1, _, v1h = numerics.svd(v)
+    u2, _, v2h = numerics.svd(w)
     alpha = u2 @ u1.conj().T
     beta = v1h.conj().T @ v2h
     return alpha, beta

@@ -10,11 +10,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import NonConvergence, NotPolarization, OutsideChart, RankDeficient
+from .errors import NotPolarization, OutsideChart, RankDeficient
 
 # A stacked basis whose smallest singular value falls below this has an
 # "infinitesimally small" angle between its two halves and is rejected.
 COMPLEMENT_TOL = 1e-8
+
+# For orthonormal A and B, sigma_min([A | B])^2 = 1 - ||A^H B||_2 (Bjorck &
+# Golub, Math. Comp. 27, 1973): the Gram matrix of [A | B] is I plus the
+# matrix with off-diagonal blocks A^H B and B^H A, whose eigenvalues are plus
+# and minus the cosines of the principal angles.  A Subspace admits bases with
+# ||B^H B - I||_F <= 1e-10, so by Weyl's inequality the computed
+# 1 - ||A^H B||_2 is within about 1.5e-10 of sigma_min^2 (rounding adds far
+# less).  A rejection needs sigma_min^2 <= COMPLEMENT_TOL^2 = 1e-16, so every
+# pair whose cosine screen reads 1 - ||A^H B||_2 >= SCREEN_MARGIN is accepted
+# by the stacked SVD too, and every other pair is decided by that SVD.
+SCREEN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,10 +85,7 @@ def subspace_from_basis(cols):
     Raises RankDeficient when the columns do not have full rank.
     """
     cols = numerics.as_matrix(cols, "cols")
-    try:
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
+    u, s, _ = numerics.svd(cols, full_matrices=False)
     numerics.require_nonsingular(s, RankDeficient, f"columns have numerical rank < {cols.shape[1]}")
     return Subspace(u)
 
@@ -97,10 +105,17 @@ def random_subspace(n, k, seed):
     return subspace_from_basis(rng.standard_normal((n, k)))
 
 
-def _stacked(a, b):
+def degenerate_sigma_min(a, b):
+    """sigma_min of the stacked basis [a | b] when it is at most COMPLEMENT_TOL
+    (a and b are not in direct sum with a definite angle), else None.  The
+    cosine matrix a^H b settles every pair that is not near degenerate; the
+    others take the SVD of the stacked basis (see SCREEN_MARGIN)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return np.hstack([a.basis, b.basis])
+    if 1.0 - numerics.singular_values(a.basis.conj().T @ b.basis)[0] >= SCREEN_MARGIN:
+        return None
+    s_min = numerics.singular_values(np.hstack([a.basis, b.basis]))[-1]
+    return s_min if s_min <= COMPLEMENT_TOL else None
 
 
 def check_complementary(onto, along):
@@ -108,11 +123,10 @@ def check_complementary(onto, along):
     raises NotPolarization, returns the stacked basis [onto | along]."""
     if onto.dim + along.dim != onto.ambient_dim:
         raise NotPolarization(f"dims {onto.dim}+{along.dim} != ambient {onto.ambient_dim}")
-    stacked = _stacked(onto, along)
-    s = numerics.singular_values(stacked)
-    if s[-1] <= COMPLEMENT_TOL:
-        raise NotPolarization(f"stacked basis nearly singular (sigma_min = {s[-1]:.3e})")
-    return stacked
+    s_min = degenerate_sigma_min(onto, along)
+    if s_min is not None:
+        raise NotPolarization(f"stacked basis nearly singular (sigma_min = {s_min:.3e})")
+    return np.hstack([onto.basis, along.basis])
 
 
 @dataclass(frozen=True)
@@ -269,6 +283,6 @@ def intersect_subspaces(w1, w2, tol=1e-8):
     if ns.shape[1] == 0:
         return np.zeros((w1.ambient_dim, 0))
     cols = w1.basis @ ns[: w1.dim]
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    u, s, _ = numerics.svd(cols, full_matrices=False)
     rank = int(np.count_nonzero(s > tol))
     return u[:, :rank]

@@ -97,20 +97,24 @@ def spectra_close(w1, w2, tol):
     return bool(np.max(np.abs(w1 - w2), initial=0.0) <= tol)
 
 
-def singular_values(m, stack=False):
-    """Singular values, descending (one row per matrix of a stack)."""
-    m = as_matrix(m, stack=stack)
+def svd(m, **kwargs):
+    """np.linalg.svd(m, **kwargs), raising NonConvergence where it fails to converge."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
+
+
+def singular_values(m, stack=False):
+    """Singular values, descending (one row per matrix of a stack)."""
+    return svd(as_matrix(m, stack=stack), compute_uv=False)
 
 
 def null_space(a, rcond):
     """Orthonormal basis (columns) of the null space of a: the right singular
     vectors past the rank, which counts the singular values above rcond
     times the largest (scipy.linalg.null_space's rule)."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = svd(a, full_matrices=True)
     rank = np.count_nonzero(s > rcond * s.max(initial=0.0))
     # Row-major, like scipy.linalg.null_space's result: a BLAS product with
     # a column-major basis takes another kernel and rounds differently.

@@ -292,7 +292,7 @@ def _blocks(a, b, c, d):
     return out
 
 
-def _rk4(g, y, hs, error=None):
+def _rk4(g, y, hs):
     """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
     where g(s) is the stack of G at the stage times s (a slice of the indices of
     _stage_times).  On a linear system RK4 is the step matrix y_{i+1} = M_i y_i,
@@ -300,8 +300,9 @@ def _rk4(g, y, hs, error=None):
     K3 = G(t_i + h/2)(I + h/2 K2) and K4 = G(t_{i+1})(I + h K3): the stage vectors
     are K_j y_i, so the method and its nodes are the classical ones.  The M_i are
     built as stacks _CHUNK steps at a time.  Returns one array of y and the states
-    after each step; error(i), when given, is raised at the first node i whose
-    state is not finite (the run stops after that node's chunk).
+    after each step, up to the first state that is not finite: the run stops at
+    the end of that state's chunk, so fewer than len(hs) + 1 states mean the
+    state at the next node is not finite.
     """
     hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
     for j in range(0, len(hs), _CHUNK):
@@ -317,10 +318,9 @@ def _rk4(g, y, hs, error=None):
             ys[0] = y
         for i, mi in enumerate(m, j):
             np.matmul(mi, ys[i], out=ys[i + 1])
-        if error is not None:
-            finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
-            if not finite.all():
-                raise error(j + 1 + int(np.argmin(finite)))
+        finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
+        if not finite.all():
+            return ys[:j + 1 + int(np.argmin(finite))]
     return ys
 
 
@@ -339,7 +339,9 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
         a = sys.a(t)
         return _blocks(a, np.eye(sys.dim), -sys.b(t), -a.swapaxes(-1, -2))
 
-    ys = _rk4(g, np.concatenate([q0, p0]), hs, lambda i: error(ts.item(i)))
+    ys = _rk4(g, np.concatenate([q0, p0]), hs)
+    if len(ys) < len(ts):
+        raise error(ts.item(len(ys)))
     return ts, ys.reshape(len(ts), 2, *q0.shape)
 
 
@@ -458,10 +460,11 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     n, zero = len(z0), np.zeros_like(z0)
     ys = _rk4(lambda s: _blocks(zero, np.eye(n), zero, -2.0 * wa[s].swapaxes(-1, -2)),
               np.concatenate([z0.T, z1_0.T]), hs)
-    z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[::2]
+    m = len(ys)  # the states at nodes before m are finite
+    z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[:2 * m:2]
     z2 = -2.0 * z1 @ wa
-    z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes + a_poly.derivative()(tcol))
-    finite = np.all([np.isfinite(s).reshape(len(ts), -1).all(axis=1) for s in (ys, z2, z3)], axis=0)
-    if not finite.all():
-        raise Overflow(f"the curve jet overflowed at t = {ts[np.argmin(finite)]:.6g}")
+    z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes[:m] + a_poly.derivative()(tcol[:m]))
+    finite = np.all([np.isfinite(s).reshape(m, -1).all(axis=1) for s in (z2, z3)], axis=0)
+    if m < len(ts) or not finite.all():
+        raise Overflow(f"the curve jet overflowed at t = {ts[np.append(finite, False).argmin()]:.6g}")
     return CurveJet(ts, z, z1, z2, z3)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from opcross import crossratio as cr
 from opcross import grassmann as gr
-from opcross.errors import (NotComplementary, NotPolarization, OutsideChart,
-                            RankDeficient)
+from opcross import numerics
+from opcross.errors import (DegeneratePosition, NonConvergence, NotComplementary,
+                            NotPolarization, OutsideChart, RankDeficient)
 from conftest import random_orthogonal
 
 
@@ -180,3 +182,91 @@ def test_subspace_json_round_trip(rng):
     assert gr.same_subspace(w, back)
     with pytest.raises(ValueError):
         gr.Subspace.from_json({"dim": 2})
+
+
+# Smallest singular values of the stacked basis [A | B] placed on both sides
+# of COMPLEMENT_TOL = 1e-8 and of the cosine screen's margin.
+SIGMA_MINS = (0.0, 1e-12, 3e-9, 9.99e-9, 1e-8, 1.01e-8, 3e-8, 1e-6, 1e-3, 0.5)
+
+
+def _angled_pair(rng, n, k, m, sigma, dtype, perturb):
+    """Orthonormal A (n x k) and B (n x m), k + m <= n, whose one nonzero cosine
+    is that of the angle theta with sigma_min([A | B]) = sqrt(2) sin(theta / 2),
+    each basis then moved by 3e-11 in Frobenius norm when perturb is set."""
+    g = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0)
+    q, _ = np.linalg.qr(g)
+    theta = 2.0 * np.arcsin(sigma / np.sqrt(2.0))
+    a = q[:, :k]
+    b = np.column_stack([np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, k], q[:, k + 1:k + m]])
+    if perturb:
+        a, b = (x + 3e-11 * (e := rng.standard_normal(x.shape)) / np.linalg.norm(e) for x in (a, b))
+    return gr.Subspace(a), gr.Subspace(b)
+
+
+def _pair_battery(rng, dims):
+    for n, k, m in dims:
+        for dtype in (float, complex):
+            for sigma in SIGMA_MINS:
+                for perturb in (False, True):
+                    a, b = _angled_pair(rng, n, k, m, sigma, dtype, perturb)
+                    s_min = np.linalg.svd(np.hstack([a.basis, b.basis]), compute_uv=False)[-1]
+                    yield a, b, s_min
+
+
+def test_cosine_screen_decides_as_the_stacked_svd(rng):
+    # check_complementary rejects exactly the pairs whose stacked basis has
+    # sigma_min <= 1e-8, with that sigma_min in its message.
+    dims = sorted({(n, k, n - k) for n in (2, 3, 4, 6, 12, 64) for k in (1, n // 2, n - 1)})
+    cases = rejected = 0
+    for a, b, s_min in _pair_battery(rng, dims):
+        cases += 1
+        if s_min <= 1e-8:
+            rejected += 1
+            with pytest.raises(NotPolarization) as exc:
+                gr.check_complementary(a, b)
+            assert str(exc.value) == f"stacked basis nearly singular (sigma_min = {s_min:.3e})"
+        else:
+            assert np.array_equal(gr.check_complementary(a, b), np.hstack([a.basis, b.basis]))
+    assert cases == 15 * 40 and 0 < rejected < cases
+
+
+def test_dv_unequal_pair_test_decides_as_the_stacked_svd(rng):
+    # The smaller pair (P1, P3) of dv_unequal is a tall stack (2k < n).
+    dims = [(n, k, k) for n in (3, 4, 6, 12, 64) for k in sorted({1, (n - 1) // 2})]
+    rejected = 0
+    for p1, p3, s_min in _pair_battery(rng, dims):
+        p2, p4 = (gr.Subspace(np.linalg.svd(p.basis)[0][:, p.dim:]) for p in (p1, p3))
+        if s_min <= 1e-8:
+            rejected += 1
+            with pytest.raises(DegeneratePosition,
+                               match="^the two small subspaces are not in direct sum$"):
+                cr.dv_unequal(p1, p2, p3, p4)
+        else:
+            cr.dv_unequal(p1, p2, p3, p4)
+    assert rejected > 0
+
+
+def test_separated_pairs_are_screened_by_their_cosine_matrix(monkeypatch):
+    # n = 64, k = 32: no SVD larger than the 32 x 32 cosine matrices.
+    shapes = []
+    svd = numerics.singular_values
+    monkeypatch.setattr(numerics, "singular_values",
+                        lambda m, stack=False: shapes.append(np.shape(m)) or svd(m, stack))
+    subs = [gr.random_subspace(64, 32, seed) for seed in range(5)]
+    cr.dv_composition(*subs[:4])
+    cr.cocycle_product(*subs)
+    assert shapes == [(32, 32)] * (2 + 6)
+
+
+def test_every_svd_failure_is_non_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    e = np.eye(4)
+    a, b = gr.Subspace(e[:, :2]), gr.Subspace(e[:, 2:])
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for call in (lambda: numerics.singular_values(e), lambda: numerics.null_space(e, 1e-8),
+                 lambda: gr.subspace_from_basis(e), lambda: gr.intersect_subspaces(a, b),
+                 lambda: gr.check_complementary(a, b), lambda: cr.comparability_witness(e, e)):
+        with pytest.raises(NonConvergence, match="SVD did not converge"):
+            call()

@@ -643,6 +643,23 @@ def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range():
     assert staged.value.t == ts[node - 1]
 
 
+def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
+    # h (W + A) = -4 I, so each RK4 step multiplies z' by R(8) ~ 297 and
+    # z''' = 6.4e7 z' leaves the float range at node 122 of 1000, in the
+    # second chunk of 64 steps: the run builds no chunk after it.
+    n, steps = 2, 1000
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    ws = np.array([-4000.0 * np.eye(n)] * (steps + 1))
+    zero = sz.MatrixPolynomial([np.zeros((n, n))])
+    chunks = []
+    blocks = sz._blocks
+    monkeypatch.setattr(sz, "_blocks", lambda *a: chunks.append(a) or blocks(*a))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Overflow, match="at t = 0.122$"):
+        sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
+    assert len(chunks) <= 2
+
+
 def test_trajectory_memory_stays_at_its_states(rng):
     # The step matrices are built a chunk at a time: a 1000-step dim-6 run
     # peaks at about 3.87 MiB, where building the whole run's stacks at once
