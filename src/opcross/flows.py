@@ -12,7 +12,7 @@ import numpy as np
 
 from . import numerics
 from .crossratio import CrossRatioResult, dv_composition
-from .errors import DefectiveSpectrum, NotPolarization
+from .errors import DefectiveSpectrum, NotPolarization, Overflow
 from .grassmann import Subspace, subspace_from_basis
 
 DEFAULT_CLUSTER_TOL = 1e-6
@@ -115,7 +115,10 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
         raise ValueError("flowed mask must have four entries")
     rows = []
     for t in scenario.times:
-        g = numerics.expm(t * scenario.generator)
+        try:
+            g = numerics.expm(t * scenario.generator)
+        except Overflow as exc:
+            raise Overflow(f"{exc} at t = {t:.6g}") from exc
         subs = [subspace_from_basis(g @ w.basis) if move else w
                 for w, move in zip(scenario.initials, flowed)]
         try:

@@ -1,11 +1,14 @@
 """Dense linear-algebra kernel used by every other module.
 
 Thin, contract-enforcing wrappers around numpy plus the JSON matrix
-encoding.  All functions are pure; inputs are never mutated.  Only
-``expm`` needs scipy, and it imports ``scipy.linalg`` when first called, so
-importing this module loads numpy alone.
+encoding.  All functions are pure; inputs are never mutated.  Everything
+here needs numpy alone, the matrix exponential included: ``expm`` is the
+scaling-and-squaring Pade algorithm of N. J. Higham, "The scaling and
+squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
+Appl. 26 (2005) 1179-1193, which takes matrix products and one solve.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -82,7 +85,8 @@ def power_sums(w, kmax):
     """(sum w, ..., sum w^kmax) of an eigenvalue multiset w, as complex: the
     traces of powers of any matrix with spectrum w.  Overflow names the
     first power whose sum is not finite."""
-    sums = w[None].repeat(kmax, axis=0).cumprod(axis=0).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = w[None].repeat(kmax, axis=0).cumprod(axis=0).sum(axis=1)
     if not np.isfinite(sums).all():
         raise Overflow(f"tr M^{np.argmin(np.isfinite(sums)) + 1} is not finite")
     return sums
@@ -121,11 +125,55 @@ def null_space(a, rcond):
     return np.ascontiguousarray(vh[rank:].conj().T)
 
 
+# Higham (2005), Table 2.3: theta_m is the largest 1-norm of A at which the
+# degree-m diagonal Pade approximant r_m(A) of exp(A) has backward error at
+# most the unit roundoff of IEEE double.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 5.371920351148152e0}
+# Numerator coefficients b_0..b_m of r_m = p_m(A) / p_m(-A), scaled to b_m = 1.
+_PADE_COEFFS = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factorial(m - j))
+                    for j in range(m + 1)] for m in _PADE_THETA}
+
+
 def expm(m):
-    """Matrix exponential (scaling and squaring)."""
-    m = as_square(m)
-    import scipy.linalg  # the one numerics call without a numpy equivalent
-    return scipy.linalg.expm(m)
+    """Matrix exponential by scaling and squaring (Higham 2005, Algorithm 2.3).
+
+    The 1-norm of A picks the lowest degree m in {3, 5, 7, 9, 13} with
+    ||A||_1 <= theta_m; above theta_13, A is scaled by 2^-s into range.
+    With U (odd terms) and V (even terms) of p_m(A), r_m(A) solves
+    (V - U) R = V + U, and R is squared s times.  A real matrix gives a
+    real result.  Overflow when the result (or ||A||_1) is not finite.
+    """
+    a = as_square(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(a).sum(axis=0).max(initial=0.0)
+        if not np.isfinite(norm):
+            raise Overflow("the exponent's 1-norm is not finite")
+        degree = next((d for d, theta in _PADE_THETA.items() if norm <= theta), 13)
+        squarings = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if degree == 13 else 0
+        a = a * 2.0 ** -squarings
+        b = _PADE_COEFFS[degree]
+        ident = np.eye(len(a), dtype=a.dtype)
+        a2 = a @ a
+        if degree < 13:
+            powers = [ident, a2]  # A^0, A^2, ..., A^(degree - 1)
+            while len(powers) <= degree // 2:
+                powers.append(powers[-1] @ a2)
+            u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+            v = sum(c * p for c, p in zip(b[0::2], powers))
+        else:
+            a4 = a2 @ a2
+            a6 = a4 @ a2
+            u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                     + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+            v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+                 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(squarings):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise Overflow("the matrix exponential is not finite")
+    return r
 
 
 # --- JSON encoding -------------------------------------------------------

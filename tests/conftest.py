@@ -44,6 +44,15 @@ def overflowing_dv_config():
     return [grassmann.subspace_from_graph(t, pol) for t in ts]
 
 
+def overflowing_flow_scenario():
+    """A 4 x 4 generator 800 I + E_01 with four random planes over t = 0, 0.5, 1:
+    exp(tM) is finite at t = 0.5 (e^400) and overflows at t = 1 (e^800)."""
+    gen = 800.0 * np.eye(4)
+    gen[0, 1] = 1.0
+    return oc.FlowScenario(gen, [grassmann.random_subspace(4, 2, i) for i in range(4)],
+                           [0.0, 0.5, 1.0])
+
+
 def unequal_sharing_config():
     """Planes P1, P3 and 3-spaces P2, P4 of R^5 with P1 + P2 and P3 + P4
     direct sums, but P1 and P3 share the vector e0."""

@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from opcross import cli, grassmann, numerics
-from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config, sampled_symmetric_b,
-                      unequal_sharing_config)
+from opcross import cli, flows, grassmann, numerics
+from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config,
+                      overflowing_flow_scenario, sampled_symmetric_b, unequal_sharing_config)
 
 
 def write_json(path, obj):
@@ -237,13 +239,30 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
+def test_flow_overflow_exit_3(tmp_path):
+    # Run as its own process so numpy warnings, if any, would reach stderr.
+    inp = write_json(tmp_path / "in.json", overflowing_flow_scenario().to_json())
+    out = tmp_path / "out.json"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "opcross.cli", "flow", "--in", inp,
+                           "--out", str(out)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    error = "Overflow: the matrix exponential is not finite at t = 1"
+    assert proc.returncode == 3
+    assert json.loads(out.read_text())["error"] == error
+    assert proc.stderr == f"numerical error: {error}\n"
+
+
 def test_cli_loads_no_scipy(tmp_path):
-    # Only the flow and selftest verbs need scipy: importing the package and
-    # running any other verb, to success or to an error exit, loads none of it.
+    # Importing the package and running any verb, to success or to an error
+    # exit, loads no scipy: only stationary_subspaces (not a verb) needs it.
     unequal = [grassmann.random_subspace(3, d, 10 + i) for i, d in enumerate((1, 2, 1, 2))]
     rng = np.random.default_rng(3)
     cocycle = {key: [grassmann.random_subspace(4, 2, int(rng.integers(2**31))).to_json()
                      for _ in range(count)] for key, count in (("p", 2), ("q", 3))}
+    shift_flow = flows.FlowScenario(flows.shift_generator(12, 1),
+                                    [grassmann.random_subspace(12, 6, i) for i in range(4)],
+                                    np.linspace(0.0, 1.0, 11))
 
     def one(v):
         return numerics.matrix_to_json([[v]])
@@ -259,6 +278,9 @@ def test_cli_loads_no_scipy(tmp_path):
                          "t0": 0.0, "t1": 1.0, "steps": 20}, 0),
         ("dv", {"subspaces": []}, 2),
         ("dv", {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4}, 3),
+        ("flow", shift_flow.to_json(), 0),
+        ("flow", overflowing_flow_scenario().to_json(), 3),
+        ("selftest", {}, 0),
     ]
     runs = [(verb, write_json(tmp_path / f"in{i}.json", payload), str(tmp_path / f"out{i}.json"))
             for i, (verb, payload, _) in enumerate(cases)]

@@ -4,7 +4,7 @@ import pytest
 from opcross import flows, numerics
 from opcross import grassmann as gr
 from opcross.errors import DefectiveSpectrum, NotPolarization, Overflow
-from conftest import random_orthogonal
+from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario, random_orthogonal
 
 
 def generic_initials(n, rng, count=4):
@@ -60,6 +60,28 @@ def test_flow_reports_polarization_failure_time():
     with pytest.raises(NotPolarization) as exc_info:
         flows.spectrum_along_flow(scenario)
     assert "t = 0" in str(exc_info.value)
+
+
+def test_flow_reports_overflow_time():
+    # exp(tM) is finite at t = 0.5 (e^400) and overflows at t = 1 (e^800).
+    with pytest.raises(Overflow) as exc_info:
+        flows.spectrum_along_flow(overflowing_flow_scenario())
+    assert str(exc_info.value) == "the matrix exponential is not finite at t = 1"
+
+
+def test_flows_load_no_scipy():
+    out = fresh_python(f"""
+import sys
+import numpy as np
+from opcross import flows, grassmann
+w = [grassmann.random_subspace(6, 3, seed) for seed in range(4)]
+m1, m2 = flows.shift_generator(6, 1), flows.shift_generator(6, 2)
+flows.flow_subspace(m1, 0.5, w[0])
+flows.spectrum_along_flow(flows.FlowScenario(m1, w, np.linspace(0.0, 1.0, 3)))
+flows.commuting_flow_residual(m1, m2, w[0], 0.3, 0.7)
+print({LOADED_SCIPY})
+""")
+    assert out.splitlines() == ["[]"]
 
 
 def test_stationary_subspaces_diagonalizable():

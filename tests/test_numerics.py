@@ -1,10 +1,13 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from opcross import flows, grassmann, numerics
-from opcross.errors import Singular
-from conftest import LOADED_SCIPY, fresh_python
+from opcross.errors import Overflow, Singular
+from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario
 
 
 def test_as_matrix_rejects_non_finite():
@@ -89,6 +92,65 @@ def test_expm_matches_series():
     assert np.allclose(numerics.expm(m), np.eye(2) + m)
 
 
+def _mpmath_expm(a):
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+
+
+def test_expm_matches_mpmath(rng):
+    # 1-norms just below and just above each theta_m, so every Pade degree
+    # runs and so does scaling by 2^-s, plus norms that need many squarings.
+    thetas = numerics._PADE_THETA.values()
+    norms = [f * theta for theta in thetas for f in (0.99, 1.01)] + [1e-3, 30.0, 300.0]
+    for i, norm in enumerate(norms):
+        for cplx in (False, True):
+            n = (1, 2, 6, 12)[(2 * i + cplx) % 4]
+            a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0)
+            a *= norm / np.abs(a).sum(axis=0).max()
+            got, ref = numerics.expm(a), _mpmath_expm(a)
+            assert got.dtype == (complex if cplx else float)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (n, norm, cplx)
+
+
+def test_expm_of_shift_is_its_taylor_sum():
+    # shift_generator(n, p) is nilpotent, so exp(tS) is a finite sum.
+    for n, p in ((2, 1), (6, 1), (6, 2), (12, 1), (12, 5), (64, 3)):
+        s = flows.shift_generator(n, p)
+        for t in (0.3, 1.0, 4.0):
+            terms = [np.eye(n)]
+            while terms[-1].any():
+                terms.append(terms[-1] @ (t * s) / len(terms))
+            got, ref = numerics.expm(t * s), sum(terms)
+            assert got.dtype == np.float64
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), (n, p, t)
+
+
+def test_expm_of_zero_is_the_identity():
+    for n in (1, 3, 12):
+        for dtype in (float, complex):
+            e = numerics.expm(np.zeros((n, n), dtype=dtype))
+            assert e.dtype == dtype and np.array_equal(e, np.eye(n))
+
+
+def test_expm_overflow_is_typed_and_silent():
+    m = overflowing_flow_scenario().generator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(numerics.expm(0.5 * m)).all()
+        with pytest.raises(Overflow, match="matrix exponential is not finite"):
+            numerics.expm(m)
+        with pytest.raises(Overflow, match="1-norm"):
+            numerics.expm(np.full((2, 2), 1e308))
+
+
+def test_power_sums_overflow_is_typed_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow) as exc_info:
+            numerics.power_sums(np.array([1e200, 2.0 + 0j]), 4)
+    assert str(exc_info.value) == "tr M^2 is not finite"
+
+
 def test_stacks_only_where_asked():
     stack = np.array([np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))])
     assert numerics.as_square(stack, "W", stack=True) is stack
@@ -108,7 +170,7 @@ def test_stacks_only_where_asked():
                    numerics.matrix_to_json):
         with pytest.raises(ValueError, match="2-dimensional"):
             single(stack)
-    # expm rejects a stack or a non-finite matrix before it loads scipy.
+    # expm rejects a stack or a non-finite matrix, and loads no scipy.
     out = fresh_python(f"""
 import sys
 from opcross import numerics
