@@ -52,7 +52,8 @@ class CrossRatioResult:
     @property
     def det(self):
         """Determinant of the operator (the tau-function analog); Overflow if not finite."""
-        d = complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0
         if not np.isfinite(d):
             raise Overflow("the determinant is not finite")
         if abs(d.imag) < 1e-12 * max(1.0, abs(d.real)):

@@ -47,6 +47,11 @@ def fro(m):
     return float(np.linalg.norm(m))
 
 
+def sq_fro(x):
+    """Squared Frobenius norms of a matrix or a stack of them (inf where they overflow)."""
+    return np.einsum("...ij,...ij->...", x.conj(), x).real
+
+
 def require_nonsingular(s, error, message, chart=False):
     """Raise error(message) when the descending singular values s fail the
     singularity rule (see SINGULAR_RTOL); chart=True floors the scale at 1.
@@ -57,11 +62,28 @@ def require_nonsingular(s, error, message, chart=False):
         raise error(message(int(failing.argmax())) if callable(message) else message)
 
 
+def certified_invertible(a):
+    """True when X = inv(a), in a's precision, proves that a (each matrix of a stack)
+    passes the singularity rule: ||I - X a||_F <= 1/2 gives ||a^-1||_2 <= 2 ||X||_2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002), so 2 ||X||_F ||a||_F <= eps^-1/2
+    bounds sigma_min / sigma_max below by eps^1/2.  False otherwise, or for an empty a."""
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            return False
+        r = x @ a
+        r -= np.eye(a.shape[-1], dtype=r.dtype)  # X a - I, in place
+        scale = 4.0 * sq_fro(x) * sq_fro(a) * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
+        return bool(np.all((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)))
+
+
 def check_invertible(a, what="matrix"):
     """Raise Singular when a fails the singularity rule."""
-    s = singular_values(a)
-    require_nonsingular(s, Singular, f"{what} is numerically singular (smallest/largest "
-                                     f"singular value = {s[-1]:.3e}/{s[0]:.3e})")
+    if not certified_invertible(as_matrix(a)):
+        s = singular_values(a)
+        require_nonsingular(s, Singular, f"{what} is numerically singular (smallest/largest "
+                                         f"singular value = {s[-1]:.3e}/{s[0]:.3e})")
 
 
 def eigenvalues(m):
@@ -90,15 +112,6 @@ def power_sums(w, kmax):
     if not np.isfinite(sums).all():
         raise Overflow(f"tr M^{np.argmin(np.isfinite(sums)) + 1} is not finite")
     return sums
-
-
-def spectra_close(w1, w2, tol):
-    """Pointwise comparison of two sorted spectra."""
-    w1 = sort_spectrum(w1)
-    w2 = sort_spectrum(w2)
-    if w1.shape != w2.shape:
-        return False
-    return bool(np.max(np.abs(w1 - w2), initial=0.0) <= tol)
 
 
 def svd(m, **kwargs):

@@ -37,7 +37,8 @@ class _Nodes:
 
 @dataclass(frozen=True)
 class CurveJet(_Nodes):
-    """A curve value with its first three derivatives at a time t, or stacked at times t (N,)."""
+    """A curve value with its first three derivatives at a time t, or stacked at times t (N,);
+    z' is certified by its inverse, else an SVD names the first singular node."""
 
     t: float
     z: np.ndarray
@@ -52,8 +53,9 @@ class CurveJet(_Nodes):
             mats[name] = numerics.as_square(getattr(self, name), name, stack=t.ndim > 0)
         if len({m.shape for m in mats.values()} | {t.shape + mats["z"].shape[-2:]}) != 1:
             raise ValueError("jet matrices must share one square shape, one per time")
-        numerics.require_nonsingular(numerics.singular_values(mats["z1"], t.ndim > 0), Singular,
-                                     lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
+        if not numerics.certified_invertible(mats["z1"]):
+            numerics.require_nonsingular(numerics.singular_values(mats["z1"], t.ndim > 0), Singular,
+                                         lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
         for name, m in mats.items():
             object.__setattr__(self, name, m)
         object.__setattr__(self, "t", t if t.ndim else float(t))
@@ -222,17 +224,6 @@ def schwarz_from_samples(samples, h, t=0.0):
     return schwarz(jet_from_samples(samples, h, t))
 
 
-def schwarz_richardson(samples_h, samples_h2, h):
-    """Richardson combination of stencil Schwarzians at steps h and h/2.
-
-    The leading stencil error is fourth order, so the weights are 16/15
-    and -1/15.
-    """
-    s1 = schwarz_from_samples(samples_h, h)
-    s2 = schwarz_from_samples(samples_h2, h / 2.0)
-    return (16.0 * s2 - s1) / 15.0
-
-
 def _series_mul(a, b, order):
     return [sum((a[j] @ b[k - j] for j in range(k + 1)),
                 np.zeros_like(a[0])) for k in range(order + 1)]
@@ -298,12 +289,11 @@ def _rk4(g, y, hs):
     _stage_times).  On a linear system RK4 is the step matrix y_{i+1} = M_i y_i,
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1),
     K3 = G(t_i + h/2)(I + h/2 K2) and K4 = G(t_{i+1})(I + h K3): the stage vectors
-    are K_j y_i, so the method and its nodes are the classical ones.  The M_i are
-    built as stacks _CHUNK steps at a time.  Returns one array of y and the states
-    after each step, up to the first state that is not finite: the run stops at
-    the end of that state's chunk, so fewer than len(hs) + 1 states mean the
-    state at the next node is not finite.
-    """
+    are K_j y_i, so the method and its nodes are the classical ones.  The M_i are built
+    as stacks _CHUNK steps at a time; y_{i+1} is one np.dot (np.matmul's BLAS product,
+    without a ufunc call).  Returns one array of y and the states after each step, up to
+    the first state that is not finite: the run stops at the end of that state's chunk,
+    so fewer than len(hs) + 1 states mean the state at the next node is not finite."""
     hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
     for j in range(0, len(hs), _CHUNK):
         h = hs[j:j + _CHUNK, None, None]
@@ -316,8 +306,9 @@ def _rk4(g, y, hs):
         if ys is None:
             ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
             ys[0] = y
+            rows = list(ys)  # np.dot writes each state into its row of ys
         for i, mi in enumerate(m, j):
-            np.matmul(mi, ys[i], out=ys[i + 1])
+            np.dot(mi, rows[i], out=rows[i + 1])
         finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
         if not finite.all():
             return ys[:j + 1 + int(np.argmin(finite))]
@@ -363,11 +354,6 @@ def riccati_rhs(w, c):
     return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
 
 
-def _sq_fro(x):
-    """Squared Frobenius norms of a stack of matrices (inf where they overflow)."""
-    return np.einsum("...ij,...ij->...", x.conj(), x).real
-
-
 def _read_chart(ts, ys):
     """W = p q^-1 at the nodes ts of a Hamiltonian run ys from q = I, or BlowUp."""
     qt, pt = ys[:, 0].swapaxes(-1, -2), ys[:, 1].swapaxes(-1, -2)
@@ -375,7 +361,7 @@ def _read_chart(ts, ys):
         # d[i] = (q_{i+1} q_i^-1)^T - I; a step with ||d[i]||_F < 1 holds no pole.
         d = np.linalg.solve(qt[:-1], qt[1:])
         d -= np.eye(ys.shape[-1])
-        poles = (i + 1 for i in np.flatnonzero(~(_sq_fro(d) < 1.0))
+        poles = (i + 1 for i in np.flatnonzero(~(numerics.sq_fro(d) < 1.0))
                  if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
         lost = next(poles, len(ts))
         del d  # the reading holds one stack of matrices at a time
@@ -385,7 +371,7 @@ def _read_chart(ts, ys):
         lost = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
         _read_chart(ts[:lost], ys[:lost])
         raise BlowUp(ts.item(lost)) from None
-    big = ~(_sq_fro(wt) < numerics.SINGULAR_RTOL ** -2)
+    big = ~(numerics.sq_fro(wt) < numerics.SINGULAR_RTOL ** -2)
     if big.any() or lost < len(ts):
         raise BlowUp(ts.item(np.argmax(big) if big.any() else lost))
     return wt.swapaxes(-1, -2)

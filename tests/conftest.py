@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 import opcross as oc
-from opcross import grassmann
+from opcross import grassmann, numerics
 from opcross import schwarzian as sz
 from opcross.errors import OutsideChart
 from opcross.selftest import random_half_dim_config
+
+
+def spectra_close(w1, w2, tol):
+    """Pointwise comparison of two spectra, each sorted by (real, imag)."""
+    w1, w2 = numerics.sort_spectrum(w1), numerics.sort_spectrum(w2)
+    return w1.shape == w2.shape and bool(np.max(np.abs(w1 - w2), initial=0.0) <= tol)
 
 
 def random_orthogonal(rng, n):

@@ -6,7 +6,7 @@ from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import DegeneratePosition, NotPolarization, Overflow, Singular
 from conftest import (overflowing_dv_config, pair_with_angles, random_half_dim_charts,
-                      random_orthogonal, unequal_sharing_config)
+                      random_orthogonal, spectra_close, unequal_sharing_config)
 
 
 def scalar_charts(t1, t2, t3, t4):
@@ -32,8 +32,8 @@ def test_three_presentations_agree(rng):
                                 gr.graph_coordinate(subs[1], swapped),
                                 ts[2],
                                 gr.graph_coordinate(subs[3], swapped))
-            assert numerics.spectra_close(s_chart, s_comp, 1e-8)
-            assert numerics.spectra_close(s_chart, mixed.spectrum, 1e-8)
+            assert spectra_close(s_chart, s_comp, 1e-8)
+            assert spectra_close(s_chart, mixed.spectrum, 1e-8)
 
 
 def test_composition_really_is_two_projections(rng):
@@ -90,7 +90,7 @@ def test_permutation_table_matches_composition(rng):
         for label, order in perm_order.items():
             direct = cr.dv_composition(*(subs[i] for i in order))
             table = cr.dv_permuted(d, label)
-            assert numerics.spectra_close(direct.spectrum, table.spectrum, 1e-8), label
+            assert spectra_close(direct.spectrum, table.spectrum, 1e-8), label
 
 
 def test_mobius_invariance_of_spectrum(rng):
@@ -105,7 +105,7 @@ def test_mobius_invariance_of_spectrum(rng):
             spec = cr.dv_composition(*moved).spectrum
         except NotPolarization:
             continue
-        assert numerics.spectra_close(base, spec, 1e-7)
+        assert spectra_close(base, spec, 1e-7)
 
 
 def test_unequal_dimensions_reduction(rng):
@@ -172,7 +172,7 @@ def test_unequal_passes_through_at_equal_dims(rng):
     _, subs, _ = random_half_dim_charts(rng, 4)
     a = cr.dv_composition(*subs).spectrum
     b = cr.dv_unequal(*subs).spectrum
-    assert numerics.spectra_close(a, b, 1e-12)
+    assert spectra_close(a, b, 1e-12)
 
 
 def test_unequal_rejects_mismatched_dims():
@@ -265,6 +265,14 @@ def test_non_finite_invariants_raise_overflow():
             cr.dv_matrix(*scalar_charts(0.0, 1.0, 1e300, 1e300 * (1 + 1e-10)))
         with pytest.raises(Overflow):
             cr.operator_angle(np.full((2, 2), 1e200), np.eye(2))
+
+
+def test_determinant_overflow_is_typed_and_silent():
+    # The traces up to kmax = 2 are finite; the product of the spectrum is not.
+    result = cr.dv_composition(*overflowing_dv_config(), kmax=2)
+    with pytest.raises(Overflow) as exc_info:
+        result.det
+    assert str(exc_info.value) == "the determinant is not finite"
 
 
 def mp_trace_powers(m, kmax):

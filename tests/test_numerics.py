@@ -7,7 +7,7 @@ import scipy.linalg
 
 from opcross import flows, grassmann, numerics
 from opcross.errors import Overflow, Singular
-from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario
+from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario, spectra_close
 
 
 def test_as_matrix_rejects_non_finite():
@@ -29,6 +29,22 @@ def test_check_invertible_raises_singular():
     numerics.check_invertible(1e-30 * np.eye(2))
 
 
+def test_an_inaccurate_inverse_certifies_nothing():
+    # Wilkinson's matrix (unit diagonal, -1 below it, last column 1) with its
+    # columns scaled: kappa_2 is about 30, but partial pivoting grows it by
+    # 2^59, so inv(A) is far from an inverse.  Its norm is small enough to
+    # certify; the residual is not, and the SVD accepts A.
+    n = 60
+    a = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    a[:, -1] = 1.0
+    a *= np.random.default_rng(0).uniform(0.9, 1.1, n)
+    x = np.linalg.inv(a)
+    assert numerics.fro(np.eye(n) - x @ a) > 0.5
+    assert 2.0 * numerics.fro(x) * numerics.fro(a) <= np.finfo(float).eps ** -0.5
+    assert not numerics.certified_invertible(a)
+    numerics.check_invertible(a)
+
+
 def test_spectrum_sorting_is_lexicographic():
     w = np.array([1 + 1j, -2.0, 1 - 1j, 0.5])
     out = numerics.sort_spectrum(w)
@@ -41,13 +57,13 @@ def test_eigenvalues_sorted(rng):
         w = numerics.eigenvalues(m)
         key = [(z.real, z.imag) for z in w]
         assert key == sorted(key)
-        assert numerics.spectra_close(w, np.linalg.eigvals(m), 1e-10)
+        assert spectra_close(w, np.linalg.eigvals(m), 1e-10)
 
 
 def test_spectra_close():
-    assert numerics.spectra_close([1.0, 2.0], [2.0 + 1e-10, 1.0], 1e-8)
-    assert not numerics.spectra_close([1.0, 2.0], [1.0, 2.1], 1e-8)
-    assert not numerics.spectra_close([1.0], [1.0, 1.0], 1e-8)
+    assert spectra_close([1.0, 2.0], [2.0 + 1e-10, 1.0], 1e-8)
+    assert not spectra_close([1.0, 2.0], [1.0, 2.1], 1e-8)
+    assert not spectra_close([1.0], [1.0, 1.0], 1e-8)
 
 
 def test_matrix_json_round_trip(rng):

@@ -8,7 +8,7 @@ import pytest
 from opcross import numerics
 from opcross import schwarzian as sz
 from opcross.errors import BlowUp, Overflow, Singular
-from conftest import polynomial_curve, sampled_symmetric_b
+from conftest import polynomial_curve, sampled_symmetric_b, spectra_close
 
 
 def scalar_jet(t, z, z1, z2, z3):
@@ -83,16 +83,6 @@ def test_schwarz_from_samples_tan():
     assert abs(s[0, 0] - 2.0) < 1e-5
 
 
-def test_richardson_improves_the_stencil():
-    h = 0.05
-    f = lambda t: np.array([[np.tan(t)]])
-    coarse = [f(k * h) for k in range(-3, 4)]
-    fine = [f(k * h / 2) for k in range(-3, 4)]
-    plain = abs(sz.schwarz_from_samples(coarse, h)[0, 0] - 2.0)
-    combined = abs(sz.schwarz_richardson(coarse, fine, h)[0, 0] - 2.0)
-    assert combined < plain / 4.0
-
-
 def test_mobius_jet_exact_on_polynomials(rng):
     # Oracle: sample M(z(t)) on a stencil and compare low-order derivatives.
     coeffs, jet_at = polynomial_curve(rng, 2)
@@ -125,7 +115,7 @@ def test_mobius_isospectral_schwarzian(rng):
         c4 = rng.standard_normal((3, 3)) + 2 * np.eye(3)
         moved = sz.mobius_curve_jet(c1, c2, c3, c4, jet)
         spec = numerics.eigenvalues(sz.schwarz(moved))
-        assert numerics.spectra_close(base, spec, 1e-7)
+        assert spectra_close(base, spec, 1e-7)
 
 
 def test_hamiltonian_vs_riccati(rng):
@@ -414,8 +404,8 @@ def _random_trajectories(rng, steps):
 
 
 def test_trajectories_are_validated_once(rng, monkeypatch):
-    # One stacked object per trajectory: the curve makes one SVD for z'(0)
-    # and one for the z' of all nodes, the Hamiltonian run one PhasePoint.
+    # One stacked object per trajectory: the curve makes at most one SVD for
+    # z'(0) and one for the z' of all nodes, the Hamiltonian run one PhasePoint.
     svds, builds = [], []
     singular_values, post_init = numerics.singular_values, sz.PhasePoint.__post_init__
     monkeypatch.setattr(numerics, "singular_values",
@@ -442,6 +432,87 @@ def test_stacked_jet_names_the_first_singular_node():
     with pytest.raises(Singular) as stack:
         sz.CurveJet(ts, z1, z1, z1, z1)
     assert str(stack.value) == str(node.value) == f"z' is numerically singular at t = {ts[7]:.6g}"
+
+
+def _node(rng, sigmas, dtype):
+    """u diag(sigmas) v^H for random orthogonal (complex: unitary) u and v, in dtype."""
+    n = len(sigmas)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n))
+                         if np.iscomplexobj(np.zeros(1, dtype)) else 0.0))[0] for _ in range(2))
+    return ((u * sigmas) @ v.conj().T).astype(dtype)
+
+
+def _svd_rule(ts, z1):
+    """The SVD's verdict on the z' stack: None, or the message of its Singular."""
+    try:
+        numerics.require_nonsingular(numerics.singular_values(z1, True), Singular,
+                                     lambda i: f"z' is numerically singular at t = {ts.item(i):.6g}")
+    except Singular as exc:
+        return str(exc)
+
+
+def _jet_rule(ts, z1):
+    try:
+        sz.CurveJet(ts, z1, z1, z1, z1)
+    except Singular as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+def test_certificate_decides_as_the_svd(rng, dtype):
+    # Certified nodes, then the uncertain ones: a node the inverse does not
+    # certify but the SVD accepts, one the SVD rejects, and an exactly
+    # singular one (a zero column: LU meets a zero pivot).  float32 cannot
+    # hold kappa = 1e9 or 1e11, so its uncertain node has kappa = 1e4 and its
+    # rejected one is a permuted diagonal with sigma_min = 1e-11.
+    n = 6
+    sigmas = np.geomspace(1.0, 0.1, n)
+    well = [_node(rng, sigmas * 10.0 ** e, dtype) for e in (-15, -3, 0, 4, 15)]
+    if dtype == np.float32:
+        accepted = _node(rng, np.geomspace(1.0, 1e-4, n), dtype)
+        rejected = np.eye(n, dtype=dtype)[::-1] * np.geomspace(1.0, 1e-11, n).astype(dtype)
+    else:
+        accepted, rejected = (_node(rng, np.geomspace(1.0, kappa ** -1.0, n), dtype)
+                              for kappa in (1e9, 1e11))
+    singular = _node(rng, sigmas, dtype)
+    singular[:, 2] = 0.0
+    assert all(numerics.certified_invertible(z) for z in well)
+    assert numerics.certified_invertible(np.array(well))
+    assert not any(numerics.certified_invertible(z) for z in (accepted, rejected, singular))
+    # (nodes, index of the first node the SVD rejects)
+    stacks = [(well, None), ([*well, accepted], None), ([accepted, *well], None),
+              ([*well, accepted, rejected], 6), ([rejected, accepted, *well], 0),
+              ([*well, singular], 5), ([accepted, singular, rejected, *well], 1),
+              ([well[0], rejected, singular, accepted], 1)]
+    for nodes, first in stacks:
+        z1 = np.array(nodes)
+        ts = np.linspace(0.1, 0.9, len(z1))
+        verdict = _svd_rule(ts, z1)
+        assert verdict == (None if first is None else
+                           f"z' is numerically singular at t = {ts[first]:.6g}")
+        assert _jet_rule(ts, z1) == verdict
+        for t, z in zip(ts, z1):
+            assert _jet_rule(t, z) == _svd_rule(np.array([t]), z[None])
+    for z in (*well, accepted, rejected, singular):
+        s = numerics.singular_values(z)
+        if s[-1] > numerics.SINGULAR_RTOL * s[0]:
+            numerics.check_invertible(z)
+        else:
+            with pytest.raises(Singular, match="numerically singular"):
+                numerics.check_invertible(z)
+
+
+def test_a_certified_curve_takes_no_svd(rng, monkeypatch):
+    # A 1000-step dim-6 curve: z'(0) and the z' of its nodes are certified
+    # by their inverses, so the run takes no SVD.
+    sys_ = linear_system(rng, 6)
+    ts, ws = sz.integrate_riccati(sys_, 0.1 * _sym(rng, 6), 0.0, 0.6, 1000)
+    svds = []
+    singular_values = numerics.singular_values
+    monkeypatch.setattr(numerics, "singular_values",
+                        lambda *args, **kw: svds.append(1) or singular_values(*args, **kw))
+    jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((6, 6)), np.eye(6), sys_.b)
+    assert len(jets) == 1001 and svds == []
 
 
 def test_stacked_jet_shapes_must_agree():
@@ -488,8 +559,6 @@ def test_finite_difference_step_must_be_finite_and_nonzero(h):
     for call in (sz.jet_from_samples, sz.schwarz_from_samples):
         with pytest.raises(ValueError, match="h must be"):
             call(samples, h)
-    with pytest.raises(ValueError, match="h must be"):
-        sz.schwarz_richardson(samples, samples, h)
 
 
 # --- the step-matrix kernel against classical RK4 run stage by stage ---------
@@ -589,6 +658,33 @@ def test_integrators_match_stage_by_stage_rk4(rng, n, steps):
         jets = sz.curve_from_riccati(ts, ref_ws, sys_.a, z0, z1_0, sys_.b)
         ref_z, ref_z1 = reference_curve(ts, ref_ws, sys_.a, z0, z1_0, sys_.b)
         assert _rel(jets.z, ref_z) <= 1e-12 and _rel(jets.z1, ref_z1) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
+    # The kernel advances each state by np.dot(M_i, y_i, out=y_{i+1}); it must
+    # write exactly np.matmul's product, for real, complex and mixed operands
+    # (a complex W0 under a real system; a complex W in the curve's run).
+    steps, products = [], []
+    dot = np.dot
+
+    def recording_dot(a, b, out=None):
+        dot(a, b, out=out)
+        products.append((a.copy(), b.copy(), out.copy()))
+        return out
+
+    sys_ = linear_system(rng, n)
+    for w0 in (0.1 * _sym(rng, n), 0.1 * (_sym(rng, n) + 1j * _sym(rng, n))):
+        monkeypatch.setattr(np, "dot", recording_dot)
+        ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, 1000)
+        sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((n, n)), np.eye(n), sys_.b)
+        monkeypatch.setattr(np, "dot", dot)
+        steps.append(len(products))
+    assert steps == [2000, 4000]
+    kinds = {(m.dtype.kind, y.dtype.kind) for m, y, _ in products}
+    assert kinds == {("f", "f"), ("f", "c"), ("c", "c")}
+    for m, y, out in products:
+        assert np.matmul(m, y).tobytes() == out.tobytes()
 
 
 def test_chunk_size_does_not_change_a_bit(rng, monkeypatch):
