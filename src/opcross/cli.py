@@ -155,12 +155,15 @@ def _handle_schwarz(data, seed, tol):
 
 
 def _trajectory_csv(ts, mats):
-    """One CSV row per time: t, then the entries of its matrix (or vector)."""
+    """One CSV row per time: t, then the entries of its matrix (or vector); a
+    complex entry takes two columns, re then im, as the report lists it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for t, m in zip(ts, mats):
-        writer.writerow([_format_float(t)] +
-                        [_format_float(v) for v in np.asarray(m).reshape(-1)])
+        m = np.asarray(m).reshape(-1)
+        if np.iscomplexobj(m):
+            m = np.column_stack([m.real, m.imag]).reshape(-1)
+        writer.writerow([_format_float(t)] + [_format_float(v) for v in m])
     return buf.getvalue()
 
 

@@ -61,10 +61,8 @@ class CrossRatioResult:
         return d
 
 
-def _inv_or_singular(m, what):
-    numerics.require_nonsingular(numerics.singular_values(m), Singular,
-                                 f"{what} is not invertible", chart=True)
-    return np.linalg.inv(m)
+def _chart_inv(m, what):
+    return numerics.inverse(m, Singular, f"{what} is not invertible", chart=True)
 
 
 def _composite_matrix(p1, p2, p3, p4):
@@ -102,8 +100,8 @@ def dv_matrix(t1, t2, t3, t4, pol=None, kmax=None):
     if pol is not None and mats[0].shape != (pol.vertical.dim, pol.horizontal.dim):
         raise ValueError("coordinate shape does not match the polarization")
     t1, t2, t3, t4 = mats
-    d = _inv_or_singular(t1 - t2, "(T1 - T2)") @ (t2 - t3) \
-        @ _inv_or_singular(t3 - t4, "(T3 - T4)") @ (t4 - t1)
+    d = _chart_inv(t1 - t2, "(T1 - T2)") @ (t2 - t3) \
+        @ _chart_inv(t3 - t4, "(T3 - T4)") @ (t4 - t1)
     return CrossRatioResult.from_matrix(d, "chart", kmax)
 
 
@@ -121,8 +119,8 @@ def dv_mixed(p1, p2, p3, p4, kmax=None):
     if p1.shape != p3.shape or p2.shape != p4.shape or p2.shape != p1.shape[::-1]:
         raise ValueError("mixed-chart coordinate shapes are inconsistent")
     eye = np.eye(p1.shape[1])
-    d = _inv_or_singular(p2 @ p1 - eye, "(P2 P1 - I)") @ (p2 @ p3 - eye) \
-        @ _inv_or_singular(p4 @ p3 - eye, "(P4 P3 - I)") @ (p4 @ p1 - eye)
+    d = _chart_inv(p2 @ p1 - eye, "(P2 P1 - I)") @ (p2 @ p3 - eye) \
+        @ _chart_inv(p4 @ p3 - eye, "(P4 P3 - I)") @ (p4 @ p1 - eye)
     return CrossRatioResult.from_matrix(d, "chart", kmax)
 
 
@@ -144,11 +142,11 @@ def dv_permuted(d, perm, kmax=None):
     elif perm == "12,43":
         out = eye - m
     elif perm == "14,32":
-        out = _inv_or_singular(m, "D")
+        out = _chart_inv(m, "D")
     elif perm == "13,24":
-        out = _inv_or_singular(eye - _inv_or_singular(m, "D"), "(I - D^-1)")
+        out = _chart_inv(eye - _chart_inv(m, "D"), "(I - D^-1)")
     elif perm == "14,23":
-        out = eye - _inv_or_singular(m, "D")
+        out = eye - _chart_inv(m, "D")
     else:
         raise ValueError(f"unknown permutation label {perm!r}; "
                          f"expected one of {PERMUTATION_LABELS}")

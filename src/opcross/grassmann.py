@@ -186,9 +186,8 @@ def graph_coordinate(w, pol):
     coords = np.linalg.solve(pol.frame(), w.basis)
     h = pol.horizontal.dim
     x, y = coords[:h], coords[h:]
-    numerics.require_nonsingular(numerics.singular_values(x), OutsideChart,
-                                 "projection onto the horizontal subspace is singular", chart=True)
-    return y @ np.linalg.inv(x)
+    return y @ numerics.inverse(x, OutsideChart, "projection onto the horizontal subspace "
+                                "is singular", chart=True)
 
 
 def subspace_from_graph(t, pol):
@@ -226,8 +225,7 @@ class BlockMobius:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        numerics.require_nonsingular(numerics.singular_values(self.assembled()), ValueError,
-                                     "assembled block matrix is singular")
+        numerics.inverse(self.assembled(), ValueError, "assembled block matrix is singular")
 
     def assembled(self):
         """The full matrix in the polarization's coordinate frame."""
@@ -251,9 +249,8 @@ def mobius_apply_coordinate(g, t):
     """Chart-level Moebius action T -> (c + d T)(a + b T)^-1."""
     t = numerics.as_matrix(t, "T")
     den = g.a + g.b @ t
-    numerics.require_nonsingular(numerics.singular_values(den), OutsideChart,
-                                 "(a + bT) is singular: image leaves the big cell", chart=True)
-    return (g.c + g.d @ t) @ np.linalg.inv(den)
+    return (g.c + g.d @ t) @ numerics.inverse(den, OutsideChart, "(a + bT) is singular: "
+                                              "image leaves the big cell", chart=True)
 
 
 def mobius_apply_subspace(g, w):
@@ -268,21 +265,3 @@ def principal_angles(w1, w2):
     cosines = numerics.singular_values(w1.basis.conj().T @ w2.basis)
     cosines = np.clip(cosines, 0.0, 1.0)
     return np.sort(np.arccos(cosines))
-
-
-def intersect_subspaces(w1, w2, tol=1e-8):
-    """Orthonormal basis of the intersection; may be empty (n x 0).
-
-    A vector lies in both spans iff (a, b) with B1 a = B2 b is in the null
-    space of [B1 | -B2].
-    """
-    if w1.ambient_dim != w2.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    stacked = np.hstack([w1.basis, -w2.basis])
-    ns = numerics.null_space(stacked, tol)
-    if ns.shape[1] == 0:
-        return np.zeros((w1.ambient_dim, 0))
-    cols = w1.basis @ ns[: w1.dim]
-    u, s, _ = numerics.svd(cols, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol))
-    return u[:, :rank]

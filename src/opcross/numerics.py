@@ -1,11 +1,13 @@
 """Dense linear-algebra kernel used by every other module.
 
 Thin, contract-enforcing wrappers around numpy plus the JSON matrix
-encoding.  All functions are pure; inputs are never mutated.  Everything
-here needs numpy alone, the matrix exponential included: ``expm`` is the
-scaling-and-squaring Pade algorithm of N. J. Higham, "The scaling and
-squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
-Appl. 26 (2005) 1179-1193, which takes matrix products and one solve.
+encoding.  All functions are pure; inputs are never mutated.  Every
+invertibility verdict is ``inverse``'s, which returns the inverse it
+certified.  Everything here needs numpy alone, the matrix exponential
+included: ``expm`` is the scaling-and-squaring Pade algorithm of N. J.
+Higham, "The scaling and squaring method for the matrix exponential
+revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193, which takes
+matrix products and one solve.
 """
 
 import math
@@ -13,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import NonConvergence, Overflow, Singular
+from .errors import NonConvergence, Overflow
 
 # The singularity rule: a factor is numerically singular when its smallest
 # singular value is at most SINGULAR_RTOL times its largest.  Chart-level
@@ -62,28 +64,27 @@ def require_nonsingular(s, error, message, chart=False):
         raise error(message(int(failing.argmax())) if callable(message) else message)
 
 
-def certified_invertible(a):
-    """True when X = inv(a), in a's precision, proves that a (each matrix of a stack)
-    passes the singularity rule: ||I - X a||_F <= 1/2 gives ||a^-1||_2 <= 2 ||X||_2 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002), so 2 ||X||_F ||a||_F <= eps^-1/2
-    bounds sigma_min / sigma_max below by eps^1/2.  False otherwise, or for an empty a."""
+def inverse(a, error, message, chart=False):
+    """inv(a) of a matrix or a stack once a (each matrix) passes the singularity rule,
+    else require_nonsingular's error(message).  X = inv(a), in a's precision, decides
+    first: ||I - X a||_F <= 1/2 gives ||a^-1||_2 <= 2 ||X||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002), so 2 ||X||_F ||a||_F <= eps^-1/2, with ||a||_F
+    floored at 1 where chart=True, bounds sigma_min below by eps^1/2 times the rule's
+    scale.  Only an uncertified X, or an exact zero pivot, leaves it to the SVD."""
     with np.errstate(all="ignore"):
         try:
             x = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # an exact zero pivot
-            return False
-        r = x @ a
-        r -= np.eye(a.shape[-1], dtype=r.dtype)  # X a - I, in place
-        scale = 4.0 * sq_fro(x) * sq_fro(a) * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
-        return bool(np.all((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)))
-
-
-def check_invertible(a, what="matrix"):
-    """Raise Singular when a fails the singularity rule."""
-    if not certified_invertible(as_matrix(a)):
-        s = singular_values(a)
-        require_nonsingular(s, Singular, f"{what} is numerically singular (smallest/largest "
-                                         f"singular value = {s[-1]:.3e}/{s[0]:.3e})")
+            x = None
+        else:
+            r = x @ a
+            r -= np.eye(a.shape[-1], dtype=r.dtype)  # X a - I, in place
+            sq_a = np.maximum(sq_fro(a), 1.0) if chart else sq_fro(a)
+            scale = 4.0 * sq_fro(x) * sq_a * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
+            if ((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)).all():
+                return x
+    require_nonsingular(singular_values(a, a.ndim == 3), error, message, chart)
+    return np.linalg.inv(a) if x is None else x  # inv raises again if the SVD accepts
 
 
 def eigenvalues(m):

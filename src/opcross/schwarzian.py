@@ -53,9 +53,8 @@ class CurveJet(_Nodes):
             mats[name] = numerics.as_square(getattr(self, name), name, stack=t.ndim > 0)
         if len({m.shape for m in mats.values()} | {t.shape + mats["z"].shape[-2:]}) != 1:
             raise ValueError("jet matrices must share one square shape, one per time")
-        if not numerics.certified_invertible(mats["z1"]):
-            numerics.require_nonsingular(numerics.singular_values(mats["z1"], t.ndim > 0), Singular,
-                                         lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
+        numerics.inverse(mats["z1"], Singular,
+                         lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
         for name, m in mats.items():
             object.__setattr__(self, name, m)
         object.__setattr__(self, "t", t if t.ndim else float(t))
@@ -181,9 +180,9 @@ class PhasePoint(_Nodes):
         object.__setattr__(self, "p", p)
 
     def w(self):
-        """Grassmann coordinate W = p q^-1 (requires q invertible)."""
-        numerics.check_invertible(self.q, "q")
-        return np.linalg.solve(self.q.T, self.p.T).T
+        """Grassmann coordinate W = p q^-1 (requires q invertible), one per node of a stack."""
+        numerics.inverse(self.q, Singular, "q is numerically singular")
+        return np.linalg.solve(self.q.swapaxes(-1, -2), self.p.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def schwarz(jet):
@@ -230,8 +229,7 @@ def _series_mul(a, b, order):
 
 
 def _series_inv(d, order):
-    numerics.check_invertible(d[0], "series constant term")
-    e0 = np.linalg.inv(d[0])
+    e0 = numerics.inverse(d[0], Singular, "series constant term is numerically singular")
     e = [e0]
     for k in range(1, order + 1):
         acc = np.zeros_like(e0)
@@ -433,7 +431,7 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
         raise ValueError("need matching times and W values, at least two nodes")
     z0 = numerics.as_square(z0, "z0")
     z1_0 = numerics.as_square(z1_0, "z1_0")
-    numerics.check_invertible(z1_0, "z1_0")
+    numerics.inverse(z1_0, Singular, "z1_0 is numerically singular")
     HamiltonianSystem(a_poly, b_poly)  # rejects a non-symmetric or mis-sized b_poly
     hs = np.diff(ts)
     tcol = ts[:, None, None]

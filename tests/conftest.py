@@ -134,3 +134,12 @@ LOADED_SCIPY = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes np.linalg.svd is called on from here on, in call order."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
+    return calls

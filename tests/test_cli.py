@@ -109,6 +109,23 @@ def test_riccati_verb_writes_csv(tmp_path):
     assert abs(float(t) - 1.0) < 1e-12
 
 
+def test_complex_trajectory_csv_keeps_imaginary_parts(tmp_path):
+    # A complex W0 makes a complex trajectory: each entry takes two CSV
+    # columns, re then im, as the report's [re, im] pairs list it.
+    n = 2
+    payload = {"system": {"dim": n, "A": [[[0.1, 0.2], [0.2, -0.1]]],
+                          "B": [[[-1.0, 0.3], [0.3, -2.0]]]},
+               "w0": {"rows": n, "cols": n, "data": [[[0.1, 0.05], 0.0], [0.0, [0.2, -0.1]]]},
+               "t0": 0.0, "t1": 1.0, "steps": 50}
+    status, text = run_to_files(tmp_path, "riccati", payload)
+    assert status == 0
+    rows = [row.split(",") for row in open(tmp_path / "out.csv").read().splitlines()]
+    assert len(rows) == 51 and {len(row) for row in rows} == {1 + 2 * n * n}
+    w_final = json.loads(text)["results"]["w_final"]["data"]
+    assert [float(v) for v in rows[-1][1:]] == [x for row in w_final for entry in row for x in entry]
+    assert any(float(v) != 0.0 for v in rows[-1][2::2])
+
+
 def test_riccati_blow_up_reported_not_crashed(tmp_path):
     payload = {"system": oscillator_json(), "w0": {"rows": 1, "cols": 1,
                "data": [[0.0]]}, "t0": 0.0, "t1": 2.5, "steps": 400}

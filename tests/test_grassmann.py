@@ -163,19 +163,6 @@ def test_principal_angles_invariant_under_rotation(rng):
     assert np.allclose(base, rot, atol=1e-9)
 
 
-def test_intersect_subspaces(rng):
-    e = np.eye(5)
-    a = gr.Subspace(e[:, :3])
-    b = gr.Subspace(e[:, 2:])
-    inter = gr.intersect_subspaces(a, b)
-    assert inter.shape == (5, 1)
-    assert np.allclose(np.abs(inter[:, 0]), e[:, 2])
-    # Generic subspaces of complementary-or-less dimension meet trivially.
-    w1 = gr.random_subspace(6, 2, 3)
-    w2 = gr.random_subspace(6, 3, 4)
-    assert gr.intersect_subspaces(w1, w2).shape == (6, 0)
-
-
 def test_subspace_json_round_trip(rng):
     w = gr.random_subspace(5, 2, 11)
     back = gr.Subspace.from_json(w.to_json())
@@ -266,7 +253,7 @@ def test_every_svd_failure_is_non_convergence(monkeypatch):
     a, b = gr.Subspace(e[:, :2]), gr.Subspace(e[:, 2:])
     monkeypatch.setattr(np.linalg, "svd", fail)
     for call in (lambda: numerics.singular_values(e), lambda: numerics.null_space(e, 1e-8),
-                 lambda: gr.subspace_from_basis(e), lambda: gr.intersect_subspaces(a, b),
+                 lambda: gr.subspace_from_basis(e),
                  lambda: gr.check_complementary(a, b), lambda: cr.comparability_witness(e, e)):
         with pytest.raises(NonConvergence, match="SVD did not converge"):
             call()

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opcross import flows, grassmann, numerics
-from opcross.errors import Overflow, Singular
-from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario, spectra_close
+from opcross import crossratio, flows, grassmann, numerics, schwarzian
+from opcross.errors import OutsideChart, Overflow, Singular
+from conftest import (LOADED_SCIPY, fresh_python, overflowing_flow_scenario, random_conditioned,
+                      spectra_close)
 
 
 def test_as_matrix_rejects_non_finite():
@@ -22,14 +23,15 @@ def test_as_square_rejects_rectangular():
         numerics.as_square(np.zeros((2, 3)))
 
 
-def test_check_invertible_raises_singular():
-    with pytest.raises(Singular):
-        numerics.check_invertible(np.zeros((3, 3)))
+def test_inverse_raises_singular():
+    with pytest.raises(Singular, match="^z is singular$"):
+        numerics.inverse(np.zeros((3, 3)), Singular, "z is singular")
     # A tiny but well-scaled matrix is fine.
-    numerics.check_invertible(1e-30 * np.eye(2))
+    tiny = 1e-30 * np.eye(2)
+    assert np.array_equal(numerics.inverse(tiny, Singular, "z is singular"), np.linalg.inv(tiny))
 
 
-def test_an_inaccurate_inverse_certifies_nothing():
+def test_an_inaccurate_inverse_certifies_nothing(svd_calls):
     # Wilkinson's matrix (unit diagonal, -1 below it, last column 1) with its
     # columns scaled: kappa_2 is about 30, but partial pivoting grows it by
     # 2^59, so inv(A) is far from an inverse.  Its norm is small enough to
@@ -41,8 +43,89 @@ def test_an_inaccurate_inverse_certifies_nothing():
     x = np.linalg.inv(a)
     assert numerics.fro(np.eye(n) - x @ a) > 0.5
     assert 2.0 * numerics.fro(x) * numerics.fro(a) <= np.finfo(float).eps ** -0.5
-    assert not numerics.certified_invertible(a)
-    numerics.check_invertible(a)
+    assert np.array_equal(numerics.inverse(a, Singular, "a is singular"), x)
+    assert svd_calls == [(n, n)]
+
+
+def _rule(a, chart):
+    """The singularity rule's verdict from the singular values: True when a passes."""
+    try:
+        numerics.require_nonsingular(numerics.singular_values(a), Singular, "singular", chart)
+    except Singular:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("scale, chart, passes, svds", [
+    (1e-5, True, True, 0),     # small but well conditioned: certified under the floor too
+    (1e-12, True, False, 1),   # certified without the floor; the chart rule rejects it
+    (1e-12, False, True, 0)])
+def test_the_chart_floor_holds_in_the_certificate(rng, svd_calls, scale, chart, passes, svds):
+    # chart=True floors ||a||_F at 1 in the certificate, as the rule floors
+    # sigma_max, so a certified chart factor passes the chart rule.
+    a = scale * (np.eye(3) if scale == 1e-12 else random_conditioned(rng, 3, 10.0))
+    svd_calls.clear()
+    try:
+        x = numerics.inverse(a, Singular, "singular", chart=chart)
+    except Singular:
+        x = None
+    assert len(svd_calls) == svds
+    assert (x is not None) == passes == _rule(a, chart)
+    if passes:
+        assert np.array_equal(x, np.linalg.inv(a))
+
+
+def test_well_conditioned_charts_take_no_svd(rng, svd_calls):
+    # k = 32: the horizontal blocks and the chart differences are certified
+    # by their inverses, so neither graph_coordinate nor dv_matrix takes an SVD.
+    pol = grassmann.standard_polarization(64, 32)
+    subs = [grassmann.subspace_from_graph(rng.standard_normal((32, 32)), pol) for _ in range(4)]
+    svd_calls.clear()
+    coords = [grassmann.graph_coordinate(w, pol) for w in subs]
+    crossratio.dv_matrix(*coords)
+    assert svd_calls == []
+
+
+def _curve_jet(z1):
+    return schwarzian.CurveJet(0.5, np.eye(2), z1, np.eye(2), np.eye(2))
+
+
+def _mobius(a, b, c, d):
+    return grassmann.BlockMobius(*(np.atleast_2d(m) for m in (a, b, c, d)))
+
+
+_I, _O = np.eye(2), np.zeros((2, 2))
+_E2, _E4 = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+
+
+_SINGULAR_FACTORS = [
+    (lambda: crossratio.dv_matrix(_I, _I, _O, _I), Singular, "(T1 - T2) is not invertible"),
+    (lambda: crossratio.dv_matrix(_I, _O, _I, _I), Singular, "(T3 - T4) is not invertible"),
+    (lambda: crossratio.dv_mixed(_I, _I, _I, _I), Singular, "(P2 P1 - I) is not invertible"),
+    (lambda: crossratio.dv_mixed(2 * _I, _I, _I, _I), Singular, "(P4 P3 - I) is not invertible"),
+    (lambda: crossratio.dv_permuted(_O, "14,32"), Singular, "D is not invertible"),
+    (lambda: crossratio.dv_permuted(_O, "14,23"), Singular, "D is not invertible"),
+    (lambda: crossratio.dv_permuted(_I, "13,24"), Singular, "(I - D^-1) is not invertible"),
+    (lambda: grassmann.graph_coordinate(grassmann.Subspace(_E4), grassmann.standard_polarization(4)),
+     OutsideChart, "projection onto the horizontal subspace is singular"),
+    (lambda: grassmann.mobius_apply_coordinate(_mobius(0.0, 1.0, 1.0, 0.0), [[0.0]]),
+     OutsideChart, "(a + bT) is singular: image leaves the big cell"),
+    (lambda: _mobius(1.0, 1.0, 1.0, 1.0), ValueError, "assembled block matrix is singular"),
+    (lambda: _curve_jet(_O), Singular, "z' is numerically singular at t = 0.5"),
+    (lambda: schwarzian.PhasePoint(_O, _I).w(), Singular, "q is numerically singular"),
+    (lambda: schwarzian.mobius_curve_jet(_I, _O, _O, _O, _curve_jet(_I)), Singular,
+     "(C3 z + C4) is singular at the curve point"),
+    (lambda: schwarzian.curve_from_riccati([0.0, 1.0], [_O, _O], schwarzian.MatrixPolynomial([_O]),
+                                           _O, _O, schwarzian.MatrixPolynomial([_O])),
+     Singular, "z1_0 is numerically singular")]
+
+
+@pytest.mark.parametrize("call, error, message", _SINGULAR_FACTORS,
+                         ids=[message for _, _, message in _SINGULAR_FACTORS])
+def test_singular_factors_keep_their_messages(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert type(exc_info.value) is error and str(exc_info.value) == message
 
 
 def test_spectrum_sorting_is_lexicographic():
@@ -175,6 +258,9 @@ def test_stacks_only_where_asked():
     with pytest.raises(Singular, match="row 1"):
         numerics.require_nonsingular(s, Singular, lambda i: f"row {i}")
     numerics.require_nonsingular(s[:1], Singular, lambda i: f"row {i}")
+    with pytest.raises(Singular, match="row 1"):
+        numerics.inverse(stack, Singular, lambda i: f"row {i}")
+    assert np.array_equal(numerics.inverse(stack[:1], Singular, lambda i: f"row {i}"), stack[:1])
     with pytest.raises(ValueError, match="3-dimensional"):
         numerics.as_square(np.eye(2), "W", stack=True)
     with pytest.raises(ValueError, match="square"):
@@ -182,7 +268,7 @@ def test_stacks_only_where_asked():
     with pytest.raises(ValueError, match="non-finite"):
         numerics.as_square(np.full((3, 2, 2), np.nan), stack=True)
     for single in (numerics.as_matrix, numerics.as_square, numerics.singular_values,
-                   numerics.check_invertible, numerics.eigenvalues, numerics.expm,
+                   numerics.eigenvalues, numerics.expm,
                    numerics.matrix_to_json):
         with pytest.raises(ValueError, match="2-dimensional"):
             single(stack)
@@ -209,8 +295,9 @@ def _same_null_space(a, rcond):
 
 
 def test_null_space_matches_scipy(rng):
-    # [B1 | -B2] stacks as intersect_subspaces builds them, real and complex,
-    # with and without a common direction.
+    # Stacks [B1 | -B2] of two orthonormal bases, whose null space holds the
+    # intersection of their spans, real and complex, with and without a
+    # common direction.
     for n, k1, k2 in ((3, 1, 2), (4, 2, 2), (6, 3, 4), (12, 5, 9), (12, 6, 6)):
         for cplx in (False, True):
             shape = (n, k1 + k2)

@@ -129,6 +129,7 @@ def test_hamiltonian_vs_riccati(rng):
     assert np.allclose(ts, ts2)
     drift = max(numerics.fro(pt.w() - w) for pt, w in zip(points, ws))
     assert drift < 1e-8
+    assert np.array_equal(points.w(), [pt.w() for pt in points])
 
 
 def test_riccati_tan_solution():
@@ -458,8 +459,18 @@ def _jet_rule(ts, z1):
         return str(exc)
 
 
+def _certified(z, svd_calls):
+    """Whether numerics.inverse accepts z without an SVD."""
+    svd_calls.clear()
+    try:
+        numerics.inverse(z, Singular, "z' is numerically singular")
+    except Singular:
+        return False
+    return not svd_calls
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
-def test_certificate_decides_as_the_svd(rng, dtype):
+def test_certificate_decides_as_the_svd(rng, svd_calls, dtype):
     # Certified nodes, then the uncertain ones: a node the inverse does not
     # certify but the SVD accepts, one the SVD rejects, and an exactly
     # singular one (a zero column: LU meets a zero pivot).  float32 cannot
@@ -476,9 +487,9 @@ def test_certificate_decides_as_the_svd(rng, dtype):
                               for kappa in (1e9, 1e11))
     singular = _node(rng, sigmas, dtype)
     singular[:, 2] = 0.0
-    assert all(numerics.certified_invertible(z) for z in well)
-    assert numerics.certified_invertible(np.array(well))
-    assert not any(numerics.certified_invertible(z) for z in (accepted, rejected, singular))
+    assert all(_certified(z, svd_calls) for z in well)
+    assert _certified(np.array(well), svd_calls)
+    assert not any(_certified(z, svd_calls) for z in (accepted, rejected, singular))
     # (nodes, index of the first node the SVD rejects)
     stacks = [(well, None), ([*well, accepted], None), ([accepted, *well], None),
               ([*well, accepted, rejected], 6), ([rejected, accepted, *well], 0),
@@ -496,10 +507,10 @@ def test_certificate_decides_as_the_svd(rng, dtype):
     for z in (*well, accepted, rejected, singular):
         s = numerics.singular_values(z)
         if s[-1] > numerics.SINGULAR_RTOL * s[0]:
-            numerics.check_invertible(z)
+            numerics.inverse(z, Singular, "z' is numerically singular")
         else:
             with pytest.raises(Singular, match="numerically singular"):
-                numerics.check_invertible(z)
+                numerics.inverse(z, Singular, "z' is numerically singular")
 
 
 def test_a_certified_curve_takes_no_svd(rng, monkeypatch):
