@@ -5,7 +5,10 @@ angle and the pair-equivalence classifier.
 The composition-of-projections form (dv_composition) is canonical: the other
 formulas are chart expressions validated against it.  The matrix of the
 composite is expressed in the stored orthonormal basis of the first subspace;
-only spectra and traces of powers are meaningful across bases.
+only spectra and traces of powers are meaningful across bases.  The stored
+basis is the Q of a Householder QR of the given columns (subspace_from_basis),
+so an orthonormal input basis, as read from JSON, is kept up to column signs
+and the dv and cocycle report matrices are in the input's own basis.
 """
 
 from dataclasses import dataclass, replace
@@ -100,8 +103,9 @@ def dv_matrix(t1, t2, t3, t4, pol=None, kmax=None):
     if pol is not None and mats[0].shape != (pol.vertical.dim, pol.horizontal.dim):
         raise ValueError("coordinate shape does not match the polarization")
     t1, t2, t3, t4 = mats
-    d = _chart_inv(t1 - t2, "(T1 - T2)") @ (t2 - t3) \
-        @ _chart_inv(t3 - t4, "(T3 - T4)") @ (t4 - t1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
+        d = _chart_inv(t1 - t2, "(T1 - T2)") @ (t2 - t3) \
+            @ _chart_inv(t3 - t4, "(T3 - T4)") @ (t4 - t1)
     return CrossRatioResult.from_matrix(d, "chart", kmax)
 
 
@@ -119,8 +123,9 @@ def dv_mixed(p1, p2, p3, p4, kmax=None):
     if p1.shape != p3.shape or p2.shape != p4.shape or p2.shape != p1.shape[::-1]:
         raise ValueError("mixed-chart coordinate shapes are inconsistent")
     eye = np.eye(p1.shape[1])
-    d = _chart_inv(p2 @ p1 - eye, "(P2 P1 - I)") @ (p2 @ p3 - eye) \
-        @ _chart_inv(p4 @ p3 - eye, "(P4 P3 - I)") @ (p4 @ p1 - eye)
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
+        d = _chart_inv(p2 @ p1 - eye, "(P2 P1 - I)") @ (p2 @ p3 - eye) \
+            @ _chart_inv(p4 @ p3 - eye, "(P4 P3 - I)") @ (p4 @ p1 - eye)
     return CrossRatioResult.from_matrix(d, "chart", kmax)
 
 

@@ -20,11 +20,14 @@ COMPLEMENT_TOL = 1e-8
 # Golub, Math. Comp. 27, 1973): the Gram matrix of [A | B] is I plus the
 # matrix with off-diagonal blocks A^H B and B^H A, whose eigenvalues are plus
 # and minus the cosines of the principal angles.  A Subspace admits bases with
-# ||B^H B - I||_F <= 1e-10, so by Weyl's inequality the computed
-# 1 - ||A^H B||_2 is within about 1.5e-10 of sigma_min^2 (rounding adds far
-# less).  A rejection needs sigma_min^2 <= COMPLEMENT_TOL^2 = 1e-16, so every
-# pair whose cosine screen reads 1 - ||A^H B||_2 >= SCREEN_MARGIN is accepted
-# by the stacked SVD too, and every other pair is decided by that SVD.
+# ||B^H B - I||_F <= 1e-10, so by Weyl's inequality 1 - ||A^H B||_2 is within
+# about 1.5e-10 of sigma_min^2.  The screen accepts a pair when Cholesky
+# factors G = (1 - SCREEN_MARGIN)^2 I - C^H C, C = A^H B (C C^H if C is wide):
+# then ||C||_2 < 1 - SCREEN_MARGIN up to about m^2 eps for G of order m (4e-12
+# at m = 128; Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+# ch. 10), so sigma_min^2 > 1e-6 - 1.5e-10 - 4e-12, ten orders of magnitude
+# above the rejection's COMPLEMENT_TOL^2 = 1e-16.  Every other pair is
+# decided by the stacked SVD.
 SCREEN_MARGIN = 1e-6
 
 
@@ -80,14 +83,19 @@ class Subspace:
 
 
 def subspace_from_basis(cols):
-    """Orthonormalize full-column-rank columns into a Subspace.
+    """Orthonormalize full-column-rank columns into a Subspace: the Q of their
+    Householder QR, so orthonormal columns are kept up to their signs.
 
-    Raises RankDeficient when the columns do not have full rank.
+    Raises RankDeficient when the columns do not have full rank: R has their
+    singular values, so numerics.inverse(R) gives the singularity rule's verdict.
     """
     cols = numerics.as_matrix(cols, "cols")
-    u, s, _ = numerics.svd(cols, full_matrices=False)
-    numerics.require_nonsingular(s, RankDeficient, f"columns have numerical rank < {cols.shape[1]}")
-    return Subspace(u)
+    message = f"columns have numerical rank < {cols.shape[1]}"
+    if cols.shape[1] > cols.shape[0]:
+        raise RankDeficient(message)
+    q, r = np.linalg.qr(cols)
+    numerics.inverse(r, RankDeficient, message)
+    return Subspace(q)
 
 
 def same_subspace(w1, w2, tol=1e-8):
@@ -107,14 +115,19 @@ def random_subspace(n, k, seed):
 
 def degenerate_sigma_min(a, b):
     """sigma_min of the stacked basis [a | b] when it is at most COMPLEMENT_TOL
-    (a and b are not in direct sum with a definite angle), else None.  The
-    cosine matrix a^H b settles every pair that is not near degenerate; the
-    others take the SVD of the stacked basis (see SCREEN_MARGIN)."""
+    (a and b are not in direct sum with a definite angle), else None.  A
+    Cholesky test on the cosine matrix a^H b settles every pair that is not
+    near degenerate; the others take the SVD of the stacked basis (see
+    SCREEN_MARGIN)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    if 1.0 - numerics.singular_values(a.basis.conj().T @ b.basis)[0] >= SCREEN_MARGIN:
+    c = a.basis.conj().T @ b.basis
+    gram = c @ c.conj().T if c.shape[0] <= c.shape[1] else c.conj().T @ c
+    try:
+        np.linalg.cholesky((1.0 - SCREEN_MARGIN) ** 2 * np.eye(len(gram)) - gram)
         return None
-    s_min = numerics.singular_values(np.hstack([a.basis, b.basis]))[-1]
+    except np.linalg.LinAlgError:  # ||a^H b||_2 is near 1 - SCREEN_MARGIN or above it
+        s_min = numerics.singular_values(np.hstack([a.basis, b.basis]))[-1]
     return s_min if s_min <= COMPLEMENT_TOL else None
 
 
@@ -248,7 +261,8 @@ class BlockMobius:
 def mobius_apply_coordinate(g, t):
     """Chart-level Moebius action T -> (c + d T)(a + b T)^-1."""
     t = numerics.as_matrix(t, "T")
-    den = g.a + g.b @ t
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
+        den = g.a + g.b @ t
     return (g.c + g.d @ t) @ numerics.inverse(den, OutsideChart, "(a + bT) is singular: "
                                               "image leaves the big cell", chart=True)
 

@@ -70,7 +70,8 @@ def inverse(a, error, message, chart=False):
     first: ||I - X a||_F <= 1/2 gives ||a^-1||_2 <= 2 ||X||_2 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002), so 2 ||X||_F ||a||_F <= eps^-1/2, with ||a||_F
     floored at 1 where chart=True, bounds sigma_min below by eps^1/2 times the rule's
-    scale.  Only an uncertified X, or an exact zero pivot, leaves it to the SVD."""
+    scale.  Only an uncertified X, or an exact zero pivot, leaves it to the SVD.
+    A non-finite a (a factor formed from finite inputs that overflowed) is an Overflow."""
     with np.errstate(all="ignore"):
         try:
             x = np.linalg.inv(a)
@@ -83,6 +84,8 @@ def inverse(a, error, message, chart=False):
             scale = 4.0 * sq_fro(x) * sq_a * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
             if ((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)).all():
                 return x
+    if not np.isfinite(a).all():  # never certified: its residual or scale is not finite
+        raise Overflow("a factor to invert is not finite")
     require_nonsingular(singular_values(a, a.ndim == 3), error, message, chart)
     return np.linalg.inv(a) if x is None else x  # inv raises again if the SVD accepts
 

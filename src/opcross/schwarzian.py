@@ -252,7 +252,8 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
     # Taylor coefficients of z(t + s) in s.
     zs = [jet.z, jet.z1, jet.z2 / 2.0, jet.z3 / 6.0]
     num = [c1 @ zs[0] + c2] + [c1 @ zk for zk in zs[1:]]
-    den = [c3 @ zs[0] + c4] + [c3 @ zk for zk in zs[1:]]
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
+        den = [c3 @ zs[0] + c4] + [c3 @ zk for zk in zs[1:]]
     try:
         inv_den = _series_inv(den, 3)
     except Singular as exc:

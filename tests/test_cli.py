@@ -270,6 +270,26 @@ def test_flow_overflow_exit_3(tmp_path):
     assert proc.stderr == f"numerical error: {error}\n"
 
 
+def test_overflowing_factor_exit_3_without_warnings(tmp_path):
+    # A basis column of norm 2.1e308: its R factor leaves the float range.
+    # Numpy warnings are errors in this process, so one would end in a traceback.
+    def line(*col):
+        return {"basis": {"rows": 2, "cols": 1, "data": [[c] for c in col]}}
+
+    payload = {"subspaces": [line(1.5e308, 1.5e308), line(1.0, 0.0), line(0.0, 1.0),
+                             line(1.0, 2.0)]}
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out.json"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "opcross.cli",
+                           "dv", "--in", inp, "--out", str(out)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    error = "Overflow: a factor to invert is not finite"
+    assert proc.returncode == 3
+    assert json.loads(out.read_text())["error"] == error
+    assert proc.stderr == f"numerical error: {error}\n"
+
+
 def test_cli_loads_no_scipy(tmp_path):
     # Importing the package and running any verb, to success or to an error
     # exit, loads no scipy: only stationary_subspaces (not a verb) needs it.

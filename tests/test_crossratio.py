@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,17 @@ def test_determinant_overflow_is_typed_and_silent():
     with pytest.raises(Overflow) as exc_info:
         result.det
     assert str(exc_info.value) == "the determinant is not finite"
+
+
+def test_overflowing_chart_factors_are_silent_overflows():
+    eye, zero, big = np.eye(2), np.zeros((2, 2)), 1e308 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # T1 - T2 = 2e308 I and P2 P1 - I = 1e400 I leave the float range.
+        for call in (lambda: cr.dv_matrix(big, -big, zero, eye),
+                     lambda: cr.dv_mixed(1e200 * eye, 1e200 * eye, zero, zero)):
+            with pytest.raises(Overflow, match="^a factor to invert is not finite$"):
+                call()
 
 
 def mp_trace_powers(m, kmax):

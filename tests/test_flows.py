@@ -4,7 +4,8 @@ import pytest
 from opcross import flows, numerics
 from opcross import grassmann as gr
 from opcross.errors import DefectiveSpectrum, NotPolarization, Overflow
-from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario, random_orthogonal
+from conftest import (LOADED_SCIPY, fresh_python, overflowing_flow_scenario, random_orthogonal,
+                      spectra_close)
 
 
 def generic_initials(n, rng, count=4):
@@ -41,6 +42,24 @@ def test_spectrum_conserved_along_flow(rng):
             assert np.max(np.abs(spec - base_spec)) < 1e-6
             assert np.max(np.abs(traces - base_traces)) < 1e-6
             assert abs(det - base_det) < 1e-6
+
+
+def test_spectrum_conserved_along_a_64_dim_flow(rng, svd_calls):
+    # The perfbench flow oracle: spectra within 1e-6, traces and determinants
+    # within 1e-6 relative above magnitude 1; the flowed bases are orthonormalized
+    # by QR and every pair is screened, so no SVD runs.
+    for power in (1, 2, 3):
+        scenario = flows.FlowScenario(flows.shift_generator(64, power), generic_initials(64, rng),
+                                      np.linspace(0.0, 1.0, 11))
+        svd_calls.clear()
+        rows = flows.spectrum_along_flow(scenario)
+        assert svd_calls == []
+        _, base_spec, base_traces, base_det = rows[0]
+        for _, spec, traces, det in rows:
+            assert spectra_close(spec, base_spec, 1e-6)
+            assert np.max(np.abs(traces - base_traces) / np.maximum(1.0, np.abs(base_traces))) \
+                <= 1e-6
+            assert abs(det - base_det) <= 1e-6 * max(1.0, abs(base_det))
 
 
 def test_partial_flow_mask_moves_only_some_arguments(rng):

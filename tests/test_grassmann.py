@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from opcross import crossratio as cr
 from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import (DegeneratePosition, NonConvergence, NotComplementary,
-                            NotPolarization, OutsideChart, RankDeficient)
+                            NotPolarization, OutsideChart, Overflow, RankDeficient)
 from conftest import random_orthogonal
 
 
@@ -141,6 +143,15 @@ def test_mobius_outside_chart_detected():
     assert gr.same_subspace(w, pol.vertical)
 
 
+def test_overflowing_mobius_denominator_is_a_silent_overflow():
+    g = gr.BlockMobius.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a + b T = 1 + 2e308 leaves the float range.
+        with pytest.raises(Overflow, match="^a factor to invert is not finite$"):
+            gr.mobius_apply_coordinate(g, np.array([[1e308]]))
+
+
 def test_principal_angles_known_values():
     thetas = np.array([0.2, 0.7, 1.3])
     pb = np.zeros((6, 3))
@@ -233,16 +244,13 @@ def test_dv_unequal_pair_test_decides_as_the_stacked_svd(rng):
     assert rejected > 0
 
 
-def test_separated_pairs_are_screened_by_their_cosine_matrix(monkeypatch):
-    # n = 64, k = 32: no SVD larger than the 32 x 32 cosine matrices.
-    shapes = []
-    svd = numerics.singular_values
-    monkeypatch.setattr(numerics, "singular_values",
-                        lambda m, stack=False: shapes.append(np.shape(m)) or svd(m, stack))
+def test_separated_pairs_are_screened_by_their_cosine_matrix(svd_calls):
+    # n = 64, k = 32: every pair is separated, so its Gram Cholesky accepts it
+    # and no SVD runs, not even of the 32 x 32 cosine matrices.
     subs = [gr.random_subspace(64, 32, seed) for seed in range(5)]
     cr.dv_composition(*subs[:4])
     cr.cocycle_product(*subs)
-    assert shapes == [(32, 32)] * (2 + 6)
+    assert svd_calls == []
 
 
 def test_every_svd_failure_is_non_convergence(monkeypatch):
@@ -250,10 +258,95 @@ def test_every_svd_failure_is_non_convergence(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     e = np.eye(4)
-    a, b = gr.Subspace(e[:, :2]), gr.Subspace(e[:, 2:])
+    # Columns with sigma_min / sigma_max = 1e-9 and a pair whose largest cosine
+    # is 1 - 5e-9: no certificate or screen settles them, so the SVD runs.
+    cols = e[:, :2] * [1.0, 1e-9]
+    theta = 1e-4
+    a = gr.Subspace(e[:, :2])
+    b = gr.Subspace(np.column_stack([np.cos(theta) * e[:, 0] + np.sin(theta) * e[:, 2], e[:, 3]]))
     monkeypatch.setattr(np.linalg, "svd", fail)
     for call in (lambda: numerics.singular_values(e), lambda: numerics.null_space(e, 1e-8),
-                 lambda: gr.subspace_from_basis(e),
+                 lambda: gr.subspace_from_basis(cols),
                  lambda: gr.check_complementary(a, b), lambda: cr.comparability_witness(e, e)):
         with pytest.raises(NonConvergence, match="SVD did not converge"):
             call()
+
+
+# 1 - ||A^H B||_2 on both sides of SCREEN_MARGIN = 1e-6, then a degenerate pair.
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n, k, m", [(12, 6, 6), (12, 4, 8), (12, 8, 4), (64, 32, 32), (9, 2, 4)])
+def test_gram_cholesky_screen(rng, svd_calls, dtype, n, k, m):
+    for perturb in (False, True):
+        # sigma_min^2 = 1 - (largest cosine): above the margin no SVD runs at all.
+        a, b = _angled_pair(rng, n, k, m, np.sqrt(2e-6), dtype, perturb)
+        svd_calls.clear()
+        assert gr.degenerate_sigma_min(a, b) is None
+        assert svd_calls == []
+        # Below it, exactly one SVD of the stacked basis [a | b] decides.
+        a, b = _angled_pair(rng, n, k, m, np.sqrt(5e-7), dtype, perturb)
+        svd_calls.clear()
+        assert gr.degenerate_sigma_min(a, b) is None
+        assert svd_calls == [(n, k + m)]
+        a, b = _angled_pair(rng, n, k, m, 1e-9, dtype, perturb)
+        s_min = np.linalg.svd(np.hstack([a.basis, b.basis]), compute_uv=False)[-1]
+        assert s_min <= gr.COMPLEMENT_TOL
+        assert gr.degenerate_sigma_min(a, b) == s_min
+        if k + m == n:
+            with pytest.raises(NotPolarization) as exc:
+                gr.check_complementary(a, b)
+            assert str(exc.value) == f"stacked basis nearly singular (sigma_min = {s_min:.3e})"
+
+
+def _gaussian(rng, shape, dtype):
+    g = rng.standard_normal(shape)
+    return g + 1j * rng.standard_normal(shape) if dtype is complex else g
+
+
+def _columns_with_ratio(rng, n, k, ratio, dtype):
+    """n x k columns U diag(s) V^H, s geometric from 1 down to ratio."""
+    u, v = (np.linalg.qr(_gaussian(rng, shape, dtype))[0] for shape in ((n, k), (k, k)))
+    return u * np.geomspace(1.0, ratio, k) @ v.conj().T
+
+
+RANK_SHAPES = [(4, 2), (6, 3), (12, 5), (32, 16), (64, 32)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_qr_rank_verdict_is_the_svd_rule(rng, dtype):
+    for n, k in RANK_SHAPES:
+        for ratio in (1e-12, 1e-11, 0.9e-10, 1.1e-10, 1e-9, 1e-8, 1e-6):
+            cols = _columns_with_ratio(rng, n, k, ratio, dtype)
+            message = f"columns have numerical rank < {k}"
+            try:
+                numerics.require_nonsingular(np.linalg.svd(cols, compute_uv=False),
+                                             RankDeficient, message)
+            except RankDeficient:
+                with pytest.raises(RankDeficient) as exc:
+                    gr.subspace_from_basis(cols)
+                assert str(exc.value) == message
+                assert ratio < 1e-10
+            else:
+                assert ratio > 1e-10
+                assert gr.subspace_from_basis(cols).dim == k
+    # Wider than tall: the rank is below the column count.
+    with pytest.raises(RankDeficient, match="^columns have numerical rank < 3$"):
+        gr.subspace_from_basis(np.eye(2, 3))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_qr_basis_spans_what_the_svd_basis_spans(rng, dtype):
+    for n, k in RANK_SHAPES:
+        cols = _gaussian(rng, (n, k), dtype)
+        u = np.linalg.svd(cols, full_matrices=False)[0]
+        w = gr.subspace_from_basis(cols)
+        assert np.abs(w.projector() - u @ u.conj().T).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_orthonormal_columns_are_kept(rng, dtype):
+    for n, k in RANK_SHAPES:
+        q = np.linalg.qr(_gaussian(rng, (n, k), dtype))[0]
+        basis = gr.subspace_from_basis(q).basis
+        signs = np.diag(q.conj().T @ basis)  # unit-modulus phases, one per column
+        assert np.allclose(np.abs(signs), 1.0, atol=1e-14)
+        assert np.abs(basis - q * signs).max() <= 1e-14

@@ -250,6 +250,16 @@ def test_power_sums_overflow_is_typed_and_silent():
     assert str(exc_info.value) == "tr M^2 is not finite"
 
 
+def test_inverse_of_a_non_finite_factor_is_an_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.full((2, 2), np.nan),
+                  np.array([np.eye(2), [[1.0, -np.inf], [0.0, 1.0]]])):
+            for chart in (False, True):
+                with pytest.raises(Overflow, match="^a factor to invert is not finite$"):
+                    numerics.inverse(a, Singular, "singular", chart)
+
+
 def test_stacks_only_where_asked():
     stack = np.array([np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))])
     assert numerics.as_square(stack, "W", stack=True) is stack

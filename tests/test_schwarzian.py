@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -116,6 +117,16 @@ def test_mobius_isospectral_schwarzian(rng):
         moved = sz.mobius_curve_jet(c1, c2, c3, c4, jet)
         spec = numerics.eigenvalues(sz.schwarz(moved))
         assert spectra_close(base, spec, 1e-7)
+
+
+def test_overflowing_mobius_series_denominator_is_a_silent_overflow():
+    eye = np.eye(2)
+    jet = sz.CurveJet(0.0, 1e308 * eye, eye, 0 * eye, 0 * eye)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The series' constant term C3 z + C4 = 2e308 I + I leaves the float range.
+        with pytest.raises(Overflow, match="^a factor to invert is not finite$"):
+            sz.mobius_curve_jet(eye, eye, 2.0 * eye, eye, jet)
 
 
 def test_hamiltonian_vs_riccati(rng):
