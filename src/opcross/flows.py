@@ -15,7 +15,11 @@ from .crossratio import CrossRatioResult, dv_composition
 from .errors import DefectiveSpectrum, NotPolarization, Overflow
 from .grassmann import Subspace, subspace_from_basis
 
-DEFAULT_CLUSTER_TOL = 1e-6
+# Sorted eigenvalues within DEFAULT_CLUSTER_TOL times the spectral radius (floored at 1)
+# of a neighbour share a cluster: rounding split the 2 x 2 Jordan block of S J S^-1,
+# cond S = 1.6e3, into two eigenvalues 2e-6 times that radius apart.
+DEFAULT_CLUSTER_TOL = 1e-5
+MAX_STATIONARY = 8
 
 
 @dataclass(frozen=True)
@@ -129,24 +133,15 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
     return rows
 
 
-def _eig_clusters(eigs, tol):
-    """Group sorted eigenvalues into clusters of pairwise distance <= tol."""
-    order = np.lexsort((eigs.imag, eigs.real))
-    clusters = []
-    for idx in order:
-        if clusters and abs(eigs[idx] - eigs[clusters[-1][-1]]) <= tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
+def stationary_subspaces(m, k):
+    """Invariant k-dimensional subspaces of M (fixed points of the flow), at most MAX_STATIONARY.
 
-
-def stationary_subspaces(m, k, cluster_tol=DEFAULT_CLUSTER_TOL, max_results=8):
-    """Invariant k-dimensional subspaces of M (fixed points of the flow).
-
-    Eigenvalues are grouped into clusters; every union of whole clusters with
-    total dimension k yields one invariant subspace via an ordered Schur
-    decomposition.  A nilpotent M is handled through its kernel chain.
+    A cluster of m eigenvalues around c spans the generalized eigenspace ker (M - cI)^m, the
+    right singular vectors of its m smallest singular values (Golub & Van Loan, Matrix
+    Computations, 4th ed., 7.6-7.7).  Each union of whole clusters of total dimension k
+    stacks their kernels V, as [Re V | Im V] for a real M (rank k exactly when span V is
+    closed under conjugation); a stack of rank k gives its first k left singular vectors.
+    A nilpotent M is handled through its kernel chain.
     Raises DefectiveSpectrum when no whole-cluster union has dimension k.
     """
     m = numerics.as_square(m, "M")
@@ -166,40 +161,31 @@ def stationary_subspaces(m, k, cluster_tol=DEFAULT_CLUSTER_TOL, max_results=8):
             if ns.shape[1] > k:
                 break
         raise DefectiveSpectrum(f"no kernel-chain member of dimension {k}")
-    import scipy.linalg  # for the ordered Schur form, which numpy lacks
-    clusters = _eig_clusters(eigs, cluster_tol * scale)
-    sizes = [len(c) for c in clusters]
+    gaps = np.abs(np.diff(eigs)) > DEFAULT_CLUSTER_TOL * scale  # eigs sorted by (real, imag)
+    clusters = np.split(eigs, np.flatnonzero(gaps) + 1)
+    kernels = []
+    for c in clusters:
+        _, _, vh = numerics.svd(np.linalg.matrix_power(m - c.mean() * np.eye(n), len(c)))
+        kernels.append(vh[-len(c):].conj().T)
     results = []
     for r in range(1, len(clusters) + 1):
         for combo in itertools.combinations(range(len(clusters)), r):
-            if sum(sizes[i] for i in combo) != k:
+            if sum(len(clusters[i]) for i in combo) != k:
                 continue
-            targets = [eigs[j] for i in combo for j in clusters[i]]
-
-            def selector(re, im=None):
-                # scipy may call with scalars or arrays; (real, imag) for output='real'.
-                re = np.asarray(re, dtype=float)
-                im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
-                lam = re + 1j * im
-                hit = np.zeros(lam.shape, dtype=bool)
-                for tgt in targets:
-                    hit |= np.abs(lam - tgt) <= 10 * cluster_tol * scale
-                return hit if hit.shape else bool(hit)
-
-            try:
-                _, z, sdim = scipy.linalg.schur(m, output="real", sort=selector)
-            except scipy.linalg.LinAlgError as exc:
-                raise DefectiveSpectrum(str(exc)) from exc
-            if sdim != k:
+            v = np.hstack([kernels[i] for i in combo])
+            if not np.iscomplexobj(m):
+                v = np.hstack([v.real, v.imag])
+            u, s, _ = numerics.svd(v, full_matrices=False)
+            if np.count_nonzero(s > DEFAULT_CLUSTER_TOL * s[0]) != k:
                 continue
-            w = subspace_from_basis(z[:, :k])
-            if numerics.fro(w.basis @ (w.basis.T @ (m @ w.basis)) - m @ w.basis) \
+            w = Subspace(u[:, :k])
+            if numerics.fro(w.basis @ (w.basis.conj().T @ (m @ w.basis)) - m @ w.basis) \
                     > 1e-6 * max(1.0, numerics.fro(m)):
                 continue
             if not any(np.allclose(w.projector(), r0.projector(), atol=1e-8)
                        for r0 in results):
                 results.append(w)
-            if len(results) >= max_results:
+            if len(results) >= MAX_STATIONARY:
                 return results
     if not results:
         raise DefectiveSpectrum(f"no cluster union of dimension {k} is resolvable")

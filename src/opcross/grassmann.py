@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import NotPolarization, OutsideChart, RankDeficient
+from .errors import NotPolarization, OutsideChart, Overflow, RankDeficient
 
 # A stacked basis whose smallest singular value falls below this has an
 # "infinitesimally small" angle between its two halves and is rejected.
@@ -261,10 +261,13 @@ class BlockMobius:
 def mobius_apply_coordinate(g, t):
     """Chart-level Moebius action T -> (c + d T)(a + b T)^-1."""
     t = numerics.as_matrix(t, "T")
-    with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
-        den = g.a + g.b @ t
-    return (g.c + g.d @ t) @ numerics.inverse(den, OutsideChart, "(a + bT) is singular: "
-                                              "image leaves the big cell", chart=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing factor or image: Overflow
+        image = (g.c + g.d @ t) @ numerics.inverse(
+            g.a + g.b @ t, OutsideChart, "(a + bT) is singular: image leaves the big cell",
+            chart=True)
+    if not np.isfinite(image).all():
+        raise Overflow("the Moebius image is not finite")
+    return image
 
 
 def mobius_apply_subspace(g, w):

@@ -251,15 +251,18 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
     c1, c2, c3, c4 = blocks
     # Taylor coefficients of z(t + s) in s.
     zs = [jet.z, jet.z1, jet.z2 / 2.0, jet.z3 / 6.0]
-    num = [c1 @ zs[0] + c2] + [c1 @ zk for zk in zs[1:]]
-    with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing factor or image: Overflow
+        num = [c1 @ zs[0] + c2] + [c1 @ zk for zk in zs[1:]]
         den = [c3 @ zs[0] + c4] + [c3 @ zk for zk in zs[1:]]
-    try:
-        inv_den = _series_inv(den, 3)
-    except Singular as exc:
-        raise Singular("(C3 z + C4) is singular at the curve point") from exc
-    w = _series_mul(num, inv_den, 3)
-    return CurveJet(jet.t, w[0], w[1], 2.0 * w[2], 6.0 * w[3])
+        try:
+            inv_den = _series_inv(den, 3)
+        except Singular as exc:
+            raise Singular("(C3 z + C4) is singular at the curve point") from exc
+        w = _series_mul(num, inv_den, 3)
+        w[2], w[3] = 2.0 * w[2], 6.0 * w[3]
+    if not all(np.isfinite(x).all() for x in w):
+        raise Overflow("the Moebius image jet is not finite")
+    return CurveJet(jet.t, *w)
 
 
 def _stage_times(ts, hs):

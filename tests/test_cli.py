@@ -292,7 +292,7 @@ def test_overflowing_factor_exit_3_without_warnings(tmp_path):
 
 def test_cli_loads_no_scipy(tmp_path):
     # Importing the package and running any verb, to success or to an error
-    # exit, loads no scipy: only stationary_subspaces (not a verb) needs it.
+    # exit, loads no scipy: the package needs numpy and click only.
     unequal = [grassmann.random_subspace(3, d, 10 + i) for i, d in enumerate((1, 2, 1, 2))]
     rng = np.random.default_rng(3)
     cocycle = {key: [grassmann.random_subspace(4, 2, int(rng.integers(2**31))).to_json()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -89,18 +91,28 @@ def test_flow_reports_overflow_time():
 
 
 def test_flows_load_no_scipy():
+    # With scipy blocked, every flow function runs, stationary_subspaces on
+    # simple eigenvalues, a complex pair of a real generator and the nilpotent
+    # kernel chain; so does selftest.
     out = fresh_python(f"""
 import sys
+sys.modules["scipy"] = None
 import numpy as np
-from opcross import flows, grassmann
+from opcross import flows, grassmann, selftest
 w = [grassmann.random_subspace(6, 3, seed) for seed in range(4)]
 m1, m2 = flows.shift_generator(6, 1), flows.shift_generator(6, 2)
 flows.flow_subspace(m1, 0.5, w[0])
 flows.spectrum_along_flow(flows.FlowScenario(m1, w, np.linspace(0.0, 1.0, 3)))
 flows.commuting_flow_residual(m1, m2, w[0], 0.3, 0.7)
+rot = np.diag([0.0, 0.0, 2.0, 5.0])
+rot[0, 1], rot[1, 0] = -1.0, 1.0
+for m, k in ((np.diag([1.0, 2.0, 3.0, 4.0]), 2), (rot, 2), (m1, 3)):
+    print(len(flows.stationary_subspaces(m, k)))
+selftest.run_all(seed=1)
+del sys.modules["scipy"]
 print({LOADED_SCIPY})
 """)
-    assert out.splitlines() == ["[]"]
+    assert out.splitlines() == ["6", "2", "1", "[]"]
 
 
 def test_stationary_subspaces_diagonalizable():
@@ -136,6 +148,80 @@ def test_stationary_subspaces_nilpotent():
         # ker L^k always has dimension k for the full shift; a 1-dim slice
         # of a repeated-eigenvalue block elsewhere is unresolvable.
         flows.stationary_subspaces(np.zeros((3, 3)) + np.diag([0.0] * 3), 1)
+
+
+def _invariance_residual(m, w):
+    return numerics.fro(w.projector() @ m @ w.basis - m @ w.basis)
+
+
+def test_stationary_subspaces_of_a_complex_generator(capfd):
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    results = flows.stationary_subspaces(m, 2)
+    # Four simple eigenvalues: every pair of eigenvectors spans an invariant plane.
+    assert len(results) == 6
+    for w in results:
+        assert _invariance_residual(m, w) <= 1e-12 * numerics.fro(m)
+    assert capfd.readouterr().err == ""
+
+
+def _closed_form_generator(rng, n, cplx):
+    """M = S D S^-1 with D block diagonal: simple eigenvalues (1 x 1 blocks),
+    rotation blocks [[a, -b], [b, a]] for conjugate pairs a +- ib (real case),
+    and one 2 x 2 Jordan block.  Returns M, the column indices of S spanning
+    each cluster's generalized eigenspace, and S."""
+    centers = rng.permutation(np.arange(-6.0, 6.0, 0.75))  # distinct real parts
+    d = np.zeros((n, n), dtype=complex if cplx else float)
+    d[:2, :2] = [[centers[0], 1.0], [0.0, centers[0]]]  # the Jordan block
+    blocks, j = [[0, 1]], 2
+    while j < n:
+        c = centers[len(blocks)]
+        if j + 1 < n and not cplx and rng.random() < 0.7:
+            b = rng.uniform(0.5, 1.5)
+            d[j:j + 2, j:j + 2] = [[c, -b], [b, c]]
+            blocks.append([j, j + 1])
+            j += 2
+        else:
+            d[j, j] = c + (1j * rng.uniform(-1.0, 1.0) if cplx else 0.0)
+            blocks.append([j])
+            j += 1
+
+    def unitary():
+        z = rng.standard_normal((n, n))
+        return np.linalg.qr(z + 1j * rng.standard_normal((n, n)) if cplx else z)[0]
+
+    # cond S = 10^2.5: rounding splits the Jordan block by up to 1.2e-6 of the spectral radius.
+    s = unitary() @ np.diag(np.logspace(0.0, 2.5, n)) @ unitary()
+    return s @ d @ np.linalg.inv(s), blocks, s
+
+
+def test_stationary_subspaces_closed_form_battery():
+    # Every union of whole clusters with total dimension k, and nothing else,
+    # up to MAX_STATIONARY; DefectiveSpectrum when no union has dimension k.
+    rng = np.random.default_rng(2024)
+    defective = 0
+    for case in range(60):
+        n, cplx = int(rng.integers(3, 9)), case % 4 == 3
+        m, blocks, s = _closed_form_generator(rng, n, cplx)
+        k = int(rng.integers(1, n))
+        expected = [gr.subspace_from_basis(s[:, sum(combo, [])])
+                    for r in range(1, len(blocks) + 1)
+                    for combo in itertools.combinations(blocks, r)
+                    if sum(map(len, combo)) == k]
+        if not expected:
+            defective += 1
+            with pytest.raises(DefectiveSpectrum):
+                flows.stationary_subspaces(m, k)
+            continue
+        results = flows.stationary_subspaces(m, k)
+        assert len(results) == min(flows.MAX_STATIONARY, len(expected))
+        matches = [[i for i, e in enumerate(expected) if gr.same_subspace(w, e)]
+                   for w in results]
+        assert all(len(found) == 1 for found in matches)
+        assert len({found[0] for found in matches}) == len(results)
+        for w in results:
+            assert _invariance_residual(m, w) <= 1e-12 * numerics.fro(m)
+    assert defective > 0
 
 
 def test_commuting_flows_commute(rng):

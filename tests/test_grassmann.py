@@ -152,6 +152,15 @@ def test_overflowing_mobius_denominator_is_a_silent_overflow():
             gr.mobius_apply_coordinate(g, np.array([[1e308]]))
 
 
+def test_overflowing_mobius_image_is_a_silent_overflow():
+    g = gr.BlockMobius.from_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a + b T = 1 is finite, the numerator c + d T = 2e308 is not.
+        with pytest.raises(Overflow, match="^the Moebius image is not finite$"):
+            gr.mobius_apply_coordinate(g, np.array([[1e308]]))
+
+
 def test_principal_angles_known_values():
     thetas = np.array([0.2, 0.7, 1.3])
     pb = np.zeros((6, 3))

@@ -129,6 +129,16 @@ def test_overflowing_mobius_series_denominator_is_a_silent_overflow():
             sz.mobius_curve_jet(eye, eye, 2.0 * eye, eye, jet)
 
 
+def test_overflowing_mobius_jet_is_a_silent_overflow():
+    eye = np.eye(2)
+    jet = sz.CurveJet(0.0, 1e308 * eye, eye, 0 * eye, 0 * eye)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # C3 z + C4 = I is finite, the numerator C1 z + C2 = 2e308 I + I is not.
+        with pytest.raises(Overflow, match="^the Moebius image jet is not finite$"):
+            sz.mobius_curve_jet(2.0 * eye, eye, 0 * eye, eye, jet)
+
+
 def test_hamiltonian_vs_riccati(rng):
     a = sz.MatrixPolynomial([0.2 * _sym(rng, 2), 0.1 * _sym(rng, 2)])
     b = sz.MatrixPolynomial([_sym(rng, 2), 0.3 * _sym(rng, 2)])
