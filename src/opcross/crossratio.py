@@ -9,6 +9,14 @@ only spectra and traces of powers are meaningful across bases.  The stored
 basis is the Q of a Householder QR of the given columns (subspace_from_basis),
 so an orthonormal input basis, as read from JSON, is kept up to column signs
 and the dv and cocycle report matrices are in the input's own basis.
+
+dv_composition and cocycle_product never form a projected vector: each oblique
+projection maps coordinates in one stored basis to coordinates in the next,
+read off the k x k cosine matrices Pi^H Pj.  With C_ij = Pi^H Pj and
+S_ij = I - C_ij C_ij^H, the composite is
+D = S_12^-1 (C_13 - C_12 C_23) S_34^-1 (C_31 - C_34 C_41), the cosine-matrix
+twin of the chart formula.  A pair that fails the Schur gate
+(grassmann.SCHUR_COND_MAX) is projected through its n x n stacked basis instead.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +25,9 @@ import numpy as np
 
 from . import numerics
 from .errors import DegeneratePosition, NotPolarization, Overflow, Singular
-from .grassmann import degenerate_sigma_min, principal_angles, project_parallel
+from .grassmann import (_oblique_coords, _schur_coords, degenerate_sigma_min,
+                        principal_angles)
+from .grassmann import project_parallel  # noqa: F401  (kept importable from here)
 
 # The six coset labels of the permutation action (see dv_permuted).
 PERMUTATION_LABELS = ("12,34", "34,12", "12,43", "14,32", "13,24", "14,23")
@@ -68,12 +78,41 @@ def _chart_inv(m, what):
     return numerics.inverse(m, Singular, f"{what} is not invertible", chart=True)
 
 
-def _composite_matrix(p1, p2, p3, p4):
-    """Matrix of P1 ->(parallel to P4) P3 ->(parallel to P2) P1 in basis(P1);
-    each projection checks its own polarization."""
-    step1 = project_parallel(p1.basis, p3, p4)
-    step2 = project_parallel(step1, p1, p2)
-    return p1.basis.conj().T @ step2
+def _chain(start, arrows):
+    """Matrix, in the basis of the last arrow's target, of the oblique
+    projections onto a parallel to b, (a, b) in arrows, applied in order to the
+    basis of start.  Each step maps its source's basis (start, then the previous
+    target) to coordinates in its target, read off cosine matrices u^H v, each
+    formed once.  Up to 32 x 32 cosine matrices, where numpy's per-call cost
+    outweighs the flops, one stacked Schur solve serves the chain when every
+    pair passes the gate (the callers' dimension rules give the steps one
+    shape); larger stacks would hold every pair's matrices at once.  Otherwise
+    the pairs go one by one, so the first pair that is no polarization raises.
+    """
+    grams = {}
+
+    def cos(u, v):
+        key = (id(u), id(v))
+        g = grams.get(key)
+        if g is None:
+            back = grams.get(key[::-1])
+            g = grams[key] = u.basis.conj().T @ v.basis if back is None else back.conj().T
+        return g
+
+    n = start.ambient_dim
+    sources = [start] + [a for a, _ in arrows[:-1]]
+    steps = None
+    if start.dim * (n - start.dim) <= 32 * 32 \
+            and all(a.dim + b.dim == n == a.ambient_dim == b.ambient_dim for a, b in arrows):
+        cosines = [(cos(a, b), cos(a, x), cos(b, x)) for (a, b), x in zip(arrows, sources)]
+        steps = _schur_coords(*map(np.array, zip(*cosines)))
+    if steps is None:
+        steps = [_oblique_coords(a, b, x.basis, lambda: (cos(a, b), cos(a, x), cos(b, x)))
+                 for (a, b), x in zip(arrows, sources)]
+    m = steps[0]
+    for step in steps[1:]:
+        m = step @ m
+    return m
 
 
 def dv_composition(p1, p2, p3, p4, kmax=None):
@@ -84,8 +123,7 @@ def dv_composition(p1, p2, p3, p4, kmax=None):
     """
     if p1.dim != p3.dim:
         raise ValueError("dim P1 != dim P3; use dv_unequal for the reduction")
-    return CrossRatioResult.from_matrix(_composite_matrix(p1, p2, p3, p4),
-                                        "P1", kmax)
+    return CrossRatioResult.from_matrix(_chain(p1, ((p3, p4), (p1, p2))), "P1", kmax)
 
 
 def dv_matrix(t1, t2, t3, t4, pol=None, kmax=None):
@@ -189,14 +227,7 @@ def cocycle_product(p1, p2, q1, q2, q3):
     NotPolarization when one is not a polarization; equals the identity
     otherwise.  Returned for residual inspection.
     """
-    x = p1.basis
-    x = project_parallel(x, p2, q2)
-    x = project_parallel(x, p1, q1)
-    x = project_parallel(x, p2, q1)
-    x = project_parallel(x, p1, q3)
-    x = project_parallel(x, p2, q3)
-    x = project_parallel(x, p1, q2)
-    return p1.basis.conj().T @ x
+    return _chain(p1, ((p2, q2), (p1, q1), (p2, q1), (p1, q3), (p2, q3), (p1, q2)))
 
 
 def operator_angle(a, b, kmax=None):

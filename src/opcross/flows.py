@@ -179,8 +179,9 @@ def stationary_subspaces(m, k):
             if np.count_nonzero(s > DEFAULT_CLUSTER_TOL * s[0]) != k:
                 continue
             w = Subspace(u[:, :k])
+            # Invariant planes measure below 1e-12 ||M||_F up to cond S = 1e3 (M = S D S^-1).
             if numerics.fro(w.basis @ (w.basis.conj().T @ (m @ w.basis)) - m @ w.basis) \
-                    > 1e-6 * max(1.0, numerics.fro(m)):
+                    > 1e-10 * max(1.0, numerics.fro(m)):
                 continue
             if not any(np.allclose(w.projector(), r0.projector(), atol=1e-8)
                        for r0 in results):

@@ -30,6 +30,18 @@ COMPLEMENT_TOL = 1e-8
 # decided by the stacked SVD.
 SCREEN_MARGIN = 1e-6
 
+# A complementary pair (k + m = n) with C = A^H B is projected through a
+# Schur complement: x = A y + B z gives A^H x = y + C z and B^H x = C^H y + z,
+# so (I - C C^H) y = A^H x - C B^H x, or, for a tall C (k > m), the smaller
+# (I - C^H C) z = B^H x - C^H A^H x and y = A^H x - C z.  One Cholesky of
+# (1 - 1/SCHUR_COND_MAX) I minus the Gram of C's smaller side certifies that
+# the complement's condition number is at most SCHUR_COND_MAX.  The complement
+# is formed with an absolute error of about eps, so each such projection
+# carries a relative error of about SCHUR_COND_MAX * eps (2e-14); closer pairs,
+# whose error would grow like eps / (1 - ||C||_2^2), take check_complementary
+# and the n x n stacked solve.
+SCHUR_COND_MAX = 1e2
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -172,6 +184,41 @@ def standard_polarization(n, k=None):
     return Polarization(Subspace(eye[:, :k]), Subspace(eye[:, k:]))
 
 
+def _schur_coords(c, ax, bx):
+    """Coordinates y, in A, of the projection of x = A y + B z onto A parallel
+    to B, from c = A^H B, ax = A^H x and bx = B^H x (or from stacks of them,
+    one pair per matrix), or None unless every pair passes the SCHUR_COND_MAX
+    gate."""
+    ch = c.conj().swapaxes(-1, -2)
+    wide = c.shape[-2] <= c.shape[-1]
+    gram = c @ ch if wide else ch @ c
+    eye = np.eye(gram.shape[-1])
+    try:
+        np.linalg.cholesky((1.0 - 1.0 / SCHUR_COND_MAX) * eye - gram)
+    except np.linalg.LinAlgError:  # ||C||_2^2 is near 1 - 1/SCHUR_COND_MAX or above it
+        return None
+    if wide:
+        return np.linalg.solve(eye - gram, ax - c @ bx)
+    return ax - c @ np.linalg.solve(eye - gram, bx - ch @ ax)
+
+
+def _oblique_coords(onto, along, x, cosines):
+    """Coordinates, in onto.basis, of the projection of the columns of x onto
+    `onto` parallel to `along`.
+
+    cosines() returns onto^H along, onto^H x and along^H x; it is called only
+    for a pair of complementary dimensions in x's ambient space.  A pair that
+    fails the SCHUR_COND_MAX gate goes through check_complementary
+    (NotPolarization unless onto + along is a direct sum) and the stacked
+    n x n solve.
+    """
+    if onto.dim + along.dim == onto.ambient_dim == along.ambient_dim == len(x):
+        y = _schur_coords(*cosines())
+        if y is not None:
+            return y
+    return np.linalg.solve(check_complementary(onto, along), x)[: onto.dim]
+
+
 def project_parallel(x, onto, along):
     """Project x onto `onto` parallel to `along` (oblique projection).
 
@@ -179,10 +226,10 @@ def project_parallel(x, onto, along):
     with x - y in `along` is returned.  Raises NotPolarization unless
     onto + along is a direct sum.
     """
-    stacked = check_complementary(onto, along)
     x = np.asarray(x)
-    coeffs = np.linalg.solve(stacked, x)
-    return onto.basis @ coeffs[: onto.dim]
+    a, b = onto.basis.conj().T, along.basis.conj().T
+    return onto.basis @ _oblique_coords(onto, along, x,
+                                        lambda: (a @ along.basis, a @ x, b @ x))
 
 
 def graph_coordinate(w, pol):

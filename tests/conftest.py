@@ -120,6 +120,29 @@ def pair_with_angles(thetas, n, rng=None):
     return p, q
 
 
+def complementary_pair(rng, n, k, gap, dtype=float):
+    """A k-dim A and an (n - k)-dim B in R^n or C^n, k <= n - k, in a random
+    unitary frame, with 1 - ||A^H B||_2^2 = gap: the principal cosines are
+    sqrt(1 - gap) and k - 1 more drawn below it."""
+    cosines = np.sqrt(1.0 - gap) * np.append(1.0, rng.uniform(0.0, 1.0, k - 1))
+    a, b = np.zeros((n, k)), np.zeros((n, n - k))
+    a[:k] = np.eye(k)
+    b[:k, :k] = np.diag(cosines)
+    b[k:2 * k, :k] = np.diag(np.sqrt(1.0 - cosines ** 2))
+    b[2 * k:, k:] = np.eye(n - 2 * k)
+    g = rng.standard_normal((n, n))
+    q = np.linalg.qr(g + 1j * rng.standard_normal((n, n)) if dtype is complex else g)[0]
+    return oc.Subspace(q @ a), oc.Subspace(q @ b)
+
+
+def chart_subspaces(rng, k, levels):
+    """Graphs of the k x k charts level * I + 0.3 G / sqrt(k) of the standard
+    polarization of R^2k: graphs of distant levels are well separated."""
+    pol = grassmann.standard_polarization(2 * k, k)
+    return [grassmann.subspace_from_graph(lv * np.eye(k) + 0.3 * rng.standard_normal((k, k))
+                                          / np.sqrt(k), pol) for lv in levels]
+
+
 def fresh_python(code):
     """stdout of code run by a new interpreter that imports opcross from this
     checkout, so sys.modules shows what the code alone loaded."""
@@ -142,4 +165,13 @@ def svd_calls(monkeypatch):
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
+    return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The shapes np.linalg.solve is called on from here on, in call order."""
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(np.shape(a)) or solve(a, b))
     return calls

@@ -7,8 +7,9 @@ from opcross import crossratio as cr
 from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import DegeneratePosition, NotPolarization, Overflow, Singular
-from conftest import (overflowing_dv_config, pair_with_angles, random_half_dim_charts,
-                      random_orthogonal, spectra_close, unequal_sharing_config)
+from conftest import (complementary_pair, overflowing_dv_config, pair_with_angles,
+                      random_half_dim_charts, random_orthogonal, spectra_close,
+                      unequal_sharing_config)
 
 
 def scalar_charts(t1, t2, t3, t4):
@@ -343,3 +344,61 @@ def test_overflow_names_first_non_finite_power():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(Overflow, match=r"tr M\^4 is not finite"):
         cr.CrossRatioResult.from_matrix(np.diag([1e100, 1.0]), "P1", kmax=6)
+
+
+# 1 - ||C||_2^2 of the polarizations: far from, just above and just below the
+# Schur gate 1 / SCHUR_COND_MAX = 0.01 (below it, the stacked n x n solve).
+SCHUR_GAPS = (0.5, 0.05, 0.011, 0.009)
+
+
+def mp_composite_spectrum(p1, p2, p3, p4):
+    """Eigenvalues of the dv_composition operator in 40-digit mpmath: the first
+    dim P1 rows of [P3 | P4]^-1 P1, then of [P1 | P2]^-1 P3, from the float bases."""
+    import mpmath
+
+    def mp(a):
+        return mpmath.matrix(np.vectorize(mpmath.mpmathify, otypes=[object])(a).tolist())
+
+    def coords(onto, along, x):
+        c = mpmath.inverse(mp(np.hstack([onto.basis, along.basis]))) * mp(x.basis)
+        return c[:onto.dim, :]
+
+    with mpmath.workdps(40):
+        ev = mpmath.eig(coords(p1, p2, p3) * coords(p3, p4, p1), left=False, right=False)
+        return np.array([complex(e) for e in ev])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [4, 3])
+def test_composition_spectrum_against_40_digits(rng, dtype, k):
+    # n = 8: k = 4 is dv_composition itself, k = 3 dv_unequal's (3, 5, 3, 5)
+    # (rectangular cosine matrices).  About SCHUR_COND_MAX * eps per projection.
+    for gap in SCHUR_GAPS:
+        for _ in range(3):
+            p1, p2 = complementary_pair(rng, 8, k, gap, dtype)
+            p3, p4 = complementary_pair(rng, 8, k, gap, dtype)
+            got = cr.dv_unequal(p1, p2, p3, p4).spectrum
+            ref = mp_composite_spectrum(p1, p2, p3, p4)
+            gap_to = np.abs(got[:, None] - ref[None, :])
+            err = max(gap_to.min(axis=0).max(), gap_to.min(axis=1).max())
+            assert err <= 1e-12 * np.abs(ref).max(), (gap, err)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [4, 3, 5])
+def test_cocycle_is_the_identity_at_the_schur_gate(rng, dtype, k):
+    # (P1, Q1) has the prescribed gap; P2, Q2 and Q3 are P1 and Q1 moved by
+    # about 1e-2, so every arrow sits near that gap, on either side of the gate
+    # for 0.011 and 0.009.  k = 5 takes the tall cosine matrices (dim P > dim Q).
+    n = 8
+    side = min(k, n - k)
+    for gap in SCHUR_GAPS:
+        for _ in range(3):
+            a, b = complementary_pair(rng, n, side, gap, dtype)
+            p1, q1 = (a, b) if k == side else (b, a)
+
+            def moved(w):
+                return gr.subspace_from_basis(w.basis + 1e-2 * rng.standard_normal(w.basis.shape))
+
+            prod = cr.cocycle_product(p1, moved(p1), q1, moved(q1), moved(q1))
+            assert numerics.fro(prod - np.eye(k)) <= 1e-10, gap

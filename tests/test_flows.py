@@ -224,6 +224,23 @@ def test_stationary_subspaces_closed_form_battery():
     assert defective > 0
 
 
+def test_stationary_planes_are_invariant_to_1e_10_of_m():
+    # M = S diag(J3(2), -1, 4.5) S^-1 with cond S = 1e3.  Rounding splits the 3 x 3
+    # Jordan block, and one k = 2 union of its pieces spans a plane with invariance
+    # residual 1.6e-9 ||M||_F, 1.9e-4 (largest projector entry) from every invariant
+    # plane; a check at 1e-6 ||M||_F returned it.
+    rng = np.random.default_rng(12)
+    d = np.diag([2.0, 2.0, 2.0, -1.0, 4.5])
+    d[0, 1] = d[1, 2] = 1.0
+    q1, q2 = (np.linalg.qr(rng.standard_normal((5, 5)))[0] for _ in range(2))
+    s = q1 @ np.diag(np.logspace(0.0, 3.0, 5)) @ q2
+    m = s @ d @ np.linalg.inv(s)
+    results = flows.stationary_subspaces(m, 2)
+    assert results
+    for w in results:
+        assert _invariance_residual(m, w) <= 1e-10 * numerics.fro(m)
+
+
 def test_commuting_flows_commute(rng):
     w0 = gr.random_subspace(8, 4, 3)
     res = flows.commuting_flow_residual(flows.shift_generator(8, 1),

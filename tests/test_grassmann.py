@@ -8,7 +8,7 @@ from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import (DegeneratePosition, NonConvergence, NotComplementary,
                             NotPolarization, OutsideChart, Overflow, RankDeficient)
-from conftest import random_orthogonal
+from conftest import chart_subspaces, complementary_pair, random_orthogonal
 
 
 def test_subspace_requires_orthonormal_columns():
@@ -359,3 +359,66 @@ def test_orthonormal_columns_are_kept(rng, dtype):
         signs = np.diag(q.conj().T @ basis)  # unit-modulus phases, one per column
         assert np.allclose(np.abs(signs), 1.0, atol=1e-14)
         assert np.abs(basis - q * signs).max() <= 1e-14
+
+
+def test_separated_compositions_make_no_n_by_n_solve(rng, solve_calls, svd_calls):
+    # Graphs of charts at levels -3, -1, 1, 3 (and 5): every pair the two
+    # verbs project along has 1 - ||C||_2^2 near 0.2 or above, so one stacked
+    # k x k Schur solve serves the whole chain, with no n x n solve and no SVD.
+    n, k = 64, 32
+    p1, p2, p3, p4 = chart_subspaces(rng, k, (-3, -1, 1, 3))
+    cr.dv_composition(p1, p2, p3, p4)
+    assert solve_calls == [(2, k, k)]
+    solve_calls.clear()
+    p1, p2, *qs = chart_subspaces(rng, k, (-3, -1, 1, 3, 5))
+    cr.cocycle_product(p1, p2, *qs)
+    assert solve_calls == [(6, k, k)]
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [4, 3, 5])
+def test_only_pairs_past_the_schur_gate_make_an_n_by_n_solve(rng, solve_calls, dtype, k):
+    # 1 - ||C||_2^2 = 0.011 passes the gate (1 / SCHUR_COND_MAX = 0.01) and takes
+    # one solve on the smaller side; 0.009 takes the n x n stacked basis.
+    n = 8
+    side = min(k, n - k)
+    for gap, shape in ((0.011, (side, side)), (0.009, (n, n))):
+        a, b = complementary_pair(rng, n, side, gap, dtype)
+        onto, along = (a, b) if k == side else (b, a)
+        x = rng.standard_normal(n)
+        solve_calls.clear()
+        y = gr.project_parallel(x, onto, along)
+        assert solve_calls == [shape]
+        coeffs = np.linalg.solve(np.hstack([onto.basis, along.basis]), x)
+        assert np.linalg.norm(y - onto.basis @ coeffs[:k]) <= 1e-12 * np.linalg.norm(x)
+    # In a dv chain, only the pair past the gate pays the n x n solve.
+    p1, p2 = complementary_pair(rng, n, 4, 0.009, dtype)
+    p3, p4 = complementary_pair(rng, n, 4, 0.5, dtype)
+    solve_calls.clear()
+    cr.dv_composition(p1, p2, p3, p4)
+    assert sorted(solve_calls) == [(4, 4), (n, n)]
+
+
+def _sharing(p, q):
+    """q with its first basis vector replaced by p's: [p | q] is singular."""
+    return gr.subspace_from_basis(np.column_stack([p.basis[:, 0], q.basis[:, 1:]]))
+
+
+def test_cocycle_chain_raises_at_its_first_failing_arrow(rng):
+    # The arrows run (P2, Q2), (P1, Q1), (P2, Q1), (P1, Q3), (P2, Q3), (P1, Q2);
+    # the first pair that is no polarization raises check_complementary's error.
+    p1, p2, q1, q2, q3 = chart_subspaces(rng, 4, (-3, -1, 1, 3, 5))
+    short = gr.Subspace(q2.basis[:, :3])
+    cases = (((q1, short, q3), (p2, short)),                     # arrow 1: dims 4+3 != 8
+             ((_sharing(p1, q1), q2, q3), (p1, _sharing(p1, q1))),  # arrow 2
+             ((_sharing(p2, q1), q2, q3), (p2, _sharing(p2, q1))),  # arrow 3
+             ((q1, q2, _sharing(p1, q3)), (p1, _sharing(p1, q3))),  # arrow 4
+             ((q1, q2, _sharing(p2, q3)), (p2, _sharing(p2, q3))),  # arrow 5
+             ((_sharing(p2, q1), q2, _sharing(p1, q3)), (p2, _sharing(p2, q1))))  # 3 before 4
+    for qs, (a, b) in cases:
+        with pytest.raises(NotPolarization) as want:
+            gr.check_complementary(a, b)
+        with pytest.raises(NotPolarization) as got:
+            cr.cocycle_product(p1, p2, *qs)
+        assert str(got.value) == str(want.value)
