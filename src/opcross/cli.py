@@ -5,6 +5,7 @@ or unwritable output, 3 numerical error (Singular, BlowUp, NotPolarization,
 ...).  Reports are byte-identical for identical (input, seed, version).
 """
 
+import argparse
 import csv
 import hashlib
 import io
@@ -12,15 +13,11 @@ import json
 import os
 import sys
 
-import click
 import numpy as np
 
 from . import __version__, crossratio, flows, grassmann, numerics
 from . import schwarzian as schwarz
 from .errors import NumericalError
-
-VERBS = ("dv", "angle", "equiv", "cocycle", "schwarz", "riccati",
-         "hamiltonian", "flow", "selftest")
 
 TOL_ENV_VAR = "OPCROSS_TOL"
 
@@ -318,30 +315,24 @@ def _csv_path(output_path):
     return root + ".csv"
 
 
-def _verb_command(verb):
-    @click.command(name=verb, help=f"Run the {verb} operation on a JSON input file.")
-    @click.option("--in", "input_path", type=click.Path(), default=None,
-                  help="Input JSON file.")
-    @click.option("--out", "output_path", type=click.Path(), default=None,
-                  help="Report JSON file (trajectory verbs also write a .csv sibling, "
-                       "so theirs must not end in .csv).")
-    @click.option("--seed", type=int, default=0, show_default=True)
-    @click.option("--tol", type=float, default=None,
-                  help=f"Decision tolerance (default from ${TOL_ENV_VAR} or 1e-6).")
-    def command(input_path, output_path, seed, tol):
-        sys.exit(run(verb, input_path, output_path, seed, tol))
-
-    return command
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Operator cross-ratio toolkit."""
-
-
-for _verb in VERBS:
-    main.add_command(_verb_command(_verb))
+def main(args=None, prog_name="opcross"):
+    """Run ``VERB [--in FILE] [--out FILE] [--seed N] [--tol X]`` from args
+    (default sys.argv) and exit with run()'s status; a usage error exits 2."""
+    parser = argparse.ArgumentParser(prog=prog_name, description="Operator cross-ratio toolkit.",
+                                     allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    for verb in _HANDLERS:
+        command = verbs.add_parser(verb, allow_abbrev=False,
+                                   help=f"Run the {verb} operation on a JSON input file.")
+        command.add_argument("--in", dest="input_path", metavar="FILE", help="Input JSON file.")
+        command.add_argument("--out", dest="output_path", metavar="FILE", help="Report JSON "
+                             "file; a trajectory verb also writes a .csv sibling.")
+        command.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
+        command.add_argument("--tol", type=float,
+                             help=f"Decision tolerance (default from ${TOL_ENV_VAR} or 1e-6).")
+    ns = parser.parse_args(args)
+    sys.exit(run(ns.verb, ns.input_path, ns.output_path, ns.seed, ns.tol))
 
 
 if __name__ == "__main__":

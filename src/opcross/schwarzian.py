@@ -274,6 +274,8 @@ def _stage_times(ts, hs):
 # Steps whose RK4 step matrices are built together: one stack per chunk keeps
 # the run's memory at its states (a whole run's stage stacks would not be).
 _CHUNK = 64
+# The most steps one run takes: it holds its step list, node times and states whole.
+MAX_STEPS = 10**6
 
 
 def _blocks(a, b, c, d):
@@ -322,6 +324,8 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
     from (q0, p0); raises error(t) at the first node time t where one is not finite."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most MAX_STEPS = {MAX_STEPS}, got {steps}")
     hs = [(t1 - t0) / steps] * steps
     ts = np.array(list(accumulate(hs, initial=t0)))
     st = _stage_times(ts, hs)

@@ -9,6 +9,8 @@ from . import schwarzian as schwarz
 from .errors import NumericalError
 from .flows import commuting_flow_residual, shift_generator, spectrum_along_flow, FlowScenario
 
+ROUNDS = 20  # random configurations each sampled check draws
+
 
 def random_half_dim_config(rng, n):
     """Four random big-cell coordinates (k x k, k = n // 2) of the standard
@@ -27,7 +29,7 @@ def random_half_dim_config(rng, n):
         return ts, subs, pol
 
 
-def run_all(seed=0, rounds=20):
+def run_all(seed=0):
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -36,7 +38,7 @@ def run_all(seed=0, rounds=20):
 
     # Cross-ratio: chart formula vs composition oracle.
     worst = 0.0
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         ts, subs, _ = random_half_dim_config(rng, 4)
         s1 = crossratio.dv_matrix(*ts).spectrum
         s2 = crossratio.dv_composition(*subs).spectrum
@@ -45,7 +47,7 @@ def run_all(seed=0, rounds=20):
 
     # Cocycle identity.
     worst = 0.0
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         p1 = grassmann.random_subspace(6, 3, rng.integers(2**31))
         p2 = grassmann.random_subspace(6, 3, rng.integers(2**31))
         qs = [grassmann.random_subspace(6, 3, rng.integers(2**31)) for _ in range(3)]
@@ -59,7 +61,7 @@ def run_all(seed=0, rounds=20):
     # Operator angle eigenvalues = cos^2 principal angles.
     worst = 0.0
     pol = grassmann.standard_polarization(4, 2)
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
         spec = np.sort(crossratio.operator_angle(a, b).spectrum.real)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from opcross import cli, flows, grassmann, numerics
+from opcross import __version__, cli, flows, grassmann, numerics, schwarzian
 from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config,
                       overflowing_flow_scenario, sampled_symmetric_b, unequal_sharing_config)
 
@@ -151,6 +151,20 @@ def test_zero_steps_exit_2(tmp_path):
     assert json.loads(text)["error"].startswith("ValidationError")
 
 
+def test_too_many_steps_exit_2(tmp_path):
+    # Rejected before the run allocates a step list of that length.
+    steps = 10**15
+    payloads = {"riccati": {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}},
+                "hamiltonian": {"q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
+                                "p0": {"rows": 1, "cols": 1, "data": [[0.0]]}}}
+    for verb, payload in payloads.items():
+        status, text = run_to_files(tmp_path, verb, {"system": oscillator_json(), "t0": 0.0,
+                                                     "t1": 1.0, "steps": steps, **payload})
+        assert status == 2, verb
+        assert json.loads(text)["error"] == (
+            f"ValidationError: steps must be at most MAX_STEPS = {schwarzian.MAX_STEPS}, got {steps}")
+
+
 def test_non_symmetric_b_exit_2(tmp_path):
     b = [c.tolist() for c in sampled_symmetric_b()]
     payload = {"system": {"dim": 2, "A": [np.zeros((2, 2)).tolist()], "B": b},
@@ -292,7 +306,7 @@ def test_overflowing_factor_exit_3_without_warnings(tmp_path):
 
 def test_cli_loads_no_scipy(tmp_path):
     # Importing the package and running any verb, to success or to an error
-    # exit, loads no scipy: the package needs numpy and click only.
+    # exit, loads no scipy: the package needs numpy only.
     unequal = [grassmann.random_subspace(3, d, 10 + i) for i, d in enumerate((1, 2, 1, 2))]
     rng = np.random.default_rng(3)
     cocycle = {key: [grassmann.random_subspace(4, 2, int(rng.integers(2**31))).to_json()
@@ -459,6 +473,54 @@ def test_float_formatting_is_deterministic():
 def test_unknown_verb_rejected():
     with pytest.raises(ValueError):
         cli.run("frobnicate", None, None)
+
+
+def main_status(args, **kw):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args, **kw)
+    return exc.value.code
+
+
+def test_main_version_and_usage_errors(capsys):
+    assert main_status(["--version"]) == 0
+    assert capsys.readouterr().out == f"opcross, version {__version__}\n"
+    # No verb, an unknown verb, a bad option value, an abbreviated option.
+    for args in ([], ["nosuch"], ["dv", "--seed", "x"], ["dv", "--o", "x"]):
+        assert main_status(args) == 2, args
+
+
+def test_main_runs_the_verb(tmp_path):
+    good = write_json(tmp_path / "good.json", dv_input())
+    out, ref = tmp_path / "main.json", tmp_path / "run.json"
+    assert main_status(["dv", "--in", good, "--out", str(out)], prog_name="opcross") == 0
+    assert cli.run("dv", good, str(ref)) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    same = write_json(tmp_path / "same.json",
+                      {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4})
+    assert main_status(["dv", "--in", same, "--out", str(out)]) == 3
+
+
+def test_cli_runs_without_click(tmp_path):
+    # The command line is the standard library's argparse: with click made
+    # unimportable, main still runs a verb, an inadmissible input and a usage error.
+    same = write_json(tmp_path / "same.json",
+                      {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4})
+    runs = [["selftest", "--seed", "1", "--out", str(tmp_path / "st.json")],
+            ["dv", "--in", same, "--out", str(tmp_path / "dv.json")],
+            ["nosuch"]]
+    statuses = json.loads(fresh_python(f"""
+import json, sys
+sys.modules["click"] = None
+import opcross.cli
+statuses = []
+for args in {runs!r}:
+    try:
+        opcross.cli.main(args)
+    except SystemExit as exc:
+        statuses.append(exc.code)
+print(json.dumps(statuses))
+"""))
+    assert statuses == [0, 3, 2]
 
 
 def test_trajectory_report_named_like_its_csv_exit_2(tmp_path):
