@@ -19,8 +19,6 @@ from . import __version__, crossratio, flows, grassmann, numerics
 from . import schwarzian as schwarz
 from .errors import NumericalError
 
-TOL_ENV_VAR = "OPCROSS_TOL"
-
 
 # --- deterministic JSON with 17-significant-digit floats ------------------
 
@@ -117,6 +115,9 @@ def _handle_angle(data, seed, tol):
 
 
 def _handle_equiv(data, seed, tol):
+    tol = 1e-6 if tol is None else tol
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
     first = [grassmann.Subspace.from_json(s) for s in data["first"]]
     second = [grassmann.Subspace.from_json(s) for s in data["second"]]
     if len(first) != 2 or len(second) != 2:
@@ -249,7 +250,6 @@ def run(verb, input_path, output_path, seed=0, tol=None):
             return 2
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        tol = _decision_tol(tol)
         data = json.loads(raw) if raw else {}
         if not isinstance(data, dict):
             raise ValueError("input must be a JSON object")
@@ -281,19 +281,6 @@ def run(verb, input_path, output_path, seed=0, tol=None):
     return 0
 
 
-def _decision_tol(tol):
-    """tol, else $OPCROSS_TOL, else 1e-6; ValueError unless a finite number >= 0."""
-    if tol is None:
-        text = os.environ.get(TOL_ENV_VAR, "1e-6")
-        try:
-            tol = float(text)
-        except ValueError:
-            raise ValueError(f"{TOL_ENV_VAR} is not a number: {text!r}") from None
-    if not 0.0 <= tol < float("inf"):
-        raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
-
-
 def _write(path, text):
     """Write text to path via a temporary sibling and os.replace (never a
     partial file); no path means stdout."""
@@ -316,8 +303,9 @@ def _csv_path(output_path):
 
 
 def main(args=None, prog_name="opcross"):
-    """Run ``VERB [--in FILE] [--out FILE] [--seed N] [--tol X]`` from args
-    (default sys.argv) and exit with run()'s status; a usage error exits 2."""
+    """Run ``VERB [--in FILE] [--out FILE] [--seed N]`` (``equiv`` also takes
+    ``--tol X``) from args (default sys.argv) and exit with run()'s status; a
+    usage error exits 2."""
     parser = argparse.ArgumentParser(prog=prog_name, description="Operator cross-ratio toolkit.",
                                      allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
@@ -329,10 +317,11 @@ def main(args=None, prog_name="opcross"):
         command.add_argument("--out", dest="output_path", metavar="FILE", help="Report JSON "
                              "file; a trajectory verb also writes a .csv sibling.")
         command.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
-        command.add_argument("--tol", type=float,
-                             help=f"Decision tolerance (default from ${TOL_ENV_VAR} or 1e-6).")
+        if verb == "equiv":
+            command.add_argument("--tol", type=float, help="Decision tolerance of the "
+                                 "equivalence verdict (default: 1e-06).")
     ns = parser.parse_args(args)
-    sys.exit(run(ns.verb, ns.input_path, ns.output_path, ns.seed, ns.tol))
+    sys.exit(run(ns.verb, ns.input_path, ns.output_path, ns.seed, getattr(ns, "tol", None)))
 
 
 if __name__ == "__main__":

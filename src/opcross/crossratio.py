@@ -126,7 +126,7 @@ def dv_composition(p1, p2, p3, p4, kmax=None):
     return CrossRatioResult.from_matrix(_chain(p1, ((p3, p4), (p1, p2))), "P1", kmax)
 
 
-def dv_matrix(t1, t2, t3, t4, pol=None, kmax=None):
+def dv_matrix(t1, t2, t3, t4, kmax=None):
     """Chart formula (T1-T2)^-1 (T2-T3)(T3-T4)^-1 (T4-T1).
 
     The Ti are big-cell coordinates of the four subspaces (square for
@@ -138,8 +138,6 @@ def dv_matrix(t1, t2, t3, t4, pol=None, kmax=None):
         raise ValueError("chart coordinates must share one shape")
     if mats[0].shape[0] != mats[0].shape[1]:
         raise ValueError("chart formula needs square (half-dimensional) coordinates")
-    if pol is not None and mats[0].shape != (pol.vertical.dim, pol.horizontal.dim):
-        raise ValueError("coordinate shape does not match the polarization")
     t1, t2, t3, t4 = mats
     with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
         d = _chart_inv(t1 - t2, "(T1 - T2)") @ (t2 - t3) \

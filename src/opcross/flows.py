@@ -77,12 +77,11 @@ class AlmostNilpotent:
         k = int(self.block_size)
         if not (0 <= k <= m.shape[0]):
             raise ValueError("block size out of range")
-        n = m.shape[0]
-        for i in range(n):
-            for j in range(i + 1):
-                if (i >= k or j >= k) and m[i, j] != 0.0:
-                    raise ValueError(
-                        f"entry ({i},{j}) must be zero outside the leading block")
+        outside = np.tril(m != 0.0)  # nonzero on or below the diagonal ...
+        outside[:k, :k] = False  # ... and not in the leading block
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(f"entry ({i},{j}) must be zero outside the leading block")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "block_size", k)
 

@@ -299,29 +299,30 @@ def _rk4(g, y, hs):
     the first state that is not finite: the run stops at the end of that state's chunk,
     so fewer than len(hs) + 1 states mean the state at the next node is not finite."""
     hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
-    for j in range(0, len(hs), _CHUNK):
-        h = hs[j:j + _CHUNK, None, None]
-        gs = g(slice(2 * j, 2 * (j + len(h)) + 1))
-        k1, gm = gs[:-1:2], gs[1::2]
-        k2 = gm @ (eye + h / 2.0 * k1)
-        k3 = gm @ (eye + h / 2.0 * k2)
-        k4 = gs[2::2] @ (eye + h * k3)
-        m = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if ys is None:
-            ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
-            ys[0] = y
-            rows = list(ys)  # np.dot writes each state into its row of ys
-        for i, mi in enumerate(m, j):
-            np.dot(mi, rows[i], out=rows[i + 1])
-        finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
-        if not finite.all():
-            return ys[:j + 1 + int(np.argmin(finite))]
+    with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
+        for j in range(0, len(hs), _CHUNK):
+            h = hs[j:j + _CHUNK, None, None]
+            gs = g(slice(2 * j, 2 * (j + len(h)) + 1))
+            k1, gm = gs[:-1:2], gs[1::2]
+            k2 = gm @ (eye + h / 2.0 * k1)
+            k3 = gm @ (eye + h / 2.0 * k2)
+            k4 = gs[2::2] @ (eye + h * k3)
+            m = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if ys is None:
+                ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
+                ys[0] = y
+                rows = list(ys)  # np.dot writes each state into its row of ys
+            for i, mi in enumerate(m, j):
+                np.dot(mi, rows[i], out=rows[i + 1])
+            finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
+            if not finite.all():
+                return ys[:j + 1 + int(np.argmin(finite))]
     return ys
 
 
-def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
-    """Node times (t advances by repeated addition of h) and RK4 states (q, p)
-    from (q0, p0); raises error(t) at the first node time t where one is not finite."""
+def _hamiltonian_run(sys, q0, p0, t0, t1, steps):
+    """Node times (t advances by repeated addition of h) and the RK4 states (q, p)
+    from (q0, p0) up to the first that is not finite (see _rk4)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > MAX_STEPS:
@@ -337,9 +338,7 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, error):
         return _blocks(a, np.eye(sys.dim), -sys.b(t), -a.swapaxes(-1, -2))
 
     ys = _rk4(g, np.concatenate([q0, p0]), hs)
-    if len(ys) < len(ts):
-        raise error(ts.item(len(ys)))
-    return ts, ys.reshape(len(ts), 2, *q0.shape)
+    return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
@@ -348,8 +347,9 @@ def integrate_hamiltonian(sys, x0, t0, t1, steps):
     Returns (times, PhasePoint) with the states stacked, both endpoints included;
     raises Overflow at the first time the state is no longer finite.
     """
-    ts, ys = _hamiltonian_run(sys, numerics.as_square(x0.q, "x0.q"), x0.p, t0, t1, steps, lambda t:
-                              Overflow(f"the Hamiltonian state overflowed at t = {t:.6g}"))
+    ts, ys = _hamiltonian_run(sys, numerics.as_square(x0.q, "x0.q"), x0.p, t0, t1, steps)
+    if len(ys) < len(ts):
+        raise Overflow(f"the Hamiltonian state overflowed at t = {ts.item(len(ys)):.6g}")
     return ts, PhasePoint(ys[:, 0], ys[:, 1])
 
 
@@ -361,7 +361,9 @@ def riccati_rhs(w, c):
 
 
 def _read_chart(ts, ys):
-    """W = p q^-1 at the nodes ts of a Hamiltonian run ys from q = I, or BlowUp."""
+    """W = p q^-1 at the nodes ts of a Hamiltonian run ys from q = I, or BlowUp at
+    the first node where the chart is lost; a run shorter than ts is lost at node
+    len(ys), whose state is not finite, if not before."""
     qt, pt = ys[:, 0].swapaxes(-1, -2), ys[:, 1].swapaxes(-1, -2)
     try:
         # d[i] = (q_{i+1} q_i^-1)^T - I; a step with ||d[i]||_F < 1 holds no pole.
@@ -369,14 +371,12 @@ def _read_chart(ts, ys):
         d -= np.eye(ys.shape[-1])
         poles = (i + 1 for i in np.flatnonzero(~(numerics.sq_fro(d) < 1.0))
                  if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
-        lost = next(poles, len(ts))
+        lost = next(poles, len(ys))
         del d  # the reading holds one stack of matrices at a time
         wt = np.linalg.solve(qt[:lost], pt[:lost])
     except np.linalg.LinAlgError:
         # q is exactly singular at a node: the chart is lost there if not before.
-        lost = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
-        _read_chart(ts[:lost], ys[:lost])
-        raise BlowUp(ts.item(lost)) from None
+        return _read_chart(ts, ys[:int(np.argmax(np.linalg.slogdet(qt)[0] == 0))])
     big = ~(numerics.sq_fro(wt) < numerics.SINGULAR_RTOL ** -2)
     if big.any() or lost < len(ts):
         raise BlowUp(ts.item(np.argmax(big) if big.any() else lost))
@@ -388,7 +388,7 @@ def integrate_riccati(sys, w0, t0, t1, steps):
     read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
     BlowUp at the first node where that chart is lost (see the module docstring)."""
     w0 = numerics.as_square(w0, "W0")
-    ts, ys = _hamiltonian_run(sys, np.eye(len(w0), dtype=w0.dtype), w0, t0, t1, steps, BlowUp)
+    ts, ys = _hamiltonian_run(sys, np.eye(len(w0), dtype=w0.dtype), w0, t0, t1, steps)
     return ts, _read_chart(ts, ys)
 
 
@@ -454,8 +454,9 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
               np.concatenate([z0.T, z1_0.T]), hs)
     m = len(ys)  # the states at nodes before m are finite
     z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[:2 * m:2]
-    z2 = -2.0 * z1 @ wa
-    z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes[:m] + a_poly.derivative()(tcol[:m]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range: Overflow
+        z2 = -2.0 * z1 @ wa
+        z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes[:m] + a_poly.derivative()(tcol[:m]))
     finite = np.all([np.isfinite(s).reshape(m, -1).all(axis=1) for s in (z2, z3)], axis=0)
     if m < len(ts) or not finite.all():
         raise Overflow(f"the curve jet overflowed at t = {ts[np.append(finite, False).argmin()]:.6g}")

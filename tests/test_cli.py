@@ -429,7 +429,27 @@ def test_selftest_verb(tmp_path):
     assert all(c["passed"] for c in report["results"]["checks"])
 
 
-def test_tol_env_var(tmp_path, monkeypatch):
+def test_selftest_failures_show(monkeypatch):
+    from opcross import crossratio, selftest
+    from opcross.errors import Singular
+
+    # A fault that is not numerical is no skipped configuration: it propagates.
+    def broken(*subs):
+        raise TypeError("broken")
+    monkeypatch.setattr(crossratio, "cocycle_product", broken)
+    with pytest.raises(TypeError, match="broken"):
+        selftest.run_all(seed=1)
+
+    # A sampled check that accepts no configuration fails.
+    def rejecting(*subs):
+        raise Singular("rejected")
+    monkeypatch.setattr(crossratio, "cocycle_product", rejecting)
+    checks = {name: (ok, detail) for name, ok, detail in selftest.run_all(seed=1)}
+    assert checks["crossratio.cocycle_identity"] == (False, "no configuration was accepted")
+    assert sum(not ok for ok, _ in checks.values()) == 1
+
+
+def test_equiv_tol_decides_the_verdict(tmp_path):
     w1 = grassmann.random_subspace(4, 2, 1)
     w2 = grassmann.random_subspace(4, 2, 2)
     g, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
@@ -439,23 +459,22 @@ def test_tol_env_var(tmp_path, monkeypatch):
                "second": [w3.to_json(), w4.to_json()]}
     inp = write_json(tmp_path / "in.json", payload)
     out = str(tmp_path / "out.json")
-    monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-300")
-    assert cli.run("equiv", inp, out) == 0
+    assert cli.run("equiv", inp, out, tol=1e-300) == 0
     strict = json.loads(open(out).read())["results"]["equivalent"]
-    monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-6")
+    assert main_status(["equiv", "--in", inp, "--out", out, "--tol", "1e-6"]) == 0
+    loose = open(out).read()
+    assert json.loads(loose)["results"]["equivalent"] is True and strict is False
+    # The default tolerance is 1e-6.
     assert cli.run("equiv", inp, out) == 0
-    loose = json.loads(open(out).read())["results"]["equivalent"]
-    assert loose is True and strict is False
+    assert open(out).read() == loose
 
 
-def test_invalid_tolerance_exit_2(tmp_path, monkeypatch):
+def test_invalid_tolerance_exit_2(tmp_path):
     payload = {"first": dv_input()["subspaces"][:2], "second": dv_input(1)["subspaces"][:2]}
-    for text in ("abc", "nan"):
-        monkeypatch.setenv(cli.TOL_ENV_VAR, text)
-        status, report = run_to_files(tmp_path, "equiv", payload)
-        assert status == 2, text
-        assert json.loads(report)["error"].startswith("ValidationError"), text
-    monkeypatch.delenv(cli.TOL_ENV_VAR)
+    inp = write_json(tmp_path / "in.json", payload)
+    for text in ("abc", "nan", "-1"):
+        assert main_status(["equiv", "--in", inp, "--out", str(tmp_path / "m.json"),
+                            "--tol", text]) == 2, text
     for tol in (float("nan"), -1.0):
         status, report = run_to_files(tmp_path, "equiv", payload, tol=tol)
         assert status == 2, tol
@@ -484,8 +503,9 @@ def main_status(args, **kw):
 def test_main_version_and_usage_errors(capsys):
     assert main_status(["--version"]) == 0
     assert capsys.readouterr().out == f"opcross, version {__version__}\n"
-    # No verb, an unknown verb, a bad option value, an abbreviated option.
-    for args in ([], ["nosuch"], ["dv", "--seed", "x"], ["dv", "--o", "x"]):
+    # No verb, an unknown verb, a bad option value, an abbreviated option, and
+    # --tol, which is equiv's option alone, after another verb.
+    for args in ([], ["nosuch"], ["dv", "--seed", "x"], ["dv", "--o", "x"], ["dv", "--tol", "1e-6"]):
         assert main_status(args) == 2, args
 
 

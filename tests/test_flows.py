@@ -268,8 +268,16 @@ def test_almost_nilpotent_block_traces(rng):
 def test_almost_nilpotent_rejects_lower_entries():
     m = np.zeros((4, 4))
     m[3, 2] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry \(3,2\) must be zero outside the leading block$"):
         flows.AlmostNilpotent(m, 2)
+    # A diagonal entry outside the block, named before the later (3, 2) in row-major order.
+    m[2, 2] = 0.5
+    with pytest.raises(ValueError, match=r"^entry \(2,2\) must be zero"):
+        flows.AlmostNilpotent(m, 2)
+    # Entries above the diagonal and inside the block are allowed.
+    m = np.triu(np.ones((4, 4)), 1)
+    m[:2, :2] = 1.0
+    assert flows.AlmostNilpotent(m, 2).block.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 def test_trace_invariants_fixture():

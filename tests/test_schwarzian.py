@@ -194,6 +194,21 @@ def test_riccati_pole_at_a_node():
         assert exc_info.value.t == 1.0 and type(exc_info.value.t) is float
 
 
+def test_riccati_pole_before_the_state_overflows():
+    # A = 0, B = diag(100, -1e6), W0 = 0: W_11 = -10 tan 10t has its pole at
+    # pi/20 ~ 0.15708, and q_22 = cosh 1000t leaves the float range near 0.70.
+    # The first lost node is the pole's, whether or not the run goes on to
+    # overflow; neither run warns.
+    sys_ = constant_system(np.zeros((2, 2)), np.diag([100.0, -1e6]))
+    ts = np.array(list(accumulate([1e-4] * 10000, initial=0.0)))
+    for t1, steps in ((0.5, 5000), (1.0, 10000)):
+        with pytest.raises(BlowUp) as exc_info:
+            sz.integrate_riccati(sys_, np.zeros((2, 2)), 0.0, t1, steps)
+        assert exc_info.value.t == ts[1571]
+    with pytest.raises(Overflow, match="overflowed at t = 0.7036$"):
+        sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(2), np.zeros((2, 2))), 0.0, 1.0, 10000)
+
+
 def test_riccati_chart_norm_rule():
     # One step to 1e-12 short of the pole: no pole inside the step, but
     # ||W|| = 1e12 is past 1/SINGULAR_RTOL.
@@ -252,7 +267,7 @@ def test_hamiltonian_overflow_is_numerical():
     sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([300.0 * np.eye(1)]),
                                 sz.MatrixPolynomial([np.zeros((1, 1))]))
     x0 = sz.PhasePoint(np.eye(1), np.zeros((1, 1)))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Overflow):
+    with pytest.raises(Overflow):
         sz.integrate_hamiltonian(sys_, x0, 0.0, 10.0, 1000)
 
 
@@ -756,12 +771,12 @@ def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range():
             reference_curve(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero, np.longdouble)
         with pytest.raises(BlowUp) as staged:
             reference_hamiltonian_run(sys_, x0.q, x0.p, 1.0, steps, BlowUp)
-        with pytest.raises(BlowUp) as blowup:
-            sz.integrate_riccati(sys_, x0.p, 0.0, 1.0, steps)
-        with pytest.raises(Overflow) as overflow:
-            sz.integrate_hamiltonian(sys_, x0, 0.0, 1.0, steps)
-        with pytest.raises(Overflow) as curve:
-            sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
+    with pytest.raises(BlowUp) as blowup:
+        sz.integrate_riccati(sys_, x0.p, 0.0, 1.0, steps)
+    with pytest.raises(Overflow) as overflow:
+        sz.integrate_hamiltonian(sys_, x0, 0.0, 1.0, steps)
+    with pytest.raises(Overflow) as curve:
+        sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
     assert 64 < node <= 128 and blowup.value.t == ts[node]
     assert str(overflow.value) == f"the Hamiltonian state overflowed at t = {ts[node]:.6g}"
     assert str(curve.value) == str(ref_curve.value)
@@ -782,8 +797,7 @@ def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
     chunks = []
     blocks = sz._blocks
     monkeypatch.setattr(sz, "_blocks", lambda *a: chunks.append(a) or blocks(*a))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(Overflow, match="at t = 0.122$"):
+    with pytest.raises(Overflow, match="at t = 0.122$"):
         sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
     assert len(chunks) <= 2
 
