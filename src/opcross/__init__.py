@@ -10,8 +10,8 @@ from .crossratio import (CrossRatioResult, cocycle_product, comparable,
 from .grassmann import (BlockMobius, Polarization, Subspace, graph_coordinate,
                         mobius_apply_coordinate, mobius_apply_subspace,
                         principal_angles, project_parallel, random_subspace,
-                        same_subspace, standard_polarization,
-                        subspace_from_basis, subspace_from_graph)
+                        standard_polarization, subspace_from_basis,
+                        subspace_from_graph)
 from .schwarzian import (CurveJet, HamiltonianSystem, MatrixPolynomial,
                       PhasePoint, curve_from_riccati, euler_residual,
                       integrate_hamiltonian, integrate_riccati,

@@ -110,13 +110,6 @@ def subspace_from_basis(cols):
     return Subspace(q)
 
 
-def same_subspace(w1, w2, tol=1e-8):
-    """Projector-distance equality test."""
-    if w1.ambient_dim != w2.ambient_dim:
-        return False
-    return numerics.fro(w1.projector() - w2.projector()) <= tol
-
-
 def random_subspace(n, k, seed):
     """Deterministic random k-dim subspace of R^n from a seeded Gaussian."""
     if not (1 <= k < n):

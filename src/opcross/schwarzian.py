@@ -16,7 +16,7 @@ has an eigenvalue with real part <= 0.  BlowUp.t is the first such node.
 """
 
 from dataclasses import dataclass, fields
-from itertools import accumulate
+from itertools import accumulate, repeat, zip_longest
 
 import numpy as np
 
@@ -296,31 +296,51 @@ def _blocks(a, b, c, d):
 def _rk4(g, y, hs):
     """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
     where g(s) is the stack of G at the stage times s (a slice of the indices of
-    _stage_times).  On a linear system RK4 is the step matrix y_{i+1} = M_i y_i,
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1),
-    K3 = G(t_i + h/2)(I + h/2 K2) and K4 = G(t_{i+1})(I + h K3): the stage vectors
-    are K_j y_i, so the method and its nodes are the classical ones.  The M_i are built
-    as stacks _CHUNK steps at a time; y_{i+1} is one np.dot (np.matmul's BLAS product,
-    without a ufunc call).  Returns one array of y and the states after each step, up to
-    the first state that is not finite: the run stops at the end of that state's chunk,
-    so fewer than len(hs) + 1 states mean the state at the next node is not finite."""
+    _stage_times), or a one-matrix stack when G is constant.  On a linear system RK4
+    is the step matrix y_{i+1} = M_i y_i, M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)(I + h/2 K2) and
+    K4 = G(t_{i+1})(I + h K3): the stage vectors are K_j y_i, so the method and its
+    nodes are the classical ones.  The M_i are built as stacks _CHUNK steps at a time,
+    each stage updated in place; a chunk of equal steps under a constant G has one M,
+    which advances every step of the chunk.  y_{i+1} is one np.dot (np.matmul's BLAS
+    product, without a ufunc call).  Returns one array of y and the states after each
+    step, up to the first state that is not finite: the run stops at the end of that
+    state's chunk, so fewer than len(hs) + 1 states mean the state at the next node
+    is not finite."""
     hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
         for j in range(0, len(hs), _CHUNK):
-            h = hs[j:j + _CHUNK, None, None]
-            gs = g(slice(2 * j, 2 * (j + len(h)) + 1))
-            k1, gm = gs[:-1:2], gs[1::2]
-            k2 = gm @ (eye + h / 2.0 * k1)
-            k3 = gm @ (eye + h / 2.0 * k2)
-            k4 = gs[2::2] @ (eye + h * k3)
-            m = eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h = hs[j:j + _CHUNK]
+            steps = len(h)
+            gs = g(slice(2 * j, 2 * (j + steps) + 1))
+            # Equal steps make h a scalar; with a one-matrix gs every stage then
+            # broadcasts to one matrix, and so does M.
+            h = h.item(0) if (h == h[0]).all() else h[:, None, None]
+            k1, gm, g1 = (gs, gs, gs) if len(gs) == 1 else (gs[:-1:2], gs[1::2], gs[2::2])
+            x = k1 * (h / 2.0)
+            x += eye
+            k2 = gm @ x
+            np.multiply(k2, h / 2.0, out=x)
+            x += eye
+            k3 = gm @ x
+            np.multiply(k3, h, out=x)
+            x += eye
+            k4 = g1 @ x
+            m = k2  # I + h/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
+            m *= 2.0
+            m += k1
+            k3 *= 2.0
+            m += k3
+            m += k4
+            m *= h / 6.0
+            m += eye
             if ys is None:
                 ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
                 ys[0] = y
                 rows = list(ys)  # np.dot writes each state into its row of ys
-            for i, mi in enumerate(m, j):
+            for i, mi in enumerate(m if len(m) == steps else repeat(m[0], steps), j):
                 np.dot(mi, rows[i], out=rows[i + 1])
-            finite = np.isfinite(ys[j + 1:j + len(h) + 1]).reshape(len(h), -1).all(axis=1)
+            finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
             if not finite.all():
                 return ys[:j + 1 + int(np.argmin(finite))]
     return ys
@@ -333,15 +353,24 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps):
         raise ValueError("steps must be >= 1")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be at most MAX_STEPS = {MAX_STEPS}, got {steps}")
-    hs = [(t1 - t0) / steps] * steps
+    h = (t1 - t0) / steps
+    if not np.isfinite([t0, t1, h]).all():
+        raise ValueError(f"the time grid must be finite: t0 = {t0!r}, t1 = {t1!r}, step = {h!r}")
+    hs = [h] * steps
     ts = np.array(list(accumulate(hs, initial=t0)))
-    st = _stage_times(ts, hs)
+    st = _stage_times(ts, hs)[:, None, None]
+
+    # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks
+    # [[A_k, I or 0], [B_k, A_k^T]], a missing coefficient zero, whose lower block
+    # row is negated after each evaluation, so each zero keeps its sign in -B(t), -A(t)^T.
+    n, zero = sys.dim, np.zeros((sys.dim, sys.dim))
+    coeffs = enumerate(zip_longest(sys.a.coeffs, sys.b.coeffs, fillvalue=zero))
+    gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), b, a.T) for k, (a, b) in coeffs])
 
     def g(s):
-        # (q, p)' = [[A, I], [-B, -A^T]] (q, p)
-        t = st[s, None, None]
-        a = sys.a(t)
-        return _blocks(a, np.eye(sys.dim), -sys.b(t), -a.swapaxes(-1, -2))
+        out = gen(st[s] if len(gen.coeffs) > 1 else st[:1])  # a constant G: one matrix
+        np.negative(out[:, n:], out=out[:, n:])
+        return out
 
     ys = _rk4(g, np.concatenate([q0, p0]), hs)
     return ts, ys.reshape(len(ys), 2, *q0.shape)
@@ -443,11 +472,14 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     w_stack = numerics.as_square(ws, "W", stack=True)
     if len(ts) != len(w_stack) or len(ts) < 2:
         raise ValueError("need matching times and W values, at least two nodes")
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = np.diff(ts)  # not finite where a time is not, or where a step overflows
+    if not np.isfinite(hs).all():
+        raise ValueError("the times ts and their steps must be finite")
     z0 = numerics.as_square(z0, "z0")
     z1_0 = numerics.as_square(z1_0, "z1_0")
     numerics.inverse(z1_0, Singular, "z1_0 is numerically singular")
     HamiltonianSystem(a_poly, b_poly)  # rejects a non-symmetric or mis-sized b_poly
-    hs = np.diff(ts)
     tcol = ts[:, None, None]
     a_st = a_poly(_stage_times(ts, hs)[:, None, None])
     slopes = riccati_rhs(w_stack, (a_st[::2], b_poly(tcol)))

@@ -18,6 +18,13 @@ def spectra_close(w1, w2, tol):
     return w1.shape == w2.shape and bool(np.max(np.abs(w1 - w2), initial=0.0) <= tol)
 
 
+def same_subspace(w1, w2, tol=1e-8):
+    """Projector-distance equality test of two subspaces."""
+    if w1.ambient_dim != w2.ambient_dim:
+        return False
+    return numerics.fro(w1.projector() - w2.projector()) <= tol
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

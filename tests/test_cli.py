@@ -165,6 +165,19 @@ def test_too_many_steps_exit_2(tmp_path):
             f"ValidationError: steps must be at most MAX_STEPS = {schwarzian.MAX_STEPS}, got {steps}")
 
 
+def test_time_grid_that_is_not_finite_exit_2(tmp_path):
+    # Each bound is a finite number, but the step (t1 - t0) / steps overflows.
+    payloads = {"riccati": {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}},
+                "hamiltonian": {"q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
+                                "p0": {"rows": 1, "cols": 1, "data": [[0.0]]}}}
+    for verb, payload in payloads.items():
+        status, text = run_to_files(tmp_path, verb, {"system": oscillator_json(), "t0": -1e308,
+                                                     "t1": 1e308, "steps": 10, **payload})
+        assert status == 2, verb
+        assert json.loads(text)["error"] == (
+            "ValidationError: the time grid must be finite: t0 = -1e+308, t1 = 1e+308, step = inf")
+
+
 def test_non_symmetric_b_exit_2(tmp_path):
     b = [c.tolist() for c in sampled_symmetric_b()]
     payload = {"system": {"dim": 2, "A": [np.zeros((2, 2)).tolist()], "B": b},

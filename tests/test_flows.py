@@ -4,7 +4,8 @@ import pytest
 from opcross import flows
 from opcross import grassmann as gr
 from opcross.errors import NotPolarization, Overflow
-from conftest import LOADED_SCIPY, fresh_python, overflowing_flow_scenario, spectra_close
+from conftest import (LOADED_SCIPY, fresh_python, overflowing_flow_scenario, same_subspace,
+                      spectra_close)
 
 
 def generic_initials(n, rng, count=4):
@@ -25,8 +26,8 @@ def test_flow_subspace_group_property(rng):
     w0 = gr.random_subspace(6, 3, 9)
     one_step = flows.flow_subspace(m, 0.7, w0)
     two_half = flows.flow_subspace(m, 0.35, flows.flow_subspace(m, 0.35, w0))
-    assert gr.same_subspace(one_step, two_half)
-    assert gr.same_subspace(flows.flow_subspace(m, 0.0, w0), w0)
+    assert same_subspace(one_step, two_half)
+    assert same_subspace(flows.flow_subspace(m, 0.0, w0), w0)
 
 
 def test_spectrum_conserved_along_flow(rng):
@@ -178,7 +179,7 @@ def test_scenario_json_round_trip(rng):
     back = flows.FlowScenario.from_json(scenario.to_json())
     assert np.array_equal(back.generator, gen)
     assert np.array_equal(back.times, scenario.times)
-    assert all(gr.same_subspace(a, b)
+    assert all(same_subspace(a, b)
                for a, b in zip(back.initials, scenario.initials))
 
 

@@ -8,7 +8,7 @@ from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import (DegeneratePosition, NonConvergence, NotPolarization,
                             OutsideChart, Overflow, RankDeficient)
-from conftest import chart_subspaces, complementary_pair, random_orthogonal
+from conftest import chart_subspaces, complementary_pair, random_orthogonal, same_subspace
 
 
 def test_subspace_requires_orthonormal_columns():
@@ -39,9 +39,9 @@ def test_same_subspace_is_basis_independent(rng):
     cols = rng.standard_normal((6, 3))
     w1 = gr.subspace_from_basis(cols)
     w2 = gr.subspace_from_basis(cols @ rng.standard_normal((3, 3)) + 0.0)
-    assert gr.same_subspace(w1, w2)
+    assert same_subspace(w1, w2)
     w3 = gr.random_subspace(6, 3, 7)
-    assert not gr.same_subspace(w1, w3)
+    assert not same_subspace(w1, w3)
 
 
 def test_random_subspace_is_deterministic():
@@ -128,7 +128,7 @@ def test_mobius_action_commutes_with_charts(rng):
         except OutsideChart:
             continue
         w_new = gr.mobius_apply_subspace(g, w)
-        assert gr.same_subspace(w_new, gr.subspace_from_graph(t_new, pol))
+        assert same_subspace(w_new, gr.subspace_from_graph(t_new, pol))
 
 
 def test_mobius_outside_chart_detected():
@@ -139,7 +139,7 @@ def test_mobius_outside_chart_detected():
         gr.mobius_apply_coordinate(g, np.zeros((1, 1)))
     # The subspace-level action still works.
     w = gr.mobius_apply_subspace(g, pol.horizontal)
-    assert gr.same_subspace(w, pol.vertical)
+    assert same_subspace(w, pol.vertical)
 
 
 def test_overflowing_mobius_denominator_is_a_silent_overflow():
@@ -185,7 +185,7 @@ def test_principal_angles_invariant_under_rotation(rng):
 def test_subspace_json_round_trip(rng):
     w = gr.random_subspace(5, 2, 11)
     back = gr.Subspace.from_json(w.to_json())
-    assert gr.same_subspace(w, back)
+    assert same_subspace(w, back)
     with pytest.raises(ValueError):
         gr.Subspace.from_json({"dim": 2})
 

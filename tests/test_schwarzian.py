@@ -677,6 +677,21 @@ def reference_curve(ts, ws, a_poly, z0, z1_0, b_poly, dtype=None):
     return ys[:, 0], ys[:, 1]
 
 
+def expression_rk4(gs, y, hs):
+    """RK4's states from y under the stack gs of G at the stage times, each step
+    matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) formed as one expression over the
+    whole run."""
+    h, eye = np.asarray(hs)[:, None, None], np.eye(gs.shape[-1])
+    k1, gm = gs[:-1:2], gs[1::2]
+    k2 = gm @ (eye + h / 2.0 * k1)
+    k3 = gm @ (eye + h / 2.0 * k2)
+    k4 = gs[2::2] @ (eye + h * k3)
+    ys = [y]
+    for m in eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
+        ys.append(m @ ys[-1])
+    return np.array(ys)
+
+
 def _rel(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
@@ -760,6 +775,87 @@ def test_chunk_size_does_not_change_a_bit(rng, monkeypatch):
         monkeypatch.setattr(sz, "_CHUNK", chunk)
         runs.append(run())
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+def test_a_constant_system_steps_as_its_zero_slope_polynomial(rng, monkeypatch, steps):
+    # A constant G gives the kernel a one-matrix stack, and each chunk one step
+    # matrix; the same system written as degree-1 polynomials with zero slope
+    # gives one G per stage time and one step matrix per step.  Both are the
+    # same RK4 steps, bit for bit, for a real, complex or float32 W0.
+    n = 3
+    a, b = 0.3 * rng.standard_normal((n, n)), _sym(rng, n)
+    const = constant_system(a, b)
+    sloped = sz.HamiltonianSystem(sz.MatrixPolynomial([a, np.zeros((n, n))]),
+                                  sz.MatrixPolynomial([b, np.zeros((n, n))]))
+    stacks, rk4 = [], sz._rk4
+    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs: stacks.append(len(g(slice(0, 3)))) or rk4(g, y, hs))
+    w0 = 0.1 * _sym(rng, n)
+    for w in (w0, w0 + 0.1j * _sym(rng, n), w0.astype(np.float32)):
+        runs = []
+        for sys_ in (const, sloped):
+            ts, ws = sz.integrate_riccati(sys_, w, -0.3, 0.5, steps)
+            _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n, dtype=w.dtype), w),
+                                                 -0.3, 0.5, steps)
+            runs.append([(x.dtype, x.tobytes()) for x in (ts, ws, points.q, points.p)])
+        assert runs[0] == runs[1]
+    assert stacks == [1, 1, 3, 3] * 3
+
+
+@pytest.mark.parametrize("degrees", [(2, 0), (0, 3)])
+def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degrees):
+    # The Hamiltonian run evaluates G = [[A, I], [-B, -A^T]] as one polynomial of
+    # blocks.  At every stage time it must be the matrix assembled from A(t) and
+    # B(t), zeros and their signs included (B is diagonal and t0 < 0), and the run
+    # must be _rk4's run on that assembled G, whose in-place stages give the
+    # bits of each step matrix written as one expression.
+    n, steps, t0, t1 = 3, 1000, -0.4, 0.5
+    a = sz.MatrixPolynomial([0.3 * rng.standard_normal((n, n)) for _ in range(degrees[0] + 1)])
+    b = sz.MatrixPolynomial([np.diag(rng.standard_normal(n)) for _ in range(degrees[1] + 1)])
+    sys_ = sz.HamiltonianSystem(a, b)
+    hs = [(t1 - t0) / steps] * steps
+    ts = np.array(list(accumulate(hs, initial=t0)))
+    st = sz._stage_times(ts, hs)[:, None, None]
+
+    def assembled(s):
+        at = a(st[s])
+        return sz._blocks(at, np.eye(n), -b(st[s]), -at.swapaxes(-1, -2))
+
+    generators, rk4 = [], sz._rk4
+    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs: generators.append(g) or rk4(g, y, hs))
+    w0 = 0.1 * _sym(rng, n)
+    whole = slice(0, 2 * steps + 1)
+    for w in (w0, w0 + 0.1j * _sym(rng, n)):
+        y0 = np.concatenate([np.eye(n), w])
+        ys = rk4(assembled, y0, hs)
+        assert ys.tobytes() == expression_rk4(assembled(whole), y0, hs).tobytes()
+        got_ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w), t0, t1, steps)
+        assert got_ts.tobytes() == ts.tobytes()
+        got = np.stack([points.q, points.p], axis=1)
+        assert got.dtype == ys.dtype and got.tobytes() == ys.reshape(got.shape).tobytes()
+    assert generators[0](whole).tobytes() == assembled(whole).tobytes()
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (float("nan"), 1.0),
+                                    (0.0, float("inf")), (-1e308, 1e308)])
+def test_a_time_grid_that_is_not_finite_is_malformed(t0, t1):
+    # (t1 - t0) / steps of -1e308 and 1e308 overflows: the step is not finite.
+    sys_ = constant_system([[0.0]], [[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the time grid must be finite"):
+            sz.integrate_riccati(sys_, np.zeros((1, 1)), t0, t1, 10)
+        with pytest.raises(ValueError, match="^the time grid must be finite"):
+            sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(1), np.zeros((1, 1))), t0, t1, 10)
+
+
+@pytest.mark.parametrize("ts", [[0.0, float("nan"), 1.0], [0.0, 0.5, float("inf")], [-1e308, 1e308]])
+def test_curve_times_that_are_not_finite_are_malformed(ts):
+    zero = sz.MatrixPolynomial([np.zeros((1, 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the times ts and their steps must be finite$"):
+            sz.curve_from_riccati(ts, np.zeros((len(ts), 1, 1)), zero, np.zeros((1, 1)), np.eye(1), zero)
 
 
 def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range():
