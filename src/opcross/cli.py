@@ -1,8 +1,9 @@
 """Batch front door: read a JSON problem file, dispatch, write a report.
 
-Exit status: 0 success, 2 validation error (bad file / schema / tolerance)
-or unwritable output, 3 numerical error (Singular, BlowUp, NotPolarization,
-...).  Reports are byte-identical for identical (input, seed, version).
+Exit status: 0 success, 2 malformed input (a ValueError, and nothing else:
+bad file / schema / tolerance) or unwritable output, 3 numerical error
+(Singular, BlowUp, NotPolarization, ..., or numpy's LinAlgError), 1 a fault of
+the program (Python's traceback, no report).  Reports are byte-identical for identical (input, seed, version).
 """
 
 import argparse
@@ -94,16 +95,25 @@ def emit_report(verb, seed, input_digest, results, error=None):
 
 # --- verb handlers --------------------------------------------------------
 
+class _Object(dict):
+    """A JSON object of the input: a key it lacks is malformed input."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key!r}")
+
+
 def _result_fields(result):
     return {"matrix": result.matrix, "spectrum": result.spectrum,
             "traces": result.trace_powers.astype(complex), "det": result.det}
 
 
+def _subspaces(data, key, count):
+    subs = numerics.list_from_json(data[key], key, count)
+    return [grassmann.Subspace.from_json(s) for s in subs]
+
+
 def _handle_dv(data, seed, tol):
-    subs = data["subspaces"]
-    if not isinstance(subs, list) or len(subs) != 4:
-        raise ValueError("'subspaces' must list exactly four subspaces")
-    result = crossratio.dv_unequal(*(grassmann.Subspace.from_json(s) for s in subs))
+    result = crossratio.dv_unequal(*_subspaces(data, "subspaces", 4))
     return _result_fields(result), None
 
 
@@ -118,10 +128,7 @@ def _handle_equiv(data, seed, tol):
     tol = 1e-6 if tol is None else tol
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
-    first = [grassmann.Subspace.from_json(s) for s in data["first"]]
-    second = [grassmann.Subspace.from_json(s) for s in data["second"]]
-    if len(first) != 2 or len(second) != 2:
-        raise ValueError("'first' and 'second' must each list two subspaces")
+    first, second = _subspaces(data, "first", 2), _subspaces(data, "second", 2)
     equivalent = crossratio.pair_equivalent(*first, *second, tol=tol)
     return {
         "equivalent": equivalent,
@@ -131,11 +138,7 @@ def _handle_equiv(data, seed, tol):
 
 
 def _handle_cocycle(data, seed, tol):
-    p = [grassmann.Subspace.from_json(s) for s in data["p"]]
-    q = [grassmann.Subspace.from_json(s) for s in data["q"]]
-    if len(p) != 2 or len(q) != 3:
-        raise ValueError("'p' must list two subspaces and 'q' three")
-    product = crossratio.cocycle_product(*p, *q)
+    product = crossratio.cocycle_product(*_subspaces(data, "p", 2), *_subspaces(data, "q", 3))
     residual = numerics.fro(product - np.eye(product.shape[0]))
     return {"product": product, "residual": residual}, None
 
@@ -145,8 +148,9 @@ def _handle_schwarz(data, seed, tol):
         jet = schwarz.CurveJet.from_json(data["jet"])
         s = schwarz.schwarz(jet)
     elif "samples" in data:
-        samples = [numerics.matrix_from_json(m) for m in data["samples"]]
-        s = schwarz.schwarz_from_samples(samples, numerics.number_from_json(data["h"], "h"))
+        samples = numerics.list_from_json(data["samples"], "samples")
+        s = schwarz.schwarz_from_samples([numerics.matrix_from_json(m) for m in samples],
+                                         numerics.number_from_json(data["h"], "h"))
     else:
         raise ValueError("schwarz input needs 'jet' or 'samples' + 'h'")
     return {"schwarzian": s, "spectrum": numerics.eigenvalues(s)}, None
@@ -225,7 +229,8 @@ _HANDLERS = {
 
 
 def run(verb, input_path, output_path, seed=0, tol=None):
-    """Execute one command; returns the process exit status (0, 2 or 3)."""
+    """Execute one command; returns the process exit status (0, 2 or 3), or
+    raises what a fault of the program raised."""
     if verb not in _HANDLERS:
         raise ValueError(f"unknown verb {verb!r}")
 
@@ -249,15 +254,15 @@ def run(verb, input_path, output_path, seed=0, tol=None):
             print(f"error: cannot read input: {exc}", file=sys.stderr)
             return 2
     digest = hashlib.sha256(raw).hexdigest()
-    try:
-        data = json.loads(raw) if raw else {}
-        if not isinstance(data, dict):
-            raise ValueError("input must be a JSON object")
-    except (ValueError, UnicodeDecodeError) as exc:
-        return fail(2, f"ValidationError: {exc}")
 
     # Everything is serialized before any file is opened.
     try:
+        try:
+            data = json.loads(raw or b"{}", object_hook=_Object)
+        except RecursionError:
+            raise ValueError("the input JSON is nested too deeply") from None
+        if not isinstance(data, dict):
+            raise ValueError("input must be a JSON object")
         results, csv_text = _HANDLERS[verb](data, seed, tol)
         if csv_text is not None and output_path and _csv_path(output_path) == output_path:
             raise ValueError(f"--out {output_path} is where the {verb} CSV goes; "
@@ -265,11 +270,10 @@ def run(verb, input_path, output_path, seed=0, tol=None):
         text = emit_report(verb, seed, digest, results)
     except _NonFinite as exc:
         return fail(3, f"Overflow: {exc}")
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # numpy's is a ValueError too
         return fail(3, f"{type(exc).__name__}: {exc}")
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-        return fail(2, f"ValidationError: {detail}")
+    except ValueError as exc:
+        return fail(2, f"ValidationError: {exc}")
 
     try:
         _write(output_path, text)

@@ -248,11 +248,11 @@ def operator_angle(a, b, kmax=None):
     return CrossRatioResult.from_matrix(m, "chart", kmax)
 
 
-def comparable(v, w, tol=1e-8):
+def comparable(v, w):
     """True iff W = alpha V beta for some unitary alpha, beta.
 
     At finite dimension this is exactly equality of the singular-value
-    vectors, compared pointwise within tol.
+    vectors, compared pointwise within 1e-8.
     """
     v = numerics.as_matrix(v, "V")
     w = numerics.as_matrix(w, "W")
@@ -260,7 +260,7 @@ def comparable(v, w, tol=1e-8):
         return False
     sv = numerics.singular_values(v)
     sw = numerics.singular_values(w)
-    return bool(np.max(np.abs(sv - sw), initial=0.0) <= tol)
+    return bool(np.max(np.abs(sv - sw), initial=0.0) <= 1e-8)
 
 
 def comparability_witness(v, w):

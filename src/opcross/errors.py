@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 NumericalError covers everything that can go wrong for mathematical
-reasons on well-formed input; plain ValueError/TypeError/KeyError are
-reserved for malformed input.
+reasons on well-formed input; a plain ValueError, and nothing else, is
+malformed input.  Any other exception is a fault of the program.
 """
 
 

@@ -49,9 +49,10 @@ class FlowScenario:
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("scenario JSON must be an object")
+        initials, times = (numerics.list_from_json(obj[k], k) for k in ("initials", "times"))
         return cls(numerics.matrix_from_json(obj["generator"]),
-                   [Subspace.from_json(s) for s in obj["initials"]],
-                   [numerics.number_from_json(t, "times entry") for t in obj["times"]])
+                   [Subspace.from_json(s) for s in initials],
+                   [numerics.number_from_json(t, "times entry") for t in times])
 
 
 @dataclass(frozen=True)

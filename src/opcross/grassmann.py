@@ -75,10 +75,6 @@ class Subspace:
         """The orthogonal projector onto the subspace."""
         return self.basis @ self.basis.conj().T
 
-    def contains(self, x, tol=1e-8):
-        x = np.asarray(x)
-        return numerics.fro(x - self.projector() @ x) <= tol * max(1.0, numerics.fro(x))
-
     def to_json(self):
         return {"ambient": self.ambient_dim, "dim": self.dim,
                 "basis": numerics.matrix_to_json(self.basis)}

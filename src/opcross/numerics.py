@@ -54,6 +54,13 @@ def sq_fro(x):
     return np.einsum("...ij,...ij->...", x.conj(), x).real
 
 
+def is_symmetric(c):
+    """C = C^T to 1e-12 relative, tested as C / s, s = max(1, its largest |re| or |im|),
+    so nothing overflows."""
+    s = np.abs([c.real, c.imag]).max(initial=1.0)
+    return fro(c / s - c.T / s) <= 1e-12 * max(1.0 / s, fro(c / s))
+
+
 def require_nonsingular(s, error, message, chart=False):
     """Raise error(message) when the descending singular values s fail the
     singularity rule (see SINGULAR_RTOL); chart=True floors the scale at 1.
@@ -207,27 +214,32 @@ def number_from_json(v, name, kind=float):
     return kind(v)
 
 
-def _entry_from_json(v):
+def list_from_json(v, name, length=None):
+    """v if it is a JSON list (of length entries, when given); else ValueError naming it."""
+    if not isinstance(v, list) or length not in (None, len(v)):
+        raise ValueError(f"{name} must be a list" + (f" of {length} entries" if length else ""))
+    return v
+
+
+def _entry_from_json(v, name):
     parts = v if isinstance(v, list) and len(v) == 2 else [v]
-    parts = [number_from_json(x, "matrix entry") for x in parts]
+    parts = [number_from_json(x, f"{name} entry") for x in parts]
     return complex(*parts) if len(parts) == 2 else parts[0]
+
+
+def rows_from_json(data, name, rows=None, cols=None):
+    """The array of a JSON list of rows (rows x cols, when given; else as long as the
+    first) whose entries are numbers or complex [re, im] pairs; else ValueError."""
+    data = list_from_json(data, name, rows)
+    cols = len(list_from_json(data[0], f"{name}[0]")) if cols is None and data else cols
+    return np.array([[_entry_from_json(v, name) for v in list_from_json(row, f"{name}[{i}]", cols)]
+                     for i, row in enumerate(data)])
 
 
 def matrix_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
-    try:
-        rows, cols = (number_from_json(obj[k], k, int) for k in ("rows", "cols"))
-        data = obj["data"]
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"matrix JSON missing/bad field: {exc}") from exc
+    rows, cols = (number_from_json(obj.get(k), k, int) for k in ("rows", "cols"))
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
-    if not isinstance(data, list) or len(data) != rows:
-        raise ValueError(f"expected {rows} rows of data")
-    entries = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"expected rows of length {cols}")
-        entries.append([_entry_from_json(v) for v in row])
-    return np.array(entries)
+    return rows_from_json(obj.get("data"), "data", rows, cols)

@@ -110,24 +110,18 @@ class MatrixPolynomial:
         return MatrixPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def is_symmetric(self):
-        """Symmetric for every t, which holds exactly when every coefficient is.  Each C
-        is tested as C / s, s = max(1, its largest |re| or |im|), so nothing overflows."""
-        for c in self.coeffs:
-            s = np.abs([c.real, c.imag]).max(initial=1.0)
-            if numerics.fro(c / s - c.T / s) > 1e-12 * max(1.0 / s, numerics.fro(c / s)):
-                return False
-        return True
+        """Symmetric for every t, which holds exactly when every coefficient is."""
+        return all(numerics.is_symmetric(c) for c in self.coeffs)
 
     def to_json(self):
         return [numerics.matrix_to_json(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, obj, dim=None):
-        if not isinstance(obj, list):
-            raise ValueError("matrix polynomial JSON must be a list of matrices")
+        """Coefficients C_0, C_1, ...: each a matrix object or the list of its rows."""
         return cls([numerics.matrix_from_json(c) if isinstance(c, dict) else
-                    [[numerics.number_from_json(v, "coefficient entry") for v in row]
-                     for row in c] for c in obj], dim=dim)
+                    numerics.rows_from_json(c, "coefficient")
+                    for c in numerics.list_from_json(obj, "matrix polynomial")], dim=dim)
 
 
 @dataclass(frozen=True)
@@ -210,17 +204,19 @@ _D3_W = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 
 def jet_from_samples(samples, h, t=0.0):
     """Finite-difference jet from an odd-length centered stencil of >= 7 points
-    spaced by a finite nonzero step h."""
+    spaced by a finite nonzero step h; Overflow when a derivative is not finite."""
     samples = numerics.as_square(samples, "sample", stack=True)
     if len(samples) < 7 or len(samples) % 2 == 0:
         raise ValueError("need an odd number of samples, at least 7")
     if not (np.isfinite(h) and h != 0.0):
         raise ValueError(f"h must be a finite nonzero step, got {h!r}")
     mid = len(samples) // 2
-    window = samples[mid - 3: mid + 4]
-    z1 = sum(w * s for w, s in zip(_D1_W, window)) / h
-    z2 = sum(w * s for w, s in zip(_D2_W, window)) / h ** 2
-    z3 = sum(w * s for w, s in zip(_D3_W, window)) / h ** 3
+    window, h = samples[mid - 3: mid + 4], np.float64(h)  # h ** 3 may leave the range
+    with np.errstate(all="ignore"):
+        z1, z2, z3 = (sum(w * s for w, s in zip(weights, window)) / h ** order
+                      for order, weights in enumerate((_D1_W, _D2_W, _D3_W), 1))
+    if not np.isfinite([z1, z2, z3]).all():
+        raise Overflow("the finite-difference jet is not finite")
     return CurveJet(t, samples[mid], z1, z2, z3)
 
 
@@ -430,13 +426,13 @@ def integrate_riccati(sys, w0, t0, t1, steps):
 def w_from_jet(jet, a_t):
     """W = -(1/2) (z')^-1 z'' - A: the chart coordinate of a curve point."""
     a_t = numerics.as_square(a_t, "A")
-    if numerics.fro(a_t - a_t.T) > 1e-10 * max(1.0, numerics.fro(a_t)):
+    if not numerics.is_symmetric(a_t):
         raise ValueError("A must be symmetric for the W-z relation")
     return -0.5 * np.linalg.solve(jet.z1, jet.z2) - a_t
 
 
-def schwarz_equation_residual(jet, sys, t=None):
-    """S(z) - 2 (B(t) - A'(t) - A(t)^2), the Schwarz-equation residual.
+def schwarz_equation_residual(jet, sys):
+    """S(z) - 2 (B(t) - A'(t) - A(t)^2) at the jet's time t, the Schwarz-equation residual.
 
     With symmetric A, substituting W = -(1/2)(z')^-1 z'' - A into the
     Riccati equation gives the identity
@@ -446,7 +442,7 @@ def schwarz_equation_residual(jet, sys, t=None):
     """
     if not sys.symmetric_a:
         raise ValueError("the Schwarz equation requires symmetric A")
-    t = np.asarray(jet.t if t is None else t, dtype=float)[..., None, None]
+    t = np.asarray(jet.t, dtype=float)[..., None, None]
     a = sys.a(t)
     return schwarz(jet) - 2.0 * (sys.b(t) - sys.a.derivative()(t) - a @ a)
 

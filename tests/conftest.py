@@ -25,6 +25,12 @@ def same_subspace(w1, w2, tol=1e-8):
     return numerics.fro(w1.projector() - w2.projector()) <= tol
 
 
+def contains(w, x, tol=1e-8):
+    """Whether the columns of x lie in the subspace w, to tol relative to max(1, ||x||_F)."""
+    x = np.asarray(x)
+    return numerics.fro(x - w.projector() @ x) <= tol * max(1.0, numerics.fro(x))
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

@@ -76,6 +76,14 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert report["error"].startswith("ValidationError")
 
 
+def test_json_nested_too_deeply_exit_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert cli.run("angle", str(path), str(tmp_path / "out.json")) == 2
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["error"] == "ValidationError: the input JSON is nested too deeply"
+
+
 def test_missing_input_file(tmp_path):
     assert cli.run("dv", str(tmp_path / "nope.json"), None) == 2
     assert cli.run("dv", None, None) == 2
@@ -592,3 +600,132 @@ def test_schwarz_verb_zero_step_exit_2(tmp_path):
     status, text = run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 0})
     assert status == 2
     assert json.loads(text)["error"] == "ValidationError: h must be a finite nonzero step, got 0.0"
+
+
+def test_a_sample_step_whose_powers_leave_the_range(tmp_path):
+    # h ** 3 overflows (h = 1e300) or underflows (h = 1e-300); neither is a program fault.
+    samples = [{"rows": 1, "cols": 1, "data": [[float(np.tan(k * 0.01))]]} for k in range(-3, 4)]
+    assert run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 1e300})[0] == 0
+    status, text = run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 1e-300})
+    assert status == 3
+    assert json.loads(text)["error"] == "Overflow: the finite-difference jet is not finite"
+
+
+def _matrix(rows):
+    return {"rows": len(rows), "cols": len(rows[0]), "data": rows}
+
+
+def _valid_inputs():
+    """One valid input per verb (schwarz twice: a jet and samples), every kind of
+    JSON field the readers take among them: matrices with complex entries, bare and
+    object polynomial coefficients, optional subspace sizes, lists of subspaces."""
+    lines = [{"basis": _matrix([[float(np.cos(a))], [float(np.sin(a))]])}
+             for a in (0.1, 0.9, 1.7, 2.5, 3.0)]
+    lines[0].update(ambient=2, dim=1)
+    system = {"dim": 2, "A": [[[0.1, 0.2], [0.2, -0.1]]],
+              "B": [_matrix([[-1.0, 0.3], [0.3, -2.0]])], "symmetric_A": True}
+    grid = {"t0": 0.0, "t1": 1.0, "steps": 10}
+    w0 = _matrix([[0.1, 0.0], [0.0, 0.2]])
+    return [
+        ("dv", {"subspaces": lines[:4]}),
+        ("angle", {"a": _matrix([[1.0, [0.5, 0.25]], [0.0, 2.0]]),
+                   "b": _matrix([[0.5, 0.0], [0.1, -1.0]])}),
+        ("equiv", {"first": lines[:2], "second": lines[2:4]}),
+        ("cocycle", {"p": lines[:2], "q": lines[2:]}),
+        ("schwarz", {"jet": {"t": 0.0, "z": _matrix([[0.0]]), "z1": _matrix([[1.0]]),
+                             "z2": _matrix([[0.0]]), "z3": _matrix([[2.0]])}}),
+        ("schwarz", {"samples": [_matrix([[float(np.tan(k * 0.01))]]) for k in range(-3, 4)],
+                     "h": 0.01}),
+        ("riccati", {"system": system, **grid, "w0": w0}),
+        ("hamiltonian", {"system": system, **grid, "q0": _matrix([[1.0, 0.0], [0.0, 1.0]]),
+                         "p0": w0}),
+        ("flow", {"generator": _matrix([[0.0, 0.0], [1.0, 0.0]]), "initials": lines[:4],
+                  "times": [0.0, 0.5]}),
+    ]
+
+
+def _field_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _field_paths(child, path + (key,))
+
+
+def test_every_single_field_mutation_exits_0_2_or_3(tmp_path):
+    # Each field of each valid input set to null, 1, "x" or [1], or deleted: the
+    # readers take or reject it, and nothing reaches cli.run as a raw Python error.
+    inp, out = tmp_path / "in.json", str(tmp_path / "out.json")
+    cases = statuses = 0
+    for verb, valid in _valid_inputs():
+        inp.write_text(json.dumps(valid))
+        assert cli.run(verb, str(inp), out) == 0, verb
+        for path in _field_paths(valid):
+            for value in (None, 1, "x", [1], "delete"):
+                if not path:
+                    if value == "delete":
+                        continue
+                    mutated = value
+                else:
+                    mutated = json.loads(json.dumps(valid))
+                    *parents, key = path
+                    node = mutated
+                    for k in parents:
+                        node = node[k]
+                    if value == "delete":
+                        del node[key]
+                    else:
+                        node[key] = value
+                inp.write_text(json.dumps(mutated))
+                status = cli.run(verb, str(inp), out)
+                assert status in (0, 2, 3), (verb, path, value)
+                cases += 1
+                statuses += status == 2
+    assert cases > 1500 and statuses > 1200
+
+
+def test_a_program_fault_propagates(tmp_path, monkeypatch):
+    from opcross import crossratio
+
+    def raising(exc):
+        def handler(*args):
+            raise exc
+        return handler
+
+    inp = write_json(tmp_path / "in.json", {})
+    for exc in (TypeError("broken"), KeyError("broken"), IndexError("broken")):
+        monkeypatch.setitem(cli._HANDLERS, "angle", raising(exc))
+        with pytest.raises(type(exc), match="broken"):
+            cli.run("angle", inp, str(tmp_path / "out.json"))
+    # A fault in a library function is no malformed input either.
+    monkeypatch.setattr(crossratio, "cocycle_product", raising(TypeError("broken")))
+    with pytest.raises(TypeError, match="broken"):
+        cli.run("selftest", None, str(tmp_path / "self.json"), seed=1)
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
+def test_missing_fields_and_wrong_lists_name_their_field(tmp_path):
+    subs = dv_input()["subspaces"]
+    cases = [("dv", {}, "missing field 'subspaces'"),
+             ("dv", {"subspaces": subs[:3]}, "subspaces must be a list of 4 entries"),
+             ("equiv", {"first": subs[:2], "second": None}, "second must be a list of 2 entries"),
+             ("cocycle", {"p": subs[:2], "q": subs[:2]}, "q must be a list of 3 entries"),
+             ("schwarz", {"samples": 1, "h": 0.1}, "samples must be a list"),
+             ("flow", {"generator": subs[0]["basis"], "initials": {}, "times": [0.0]},
+              "initials must be a list"),
+             ("angle", {"a": {"rows": 1, "cols": 1, "data": [None]}, "b": None},
+              "data[0] must be a list of 1 entries"),
+             ("riccati", {"system": {"A": [[None]], "B": [[[1.0]]]}, "w0": None},
+              "coefficient[0] must be a list")]
+    for verb, payload, error in cases:
+        status, text = run_to_files(tmp_path, verb, payload)
+        assert (status, json.loads(text)["error"]) == (2, "ValidationError: " + error), verb
+
+
+def test_numpy_linalg_error_is_numerical_exit_3(tmp_path):
+    # I + A^T A of A = 1e8 J rounds to an exactly singular matrix: numpy raises its
+    # LinAlgError, a ValueError subclass, which is no malformed input.
+    payload = {"a": {"rows": 2, "cols": 2, "data": [[1e8, 1e8], [1e8, 1e8]]},
+               "b": {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}}
+    status, text = run_to_files(tmp_path, "angle", payload)
+    assert (status, json.loads(text)["error"]) == (3, "LinAlgError: Singular matrix")

@@ -8,7 +8,8 @@ from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import (DegeneratePosition, NonConvergence, NotPolarization,
                             OutsideChart, Overflow, RankDeficient)
-from conftest import chart_subspaces, complementary_pair, random_orthogonal, same_subspace
+from conftest import (chart_subspaces, complementary_pair, contains, random_orthogonal,
+                      same_subspace)
 
 
 def test_subspace_requires_orthonormal_columns():
@@ -56,9 +57,9 @@ def test_project_parallel_decomposition(rng):
         along = gr.random_subspace(6, 4, int(rng.integers(2**31)))
         x = rng.standard_normal((6, 3))
         y = gr.project_parallel(x, onto, along)
-        assert onto.contains(y)
+        assert contains(onto, y)
         # The residual lies in `along`.
-        assert along.contains(x - y)
+        assert contains(along, x - y)
         # Idempotence.
         assert np.allclose(gr.project_parallel(y, onto, along), y, atol=1e-9)
 

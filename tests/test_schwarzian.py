@@ -406,6 +406,11 @@ def test_symmetry_test_of_huge_coefficients():
         sz.HamiltonianSystem(zero, sz.MatrixPolynomial([b]))
     with pytest.raises(ValueError, match="must be symmetric"):
         sz.HamiltonianSystem(zero, sz.MatrixPolynomial([np.array([[0.0, 1e308], [-1e308, 0.0]])]))
+    # w_from_jet tests its A by the same rule.
+    jet = sz.CurveJet(0.0, np.eye(2), np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+    assert np.array_equal(sz.w_from_jet(jet, 1e200 * np.eye(2)), -1e200 * np.eye(2))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        sz.w_from_jet(jet, np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def test_json_round_trips(rng):
@@ -432,6 +437,13 @@ def test_json_rejects_boolean_numbers():
     obj["t"] = True
     with pytest.raises(ValueError):
         sz.CurveJet.from_json(obj)
+
+
+def test_bare_coefficient_rows_take_the_entries_of_data():
+    rows = [[1.0, [0.5, -2.0]], [[0.5, -2.0], 3]]
+    bare = sz.MatrixPolynomial.from_json([rows]).coeffs[0]
+    assert bare.dtype == complex and bare[0, 1] == 0.5 - 2j
+    assert np.array_equal(bare, numerics.matrix_from_json({"rows": 2, "cols": 2, "data": rows}))
 
 
 def _sym(rng, n):
