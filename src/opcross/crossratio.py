@@ -235,7 +235,8 @@ def operator_angle(a, b, kmax=None):
 
     Eigenvalues are the squared cosines of the principal angles between the
     graphed subspaces; (I+A*A) and (I+B*B) are positive definite, so no
-    invertibility precondition is needed.
+    invertibility precondition is needed.  Overflow when either is not finite
+    (chart entries beyond about 1e154), where the form would return zeros.
     """
     a = numerics.as_matrix(a, "A")
     b = numerics.as_matrix(b, "B")
@@ -243,8 +244,11 @@ def operator_angle(a, b, kmax=None):
         raise ValueError("A and B must have the same shape")
     ah, bh = a.conj().T, b.conj().T
     eye = np.eye(a.shape[1])
-    m = np.linalg.solve(eye + ah @ a, eye + ah @ b) \
-        @ np.linalg.solve(eye + bh @ b, eye + bh @ a)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: Overflow, or from_matrix's
+        ga, gb = eye + ah @ a, eye + bh @ b
+        if not np.isfinite((ga, gb)).all():
+            raise Overflow("the factor I + A*A or I + B*B is not finite")
+        m = np.linalg.solve(ga, eye + ah @ b) @ np.linalg.solve(gb, eye + bh @ a)
     return CrossRatioResult.from_matrix(m, "chart", kmax)
 
 

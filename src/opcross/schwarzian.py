@@ -7,16 +7,18 @@ classical fixed-step fourth-order one-step method, run by one kernel; the
 systems are linear in the state, so it takes one RK4 step matrix per step.
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
-Hamiltonian system in one chart, off the run from (q, p) = (I, W0).  The
-chart is lost where the state is not finite, q is exactly singular,
-||W||_F >= 1/SINGULAR_RTOL (the singularity rule on the q block of an
-orthonormal basis of span(q; p), whose smallest singular value is
-(1 + ||W||_2^2)^-1/2), or the step to the node holds a pole: q_{i+1} q_i^-1
-has an eigenvalue with real part <= 0.  BlowUp.t is the first such node.
+Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk
+of steps at a time as the kernel hands each one over.  The chart is lost
+where the state is not finite, q is exactly singular, ||W||_F >=
+1/SINGULAR_RTOL (the singularity rule on the q block of an orthonormal basis
+of span(q; p), whose smallest singular value is (1 + ||W||_2^2)^-1/2), or the
+step to the node holds a pole: q_{i+1} q_i^-1 = M11 + M12 W_i, read off the
+step matrix M_i without a solve and whatever basis the run has reached, has
+an eigenvalue with real part <= 0.  BlowUp.t is the first such node.
 """
 
 from dataclasses import dataclass, fields
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 
 import numpy as np
 
@@ -159,7 +161,10 @@ class HamiltonianSystem:
         dim = numerics.number_from_json(obj["dim"], "dim", int) if "dim" in obj else None
         a = MatrixPolynomial.from_json(obj.get("A", []), dim=dim)
         b = MatrixPolynomial.from_json(obj.get("B", []), dim=dim)
-        return cls(a, b, bool(obj.get("symmetric_A", False)))
+        symmetric_a = obj.get("symmetric_A", False)
+        if not isinstance(symmetric_a, bool):
+            raise ValueError(f"symmetric_A must be true or false, got {symmetric_a!r}")
+        return cls(a, b, symmetric_a)
 
 
 @dataclass(frozen=True)
@@ -274,8 +279,10 @@ def _stage_times(ts, hs):
 
 
 # Steps whose RK4 step matrices are built together: one stack per chunk keeps
-# the run's memory at its states (a whole run's stage stacks would not be).
-_CHUNK = 64
+# the run's memory at its states (a whole run's stage stacks would not be).  A
+# chunk takes _CHUNK steps, or more where their step matrices are small: as many
+# as fill _CHUNK_ENTRIES entries (64 12 x 12 matrices, the steps of a dim-6 run).
+_CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
 # The most steps one run takes: it holds its step list, node times and states whole.
 MAX_STEPS = 10**6
 
@@ -289,24 +296,27 @@ def _blocks(a, b, c, d):
     return out
 
 
-def _rk4(g, y, hs):
+def _rk4(g, y, hs, on_chunk=None):
     """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
     where g(s) is the stack of G at the stage times s (a slice of the indices of
     _stage_times), or a one-matrix stack when G is constant.  On a linear system RK4
     is the step matrix y_{i+1} = M_i y_i, M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
     K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)(I + h/2 K2) and
     K4 = G(t_{i+1})(I + h K3): the stage vectors are K_j y_i, so the method and its
-    nodes are the classical ones.  The M_i are built as stacks _CHUNK steps at a time,
-    each stage updated in place; a chunk of equal steps under a constant G has one M,
-    which advances every step of the chunk.  y_{i+1} is one np.dot (np.matmul's BLAS
-    product, without a ufunc call).  Returns one array of y and the states after each
-    step, up to the first state that is not finite: the run stops at the end of that
-    state's chunk, so fewer than len(hs) + 1 states mean the state at the next node
-    is not finite."""
+    nodes are the classical ones.  The M_i are built as stacks a chunk of steps at a
+    time (see _CHUNK), each stage updated in place; a chunk of equal steps under a
+    constant G has one M, which advances every step of the chunk.  y_{i+1} is one
+    M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc call).  After each chunk,
+    on_chunk(j, m, ys) gets its first step j, its stack m of step matrices (one matrix
+    for a constant G) and its finite states ys, from y_j on, under the run's errstate.
+    Returns one array of y and the states after each step, up to the first state that
+    is not finite: the run stops at the end of that state's chunk, so fewer than
+    len(hs) + 1 states mean the state at the next node is not finite."""
     hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
+    chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
-        for j in range(0, len(hs), _CHUNK):
-            h = hs[j:j + _CHUNK]
+        for j in range(0, len(hs), chunk):
+            h = hs[j:j + chunk]
             steps = len(h)
             gs = g(slice(2 * j, 2 * (j + steps) + 1))
             # Equal steps make h a scalar; with a one-matrix gs every stage then
@@ -333,18 +343,22 @@ def _rk4(g, y, hs):
             if ys is None:
                 ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
                 ys[0] = y
-                rows = list(ys)  # np.dot writes each state into its row of ys
+                rows = list(ys)  # each product writes its state into its row of ys
             for i, mi in enumerate(m if len(m) == steps else repeat(m[0], steps), j):
-                np.dot(mi, rows[i], out=rows[i + 1])
+                mi.dot(rows[i], out=rows[i + 1])
             finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
-            if not finite.all():
-                return ys[:j + 1 + int(np.argmin(finite))]
+            end = j + 1 + (steps if finite.all() else int(np.argmin(finite)))
+            if on_chunk is not None:
+                on_chunk(j, m, ys[j:end])
+            if end < j + 1 + steps:
+                return ys[:end]
     return ys
 
 
-def _hamiltonian_run(sys, q0, p0, t0, t1, steps):
+def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     """Node times (t advances by repeated addition of h) and the RK4 states (q, p)
-    from (q0, p0) up to the first that is not finite (see _rk4)."""
+    from (q0, p0) up to the first that is not finite (see _rk4, which calls on_chunk
+    with the states [q; p] of each chunk)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > MAX_STEPS:
@@ -368,7 +382,7 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps):
         np.negative(out[:, n:], out=out[:, n:])
         return out
 
-    ys = _rk4(g, np.concatenate([q0, p0]), hs)
+    ys = _rk4(g, np.concatenate([q0, p0]), hs, on_chunk)
     return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 
@@ -391,24 +405,13 @@ def riccati_rhs(w, c):
     return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
 
 
-def _read_chart(ts, ys):
-    """W = p q^-1 at the nodes ts of a Hamiltonian run ys from q = I, or BlowUp at
-    the first node where the chart is lost; a run shorter than ts is lost at node
-    len(ys), whose state is not finite, if not before."""
-    qt, pt = ys[:, 0].swapaxes(-1, -2), ys[:, 1].swapaxes(-1, -2)
-    try:
-        # d[i] = (q_{i+1} q_i^-1)^T - I; a step with ||d[i]||_F < 1 holds no pole.
-        d = np.linalg.solve(qt[:-1], qt[1:])
-        d -= np.eye(ys.shape[-1])
-        poles = (i + 1 for i in np.flatnonzero(~(numerics.sq_fro(d) < 1.0))
-                 if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
-        lost = next(poles, len(ys))
-        del d  # the reading holds one stack of matrices at a time
-        wt = np.linalg.solve(qt[:lost], pt[:lost])
-    except np.linalg.LinAlgError:
-        # q is exactly singular at a node: the chart is lost there if not before.
-        return _read_chart(ts, ys[:int(np.argmax(np.linalg.slogdet(qt)[0] == 0))])
-    big = ~(numerics.sq_fro(wt) < numerics.SINGULAR_RTOL ** -2)
+def _read_chart(ts, wt, ends):
+    """W at the nodes ts from the stack wt of W^T, or BlowUp at the first node where
+    the chart is lost: the least of ends (the nodes of the first exactly singular q,
+    the first pole and the first state that is not finite, or len(ts)), unless an
+    earlier node has ||W||_F >= 1/SINGULAR_RTOL."""
+    lost = min(ends)
+    big = ~(numerics.sq_fro(wt[:lost]) < numerics.SINGULAR_RTOL ** -2)
     if big.any() or lost < len(ts):
         raise BlowUp(ts.item(np.argmax(big) if big.any() else lost))
     return wt.swapaxes(-1, -2)
@@ -419,8 +422,35 @@ def integrate_riccati(sys, w0, t0, t1, steps):
     read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
     BlowUp at the first node where that chart is lost (see the module docstring)."""
     w0 = numerics.as_square(w0, "W0")
-    ts, ys = _hamiltonian_run(sys, np.eye(len(w0), dtype=w0.dtype), w0, t0, t1, steps)
-    return ts, _read_chart(ts, ys)
+    n, wt, lost = len(w0), None, []
+
+    def read(j, m, ys):
+        # W^T = (q^T)^-1 p^T at the chunk's nodes j, ..., j + k - 1 into one stack
+        # (node j was read with the chunk before, unless j = 0), then d_i =
+        # M11 + M12 W_i - I = q_{i+1} q_i^-1 - I for the steps i from them: a step
+        # with ||d_i||_F < 1 holds no pole.  The chunk records the node of its first
+        # exactly singular q or pole, and the chunks after it read nothing.
+        nonlocal wt
+        if lost:
+            return
+        if wt is None:
+            wt = np.empty((steps + 1, n, n), ys.dtype)
+        qt, pt, k, new = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), len(ys), int(j > 0)
+        try:
+            wt[j + new:j + k] = np.linalg.solve(qt[new:], pt[new:])
+        except np.linalg.LinAlgError:  # q is exactly singular at node j + k
+            k = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
+            lost.append(j + k)
+            wt[j + new:j + k] = np.linalg.solve(qt[new:k], pt[new:k])
+        d = m[:k - 1, :n, n:] @ wt[j:j + k - 1].swapaxes(-1, -2)
+        d += m[:k - 1, :n, :n]
+        d -= np.eye(n)
+        poles = (j + i + 1 for i in np.flatnonzero(~(numerics.sq_fro(d) < 1.0))
+                 if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
+        lost.extend(islice(poles, 1))
+
+    ts, ys = _hamiltonian_run(sys, np.eye(n, dtype=w0.dtype), w0, t0, t1, steps, read)
+    return ts, _read_chart(ts, wt, [*lost, len(ys)])
 
 
 def w_from_jet(jet, a_t):

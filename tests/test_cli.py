@@ -256,6 +256,40 @@ def test_json_booleans_exit_2(tmp_path):
     assert run_to_files(tmp_path, "dv", {"subspaces": subs}, name="dv.json")[0] == 2
 
 
+def test_symmetric_a_must_be_a_json_boolean(tmp_path):
+    base = {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}, "t0": 0.0, "t1": 1.0, "steps": 10}
+    for value in ("x", [1], 1, 0, "", None):
+        payload = {**base, "system": {**oscillator_json(), "symmetric_A": value}}
+        status, text = run_to_files(tmp_path, "riccati", payload)
+        assert status == 2, value
+        assert json.loads(text)["error"] == \
+            f"ValidationError: symmetric_A must be true or false, got {value!r}"
+    system = oscillator_json()
+    del system["symmetric_A"]
+    for sys_ in ({**system, "symmetric_A": True}, {**system, "symmetric_A": False}, system):
+        assert run_to_files(tmp_path, "riccati", {**base, "system": sys_})[0] == 0
+    skew = {"dim": 2, "A": [[[0.0, 1.0], [-1.0, 0.0]]], "B": [[[1.0, 0.0], [0.0, 1.0]]]}
+    w0 = {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]}
+    for flag, status in ((True, 2), (False, 0)):
+        assert run_to_files(tmp_path, "riccati", {**base, "w0": w0,
+                                                  "system": {**skew, "symmetric_A": flag}})[0] == status
+
+
+def test_angle_with_an_overflowing_gram_factor_exit_3(tmp_path):
+    # A = 1e200 I: I + A*A is not finite, and the chart form would give the
+    # spectrum [0, 0] for the answer [0.5, 0.5].  Numpy warnings are errors here.
+    payload = {"a": numerics.matrix_to_json(1e200 * np.eye(2)), "b": numerics.matrix_to_json(np.eye(2))}
+    status, text = run_to_files(tmp_path, "angle", payload)
+    assert status == 3
+    assert json.loads(text)["error"] == "Overflow: the factor I + A*A or I + B*B is not finite"
+    payload = {"a": numerics.matrix_to_json(np.eye(2)), "b": numerics.matrix_to_json(1e155 * np.eye(2))}
+    assert run_to_files(tmp_path, "angle", payload, name="b.json")[0] == 3
+    payload = {"a": numerics.matrix_to_json(1e154 * np.eye(2)), "b": numerics.matrix_to_json(np.eye(2))}
+    status, text = run_to_files(tmp_path, "angle", payload, name="c.json")
+    assert status == 0
+    assert json.loads(text)["results"]["spectrum"] == [[0.5, 0.0], [0.5, 0.0]]
+
+
 def test_non_finite_result_exit_3_and_atomic_report(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "angle",
                         lambda data, seed, tol: ({"x": float("inf")}, None))

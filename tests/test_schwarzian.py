@@ -736,7 +736,7 @@ def test_integrators_match_stage_by_stage_rk4(rng, n, steps):
         _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w0), 0.0, 0.6, steps)
         assert _rel(np.stack([points.q, points.p], axis=1), ref) <= 1e-12
         _, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
-        ref_ws = sz._read_chart(ts, ref)
+        ref_ws = sz.PhasePoint(ref[:, 0], ref[:, 1]).w()
         assert _rel(ws, ref_ws) <= 1e-12
         z0, z1_0 = 0.5 * rng.standard_normal((n, n)), np.eye(n)
         jets = sz.curve_from_riccati(ts, ref_ws, sys_.a, z0, z1_0, sys_.b)
@@ -746,47 +746,77 @@ def test_integrators_match_stage_by_stage_rk4(rng, n, steps):
 
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
-    # The kernel advances each state by np.dot(M_i, y_i, out=y_{i+1}); it must
-    # write exactly np.matmul's product, for real, complex and mixed operands
-    # (a complex W0 under a real system; a complex W in the curve's run).
-    steps, products = [], []
-    dot = np.dot
+    # The kernel advances each state by M_i.dot(y_i, out=y_{i+1}); it must write
+    # exactly np.matmul's product, for real, complex and mixed operands (a complex
+    # W0 under a real system; a complex W in the curve's run).  Each chunk's step
+    # matrices and states reach the check through _rk4's on_chunk.
+    steps, count, kinds, rk4 = [], [0], set(), sz._rk4
 
-    def recording_dot(a, b, out=None):
-        dot(a, b, out=out)
-        products.append((a.copy(), b.copy(), out.copy()))
-        return out
+    def checked(on_chunk):
+        def check(j, m, ys):
+            for i in range(len(ys) - 1):
+                mi = m[i] if len(m) > 1 else m[0]
+                assert np.matmul(mi, ys[i]).tobytes() == ys[i + 1].tobytes()
+                kinds.add((mi.dtype.kind, ys.dtype.kind))
+            count[0] += len(ys) - 1
+            if on_chunk is not None:
+                on_chunk(j, m, ys)
+        return check
 
+    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs, on_chunk=None: rk4(g, y, hs, checked(on_chunk)))
     sys_ = linear_system(rng, n)
     for w0 in (0.1 * _sym(rng, n), 0.1 * (_sym(rng, n) + 1j * _sym(rng, n))):
-        monkeypatch.setattr(np, "dot", recording_dot)
         ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, 1000)
         sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((n, n)), np.eye(n), sys_.b)
-        monkeypatch.setattr(np, "dot", dot)
-        steps.append(len(products))
+        steps.append(count[0])
     assert steps == [2000, 4000]
-    kinds = {(m.dtype.kind, y.dtype.kind) for m, y, _ in products}
     assert kinds == {("f", "f"), ("f", "c"), ("c", "c")}
-    for m, y, out in products:
-        assert np.matmul(m, y).tobytes() == out.tobytes()
 
 
 def test_chunk_size_does_not_change_a_bit(rng, monkeypatch):
-    steps = 130
-    sys_ = linear_system(rng, 3)
-    w0 = 0.1 * _sym(rng, 3)
+    # Chunks of 1 step, of 64 steps, of the whole run and of the rule's own size
+    # (2304, 576 and 64 steps at dims 1, 2 and 6, so the run ends in a part chunk)
+    # give the same bits.
+    for n, rule in ((1, 2304), (2, 576), (6, 64)):
+        assert max(sz._CHUNK, sz._CHUNK_ENTRIES // (2 * n) ** 2) == rule
+        steps, sys_, w0 = rule + 66, linear_system(rng, n), 0.1 * _sym(rng, n)
 
-    def run():
-        ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
-        jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((3, 3)), np.eye(3), sys_.b)
-        _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(3), w0), 0.0, 0.6, steps)
-        return b"".join(x.tobytes() for x in (ws, jets.z, jets.z1, jets.z2, jets.z3, points.q, points.p))
+        def run():
+            ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
+            jets = sz.curve_from_riccati(ts, ws, sys_.a, np.zeros((n, n)), np.eye(n), sys_.b)
+            _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w0), 0.0, 0.6, steps)
+            return b"".join(x.tobytes() for x in (ws, jets.z, jets.z1, jets.z2, jets.z3, points.q, points.p))
 
-    runs = []
-    for chunk in (1, 64, steps):
-        monkeypatch.setattr(sz, "_CHUNK", chunk)
-        runs.append(run())
-    assert runs[0] == runs[1] == runs[2]
+        runs = [run()]
+        with monkeypatch.context() as patch:
+            patch.setattr(sz, "_CHUNK_ENTRIES", 0)
+            for chunk in (1, 64, steps):
+                patch.setattr(sz, "_CHUNK", chunk)
+                runs.append(run())
+        assert runs[0] == runs[1] == runs[2] == runs[3], n
+
+
+@pytest.mark.parametrize("n, node", [(6, 64), (6, 65), (2, 576), (2, 577)])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_a_pole_next_to_a_chunk_boundary(rng, n, node, degree):
+    # B = S diag(c) S^T, A = 0, W0 = 0: q = S cos(sqrt(c) t) S^T, whose first pole
+    # is placed mid-step into node 64 or 65 at dim 6 (chunks of 64 steps) and 576
+    # or 577 at dim 2 (chunks of 576).  The step into node 64 is its chunk's last;
+    # the one into node 65 is read with the W of the chunk before.  BlowUp.t must be
+    # the pole of the stage-by-stage run, found from q_{i+1} q_i^-1 there.  A of
+    # degree 1 (zero slope) gives one step matrix per step; a constant A, one per chunk.
+    h, steps = 1e-3, node + 100
+    s = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    c = (np.pi / (2.0 * (node - 0.5) * h)) ** 2 * np.append(1.0, rng.uniform(0.1, 0.8, n - 1))
+    sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([np.zeros((n, n))] * (degree + 1)),
+                                sz.MatrixPolynomial([(s * c) @ s.T]))
+    ts, ref = reference_hamiltonian_run(sys_, np.eye(n), np.zeros((n, n)), steps * h, steps)
+    d = np.linalg.solve(ref[:-1, 0].swapaxes(-1, -2), ref[1:, 0].swapaxes(-1, -2)) - np.eye(n)
+    pole = 1 + next(i for i in range(steps) if numerics.eigenvalues(d[i])[0].real <= -1.0)
+    assert pole == node
+    with pytest.raises(BlowUp) as exc_info:
+        sz.integrate_riccati(sys_, np.zeros((n, n)), 0.0, steps * h, steps)
+    assert exc_info.value.t == ts[pole]
 
 
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
@@ -801,7 +831,7 @@ def test_a_constant_system_steps_as_its_zero_slope_polynomial(rng, monkeypatch, 
     sloped = sz.HamiltonianSystem(sz.MatrixPolynomial([a, np.zeros((n, n))]),
                                   sz.MatrixPolynomial([b, np.zeros((n, n))]))
     stacks, rk4 = [], sz._rk4
-    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs: stacks.append(len(g(slice(0, 3)))) or rk4(g, y, hs))
+    monkeypatch.setattr(sz, "_rk4", lambda g, *args: stacks.append(len(g(slice(0, 3)))) or rk4(g, *args))
     w0 = 0.1 * _sym(rng, n)
     for w in (w0, w0 + 0.1j * _sym(rng, n), w0.astype(np.float32)):
         runs = []
@@ -834,7 +864,7 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
         return sz._blocks(at, np.eye(n), -b(st[s]), -at.swapaxes(-1, -2))
 
     generators, rk4 = [], sz._rk4
-    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs: generators.append(g) or rk4(g, y, hs))
+    monkeypatch.setattr(sz, "_rk4", lambda g, *args: generators.append(g) or rk4(g, *args))
     w0 = 0.1 * _sym(rng, n)
     whole = slice(0, 2 * steps + 1)
     for w in (w0, w0 + 0.1j * _sym(rng, n)):
@@ -870,9 +900,10 @@ def test_curve_times_that_are_not_finite_are_malformed(ts):
             sz.curve_from_riccati(ts, np.zeros((len(ts), 1, 1)), zero, np.zeros((1, 1)), np.eye(1), zero)
 
 
-def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range():
+def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range(monkeypatch):
     # A(t) = 2e5 t I: q = exp(1e5 t^2) leaves the float range at a node of
-    # the second chunk of 64 steps, and so does z' under W + A = -4000 I.
+    # the second chunk of 64 steps, and so does z' under W + A = -4000 I (in
+    # the first chunk of the dim-2 rule's 576 steps; both chunk sizes run).
     # The oracle is the stage-by-stage loop run in long double, whose range
     # holds these states: the first node whose state is beyond the float
     # range is where the integrators must stop.
@@ -889,15 +920,18 @@ def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range():
             reference_curve(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero, np.longdouble)
         with pytest.raises(BlowUp) as staged:
             reference_hamiltonian_run(sys_, x0.q, x0.p, 1.0, steps, BlowUp)
-    with pytest.raises(BlowUp) as blowup:
-        sz.integrate_riccati(sys_, x0.p, 0.0, 1.0, steps)
-    with pytest.raises(Overflow) as overflow:
-        sz.integrate_hamiltonian(sys_, x0, 0.0, 1.0, steps)
-    with pytest.raises(Overflow) as curve:
-        sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
-    assert 64 < node <= 128 and blowup.value.t == ts[node]
-    assert str(overflow.value) == f"the Hamiltonian state overflowed at t = {ts[node]:.6g}"
-    assert str(curve.value) == str(ref_curve.value)
+    assert 64 < node <= 128
+    for entries in (sz._CHUNK_ENTRIES, 0):  # 0: chunks of 64 steps
+        monkeypatch.setattr(sz, "_CHUNK_ENTRIES", entries)
+        with pytest.raises(BlowUp) as blowup:
+            sz.integrate_riccati(sys_, x0.p, 0.0, 1.0, steps)
+        with pytest.raises(Overflow) as overflow:
+            sz.integrate_hamiltonian(sys_, x0, 0.0, 1.0, steps)
+        with pytest.raises(Overflow) as curve:
+            sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
+        assert blowup.value.t == ts[node]
+        assert str(overflow.value) == f"the Hamiltonian state overflowed at t = {ts[node]:.6g}"
+        assert str(curve.value) == str(ref_curve.value)
     assert 64 < float(str(curve.value).split("= ")[1]) * steps <= 128
     # Run in float64, the stage-by-stage loop stops a node early: its stage
     # vectors G y are 1/h larger than the state and overflow first.
@@ -908,6 +942,7 @@ def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
     # h (W + A) = -4 I, so each RK4 step multiplies z' by R(8) ~ 297 and
     # z''' = 6.4e7 z' leaves the float range at node 122 of 1000, in the
     # second chunk of 64 steps: the run builds no chunk after it.
+    monkeypatch.setattr(sz, "_CHUNK_ENTRIES", 0)  # chunks of 64 steps
     n, steps = 2, 1000
     ts = np.linspace(0.0, 1.0, steps + 1)
     ws = np.array([-4000.0 * np.eye(n)] * (steps + 1))
