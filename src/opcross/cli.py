@@ -18,18 +18,14 @@ import numpy as np
 
 from . import __version__, crossratio, flows, grassmann, numerics
 from . import schwarzian as schwarz
-from .errors import NumericalError
+from .errors import NumericalError, Overflow
 
 
 # --- deterministic JSON with 17-significant-digit floats ------------------
 
-class _NonFinite(ValueError):
-    """A non-finite float reached the report or CSV; run() reports it as Overflow."""
-
-
 def _format_float(x):
     if x != x or x in (float("inf"), float("-inf")):
-        raise _NonFinite(f"non-finite float in output: {x!r}")
+        raise Overflow(f"non-finite float in output: {x!r}")
     text = format(float(x), ".17g")
     # Keep floats recognizably floats.
     if "e" not in text and "." not in text and "n" not in text:
@@ -69,9 +65,7 @@ def _jsonable(value):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
-            if not np.isfinite(value).all():
-                raise _NonFinite("non-finite matrix in output")
-            return numerics.matrix_to_json(value)
+            return numerics.matrix_to_json(numerics.finite(value, "a matrix in the output"))
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -268,8 +262,6 @@ def run(verb, input_path, output_path, seed=0, tol=None):
             raise ValueError(f"--out {output_path} is where the {verb} CSV goes; "
                              "give the report another extension")
         text = emit_report(verb, seed, digest, results)
-    except _NonFinite as exc:
-        return fail(3, f"Overflow: {exc}")
     except (NumericalError, np.linalg.LinAlgError) as exc:  # numpy's is a ValueError too
         return fail(3, f"{type(exc).__name__}: {exc}")
     except ValueError as exc:

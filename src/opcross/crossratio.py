@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .errors import DegeneratePosition, NotPolarization, Overflow, Singular
+from .errors import DegeneratePosition, NotPolarization, Singular
 from .grassmann import (_oblique_coords, _schur_coords, degenerate_sigma_min,
                         principal_angles)
 # perfbench/check_harness.py calls project_parallel through this module to check that
@@ -54,13 +54,7 @@ class CrossRatioResult:
     @classmethod
     def from_matrix(cls, m, basis_space, kmax=None):
         """Overflow when the computed operator m is not finite."""
-        try:
-            m = numerics.as_square(m)
-        except ValueError:
-            if np.isfinite(m).all():
-                raise
-            raise Overflow("the operator is not finite") from None
-        spectrum = numerics.eigenvalues(m)
+        spectrum = numerics.eigenvalues(numerics.finite(m, "the operator"))
         traces = numerics.power_sums(spectrum, m.shape[0] if kmax is None else kmax)
         return cls(m, basis_space, spectrum, traces if np.iscomplexobj(m) else traces.real)
 
@@ -68,9 +62,8 @@ class CrossRatioResult:
     def det(self):
         """Determinant of the operator (the tau-function analog); Overflow if not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            d = complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0
-        if not np.isfinite(d):
-            raise Overflow("the determinant is not finite")
+            d = numerics.finite(complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0,
+                                "the determinant")
         if abs(d.imag) < 1e-12 * max(1.0, abs(d.real)):
             return d.real
         return d
@@ -245,9 +238,7 @@ def operator_angle(a, b, kmax=None):
     ah, bh = a.conj().T, b.conj().T
     eye = np.eye(a.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: Overflow, or from_matrix's
-        ga, gb = eye + ah @ a, eye + bh @ b
-        if not np.isfinite((ga, gb)).all():
-            raise Overflow("the factor I + A*A or I + B*B is not finite")
+        ga, gb = numerics.finite((eye + ah @ a, eye + bh @ b), "the factor I + A*A or I + B*B")
         m = np.linalg.solve(ga, eye + ah @ b) @ np.linalg.solve(gb, eye + bh @ a)
     return CrossRatioResult.from_matrix(m, "chart", kmax)
 

@@ -93,9 +93,12 @@ def shift_generator(n, power):
 
 
 def flow_subspace(m, t, w0):
-    """The flowed subspace exp(tM) . W0."""
+    """The flowed subspace exp(tM) . W0; Overflow when tM, exp(tM) or the flowed
+    basis is not finite."""
     m = numerics.as_square(m, "M")
-    return subspace_from_basis(numerics.expm(t * m) @ w0.basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = numerics.expm(numerics.finite(t * m, "the exponent tM"))
+        return subspace_from_basis(numerics.finite(g @ w0.basis, "the flowed basis"))
 
 
 def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
@@ -113,11 +116,12 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
     rows = []
     for t in scenario.times:
         try:
-            g = numerics.expm(t * scenario.generator)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = numerics.expm(numerics.finite(t * scenario.generator, "the exponent tM"))
+                subs = [subspace_from_basis(numerics.finite(g @ w.basis, "the flowed basis"))
+                        if move else w for w, move in zip(scenario.initials, flowed)]
         except Overflow as exc:
             raise Overflow(f"{exc} at t = {t:.6g}") from exc
-        subs = [subspace_from_basis(g @ w.basis) if move else w
-                for w, move in zip(scenario.initials, flowed)]
         try:
             result = dv_composition(*subs, kmax=kmax)
         except NotPolarization as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import NotPolarization, OutsideChart, Overflow, RankDeficient
+from .errors import NotPolarization, OutsideChart, RankDeficient
 
 # A stacked basis whose smallest singular value falls below this has an
 # "infinitesimally small" angle between its two halves and is rejected.
@@ -96,6 +96,8 @@ def subspace_from_basis(cols):
 
     Raises RankDeficient when the columns do not have full rank: R has their
     singular values, so numerics.inverse(R) gives the singularity rule's verdict.
+    Overflow when Q is not finite (LAPACK's scaling of columns near 1e308 can
+    overflow where R does not).
     """
     cols = numerics.as_matrix(cols, "cols")
     message = f"columns have numerical rank < {cols.shape[1]}"
@@ -103,7 +105,7 @@ def subspace_from_basis(cols):
         raise RankDeficient(message)
     q, r = np.linalg.qr(cols)
     numerics.inverse(r, RankDeficient, message)
-    return Subspace(q)
+    return Subspace(numerics.finite(q, "the orthonormal basis"))
 
 
 def random_subspace(n, k, seed):
@@ -298,12 +300,9 @@ def mobius_apply_coordinate(g, t):
     """Chart-level Moebius action T -> (c + d T)(a + b T)^-1."""
     t = numerics.as_matrix(t, "T")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing factor or image: Overflow
-        image = (g.c + g.d @ t) @ numerics.inverse(
+        return numerics.finite((g.c + g.d @ t) @ numerics.inverse(
             g.a + g.b @ t, OutsideChart, "(a + bT) is singular: image leaves the big cell",
-            chart=True)
-    if not np.isfinite(image).all():
-        raise Overflow("the Moebius image is not finite")
-    return image
+            chart=True), "the Moebius image")
 
 
 def mobius_apply_subspace(g, w):

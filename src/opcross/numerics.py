@@ -3,7 +3,9 @@
 Thin, contract-enforcing wrappers around numpy plus the JSON matrix
 encoding.  All functions are pure; inputs are never mutated.  Every
 invertibility verdict is ``inverse``'s, which returns the inverse it
-certified.  Everything here needs numpy alone, the matrix exponential
+certified.  Every range verdict on a value computed from finite input is
+``finite``'s, an Overflow; input read from outside is ``as_matrix``'s, a
+ValueError.  Everything here needs numpy alone, the matrix exponential
 included: ``expm`` is the scaling-and-squaring Pade algorithm of N. J.
 Higham, "The scaling and squaring method for the matrix exponential
 revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193, which takes
@@ -35,6 +37,14 @@ def as_matrix(a, name="matrix", stack=False):
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def finite(x, what):
+    """x when every entry of it (an array, a scalar or a list of equal-shape arrays)
+    is finite; else Overflow("<what> is not finite")."""
+    if not np.isfinite(x).all():
+        raise Overflow(f"{what} is not finite")
+    return x
 
 
 def as_square(a, name="matrix", stack=False):
@@ -91,8 +101,7 @@ def inverse(a, error, message, chart=False):
             scale = 4.0 * sq_fro(x) * sq_a * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
             if ((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)).all():
                 return x
-    if not np.isfinite(a).all():  # never certified: its residual or scale is not finite
-        raise Overflow("a factor to invert is not finite")
+    finite(a, "a factor to invert")  # never certified: its residual or scale is not finite
     require_nonsingular(singular_values(a, a.ndim == 3), error, message, chart)
     return np.linalg.inv(a) if x is None else x  # inv raises again if the SVD accepts
 
@@ -159,9 +168,7 @@ def expm(m):
     """
     a = as_square(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.abs(a).sum(axis=0).max(initial=0.0)
-        if not np.isfinite(norm):
-            raise Overflow("the exponent's 1-norm is not finite")
+        norm = finite(np.abs(a).sum(axis=0).max(initial=0.0), "the exponent's 1-norm")
         degree = next((d for d, theta in _PADE_THETA.items() if norm <= theta), 13)
         squarings = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if degree == 13 else 0
         a = a * 2.0 ** -squarings
@@ -184,9 +191,7 @@ def expm(m):
         r = np.linalg.solve(v - u, v + u)
         for _ in range(squarings):
             r = r @ r
-    if not np.isfinite(r).all():
-        raise Overflow("the matrix exponential is not finite")
-    return r
+    return finite(r, "the matrix exponential")
 
 
 # --- JSON encoding -------------------------------------------------------

@@ -107,9 +107,12 @@ class MatrixPolynomial:
         return out if lower else out + 0 * t
 
     def derivative(self):
+        """sum_k k C_k t^(k-1); Overflow when a coefficient k C_k is not finite."""
         if len(self.coeffs) == 1:
             return MatrixPolynomial([np.zeros_like(self.coeffs[0])])
-        return MatrixPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return MatrixPolynomial(numerics.finite([k * c for k, c in enumerate(self.coeffs)][1:],
+                                                    "a coefficient of the derivative"))
 
     def is_symmetric(self):
         """Symmetric for every t, which holds exactly when every coefficient is."""
@@ -195,10 +198,7 @@ def schwarz(jet):
     with np.errstate(over="ignore", invalid="ignore"):
         q2 = np.linalg.solve(jet.z1, jet.z2)
         q3 = np.linalg.solve(jet.z1, jet.z3)
-        s = q3 - 1.5 * (q2 @ q2)
-    if not np.isfinite(s).all():
-        raise Overflow("the Schwarzian is not finite")
-    return s
+        return numerics.finite(q3 - 1.5 * (q2 @ q2), "the Schwarzian")
 
 
 # Centered 7-point finite-difference weights for offsets -3..3.
@@ -218,10 +218,9 @@ def jet_from_samples(samples, h, t=0.0):
     mid = len(samples) // 2
     window, h = samples[mid - 3: mid + 4], np.float64(h)  # h ** 3 may leave the range
     with np.errstate(all="ignore"):
-        z1, z2, z3 = (sum(w * s for w, s in zip(weights, window)) / h ** order
-                      for order, weights in enumerate((_D1_W, _D2_W, _D3_W), 1))
-    if not np.isfinite([z1, z2, z3]).all():
-        raise Overflow("the finite-difference jet is not finite")
+        z1, z2, z3 = numerics.finite([sum(w * s for w, s in zip(weights, window)) / h ** order
+                                      for order, weights in enumerate((_D1_W, _D2_W, _D3_W), 1)],
+                                     "the finite-difference jet")
     return CurveJet(t, samples[mid], z1, z2, z3)
 
 
@@ -267,9 +266,7 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
             raise Singular("(C3 z + C4) is singular at the curve point") from exc
         w = _series_mul(num, inv_den, 3)
         w[2], w[3] = 2.0 * w[2], 6.0 * w[3]
-    if not all(np.isfinite(x).all() for x in w):
-        raise Overflow("the Moebius image jet is not finite")
-    return CurveJet(jet.t, *w)
+        return CurveJet(jet.t, *numerics.finite(w, "the Moebius image jet"))
 
 
 def _stage_times(ts, hs):

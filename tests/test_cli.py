@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from opcross import __version__, cli, flows, grassmann, numerics, schwarzian
+from opcross.errors import Overflow
 from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config,
                       overflowing_flow_scenario, sampled_symmetric_b, unequal_sharing_config)
 
@@ -375,6 +377,53 @@ def test_overflowing_factor_exit_3_without_warnings(tmp_path):
     assert proc.stderr == f"numerical error: {error}\n"
 
 
+def run_with_warnings_as_errors(tmp_path, verb, payload):
+    """cli.run's status and report error, every warning an error: a numpy warning ends the call."""
+    inp, out = write_json(tmp_path / "in.json", payload), tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = cli.run(verb, inp, str(out))
+    return status, json.loads(out.read_text())["error"]
+
+
+def test_a_plane_whose_orthonormal_basis_overflows_exit_3(tmp_path):
+    # Finite independent columns with a finite R, but LAPACK's Q is NaN.
+    plane = {"basis": {"rows": 3, "cols": 2, "data": [[1e308, 1e307], [0.0, -1e308], [0.0, 5e307]]}}
+    line = {"basis": {"rows": 3, "cols": 1, "data": [[0.0], [0.0], [1.0]]}}
+    assert run_with_warnings_as_errors(tmp_path, "equiv", {"first": [plane, line],
+                                                           "second": [plane, line]}) \
+        == (3, "Overflow: the orthonormal basis is not finite")
+
+
+def test_a_flowed_basis_that_overflows_exit_3(tmp_path):
+    # exp(tM) is finite at t = 1 in both cases.  In A the product exp(tM) W overflows;
+    # in B it is finite, but its orthonormal basis is NaN.
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    e, s = np.eye(4), np.sqrt(0.5)
+    gen_b = 709.0 * np.eye(4)
+    gen_b[0, 1] = gen_b[1, 0] = 1.0
+    cases = ((706.8 * np.eye(4) + np.ones((4, 4)),
+              [h[:, [0, 1]], h[:, [2, 3]], h[:, [0, 2]], h[:, [1, 3]]],
+              "Overflow: the flowed basis is not finite at t = 1"),
+             (gen_b, [e[:, [0, 2]], e[:, [1, 3]],
+                      np.column_stack([(e[:, 0] + e[:, 1]) * s, (e[:, 2] + e[:, 3]) * s]),
+                      np.column_stack([(e[:, 0] - e[:, 1]) * s, (e[:, 3] - e[:, 2]) * s])],
+              "Overflow: the orthonormal basis is not finite at t = 1"))
+    for gen, bases, error in cases:
+        payload = {"generator": numerics.matrix_to_json(gen), "times": [0.0, 1.0],
+                   "initials": [{"basis": numerics.matrix_to_json(b)} for b in bases]}
+        assert run_with_warnings_as_errors(tmp_path, "flow", payload) == (3, error)
+
+
+def test_a_flow_time_whose_exponent_overflows_exit_3(tmp_path):
+    # t M = 1e308 * 10 leaves the float range before exp(tM) is formed.
+    payload = flows.FlowScenario(10.0 * np.eye(4, k=-1), [grassmann.Subspace(np.eye(4)[:, c]) for c in
+                                                          ([0, 1], [2, 3], [0, 2], [1, 3])],
+                                 [0.0, 1e308]).to_json()
+    assert run_with_warnings_as_errors(tmp_path, "flow", payload) \
+        == (3, "Overflow: the exponent tM is not finite at t = 1e+308")
+
+
 def test_cli_loads_no_scipy(tmp_path):
     # Importing the package and running any verb, to success or to an error
     # exit, loads no scipy: the package needs numpy only.
@@ -556,7 +605,7 @@ def test_invalid_tolerance_exit_2(tmp_path):
 def test_float_formatting_is_deterministic():
     assert cli._format_float(1.0) == "1.0"
     assert cli._format_float(0.1) == "0.10000000000000001"
-    with pytest.raises(ValueError):
+    with pytest.raises(Overflow):
         cli._format_float(float("nan"))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,18 @@ def test_flow_reports_overflow_time():
     with pytest.raises(Overflow) as exc_info:
         flows.spectrum_along_flow(overflowing_flow_scenario())
     assert str(exc_info.value) == "the matrix exponential is not finite at t = 1"
+
+
+def test_a_flowed_subspace_out_of_range_is_a_silent_overflow():
+    # exp(M) of 706.8 I + J is finite, but exp(M) (1, 1, 1, 1)/2 is not; and 1e308 * 10
+    # leaves the range before exp(tM) is formed.
+    plane = gr.Subspace(np.array([[1, 1, 1, 1], [1, -1, 1, -1]]).T / 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, t, what in ((706.8 * np.eye(4) + np.ones((4, 4)), 1.0, "the flowed basis"),
+                           (10.0 * np.eye(4, k=-1), 1e308, "the exponent tM")):
+            with pytest.raises(Overflow, match=f"^{what} is not finite$"):
+                flows.flow_subspace(m, t, plane)
 
 
 def test_flows_load_no_scipy():

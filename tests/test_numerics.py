@@ -249,6 +249,18 @@ def test_power_sums_overflow_is_typed_and_silent():
     assert str(exc_info.value) == "tr M^2 is not finite"
 
 
+def test_finite_returns_its_argument_or_raises_overflow():
+    ok = (2.5, 1.0 - 3.0j, np.array([[1.0, -2.0], [0.0, 1e308]]), (np.eye(2), 2.0 * np.eye(2)))
+    for x in ok:
+        assert numerics.finite(x, "x") is x
+    for bad in (np.inf, -np.inf, np.nan):
+        for x in (bad, complex(1.0, bad), np.array([[1.0, bad], [0.0, 1.0]]),
+                  (np.eye(2), np.array([[1.0, 0.0], [bad, 1.0]]))):
+            with pytest.raises(Overflow) as exc_info:
+                numerics.finite(x, "the value")
+            assert str(exc_info.value) == "the value is not finite"
+
+
 def test_inverse_of_a_non_finite_factor_is_an_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -382,6 +382,16 @@ def test_polynomial_on_a_time_stack(rng):
     assert sz.MatrixPolynomial([np.eye(2, dtype=np.float32)])(0.5).dtype == np.float32
 
 
+def test_an_overflowing_derivative_is_a_silent_overflow():
+    # 2 * 1e308 I leaves the float range; the coefficients themselves are finite.
+    poly = sz.MatrixPolynomial([np.eye(2), np.eye(2), 1e308 * np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow) as exc_info:
+            poly.derivative()
+    assert str(exc_info.value) == "a coefficient of the derivative is not finite"
+
+
 def test_system_validation(rng):
     asym = sz.MatrixPolynomial([np.array([[0.0, 1.0], [0.0, 0.0]])])
     sym = sz.MatrixPolynomial([np.eye(2)])
