@@ -42,8 +42,8 @@ class CrossRatioResult:
     matrix       -- the operator in the basis named by basis_space
     basis_space  -- which space carries the matrix ("P1", "chart", ...)
     spectrum     -- eigenvalue multiset, sorted by (real, imag)
-    trace_powers -- tr(D^k) for k = 1..K, the power sums of the spectrum
-                    (real for a real matrix); det is its product
+    trace_powers -- tr(D^k) for k = 1..n, D being n x n: the power sums of
+                    the spectrum (real for a real matrix); det is its product
     """
 
     matrix: np.ndarray
@@ -52,15 +52,16 @@ class CrossRatioResult:
     trace_powers: np.ndarray
 
     @classmethod
-    def from_matrix(cls, m, basis_space, kmax=None):
-        """Overflow when the computed operator m is not finite."""
+    def from_matrix(cls, m, basis_space):
+        """Overflow when the computed operator m or a trace of its powers is not finite."""
         spectrum = numerics.eigenvalues(numerics.finite(m, "the operator"))
-        traces = numerics.power_sums(spectrum, m.shape[0] if kmax is None else kmax)
+        traces = numerics.power_sums(spectrum)
         return cls(m, basis_space, spectrum, traces if np.iscomplexobj(m) else traces.real)
 
     @property
     def det(self):
-        """Determinant of the operator (the tau-function analog); Overflow if not finite."""
+        """Determinant of the operator (the tau-function analog); Overflow if not finite,
+        which from_matrix rules out: |det| <= max |lambda|^n, and tr D^n is finite."""
         with np.errstate(over="ignore", invalid="ignore"):
             d = numerics.finite(complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0,
                                 "the determinant")
@@ -110,7 +111,7 @@ def _chain(start, arrows):
     return m
 
 
-def dv_composition(p1, p2, p3, p4, kmax=None):
+def dv_composition(p1, p2, p3, p4):
     """Cross-ratio DV(P1,P2;P3,P4) as the composite of two oblique projections.
 
     Requires P1 + P2 = P3 + P4 = ambient (direct sums) and
@@ -118,10 +119,10 @@ def dv_composition(p1, p2, p3, p4, kmax=None):
     """
     if p1.dim != p3.dim:
         raise ValueError("dim P1 != dim P3; use dv_unequal for the reduction")
-    return CrossRatioResult.from_matrix(_chain(p1, ((p3, p4), (p1, p2))), "P1", kmax)
+    return CrossRatioResult.from_matrix(_chain(p1, ((p3, p4), (p1, p2))), "P1")
 
 
-def dv_matrix(t1, t2, t3, t4, kmax=None):
+def dv_matrix(t1, t2, t3, t4):
     """Chart formula (T1-T2)^-1 (T2-T3)(T3-T4)^-1 (T4-T1).
 
     The Ti are big-cell coordinates of the four subspaces (square for
@@ -137,10 +138,10 @@ def dv_matrix(t1, t2, t3, t4, kmax=None):
     with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
         d = _chart_inv(t1 - t2, "(T1 - T2)") @ (t2 - t3) \
             @ _chart_inv(t3 - t4, "(T3 - T4)") @ (t4 - t1)
-    return CrossRatioResult.from_matrix(d, "chart", kmax)
+    return CrossRatioResult.from_matrix(d, "chart")
 
 
-def dv_mixed(p1, p2, p3, p4, kmax=None):
+def dv_mixed(p1, p2, p3, p4):
     """Mixed-chart formula (P2 P1 - I)^-1 (P2 P3 - I)(P4 P3 - I)^-1 (P4 P1 - I).
 
     P1, P3 are coordinates in the (horizontal -> vertical) chart; P2, P4 in
@@ -157,10 +158,10 @@ def dv_mixed(p1, p2, p3, p4, kmax=None):
     with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
         d = _chart_inv(p2 @ p1 - eye, "(P2 P1 - I)") @ (p2 @ p3 - eye) \
             @ _chart_inv(p4 @ p3 - eye, "(P4 P3 - I)") @ (p4 @ p1 - eye)
-    return CrossRatioResult.from_matrix(d, "chart", kmax)
+    return CrossRatioResult.from_matrix(d, "chart")
 
 
-def dv_permuted(d, perm, kmax=None):
+def dv_permuted(d, perm):
     """Value of the cross-ratio after permuting the four arguments.
 
     perm is one of the coset labels "12,34", "34,12", "12,43", "14,32",
@@ -186,10 +187,10 @@ def dv_permuted(d, perm, kmax=None):
     else:
         raise ValueError(f"unknown permutation label {perm!r}; "
                          f"expected one of {PERMUTATION_LABELS}")
-    return CrossRatioResult.from_matrix(out, "P1", kmax)
+    return CrossRatioResult.from_matrix(out, "P1")
 
 
-def dv_unequal(p1, p2, p3, p4, kmax=None):
+def dv_unequal(p1, p2, p3, p4):
     """Cross-ratio for arguments of unequal dimensions: the dv_composition
     operator with the smaller pair first.
 
@@ -206,10 +207,10 @@ def dv_unequal(p1, p2, p3, p4, kmax=None):
     if p1.dim + p2.dim != p1.ambient_dim:
         raise NotPolarization("dim P1 + dim P2 != ambient dimension")
     if p1.dim > p2.dim:
-        return replace(dv_unequal(p2, p1, p4, p3, kmax), basis_space="P2")
+        return replace(dv_unequal(p2, p1, p4, p3), basis_space="P2")
     if p1.dim < p2.dim and degenerate_sigma_min(p1, p3) is not None:
         raise DegeneratePosition("the two small subspaces are not in direct sum")
-    return dv_composition(p1, p2, p3, p4, kmax)
+    return dv_composition(p1, p2, p3, p4)
 
 
 def cocycle_product(p1, p2, q1, q2, q3):
@@ -223,7 +224,7 @@ def cocycle_product(p1, p2, q1, q2, q3):
     return _chain(p1, ((p2, q2), (p1, q1), (p2, q1), (p1, q3), (p2, q3), (p1, q2)))
 
 
-def operator_angle(a, b, kmax=None):
+def operator_angle(a, b):
     """Operator angle (I+A*A)^-1 (I+A*B)(I+B*B)^-1 (I+B*A) of two charts.
 
     Eigenvalues are the squared cosines of the principal angles between the
@@ -240,7 +241,7 @@ def operator_angle(a, b, kmax=None):
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: Overflow, or from_matrix's
         ga, gb = numerics.finite((eye + ah @ a, eye + bh @ b), "the factor I + A*A or I + B*B")
         m = np.linalg.solve(ga, eye + ah @ b) @ np.linalg.solve(gb, eye + bh @ a)
-    return CrossRatioResult.from_matrix(m, "chart", kmax)
+    return CrossRatioResult.from_matrix(m, "chart")
 
 
 def comparable(v, w):

@@ -41,6 +41,6 @@ class Overflow(NumericalError):
 class BlowUp(NumericalError):
     """A Riccati solution escaped to infinity inside the integration window."""
 
-    def __init__(self, t, message=None):
+    def __init__(self, t):
         self.t = t
-        super().__init__(message or f"solution blew up near t = {t:.6g}")
+        super().__init__(f"solution blew up near t = {t:.6g}")

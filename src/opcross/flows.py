@@ -101,7 +101,7 @@ def flow_subspace(m, t, w0):
         return subspace_from_basis(numerics.finite(g @ w0.basis, "the flowed basis"))
 
 
-def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
+def spectrum_along_flow(scenario, flowed=(True, True, True, True)):
     """Sorted cross-ratio spectrum of the four (optionally) flowed initials
     at each grid time.
 
@@ -123,7 +123,7 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True), kmax=None):
         except Overflow as exc:
             raise Overflow(f"{exc} at t = {t:.6g}") from exc
         try:
-            result = dv_composition(*subs, kmax=kmax)
+            result = dv_composition(*subs)
         except NotPolarization as exc:
             raise NotPolarization(f"polarization fails at t = {t:.6g}: {exc}") from exc
         rows.append((float(t), result.spectrum, result.trace_powers, result.det))
@@ -138,15 +138,15 @@ def commuting_flow_residual(m1, m2, w0, t, s):
     return numerics.fro(ab.projector() - ba.projector())
 
 
-def trace_invariants(d, kmax=None):
-    """(tr D, tr D^2, ..., tr D^kmax) plus det D; kmax defaults to the size.
+def trace_invariants(d):
+    """(tr D, tr D^2, ..., tr D^n) plus det D, for D of size n.
 
-    Both come from the spectrum (power sums and product), so Newton's
-    identities make higher traces redundant at finite dimension; Overflow
-    when a trace or the determinant is not finite.
+    Both come from the spectrum (power sums and product); Newton's identities
+    fix every higher trace from these.  Overflow when a trace is not finite,
+    which also bounds the determinant.
     """
     if isinstance(d, AlmostNilpotent):
         d = d.matrix
-    r = CrossRatioResult.from_matrix(numerics.as_square(d, "D"), "D", kmax)
+    r = CrossRatioResult.from_matrix(numerics.as_square(d, "D"), "D")
     det = complex(r.det)
     return r.trace_powers, det if np.iscomplexobj(r.matrix) else det.real

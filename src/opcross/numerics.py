@@ -102,7 +102,7 @@ def inverse(a, error, message, chart=False):
             if ((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)).all():
                 return x
     finite(a, "a factor to invert")  # never certified: its residual or scale is not finite
-    require_nonsingular(singular_values(a, a.ndim == 3), error, message, chart)
+    require_nonsingular(singular_values(a), error, message, chart)
     return np.linalg.inv(a) if x is None else x  # inv raises again if the SVD accepts
 
 
@@ -123,12 +123,12 @@ def sort_spectrum(w):
     return w[order]
 
 
-def power_sums(w, kmax):
-    """(sum w, ..., sum w^kmax) of an eigenvalue multiset w, as complex: the
-    traces of powers of any matrix with spectrum w.  Overflow names the
-    first power whose sum is not finite."""
+def power_sums(w):
+    """(sum w, ..., sum w^n) of an eigenvalue multiset w of n entries, as complex:
+    the traces tr M, ..., tr M^n of any matrix M with spectrum w.  Overflow names
+    the first power whose sum is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = w[None].repeat(kmax, axis=0).cumprod(axis=0).sum(axis=1)
+        sums = w[None].repeat(len(w), axis=0).cumprod(axis=0).sum(axis=1)
     if not np.isfinite(sums).all():
         raise Overflow(f"tr M^{np.argmin(np.isfinite(sums)) + 1} is not finite")
     return sums
@@ -142,9 +142,9 @@ def svd(m, **kwargs):
         raise NonConvergence(str(exc)) from exc
 
 
-def singular_values(m, stack=False):
-    """Singular values, descending (one row per matrix of a stack)."""
-    return svd(as_matrix(m, stack=stack), compute_uv=False)
+def singular_values(m):
+    """Singular values, descending (one row per matrix of a 3-d stack)."""
+    return svd(as_matrix(m, stack=np.ndim(m) == 3), compute_uv=False)
 
 
 # Higham (2005), Table 2.3: theta_m is the largest 1-norm of A at which the

@@ -207,9 +207,9 @@ _D2_W = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _D3_W = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
 
 
-def jet_from_samples(samples, h, t=0.0):
-    """Finite-difference jet from an odd-length centered stencil of >= 7 points
-    spaced by a finite nonzero step h; Overflow when a derivative is not finite."""
+def jet_from_samples(samples, h):
+    """Finite-difference jet at t = 0 from an odd-length centered stencil of >= 7
+    points spaced by a finite nonzero step h; Overflow when a derivative is not finite."""
     samples = numerics.as_square(samples, "sample", stack=True)
     if len(samples) < 7 or len(samples) % 2 == 0:
         raise ValueError("need an odd number of samples, at least 7")
@@ -221,35 +221,19 @@ def jet_from_samples(samples, h, t=0.0):
         z1, z2, z3 = numerics.finite([sum(w * s for w, s in zip(weights, window)) / h ** order
                                       for order, weights in enumerate((_D1_W, _D2_W, _D3_W), 1)],
                                      "the finite-difference jet")
-    return CurveJet(t, samples[mid], z1, z2, z3)
+    return CurveJet(0.0, samples[mid], z1, z2, z3)
 
 
-def schwarz_from_samples(samples, h, t=0.0):
+def schwarz_from_samples(samples, h):
     """Schwarzian of a sampled curve; raises Singular when z' degenerates."""
-    return schwarz(jet_from_samples(samples, h, t))
-
-
-def _series_mul(a, b, order):
-    return [sum((a[j] @ b[k - j] for j in range(k + 1)),
-                np.zeros_like(a[0])) for k in range(order + 1)]
-
-
-def _series_inv(d, order):
-    e0 = numerics.inverse(d[0], Singular, "series constant term is numerically singular")
-    e = [e0]
-    for k in range(1, order + 1):
-        acc = np.zeros_like(e0)
-        for j in range(1, k + 1):
-            acc = acc + d[j] @ e[k - j]
-        e.append(-e0 @ acc)
-    return e
+    return schwarz(jet_from_samples(samples, h))
 
 
 def mobius_curve_jet(c1, c2, c3, c4, jet):
     """Jet of M(z(t)) = (C1 z + C2)(C3 z + C4)^-1 by exact third-order chain rule.
 
-    Implemented with truncated Taylor arithmetic: multiply and invert the
-    numerator/denominator series of z(t) and read off the derivatives.
+    The Taylor coefficients W_k of the image solve N = W D order by order, N and
+    D those of the numerator and denominator: W_k = (N_k - sum_{j<k} W_j D_{k-j}) D_0^-1.
     """
     blocks = [numerics.as_square(c, f"C{i+1}") for i, c in enumerate((c1, c2, c3, c4))]
     if any(b.shape != jet.z.shape for b in blocks):
@@ -260,11 +244,10 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing factor or image: Overflow
         num = [c1 @ zs[0] + c2] + [c1 @ zk for zk in zs[1:]]
         den = [c3 @ zs[0] + c4] + [c3 @ zk for zk in zs[1:]]
-        try:
-            inv_den = _series_inv(den, 3)
-        except Singular as exc:
-            raise Singular("(C3 z + C4) is singular at the curve point") from exc
-        w = _series_mul(num, inv_den, 3)
+        e = numerics.inverse(den[0], Singular, "(C3 z + C4) is singular at the curve point")
+        w = []
+        for k in range(4):
+            w.append((num[k] - sum(w[j] @ den[k - j] for j in range(k))) @ e)
         w[2], w[3] = 2.0 * w[2], 6.0 * w[3]
         return CurveJet(jet.t, *numerics.finite(w, "the Moebius image jet"))
 

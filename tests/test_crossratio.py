@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opcross import crossratio as cr
+from opcross import flows
 from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import DegeneratePosition, NotPolarization, Overflow, Singular
@@ -250,19 +251,44 @@ def test_pair_equivalence_classifier(rng):
 
 def test_result_invariants(rng):
     ts, _, _ = random_half_dim_charts(rng, 4)
-    d = cr.dv_matrix(*ts, kmax=3)
-    assert len(d.trace_powers) == 3
+    d = cr.dv_matrix(*ts)
+    assert len(d.trace_powers) == 2
     assert abs(d.trace_powers[0] - np.trace(d.matrix)) < 1e-10
     assert abs(d.det - np.linalg.det(d.matrix)) < 1e-8
+    # Every presentation returns tr D^j for j = 1..n, n = len(spectrum) the size of D.
+    ts, subs, pol = random_half_dim_charts(rng, 6, need_invertible_verticals=True)
+    v2, v4 = (gr.graph_coordinate(subs[i], pol.swapped()) for i in (1, 3))
+    unequal = [gr.random_subspace(5, k, seed) for seed, k in enumerate((3, 2, 3, 2))]
+    swapped = cr.dv_unequal(*unequal)
+    assert swapped.basis_space == "P2"
+    composite = cr.dv_composition(*subs)
+    results = [composite, cr.dv_matrix(*ts), cr.dv_mixed(ts[0], v2, ts[2], v4),
+               *(cr.dv_permuted(composite, perm) for perm in cr.PERMUTATION_LABELS),
+               swapped, cr.dv_unequal(*(unequal[i] for i in (1, 0, 3, 2))),
+               cr.operator_angle(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))]
+    assert [len(r.spectrum) for r in results] == [3] * 9 + [2, 2, 3]
+    for r in results:
+        n = len(r.spectrum)
+        assert r.matrix.shape == (n, n)
+        ref = [np.trace(np.linalg.matrix_power(r.matrix, j)) for j in range(1, n + 1)]
+        assert rel_err_above_one(r.trace_powers, np.array(ref)) <= 1e-8
+    for m in (rng.standard_normal((4, 4)), np.diag([1j, 2.0, 3.0])):
+        traces, _ = flows.trace_invariants(m)
+        assert len(traces) == len(m)
+    scenario = flows.FlowScenario(flows.shift_generator(6, 1),
+                                  [gr.random_subspace(6, 3, seed) for seed in range(4)],
+                                  [0.0, 0.5, 1.0])
+    for _, spectrum, traces, _ in flows.spectrum_along_flow(scenario):
+        assert len(spectrum) == len(traces) == 3
 
 
 def test_non_finite_invariants_raise_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(Overflow):
             cr.dv_composition(*overflowing_dv_config())
-        huge = cr.CrossRatioResult.from_matrix(1e200 * np.eye(2), "P1", kmax=1)
-        with pytest.raises(Overflow):
-            huge.det
+        # tr M^2 = 2e400 leaves the float range; the traces run to the size.
+        with pytest.raises(Overflow, match=r"^tr M\^2 is not finite$"):
+            cr.CrossRatioResult.from_matrix(1e200 * np.eye(2), "P1")
         # Finite, well-formed inputs whose operator leaves the float range.
         with pytest.raises(Overflow):
             cr.dv_matrix(*scalar_charts(0.0, 1.0, 1e300, 1e300 * (1 + 1e-10)))
@@ -271,9 +297,12 @@ def test_non_finite_invariants_raise_overflow():
 
 
 def test_determinant_overflow_is_typed_and_silent():
-    # The traces up to kmax = 2 are finite; the product of the spectrum is not.
-    result = cr.dv_composition(*overflowing_dv_config(), kmax=2)
-    with pytest.raises(Overflow) as exc_info:
+    # from_matrix's finite traces bound the determinant, so only a result built
+    # directly reaches the check: the product of this spectrum is not finite.
+    spectrum = np.array([1e200, 1e200], dtype=complex)
+    result = cr.CrossRatioResult(np.diag(spectrum.real), "P1", spectrum, np.array([2e200]))
+    with warnings.catch_warnings(), pytest.raises(Overflow) as exc_info:
+        warnings.simplefilter("error")
         result.det
     assert str(exc_info.value) == "the determinant is not finite"
 
@@ -327,8 +356,8 @@ def test_trace_powers_match_matrix_power(rng):
     for m in (rng.standard_normal((6, 6)),
               rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))):
         n = m.shape[0]
-        d = cr.CrossRatioResult.from_matrix(m, "P1", kmax=2 * n)
-        ref = np.array([np.trace(np.linalg.matrix_power(m, j)) for j in range(1, 2 * n + 1)])
+        d = cr.CrossRatioResult.from_matrix(m, "P1")
+        ref = np.array([np.trace(np.linalg.matrix_power(m, j)) for j in range(1, n + 1)])
         assert rel_err_above_one(d.trace_powers, ref) <= 1e-10
 
 
@@ -340,10 +369,10 @@ def test_trace_powers_dtype_follows_matrix(rng):
 
 
 def test_overflow_names_first_non_finite_power():
-    # tr M^j = 1e100^j + 1 leaves the float range at j = 4.
+    # tr M^j = 1e100^j + 3 leaves the float range at j = 4.
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(Overflow, match=r"tr M\^4 is not finite"):
-        cr.CrossRatioResult.from_matrix(np.diag([1e100, 1.0]), "P1", kmax=6)
+        cr.CrossRatioResult.from_matrix(np.diag([1e100, 1.0, 1.0, 1.0]), "P1")
 
 
 # 1 - ||C||_2^2 of the polarizations: far from, just above and just below the

@@ -245,7 +245,7 @@ def test_power_sums_overflow_is_typed_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow) as exc_info:
-            numerics.power_sums(np.array([1e200, 2.0 + 0j]), 4)
+            numerics.power_sums(np.array([1e200, 2.0 + 0j]))
     assert str(exc_info.value) == "tr M^2 is not finite"
 
 
@@ -274,8 +274,10 @@ def test_inverse_of_a_non_finite_factor_is_an_overflow():
 def test_stacks_only_where_asked():
     stack = np.array([np.eye(2), np.diag([1.0, 0.0]), np.zeros((2, 2))])
     assert numerics.as_square(stack, "W", stack=True) is stack
-    s = numerics.singular_values(stack, stack=True)
+    s = numerics.singular_values(stack)
     assert s.shape == (3, 2)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        numerics.singular_values(stack[None])
     with pytest.raises(Singular, match="row 1"):
         numerics.require_nonsingular(s, Singular, lambda i: f"row {i}")
     numerics.require_nonsingular(s[:1], Singular, lambda i: f"row {i}")
@@ -288,8 +290,7 @@ def test_stacks_only_where_asked():
         numerics.as_square(np.zeros((3, 2, 3)), stack=True)
     with pytest.raises(ValueError, match="non-finite"):
         numerics.as_square(np.full((3, 2, 2), np.nan), stack=True)
-    for single in (numerics.as_matrix, numerics.as_square, numerics.singular_values,
-                   numerics.eigenvalues, numerics.expm,
+    for single in (numerics.as_matrix, numerics.as_square, numerics.eigenvalues, numerics.expm,
                    numerics.matrix_to_json):
         with pytest.raises(ValueError, match="2-dimensional"):
             single(stack)

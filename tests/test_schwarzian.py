@@ -514,7 +514,7 @@ def _node(rng, sigmas, dtype):
 def _svd_rule(ts, z1):
     """The SVD's verdict on the z' stack: None, or the message of its Singular."""
     try:
-        numerics.require_nonsingular(numerics.singular_values(z1, True), Singular,
+        numerics.require_nonsingular(numerics.singular_values(z1), Singular,
                                      lambda i: f"z' is numerically singular at t = {ts.item(i):.6g}")
     except Singular as exc:
         return str(exc)
