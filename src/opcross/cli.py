@@ -34,7 +34,16 @@ def _format_float(x):
 
 
 def dumps_report(obj, indent=0):
+    """obj as deterministic JSON; numpy scalars and arrays and complex numbers ([re, im])
+    are converted as they are written, a 2-d array as a matrix object."""
     pad = "  " * indent
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    elif isinstance(obj, np.ndarray):
+        obj = numerics.matrix_to_json(numerics.finite(obj, "a matrix in the output")) \
+            if obj.ndim == 2 else list(obj)
     if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
     if isinstance(obj, int):
@@ -57,23 +66,6 @@ def dumps_report(obj, indent=0):
     raise TypeError(f"unserializable value of type {type(obj).__name__}")
 
 
-def _jsonable(value):
-    """Convert numpy scalars/arrays and complex numbers to plain JSON values."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            return numerics.matrix_to_json(numerics.finite(value, "a matrix in the output"))
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def emit_report(verb, seed, input_digest, results, error=None):
     report = {
         "version": __version__,
@@ -83,7 +75,7 @@ def emit_report(verb, seed, input_digest, results, error=None):
     }
     if error is not None:
         report["error"] = error
-    report["results"] = _jsonable(results)
+    report["results"] = results
     return dumps_report(report) + "\n"
 
 

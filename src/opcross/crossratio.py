@@ -25,8 +25,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegeneratePosition, NotPolarization, Singular
-from .grassmann import (_oblique_coords, _schur_coords, degenerate_sigma_min,
-                        principal_angles)
+from .grassmann import _chain, degenerate_sigma_min, principal_angles
 # perfbench/check_harness.py calls project_parallel through this module to check that
 # the tracer wraps every binding of a traced function, so the re-export stays.
 from .grassmann import project_parallel  # noqa: F401
@@ -74,43 +73,6 @@ def _chart_inv(m, what):
     return numerics.inverse(m, Singular, f"{what} is not invertible", chart=True)
 
 
-def _chain(start, arrows):
-    """Matrix, in the basis of the last arrow's target, of the oblique
-    projections onto a parallel to b, (a, b) in arrows, applied in order to the
-    basis of start.  Each step maps its source's basis (start, then the previous
-    target) to coordinates in its target, read off cosine matrices u^H v, each
-    formed once.  Up to 32 x 32 cosine matrices, where numpy's per-call cost
-    outweighs the flops, one stacked Schur solve serves the chain when every
-    pair passes the gate (the callers' dimension rules give the steps one
-    shape); larger stacks would hold every pair's matrices at once.  Otherwise
-    the pairs go one by one, so the first pair that is no polarization raises.
-    """
-    grams = {}
-
-    def cos(u, v):
-        key = (id(u), id(v))
-        g = grams.get(key)
-        if g is None:
-            back = grams.get(key[::-1])
-            g = grams[key] = u.basis.conj().T @ v.basis if back is None else back.conj().T
-        return g
-
-    n = start.ambient_dim
-    sources = [start] + [a for a, _ in arrows[:-1]]
-    steps = None
-    if start.dim * (n - start.dim) <= 32 * 32 \
-            and all(a.dim + b.dim == n == a.ambient_dim == b.ambient_dim for a, b in arrows):
-        cosines = [(cos(a, b), cos(a, x), cos(b, x)) for (a, b), x in zip(arrows, sources)]
-        steps = _schur_coords(*map(np.array, zip(*cosines)))
-    if steps is None:
-        steps = [_oblique_coords(a, b, x.basis, lambda: (cos(a, b), cos(a, x), cos(b, x)))
-                 for (a, b), x in zip(arrows, sources)]
-    m = steps[0]
-    for step in steps[1:]:
-        m = step @ m
-    return m
-
-
 def dv_composition(p1, p2, p3, p4):
     """Cross-ratio DV(P1,P2;P3,P4) as the composite of two oblique projections.
 
@@ -119,7 +81,7 @@ def dv_composition(p1, p2, p3, p4):
     """
     if p1.dim != p3.dim:
         raise ValueError("dim P1 != dim P3; use dv_unequal for the reduction")
-    return CrossRatioResult.from_matrix(_chain(p1, ((p3, p4), (p1, p2))), "P1")
+    return CrossRatioResult.from_matrix(_chain(p1.basis, ((p3, p4), (p1, p2))), "P1")
 
 
 def dv_matrix(t1, t2, t3, t4):
@@ -221,7 +183,7 @@ def cocycle_product(p1, p2, q1, q2, q3):
     NotPolarization when one is not a polarization; equals the identity
     otherwise.  Returned for residual inspection.
     """
-    return _chain(p1, ((p2, q2), (p1, q1), (p2, q1), (p1, q3), (p2, q3), (p1, q2)))
+    return _chain(p1.basis, ((p2, q2), (p1, q1), (p2, q1), (p1, q3), (p2, q3), (p1, q2)))
 
 
 def operator_angle(a, b):

@@ -92,18 +92,20 @@ class Subspace:
 
 def subspace_from_basis(cols):
     """Orthonormalize full-column-rank columns into a Subspace: the Q of their
-    Householder QR, so orthonormal columns are kept up to their signs.
+    Householder QR, so orthonormal columns are kept up to their signs.  The QR
+    is of the columns times 2^-e, e the exponent of their largest |re| or |im|:
+    a power of two leaves Q and the scale-free rank rule as they are, and keeps
+    LAPACK's column norms in range for columns near the float limit.
 
     Raises RankDeficient when the columns do not have full rank: R has their
     singular values, so numerics.inverse(R) gives the singularity rule's verdict.
-    Overflow when Q is not finite (LAPACK's scaling of columns near 1e308 can
-    overflow where R does not).
     """
     cols = numerics.as_matrix(cols, "cols")
     message = f"columns have numerical rank < {cols.shape[1]}"
     if cols.shape[1] > cols.shape[0]:
         raise RankDeficient(message)
-    q, r = np.linalg.qr(cols)
+    e = np.frexp(np.abs([cols.real, cols.imag]).max(initial=0.0))[1]
+    q, r = np.linalg.qr(cols * np.ldexp(1.0, min(-e, 1023)))
     numerics.inverse(r, RankDeficient, message)
     return Subspace(numerics.finite(q, "the orthonormal basis"))
 
@@ -193,34 +195,61 @@ def _schur_coords(c, ax, bx):
     return ax - c @ np.linalg.solve(eye - gram, bx - ch @ ax)
 
 
-def _oblique_coords(onto, along, x, cosines):
-    """Coordinates, in onto.basis, of the projection of the columns of x onto
-    `onto` parallel to `along`.
-
-    cosines() returns onto^H along, onto^H x and along^H x; it is called only
-    for a pair of complementary dimensions in x's ambient space.  A pair that
-    fails the SCHUR_COND_MAX gate goes through check_complementary
-    (NotPolarization unless onto + along is a direct sum) and the stacked
-    n x n solve.
+def _chain(x, arrows):
+    """Coordinates, in the basis of the last arrow's target, of the oblique
+    projections onto a parallel to b, (a, b) in arrows, applied in order to the
+    columns x.  Each step maps its source (x, then the previous target's basis)
+    to coordinates in its target, read off cosine matrices u^H v, each formed
+    once.  Up to 32 x 32 cosine matrices, where numpy's per-call cost outweighs
+    the flops, one stacked Schur solve serves the chain when every pair passes
+    the gate (the callers' dimension rules give the steps one shape); larger
+    stacks would hold every pair's matrices at once.  Otherwise the pairs go one
+    by one: a pair of complementary dimensions in x's ambient space takes the
+    Schur gate, and one that fails it goes through check_complementary
+    (NotPolarization unless a + b is a direct sum) and the n x n stacked solve,
+    so the first pair that is no polarization raises.
     """
-    if onto.dim + along.dim == onto.ambient_dim == along.ambient_dim == len(x):
-        y = _schur_coords(*cosines())
-        if y is not None:
-            return y
-    return np.linalg.solve(check_complementary(onto, along), x)[: onto.dim]
+    grams = {}
+
+    def cos(u, v):  # u^H v, or the conjugate transpose of v^H u once that is formed
+        key = (id(u), id(v))
+        if key not in grams:
+            back = grams.get(key[::-1])
+            grams[key] = u.conj().T @ v if back is None else back.conj().T
+        return grams[key]
+
+    def cosines(a, b, s):
+        return cos(a.basis, b.basis), cos(a.basis, s), cos(b.basis, s)
+
+    n = len(x)
+    sources = [x] + [a.basis for a, _ in arrows[:-1]]
+    fits = [a.dim + b.dim == n == a.ambient_dim == b.ambient_dim for a, b in arrows]
+    steps = None
+    if arrows[0][0].dim * arrows[0][1].dim <= 32 * 32 and all(fits):
+        stacks = zip(*(cosines(a, b, s) for (a, b), s in zip(arrows, sources)))
+        steps = _schur_coords(*map(np.array, stacks))
+    if steps is None:
+        steps = []
+        for (a, b), s, fit in zip(arrows, sources, fits):
+            y = _schur_coords(*cosines(a, b, s)) if fit else None
+            steps.append(np.linalg.solve(check_complementary(a, b), s)[: a.dim] if y is None else y)
+    m = steps[0]
+    for step in steps[1:]:
+        m = step @ m
+    return m
 
 
 def project_parallel(x, onto, along):
-    """Project x onto `onto` parallel to `along` (oblique projection).
+    """Project x onto `onto` parallel to `along` (oblique projection): the
+    one-arrow chain.
 
     x may be a vector or a matrix of column vectors; the unique y in `onto`
     with x - y in `along` is returned.  Raises NotPolarization unless
     onto + along is a direct sum.
     """
     x = np.asarray(x)
-    a, b = onto.basis.conj().T, along.basis.conj().T
-    return onto.basis @ _oblique_coords(onto, along, x,
-                                        lambda: (a @ along.basis, a @ x, b @ x))
+    cols = x[:, None] if x.ndim == 1 else x
+    return (onto.basis @ _chain(cols, ((onto, along),))).reshape(x.shape)
 
 
 def graph_coordinate(w, pol):

@@ -14,7 +14,8 @@ where the state is not finite, q is exactly singular, ||W||_F >=
 of span(q; p), whose smallest singular value is (1 + ||W||_2^2)^-1/2), or the
 step to the node holds a pole: q_{i+1} q_i^-1 = M11 + M12 W_i, read off the
 step matrix M_i without a solve and whatever basis the run has reached, has
-an eigenvalue with real part <= 0.  BlowUp.t is the first such node.
+an eigenvalue with real part <= 0.  BlowUp.t is the first such node; the chunk
+reader finds it, and the run ends with that node's chunk.
 """
 
 from dataclasses import dataclass, fields
@@ -288,10 +289,10 @@ def _rk4(g, y, hs, on_chunk=None):
     constant G has one M, which advances every step of the chunk.  y_{i+1} is one
     M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc call).  After each chunk,
     on_chunk(j, m, ys) gets its first step j, its stack m of step matrices (one matrix
-    for a constant G) and its finite states ys, from y_j on, under the run's errstate.
-    Returns one array of y and the states after each step, up to the first state that
-    is not finite: the run stops at the end of that state's chunk, so fewer than
-    len(hs) + 1 states mean the state at the next node is not finite."""
+    for a constant G) and its finite states ys, from y_j on, under the run's errstate;
+    a true return ends the run there.  Returns one array of y and the states after each
+    step, up to the first state that is not finite (the run stops at the end of that
+    state's chunk) or to the end of a chunk that on_chunk ended."""
     hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
     chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
@@ -328,9 +329,7 @@ def _rk4(g, y, hs, on_chunk=None):
                 mi.dot(rows[i], out=rows[i + 1])
             finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
             end = j + 1 + (steps if finite.all() else int(np.argmin(finite)))
-            if on_chunk is not None:
-                on_chunk(j, m, ys[j:end])
-            if end < j + 1 + steps:
+            if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + steps:
                 return ys[:end]
     return ys
 
@@ -338,7 +337,7 @@ def _rk4(g, y, hs, on_chunk=None):
 def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     """Node times (t advances by repeated addition of h) and the RK4 states (q, p)
     from (q0, p0) up to the first that is not finite (see _rk4, which calls on_chunk
-    with the states [q; p] of each chunk)."""
+    with the states [q; p] of each chunk and stops where it returns true)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > MAX_STEPS:
@@ -385,18 +384,6 @@ def riccati_rhs(w, c):
     return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
 
 
-def _read_chart(ts, wt, ends):
-    """W at the nodes ts from the stack wt of W^T, or BlowUp at the first node where
-    the chart is lost: the least of ends (the nodes of the first exactly singular q,
-    the first pole and the first state that is not finite, or len(ts)), unless an
-    earlier node has ||W||_F >= 1/SINGULAR_RTOL."""
-    lost = min(ends)
-    big = ~(numerics.sq_fro(wt[:lost]) < numerics.SINGULAR_RTOL ** -2)
-    if big.any() or lost < len(ts):
-        raise BlowUp(ts.item(np.argmax(big) if big.any() else lost))
-    return wt.swapaxes(-1, -2)
-
-
 def integrate_riccati(sys, w0, t0, t1, steps):
     """Fixed-step RK4 solution (times, W stack) of the matrix Riccati equation,
     read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
@@ -406,13 +393,12 @@ def integrate_riccati(sys, w0, t0, t1, steps):
 
     def read(j, m, ys):
         # W^T = (q^T)^-1 p^T at the chunk's nodes j, ..., j + k - 1 into one stack
-        # (node j was read with the chunk before, unless j = 0), then d_i =
-        # M11 + M12 W_i - I = q_{i+1} q_i^-1 - I for the steps i from them: a step
-        # with ||d_i||_F < 1 holds no pole.  The chunk records the node of its first
-        # exactly singular q or pole, and the chunks after it read nothing.
+        # (node j was read with the chunk before, unless j = 0), each new one held to
+        # ||W||_F < 1/SINGULAR_RTOL, then d_i = M11 + M12 W_i - I = q_{i+1} q_i^-1 - I
+        # for the steps i from them: a step with ||d_i||_F < 1 holds no pole.  The
+        # chunk records its first lost node (the first exactly singular q, large W or
+        # pole) and then ends the run.
         nonlocal wt
-        if lost:
-            return
         if wt is None:
             wt = np.empty((steps + 1, n, n), ys.dtype)
         qt, pt, k, new = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), len(ys), int(j > 0)
@@ -422,15 +408,21 @@ def integrate_riccati(sys, w0, t0, t1, steps):
             k = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
             lost.append(j + k)
             wt[j + new:j + k] = np.linalg.solve(qt[new:k], pt[new:k])
+        big = ~(numerics.sq_fro(wt[j + new:j + k]) < numerics.SINGULAR_RTOL ** -2)
+        lost.extend(j + new + np.flatnonzero(big)[:1])
         d = m[:k - 1, :n, n:] @ wt[j:j + k - 1].swapaxes(-1, -2)
         d += m[:k - 1, :n, :n]
         d -= np.eye(n)
         poles = (j + i + 1 for i in np.flatnonzero(~(numerics.sq_fro(d) < 1.0))
                  if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
         lost.extend(islice(poles, 1))
+        return bool(lost)
 
     ts, ys = _hamiltonian_run(sys, np.eye(n, dtype=w0.dtype), w0, t0, t1, steps, read)
-    return ts, _read_chart(ts, wt, [*lost, len(ys)])
+    lost = min(lost, default=len(ys))  # or the first state that is not finite
+    if lost < len(ts):
+        raise BlowUp(ts.item(lost))
+    return ts, wt.swapaxes(-1, -2)
 
 
 def w_from_jet(jet, a_t):

@@ -357,24 +357,24 @@ def test_flow_overflow_exit_3(tmp_path):
     assert proc.stderr == f"numerical error: {error}\n"
 
 
-def test_overflowing_factor_exit_3_without_warnings(tmp_path):
-    # A basis column of norm 2.1e308: its R factor leaves the float range.
-    # Numpy warnings are errors in this process, so one would end in a traceback.
+def test_a_line_near_the_float_limit_exit_0_without_warnings(tmp_path):
+    # A basis column of norm 2.1e308 (its unscaled R factor leaves the float range)
+    # spans the line of its multiple by 2^-1000, and dv reports the same results for
+    # both.  Numpy warnings are errors in this process, so one would end in a traceback.
     def line(*col):
         return {"basis": {"rows": 2, "cols": 1, "data": [[c] for c in col]}}
 
-    payload = {"subspaces": [line(1.5e308, 1.5e308), line(1.0, 0.0), line(0.0, 1.0),
-                             line(1.0, 2.0)]}
-    inp = write_json(tmp_path / "in.json", payload)
-    out = tmp_path / "out.json"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "opcross.cli",
-                           "dv", "--in", inp, "--out", str(out)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    error = "Overflow: a factor to invert is not finite"
-    assert proc.returncode == 3
-    assert json.loads(out.read_text())["error"] == error
-    assert proc.stderr == f"numerical error: {error}\n"
+    out, src, results = tmp_path / "out.json", os.path.dirname(os.path.dirname(cli.__file__)), []
+    for scale in (1.0, 2.0 ** -1000):
+        payload = {"subspaces": [line(1.5e308 * scale, 1.5e308 * scale), line(1.0, 0.0),
+                                 line(0.0, 1.0), line(1.0, 2.0)]}
+        inp = write_json(tmp_path / "in.json", payload)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "opcross.cli",
+                               "dv", "--in", inp, "--out", str(out)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
 
 
 def run_with_warnings_as_errors(tmp_path, verb, payload):
@@ -386,33 +386,46 @@ def run_with_warnings_as_errors(tmp_path, verb, payload):
     return status, json.loads(out.read_text())["error"]
 
 
-def test_a_plane_whose_orthonormal_basis_overflows_exit_3(tmp_path):
-    # Finite independent columns with a finite R, but LAPACK's Q is NaN.
-    plane = {"basis": {"rows": 3, "cols": 2, "data": [[1e308, 1e307], [0.0, -1e308], [0.0, 5e307]]}}
+def test_planes_near_the_float_limit_exit_0(tmp_path):
+    # Finite independent columns whose unscaled QR gives a NaN Q: equiv reports the
+    # angles of the plane times 2^-1000, and the pair is equivalent to itself.
+    def results(verb, payload):  # exit 0, every warning an error
+        inp, out = write_json(tmp_path / "in.json", payload), tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(verb, inp, str(out)) == 0
+        return json.loads(out.read_text())["results"]
+
     line = {"basis": {"rows": 3, "cols": 1, "data": [[0.0], [0.0], [1.0]]}}
-    assert run_with_warnings_as_errors(tmp_path, "equiv", {"first": [plane, line],
-                                                           "second": [plane, line]}) \
-        == (3, "Overflow: the orthonormal basis is not finite")
+    reports = []
+    for scale in (1.0, 2.0 ** -1000):
+        cols = scale * np.array([[1e308, 1e307], [0.0, -1e308], [0.0, 5e307]])
+        plane = {"basis": numerics.matrix_to_json(cols)}
+        reports.append(results("equiv", {"first": [plane, line], "second": [plane, line]}))
+    assert reports[0] == reports[1] and reports[0]["equivalent"] is True
+    # exp(tM) of 709 I + E_01 + E_10 is finite at t = 1, and so is exp(tM) W, whose
+    # unscaled QR gave a NaN Q: the flowed spectrum is the initial one.
+    e, s = np.eye(4), np.sqrt(0.5)
+    gen = 709.0 * np.eye(4)
+    gen[0, 1] = gen[1, 0] = 1.0
+    bases = [e[:, [0, 2]], e[:, [1, 3]],
+             np.column_stack([(e[:, 0] + e[:, 1]) * s, (e[:, 2] + e[:, 3]) * s]),
+             np.column_stack([(e[:, 0] - e[:, 1]) * s, (e[:, 3] - e[:, 2]) * s])]
+    payload = {"generator": numerics.matrix_to_json(gen), "times": [0.0, 1.0],
+               "initials": [{"basis": numerics.matrix_to_json(b)} for b in bases]}
+    start, end = (np.array(row["spectrum"]) for row in results("flow", payload)["rows"])
+    assert np.abs(end - start).max() <= 1e-12
 
 
 def test_a_flowed_basis_that_overflows_exit_3(tmp_path):
-    # exp(tM) is finite at t = 1 in both cases.  In A the product exp(tM) W overflows;
-    # in B it is finite, but its orthonormal basis is NaN.
+    # exp(tM) is finite at t = 1, and the product exp(tM) W overflows.
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
-    e, s = np.eye(4), np.sqrt(0.5)
-    gen_b = 709.0 * np.eye(4)
-    gen_b[0, 1] = gen_b[1, 0] = 1.0
-    cases = ((706.8 * np.eye(4) + np.ones((4, 4)),
-              [h[:, [0, 1]], h[:, [2, 3]], h[:, [0, 2]], h[:, [1, 3]]],
-              "Overflow: the flowed basis is not finite at t = 1"),
-             (gen_b, [e[:, [0, 2]], e[:, [1, 3]],
-                      np.column_stack([(e[:, 0] + e[:, 1]) * s, (e[:, 2] + e[:, 3]) * s]),
-                      np.column_stack([(e[:, 0] - e[:, 1]) * s, (e[:, 3] - e[:, 2]) * s])],
-              "Overflow: the orthonormal basis is not finite at t = 1"))
-    for gen, bases, error in cases:
-        payload = {"generator": numerics.matrix_to_json(gen), "times": [0.0, 1.0],
-                   "initials": [{"basis": numerics.matrix_to_json(b)} for b in bases]}
-        assert run_with_warnings_as_errors(tmp_path, "flow", payload) == (3, error)
+    payload = {"generator": numerics.matrix_to_json(706.8 * np.eye(4) + np.ones((4, 4))),
+               "times": [0.0, 1.0],
+               "initials": [{"basis": numerics.matrix_to_json(h[:, c])}
+                            for c in ([0, 1], [2, 3], [0, 2], [1, 3])]}
+    assert run_with_warnings_as_errors(tmp_path, "flow", payload) \
+        == (3, "Overflow: the flowed basis is not finite at t = 1")
 
 
 def test_a_flow_time_whose_exponent_overflows_exit_3(tmp_path):

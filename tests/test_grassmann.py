@@ -36,6 +36,21 @@ def test_subspace_from_basis_rejects_rank_deficient():
     assert w.dim == 2
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_power_of_two_leaves_the_orthonormal_basis_as_it_is(dtype):
+    # Seeded Gaussian 4 x 2 columns times 2^1022 (every entry finite), 2^500 and
+    # 2^-1000 give the unscaled columns' basis bit for bit, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            cols = rng.standard_normal((4, 2)) + (1j * rng.standard_normal((4, 2))
+                                                  if dtype is complex else 0.0)
+            basis = gr.subspace_from_basis(cols).basis.tobytes()
+            for e in (1022, 500, -1000):
+                assert gr.subspace_from_basis(cols * 2.0 ** e).basis.tobytes() == basis
+
+
 def test_same_subspace_is_basis_independent(rng):
     cols = rng.standard_normal((6, 3))
     w1 = gr.subspace_from_basis(cols)
@@ -382,13 +397,13 @@ def test_only_pairs_past_the_schur_gate_make_an_n_by_n_solve(rng, solve_calls, d
     # one solve on the smaller side; 0.009 takes the n x n stacked basis.
     n = 8
     side = min(k, n - k)
-    for gap, shape in ((0.011, (side, side)), (0.009, (n, n))):
+    for gap, shape in ((0.011, (1, side, side)), (0.009, (n, n))):
         a, b = complementary_pair(rng, n, side, gap, dtype)
         onto, along = (a, b) if k == side else (b, a)
         x = rng.standard_normal(n)
         solve_calls.clear()
         y = gr.project_parallel(x, onto, along)
-        assert solve_calls == [shape]
+        assert solve_calls == [shape]  # one pair: a stack of one, or the n x n solve
         coeffs = np.linalg.solve(np.hstack([onto.basis, along.basis]), x)
         assert np.linalg.norm(y - onto.basis @ coeffs[:k]) <= 1e-12 * np.linalg.norm(x)
     # In a dv chain, only the pair past the gate pays the n x n solve.
@@ -421,3 +436,8 @@ def test_cocycle_chain_raises_at_its_first_failing_arrow(rng):
         with pytest.raises(NotPolarization) as got:
             cr.cocycle_product(p1, p2, *qs)
         assert str(got.value) == str(want.value)
+    # P2 in R^6, the rest in R^4: arrow 1 raises check_complementary's error before
+    # any cosine matrix is formed (P2^H P1 would be a matmul shape error).
+    p1, q1, q2, q3 = chart_subspaces(rng, 2, (-3, 1, 3, 5))
+    with pytest.raises(NotPolarization, match=r"^dims 3\+2 != ambient 6$"):
+        cr.cocycle_product(p1, gr.random_subspace(6, 3, 0), q1, q2, q3)

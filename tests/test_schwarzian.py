@@ -965,6 +965,22 @@ def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
     assert len(chunks) <= 2
 
 
+def test_a_riccati_blow_up_ends_the_run_at_its_chunk(monkeypatch):
+    # W' = -I - W^2, W0 = 0, dim 6: W = -tan(t) I has its pole at pi/2, in the 9th
+    # of the 16 chunks of 64 steps on [0, 3]; the run builds no chunk after it.
+    chunks, rk4 = [], sz._rk4
+
+    def counted(g):
+        return lambda s: chunks.append(s) or g(s)
+
+    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs, on_chunk=None: rk4(counted(g), y, hs, on_chunk))
+    sys_ = constant_system(np.zeros((6, 6)), np.eye(6))
+    with pytest.raises(BlowUp) as exc_info:
+        sz.integrate_riccati(sys_, np.zeros((6, 6)), 0.0, 3.0, 1000)
+    assert exc_info.value.t == 1.57199999999998
+    assert len(chunks) == 9
+
+
 def test_trajectory_memory_stays_at_its_states(rng):
     # The step matrices are built a chunk at a time: a 1000-step dim-6 run
     # peaks at about 3.87 MiB, where building the whole run's stacks at once
