@@ -28,7 +28,7 @@ def _format_float(x):
         raise Overflow(f"non-finite float in output: {x!r}")
     text = format(float(x), ".17g")
     # Keep floats recognizably floats.
-    if "e" not in text and "." not in text and "n" not in text:
+    if "e" not in text and "." not in text:
         text += ".0"
     return text
 
@@ -142,16 +142,15 @@ def _handle_schwarz(data, seed, tol):
     return {"schwarzian": s, "spectrum": numerics.eigenvalues(s)}, None
 
 
-def _trajectory_csv(ts, mats):
-    """One CSV row per time: t, then the entries of its matrix (or vector); a
-    complex entry takes two columns, re then im, as the report lists it."""
+def _trajectory_csv(ts, *stacks):
+    """One CSV row per time t_i: t_i, then the entries of each stack's i-th array
+    in turn; a complex array's entries take two columns each, re then im, as the
+    report lists them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for t, m in zip(ts, mats):
-        m = np.asarray(m).reshape(-1)
-        if np.iscomplexobj(m):
-            m = np.column_stack([m.real, m.imag]).reshape(-1)
-        writer.writerow([_format_float(t)] + [_format_float(v) for v in m])
+    for t, *arrays in zip(ts, *stacks):
+        parts = [np.stack([a.real, a.imag], -1) if np.iscomplexobj(a) else a for a in arrays]
+        writer.writerow([_format_float(v) for v in np.concatenate([[t], *map(np.ravel, parts)])])
     return buf.getvalue()
 
 
@@ -174,10 +173,9 @@ def _handle_hamiltonian(data, seed, tol):
     x0 = schwarz.PhasePoint(numerics.matrix_from_json(data["q0"]),
                             numerics.matrix_from_json(data["p0"]))
     ts, points = schwarz.integrate_hamiltonian(sys_, x0, *_time_grid(data))
-    rows = np.concatenate([points.q, points.p], axis=1).reshape(len(ts), -1)
     results = {"t_final": ts[-1], "q_final": points.q[-1], "p_final": points.p[-1],
                "steps": len(ts) - 1}
-    return results, _trajectory_csv(ts, rows)
+    return results, _trajectory_csv(ts, points.q, points.p)
 
 
 def _handle_flow(data, seed, tol):
@@ -185,9 +183,8 @@ def _handle_flow(data, seed, tol):
     table = flows.spectrum_along_flow(scenario)
     results = {"rows": [{"t": t, "spectrum": spec, "traces": traces.astype(complex), "det": det}
                         for t, spec, traces, det in table]}
-    rows = [np.concatenate([np.column_stack([s.real, s.imag]).ravel(), np.real(tr), [np.real(d)]])
-            for _, s, tr, d in table]
-    return results, _trajectory_csv([t for t, _, _, _ in table], rows)
+    ts, spectra, traces, dets = zip(*table)
+    return results, _trajectory_csv(ts, spectra, map(np.append, traces, dets))
 
 
 def _handle_selftest(data, seed, tol):

@@ -62,8 +62,7 @@ class CrossRatioResult:
         """Determinant of the operator (the tau-function analog); Overflow if not finite,
         which from_matrix rules out: |det| <= max |lambda|^n, and tr D^n is finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            d = numerics.finite(complex(np.prod(self.spectrum)) if len(self.spectrum) else 1.0,
-                                "the determinant")
+            d = numerics.finite(complex(np.prod(self.spectrum)), "the determinant")
         if abs(d.imag) < 1e-12 * max(1.0, abs(d.real)):
             return d.real
         return d

@@ -28,7 +28,7 @@ class FlowScenario:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("times must be a non-empty 1-d grid")
-        if np.any(np.diff(times) <= 0) and len(times) > 1:
+        if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly ascending")
         initials = list(self.initials)
         for w in initials:

@@ -340,9 +340,9 @@ def mobius_apply_subspace(g, w):
 
 
 def principal_angles(w1, w2):
-    """Ascending principal angles in [0, pi/2] between two subspaces."""
+    """Ascending principal angles in [0, pi/2] between two subspaces (arccos reverses the SVD's order)."""
     if w1.ambient_dim != w2.ambient_dim:
         raise ValueError("ambient dimensions differ")
     cosines = numerics.singular_values(w1.basis.conj().T @ w2.basis)
     cosines = np.clip(cosines, 0.0, 1.0)
-    return np.sort(np.arccos(cosines))
+    return np.arccos(cosines)

@@ -350,18 +350,14 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     st = _stage_times(ts, hs)[:, None, None]
 
     # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks
-    # [[A_k, I or 0], [B_k, A_k^T]], a missing coefficient zero, whose lower block
-    # row is negated after each evaluation, so each zero keeps its sign in -B(t), -A(t)^T.
+    # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.  Its Horner value
+    # may differ from the assembled G in the sign of a zero, which no step matrix
+    # shows: M adds I last, and x + 0 is +0 for x = -0.
     n, zero = sys.dim, np.zeros((sys.dim, sys.dim))
     coeffs = enumerate(zip_longest(sys.a.coeffs, sys.b.coeffs, fillvalue=zero))
-    gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), b, a.T) for k, (a, b) in coeffs])
-
-    def g(s):
-        out = gen(st[s] if len(gen.coeffs) > 1 else st[:1])  # a constant G: one matrix
-        np.negative(out[:, n:], out=out[:, n:])
-        return out
-
-    ys = _rk4(g, np.concatenate([q0, p0]), hs, on_chunk)
+    gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), -b, -a.T) for k, (a, b) in coeffs])
+    ys = _rk4(lambda s: gen(st[s] if len(gen.coeffs) > 1 else st[:1]),  # a constant G: one matrix
+              np.concatenate([q0, p0]), hs, on_chunk)
     return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 

@@ -491,6 +491,22 @@ def test_hamiltonian_verb(tmp_path):
     assert abs(report["results"]["q_final"]["data"][0][0] - np.cos(1.0)) < 1e-6
 
 
+@pytest.mark.parametrize("p0", [[[0.1, 0.0], [0.0, 0.2]], [[[0.1, 0.05], 0.0], [0.0, [0.2, -0.1]]]],
+                         ids=["real", "complex"])
+def test_hamiltonian_csv_row_is_q_then_p(tmp_path, p0):
+    payload = {"system": {"dim": 2, "A": [[[0.1, 0.2], [0.2, -0.1]]],
+                          "B": [[[-1.0, 0.3], [0.3, -2.0]]]},
+               "q0": {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]},
+               "p0": {"rows": 2, "cols": 2, "data": p0}, "t0": 0.0, "t1": 1.0, "steps": 50}
+    status, text = run_to_files(tmp_path, "hamiltonian", payload)
+    assert status == 0
+    results = json.loads(text)["results"]
+    rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
+    assert len(rows) == 51
+    q, p = (np.ravel(results[k]["data"]) for k in ("q_final", "p_final"))
+    assert rows[-1] == [results["t_final"], *q, *p]
+
+
 def test_schwarz_verb_jet_and_samples(tmp_path):
     jet = {"t": 0.0, "z": {"rows": 1, "cols": 1, "data": [[0.0]]},
            "z1": {"rows": 1, "cols": 1, "data": [[1.0]]},
@@ -551,8 +567,36 @@ def test_flow_verb_writes_spectrum_csv(tmp_path):
     first = np.array(rows[0]["spectrum"])
     last = np.array(rows[-1]["spectrum"])
     assert np.max(np.abs(first - last)) < 1e-6
-    csv_rows = open(tmp_path / "out.csv").read().strip().split("\n")
+    # A real flow's row: t, the spectrum as (re, im) pairs, the real traces and det.
+    csv_rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
     assert len(csv_rows) == 3
+    for row, r in zip(csv_rows, rows):
+        assert row == [r["t"], *np.ravel(r["spectrum"]), *(re for re, _ in r["traces"]), r["det"]]
+
+
+def complex_flow_input():
+    # A seeded complex 4 x 4 generator and four complex planes of C^4.
+    rng = np.random.default_rng(29)
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return {"generator": numerics.matrix_to_json(0.5 * gaussian(4, 4)),
+            "initials": [{"basis": numerics.matrix_to_json(gaussian(4, 2))} for _ in range(4)],
+            "times": [0.0, 0.25, 0.5, 1.0]}
+
+
+def test_complex_flow_csv_keeps_imaginary_parts(tmp_path):
+    # A complex flow's row: t, then the spectrum, the traces and det, each number
+    # as (re, im), as the report lists them (a float det as [det, 0.0]).
+    status, text = run_to_files(tmp_path, "flow", complex_flow_input())
+    assert status == 0
+    rows = json.loads(text)["results"]["rows"]
+    csv_rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
+    assert len(csv_rows) == 4 and {len(row) for row in csv_rows} == {1 + 4 * 2 + 2}
+    for row, r in zip(csv_rows, rows):
+        det = r["det"] if isinstance(r["det"], list) else [r["det"], 0.0]
+        assert row == [r["t"], *np.ravel(r["spectrum"]), *np.ravel(r["traces"]), *det]
+    assert any(row[6] != 0.0 for row in csv_rows)  # the imaginary part of tr D
 
 
 def test_selftest_verb(tmp_path):

@@ -854,38 +854,55 @@ def test_a_constant_system_steps_as_its_zero_slope_polynomial(rng, monkeypatch, 
     assert stacks == [1, 1, 3, 3] * 3
 
 
-@pytest.mark.parametrize("degrees", [(2, 0), (0, 3)])
+@pytest.mark.parametrize("degrees", [(2, 0), (0, 3), (0, 0)])
 def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degrees):
     # The Hamiltonian run evaluates G = [[A, I], [-B, -A^T]] as one polynomial of
-    # blocks.  At every stage time it must be the matrix assembled from A(t) and
-    # B(t), zeros and their signs included (B is diagonal and t0 < 0), and the run
-    # must be _rk4's run on that assembled G, whose in-place stages give the
-    # bits of each step matrix written as one expression.
+    # blocks (a constant G as one matrix).  At every stage time it must equal the
+    # matrix assembled from A(t) and B(t); B is diagonal, its other entries 0.0 in
+    # one pass and -0.0 in the next, and t0 < 0, so a zero may differ in sign,
+    # which no output shows: the step matrices that _rk4 hands to on_chunk (the
+    # pole verdict reads them) and the states must be those of _rk4 on the
+    # assembled G, bit for bit, whose in-place stages give the bits of each step
+    # matrix written as one expression.
     n, steps, t0, t1 = 3, 1000, -0.4, 0.5
-    a = sz.MatrixPolynomial([0.3 * rng.standard_normal((n, n)) for _ in range(degrees[0] + 1)])
-    b = sz.MatrixPolynomial([np.diag(rng.standard_normal(n)) for _ in range(degrees[1] + 1)])
-    sys_ = sz.HamiltonianSystem(a, b)
-    hs = [(t1 - t0) / steps] * steps
-    ts = np.array(list(accumulate(hs, initial=t0)))
-    st = sz._stage_times(ts, hs)[:, None, None]
+    rk4 = sz._rk4
+    for zero in (0.0, -0.0):
+        a = sz.MatrixPolynomial([0.3 * rng.standard_normal((n, n)) for _ in range(degrees[0] + 1)])
+        b = sz.MatrixPolynomial([np.where(np.eye(n, dtype=bool), rng.standard_normal(n), zero)
+                                 for _ in range(degrees[1] + 1)])
+        sys_ = sz.HamiltonianSystem(a, b)
+        hs = [(t1 - t0) / steps] * steps
+        ts = np.array(list(accumulate(hs, initial=t0)))
+        st = sz._stage_times(ts, hs)[:, None, None]
 
-    def assembled(s):
-        at = a(st[s])
-        return sz._blocks(at, np.eye(n), -b(st[s]), -at.swapaxes(-1, -2))
+        def assembled(s):
+            at, bt = (p(st[s] if max(degrees) else st[:1]) for p in (a, b))
+            return sz._blocks(at, np.eye(n), -bt, -at.swapaxes(-1, -2))
 
-    generators, rk4 = [], sz._rk4
-    monkeypatch.setattr(sz, "_rk4", lambda g, *args: generators.append(g) or rk4(g, *args))
-    w0 = 0.1 * _sym(rng, n)
-    whole = slice(0, 2 * steps + 1)
-    for w in (w0, w0 + 0.1j * _sym(rng, n)):
-        y0 = np.concatenate([np.eye(n), w])
-        ys = rk4(assembled, y0, hs)
-        assert ys.tobytes() == expression_rk4(assembled(whole), y0, hs).tobytes()
-        got_ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w), t0, t1, steps)
-        assert got_ts.tobytes() == ts.tobytes()
-        got = np.stack([points.q, points.p], axis=1)
-        assert got.dtype == ys.dtype and got.tobytes() == ys.reshape(got.shape).tobytes()
-    assert generators[0](whole).tobytes() == assembled(whole).tobytes()
+        generators, chunks = [], []
+
+        def recording(g, y, hs, on_chunk=None):
+            generators.append(g)
+            return rk4(g, y, hs,
+                       on_chunk and (lambda j, m, ys: chunks.append(m.copy()) or on_chunk(j, m, ys)))
+
+        monkeypatch.setattr(sz, "_rk4", recording)
+        w0 = 0.1 * _sym(rng, n)
+        whole = slice(0, 2 * steps + 1)
+        for w in (w0, w0 + 0.1j * _sym(rng, n)):
+            y0 = np.concatenate([np.eye(n), w])
+            ys = rk4(assembled, y0, hs)
+            gs = np.broadcast_to(assembled(whole), (2 * steps + 1, 2 * n, 2 * n))
+            assert ys.tobytes() == expression_rk4(gs, y0, hs).tobytes()
+            got_ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w), t0, t1, steps)
+            assert got_ts.tobytes() == ts.tobytes()
+            got = np.stack([points.q, points.p], axis=1)
+            assert got.dtype == ys.dtype and got.tobytes() == ys.reshape(got.shape).tobytes()
+            expect, chunks[:] = [], []
+            rk4(assembled, y0, hs, lambda j, m, ys: expect.append(m.copy()))
+            sz.integrate_riccati(sys_, w, t0, t1, steps)
+            assert [m.tobytes() for m in chunks] == [m.tobytes() for m in expect]
+        assert np.array_equal(*np.broadcast_arrays(generators[0](whole), assembled(whole)))
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (float("nan"), 1.0),
