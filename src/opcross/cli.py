@@ -115,12 +115,9 @@ def _handle_equiv(data, seed, tol):
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
     first, second = _subspaces(data, "first", 2), _subspaces(data, "second", 2)
-    equivalent = crossratio.pair_equivalent(*first, *second, tol=tol)
-    return {
-        "equivalent": equivalent,
-        "angles_first": grassmann.principal_angles(*first),
-        "angles_second": grassmann.principal_angles(*second),
-    }, None
+    equivalent, angles_first, angles_second = crossratio.compare_pairs(*first, *second, tol)
+    return {"equivalent": equivalent, "angles_first": angles_first,
+            "angles_second": angles_second}, None
 
 
 def _handle_cocycle(data, seed, tol):

@@ -17,6 +17,10 @@ S_ij = I - C_ij C_ij^H, the composite is
 D = S_12^-1 (C_13 - C_12 C_23) S_34^-1 (C_31 - C_34 C_41), the cosine-matrix
 twin of the chart formula.  A pair that fails the Schur gate
 (grassmann.SCHUR_COND_MAX) is projected through its n x n stacked basis instead.
+
+The chart formulas, operator_angle and pair_equivalent factor their two
+independent matrices by one stacked call, which equals the per-matrix calls bit
+for bit and raises the error of the first failing factor in formula order.
 """
 
 from dataclasses import dataclass, replace
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegeneratePosition, NotPolarization, Singular
-from .grassmann import _chain, degenerate_sigma_min, principal_angles
+from .grassmann import _angles, _chain, degenerate_sigma_min, principal_angles
 # perfbench/check_harness.py calls project_parallel through this module to check that
 # the tracer wraps every binding of a traced function, so the re-export stays.
 from .grassmann import project_parallel  # noqa: F401
@@ -53,7 +57,7 @@ class CrossRatioResult:
     @classmethod
     def from_matrix(cls, m, basis_space):
         """Overflow when the computed operator m or a trace of its powers is not finite."""
-        spectrum = numerics.eigenvalues(numerics.finite(m, "the operator"))
+        spectrum = numerics._spectrum(numerics.finite(m, "the operator"))
         traces = numerics.power_sums(spectrum)
         return cls(m, basis_space, spectrum, traces if np.iscomplexobj(m) else traces.real)
 
@@ -68,8 +72,10 @@ class CrossRatioResult:
         return d
 
 
-def _chart_inv(m, what):
-    return numerics.inverse(m, Singular, f"{what} is not invertible", chart=True)
+def _chart_inv(m, *names):
+    """inv(m) of a chart-level factor, or of a stack of them by one certified call:
+    Singular names the first failing factor, in order."""
+    return numerics.inverse(m, Singular, lambda i: f"{names[i]} is not invertible", chart=True)
 
 
 def dv_composition(p1, p2, p3, p4):
@@ -97,8 +103,8 @@ def dv_matrix(t1, t2, t3, t4):
         raise ValueError("chart formula needs square (half-dimensional) coordinates")
     t1, t2, t3, t4 = mats
     with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
-        d = _chart_inv(t1 - t2, "(T1 - T2)") @ (t2 - t3) \
-            @ _chart_inv(t3 - t4, "(T3 - T4)") @ (t4 - t1)
+        inv12, inv34 = _chart_inv(np.array([t1 - t2, t3 - t4]), "(T1 - T2)", "(T3 - T4)")
+        d = inv12 @ (t2 - t3) @ inv34 @ (t4 - t1)
     return CrossRatioResult.from_matrix(d, "chart")
 
 
@@ -117,8 +123,9 @@ def dv_mixed(p1, p2, p3, p4):
         raise ValueError("mixed-chart coordinate shapes are inconsistent")
     eye = np.eye(p1.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows is an Overflow
-        d = _chart_inv(p2 @ p1 - eye, "(P2 P1 - I)") @ (p2 @ p3 - eye) \
-            @ _chart_inv(p4 @ p3 - eye, "(P4 P3 - I)") @ (p4 @ p1 - eye)
+        inv21, inv43 = _chart_inv(np.array([p2 @ p1 - eye, p4 @ p3 - eye]),
+                                  "(P2 P1 - I)", "(P4 P3 - I)")
+        d = inv21 @ (p2 @ p3 - eye) @ inv43 @ (p4 @ p1 - eye)
     return CrossRatioResult.from_matrix(d, "chart")
 
 
@@ -197,11 +204,14 @@ def operator_angle(a, b):
     b = numerics.as_matrix(b, "B")
     if a.shape != b.shape:
         raise ValueError("A and B must have the same shape")
-    ah, bh = a.conj().T, b.conj().T
+    x = np.array([a, b])
+    xh = x.conj().swapaxes(1, 2)
     eye = np.eye(a.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: Overflow, or from_matrix's
-        ga, gb = numerics.finite((eye + ah @ a, eye + bh @ b), "the factor I + A*A or I + B*B")
-        m = np.linalg.solve(ga, eye + ah @ b) @ np.linalg.solve(gb, eye + bh @ a)
+        grams = numerics.finite(eye + xh @ x, "the factor I + A*A or I + B*B")
+        # (I + A*A)^-1 (I + A*B) and (I + B*B)^-1 (I + B*A)
+        sa, sb = np.linalg.solve(grams, eye + xh @ x[::-1])
+        m = sa @ sb
     return CrossRatioResult.from_matrix(m, "chart")
 
 
@@ -249,6 +259,18 @@ def pair_equivalent(p, q, s, t, tol=1e-6):
     if p.ambient_dim != q.ambient_dim or s.ambient_dim != t.ambient_dim \
             or p.ambient_dim != s.ambient_dim:
         return False
-    ang1 = principal_angles(p, q)
-    ang2 = principal_angles(s, t)
-    return bool(np.max(np.abs(ang1 - ang2), initial=0.0) <= tol)
+    return compare_pairs(p, q, s, t, tol)[0]
+
+
+def compare_pairs(p, q, s, t, tol=1e-6):
+    """(pair_equivalent's verdict, principal_angles(P, Q), principal_angles(S, T)).
+
+    Pairs of one shape, the only ones that can be equivalent, take both SVDs from
+    one call (their k x m cosine matrices stacked, not their n x k bases).
+    """
+    if (p.basis.shape, q.basis.shape) != (s.basis.shape, t.basis.shape):
+        return False, principal_angles(p, q), principal_angles(s, t)
+    if p.ambient_dim != q.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    ang1, ang2 = _angles(np.array([p.basis.conj().T @ q.basis, s.basis.conj().T @ t.basis]))
+    return bool(np.max(np.abs(ang1 - ang2), initial=0.0) <= tol), ang1, ang2

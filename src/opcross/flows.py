@@ -6,13 +6,14 @@ such flows, and flows of commuting generators commute.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import numerics
 from .crossratio import CrossRatioResult, dv_composition
 from .errors import NotPolarization, Overflow
-from .grassmann import Subspace, subspace_from_basis
+from .grassmann import Subspace, _orthonormal, subspace_from_basis
 
 
 @dataclass(frozen=True)
@@ -108,18 +109,33 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True)):
     flowed masks which of the four subspaces move; holding a subspace fixed
     is only spectrum-preserving when it is stationary under the generator.
     Returns a list of (t, spectrum, trace_powers, det) tuples.
+
+    Consecutive moving subspaces of one shape (all four, for half-dimensional
+    ones) flow by one stacked product, QR and certified inverse of R per time,
+    bit for bit the per-subspace results; the first failing time, and in it the
+    first failing subspace, raises.
     """
     if len(scenario.initials) != 4:
         raise ValueError("scenario must provide exactly four initial subspaces")
     if len(flowed) != 4:
         raise ValueError("flowed mask must have four entries")
+    moving = (i for i, move in enumerate(flowed) if move)
+    runs = [list(run) for _, run in groupby(moving, lambda i: scenario.initials[i].basis.shape)]
+    stacks = [np.array([scenario.initials[i].basis for i in run]) for run in runs]
     rows = []
     for t in scenario.times:
+        subs = list(scenario.initials)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 g = numerics.expm(numerics.finite(t * scenario.generator, "the exponent tM"))
-                subs = [subspace_from_basis(numerics.finite(g @ w.basis, "the flowed basis"))
-                        if move else w for w, move in zip(scenario.initials, flowed)]
+                for run, stack in zip(runs, stacks):
+                    cols = g @ stack
+                    in_range = np.append(np.isfinite(cols).all(axis=(1, 2)), False)
+                    # The planes before the first non-finite one are judged before it.
+                    qs = _orthonormal(cols[:in_range.argmin()])
+                    numerics.finite(cols, "the flowed basis")
+                    for i, q in zip(run, qs):
+                        subs[i] = Subspace(q)
         except Overflow as exc:
             raise Overflow(f"{exc} at t = {t:.6g}") from exc
         try:

@@ -92,22 +92,26 @@ class Subspace:
 
 def subspace_from_basis(cols):
     """Orthonormalize full-column-rank columns into a Subspace: the Q of their
-    Householder QR, so orthonormal columns are kept up to their signs.  The QR
-    is of the columns times 2^-e, e the exponent of their largest |re| or |im|:
-    a power of two leaves Q and the scale-free rank rule as they are, and keeps
-    LAPACK's column norms in range for columns near the float limit.
+    Householder QR, so orthonormal columns are kept up to their signs.
 
-    Raises RankDeficient when the columns do not have full rank: R has their
-    singular values, so numerics.inverse(R) gives the singularity rule's verdict.
+    Raises RankDeficient when the columns do not have full rank (see _orthonormal).
     """
-    cols = numerics.as_matrix(cols, "cols")
-    message = f"columns have numerical rank < {cols.shape[1]}"
-    if cols.shape[1] > cols.shape[0]:
+    return Subspace(_orthonormal(numerics.as_matrix(cols, "cols")))
+
+
+def _orthonormal(cols):
+    """The Q factors of finite full-column-rank columns, or of a stack of such blocks by
+    one stacked QR and one certified stacked inverse of R.  The QR is of the columns times
+    numerics.binary_scale, which leaves Q and the scale-free rank rule as they are and
+    keeps LAPACK's column norms in range for columns near the float limit.  R has their
+    singular values, so numerics.inverse(R) gives the singularity rule's verdict: the first
+    block without full rank raises RankDeficient."""
+    message = f"columns have numerical rank < {cols.shape[-1]}"
+    if cols.shape[-1] > cols.shape[-2]:
         raise RankDeficient(message)
-    e = np.frexp(np.abs([cols.real, cols.imag]).max(initial=0.0))[1]
-    q, r = np.linalg.qr(cols * np.ldexp(1.0, min(-e, 1023)))
+    q, r = np.linalg.qr(cols * numerics.binary_scale(cols))
     numerics.inverse(r, RankDeficient, message)
-    return Subspace(numerics.finite(q, "the orthonormal basis"))
+    return numerics.finite(q, "the orthonormal basis")
 
 
 def random_subspace(n, k, seed):
@@ -340,9 +344,13 @@ def mobius_apply_subspace(g, w):
 
 
 def principal_angles(w1, w2):
-    """Ascending principal angles in [0, pi/2] between two subspaces (arccos reverses the SVD's order)."""
+    """Ascending principal angles in [0, pi/2] between two subspaces."""
     if w1.ambient_dim != w2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    cosines = numerics.singular_values(w1.basis.conj().T @ w2.basis)
-    cosines = np.clip(cosines, 0.0, 1.0)
-    return np.arccos(cosines)
+    return _angles(w1.basis.conj().T @ w2.basis)
+
+
+def _angles(cosines):
+    """Ascending principal angles from the cosine matrix W1^H W2 of two orthonormal bases,
+    or from each of a stack of them (arccos reverses the SVD's order)."""
+    return np.arccos(np.clip(numerics.singular_values(cosines), 0.0, 1.0))

@@ -34,7 +34,7 @@ def as_matrix(a, name="matrix", stack=False):
         m = m.astype(float)
     if m.ndim != 2 + stack:
         raise ValueError(f"{name} must be {2 + stack}-dimensional, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -71,14 +71,25 @@ def is_symmetric(c):
     return fro(c / s - c.T / s) <= 1e-12 * max(1.0 / s, fro(c / s))
 
 
-def require_nonsingular(s, error, message, chart=False):
+def require_nonsingular(s, error, message, floor=0.0):
     """Raise error(message) when the descending singular values s fail the
-    singularity rule (see SINGULAR_RTOL); chart=True floors the scale at 1.
+    singularity rule (see SINGULAR_RTOL): sigma_min <= SINGULAR_RTOL * max(sigma_max,
+    floor), or sigma_max = 0.  Chart-level factors take floor 1 (True reads as 1).
     A stack's rows are judged each; a callable message gets the first failing row."""
     top, low = s.T[0], s.T[-1]  # scalars, or one per matrix of a stack
-    failing = (top == 0.0) | (low <= SINGULAR_RTOL * (np.maximum(top, 1.0) if chart else top))
+    failing = (top == 0.0) | (low <= SINGULAR_RTOL * np.maximum(top, floor))
     if failing.any() if s.ndim > 1 else failing:
         raise error(message(int(failing.argmax())) if callable(message) else message)
+
+
+def binary_scale(m):
+    """2^-e, e the exponent of the largest |re| or |im| of m (of each matrix of a stack,
+    shape (..., 1, 1)), at most 2^1023.  Multiplying by a power of two is exact: it
+    leaves QR, singular-value ratios and the rank rule as they are, and keeps LAPACK's
+    norms in range for entries near the float limit."""
+    e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag))
+                 .max(axis=(-2, -1), keepdims=True, initial=0.0))[1]
+    return np.ldexp(1.0, np.minimum(-e, 1023))
 
 
 def inverse(a, error, message, chart=False):
@@ -87,28 +98,42 @@ def inverse(a, error, message, chart=False):
     first: ||I - X a||_F <= 1/2 gives ||a^-1||_2 <= 2 ||X||_2 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002), so 2 ||X||_F ||a||_F <= eps^-1/2, with ||a||_F
     floored at 1 where chart=True, bounds sigma_min below by eps^1/2 times the rule's
-    scale.  Only an uncertified X, or an exact zero pivot, leaves it to the SVD.
-    A non-finite a (a factor formed from finite inputs that overflowed) is an Overflow."""
+    scale.  Each uncertified matrix (each one, after an exact zero pivot) is then judged
+    in order: Overflow if it is not finite (a factor formed from finite inputs that
+    overflowed), else the SVD of it times binary_scale, with the chart floor scaled alike,
+    so a finite factor with sigma_max beyond the float range is judged by its conditioning.
+    The first failing matrix raises (a callable message gets its index): a stack raises
+    what one call per matrix, in order, would."""
     with np.errstate(all="ignore"):
         try:
             x = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # an exact zero pivot
-            x = None
+            x, certified = None, np.zeros(a.shape[:-2], bool)
         else:
             r = x @ a
             r -= np.eye(a.shape[-1], dtype=r.dtype)  # X a - I, in place
             sq_a = np.maximum(sq_fro(a), 1.0) if chart else sq_fro(a)
             scale = 4.0 * sq_fro(x) * sq_a * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
-            if ((sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)).all():
+            certified = (sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)
+            if certified.all():
                 return x
-    finite(a, "a factor to invert")  # never certified: its residual or scale is not finite
-    require_nonsingular(singular_values(a), error, message, chart)
+    mats = a.reshape(-1, *a.shape[-2:])
+    for i in np.flatnonzero(~certified):
+        m = finite(mats[i], "a factor to invert")
+        pow2 = binary_scale(m)
+        require_nonsingular(singular_values(m * pow2), error,
+                            message(i) if callable(message) else message,
+                            pow2[0, 0] if chart else 0.0)
     return np.linalg.inv(a) if x is None else x  # inv raises again if the SVD accepts
 
 
 def eigenvalues(m):
     """Eigenvalues with multiplicity, sorted by (real, imag)."""
-    m = as_square(m)
+    return _spectrum(as_square(m))
+
+
+def _spectrum(m):
+    """eigenvalues' core, for a matrix its caller has checked finite and square."""
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -541,6 +541,23 @@ def test_angle_and_equiv_verbs(tmp_path):
     assert json.loads(text)["results"]["equivalent"] is True
 
 
+def test_equiv_reports_the_angles_it_decides_by(tmp_path, svd_calls):
+    # One stacked SVD call serves the verdict and both pairs' reported angles.
+    g, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    p, q = (grassmann.random_subspace(6, 3, seed) for seed in (1, 2))
+    rotated = [grassmann.subspace_from_basis(g @ w.basis) for w in (p, q)]
+    for second, equivalent in ((rotated, True), ([p, grassmann.random_subspace(6, 3, 3)], False)):
+        payload = {"first": [p.to_json(), q.to_json()], "second": [w.to_json() for w in second]}
+        svd_calls.clear()
+        status, text = run_to_files(tmp_path, "equiv", payload)
+        assert status == 0 and svd_calls == [(2, 3, 3)]
+        results = json.loads(text)["results"]
+        assert results["equivalent"] is equivalent
+        for key, pair in (("angles_first", payload["first"]), ("angles_second", payload["second"])):
+            assert results[key] == grassmann.principal_angles(
+                *(grassmann.Subspace.from_json(w) for w in pair)).tolist()
+
+
 def test_cocycle_verb(tmp_path):
     rng = np.random.default_rng(3)
     p = [grassmann.random_subspace(4, 2, int(rng.integers(2**31))) for _ in range(2)]

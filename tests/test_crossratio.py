@@ -318,6 +318,26 @@ def test_overflowing_chart_factors_are_silent_overflows():
                 call()
 
 
+def test_stacked_chart_factors_raise_the_first_failing_one():
+    # Both factors are inverted by one stacked call, which raises what the formula's
+    # first failing factor, in order, raises alone: T1 = T2 is singular although
+    # T3 - T4 = 2e308 I overflows, and (T1 - T2) = 2e308 I overflows before T3 = T4.
+    eye, big = np.eye(2), 1e308 * np.eye(2)
+    overflow = (Overflow, "a factor to invert is not finite")
+    cases = [(cr.dv_matrix, (eye, eye, big, -big), (Singular, "(T1 - T2) is not invertible")),
+             (cr.dv_matrix, (2 * eye, eye, eye, eye), (Singular, "(T3 - T4) is not invertible")),
+             (cr.dv_matrix, (big, -big, eye, eye), overflow),
+             (cr.dv_mixed, (eye, eye, big, big), (Singular, "(P2 P1 - I) is not invertible")),
+             (cr.dv_mixed, (2 * eye, eye, eye, eye), (Singular, "(P4 P3 - I) is not invertible")),
+             (cr.dv_mixed, (big, big, eye, eye), overflow)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for formula, args, (error, message) in cases:
+            with pytest.raises(error) as got:
+                formula(*args)
+            assert type(got.value) is error and str(got.value) == message
+
+
 def mp_trace_powers(m, kmax):
     """tr M^j for j = 1..kmax in 50-digit mpmath arithmetic, as complex.
 

@@ -5,7 +5,8 @@ import pytest
 
 from opcross import flows
 from opcross import grassmann as gr
-from opcross.errors import NotPolarization, Overflow
+from opcross import crossratio as cr
+from opcross.errors import NotPolarization, Overflow, RankDeficient
 from conftest import (LOADED_SCIPY, fresh_python, overflowing_flow_scenario, same_subspace,
                       spectra_close)
 
@@ -88,6 +89,34 @@ def test_flow_reports_overflow_time():
     with pytest.raises(Overflow) as exc_info:
         flows.spectrum_along_flow(overflowing_flow_scenario())
     assert str(exc_info.value) == "the matrix exponential is not finite at t = 1"
+
+
+def test_a_flow_raises_its_first_failing_time_and_plane():
+    # P1 = P2 under 800 I + E_01: t = 0 is no polarization, and exp(tM) overflows at
+    # t = 1, so a flow that formed every time's exponential first would raise Overflow.
+    scenario = overflowing_flow_scenario()
+    initials = list(scenario.initials)
+    initials[1] = initials[0]
+    with pytest.raises(NotPolarization) as want:  # exp(0 M) = I: the planes' own QR
+        cr.dv_composition(*(gr.subspace_from_basis(w.basis) for w in initials))
+    with pytest.raises(NotPolarization) as got:
+        flows.spectrum_along_flow(flows.FlowScenario(scenario.generator, initials, scenario.times))
+    assert str(got.value) == f"polarization fails at t = 0: {want.value}"
+    # Within one time the planes are judged in order.  exp(M) = I + (e^c - 1)/2 J on the
+    # first two coordinates (e^c = 3e308): it maps the first plane to columns 3e208 and
+    # 0.7 long (numerical rank 1), and the second plane's (1, 1, 0, 0)/sqrt 2 to 2.1e308.
+    c = np.log(3.0) + 308 * np.log(10.0)
+    m = np.zeros((4, 4))
+    m[:2, :2], m[2:, 2:] = c / 2, -c / 2
+    e = np.eye(4)
+    lossy = gr.subspace_from_basis(np.column_stack([e[0] - e[1] + 1e-100 * (e[0] + e[1]), e[2]]))
+    wide = gr.Subspace(np.column_stack([(e[0] + e[1]) / np.sqrt(2), e[2]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficient, match="^columns have numerical rank < 2$"):
+            flows.spectrum_along_flow(flows.FlowScenario(m, [lossy, wide, lossy, wide], [1.0]))
+        with pytest.raises(Overflow, match="^the flowed basis is not finite at t = 1$"):
+            flows.spectrum_along_flow(flows.FlowScenario(m, [wide, lossy, wide, lossy], [1.0]))
 
 
 def test_a_flowed_subspace_out_of_range_is_a_silent_overflow():

@@ -46,6 +46,23 @@ def test_an_inaccurate_inverse_certifies_nothing(svd_calls):
     assert svd_calls == [(n, n)]
 
 
+def test_a_factor_beyond_the_float_range_is_judged_by_its_conditioning():
+    # sigma = 2.0e308 and 7.7e307: the certificate's ||T||_F^2 is inf, and the SVD
+    # of T itself returns sigma_max = inf; that of T 2^-1024 decides (ratio 0.377).
+    t = np.array([[9.33e307, -1.03e308], [0.0, -1.67e308]])
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grassmann.BlockMobius(t, zero, zero, t)
+        image = grassmann.mobius_apply_coordinate(grassmann.BlockMobius(zero, eye, eye, zero), t)
+        # diag(T, I) has sigma_min / sigma_max = 4.5e-309: singular by the rule.
+        with pytest.raises(ValueError, match="^assembled block matrix is singular$"):
+            grassmann.BlockMobius(t, zero, zero, eye)
+    with np.errstate(under="ignore"):  # T^-1 has entries near 1e-308
+        assert np.array_equal(image, np.linalg.inv(t))  # (c + d T)(a + b T)^-1 = T^-1
+        assert numerics.fro(t @ image - eye) <= 1e-15
+
+
 def _rule(a, chart):
     """The singularity rule's verdict from the singular values: True when a passes."""
     try:
@@ -307,3 +324,42 @@ print({LOADED_SCIPY})
 """)
     assert out.splitlines() == ["matrix must be 2-dimensional, got shape (1, 1, 1)",
                                 "matrix contains non-finite entries", "[]"]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 6, 64])
+def test_stacked_linalg_is_the_per_matrix_calls(rng, n, dtype):
+    # The stacked verbs (dv_matrix, dv_mixed, operator_angle, pair_equivalent, the
+    # flows, the _chain Schur solves) are bit-identical to one call per matrix only
+    # because these stacked calls are: a BLAS or numpy change that breaks this fails here.
+    def draw(*shape):
+        m = rng.standard_normal(shape)
+        return m + 1j * rng.standard_normal(shape) if dtype is complex else m
+
+    a, b = draw(3, n, n), draw(3, n, n)
+    tall = draw(3, n, max(1, n // 2))
+    spd = a @ a.conj().swapaxes(1, 2) + n * np.eye(n)
+    ah = a.conj().swapaxes(1, 2)
+    calls = {
+        "inv": (np.linalg.inv, (a,)),
+        "solve": (np.linalg.solve, (a, b)),
+        "svd": (lambda m: np.linalg.svd(m, compute_uv=False), (tall,)),
+        "qr.q": (lambda m: np.linalg.qr(m)[0], (tall,)),
+        "qr.r": (lambda m: np.linalg.qr(m)[1], (tall,)),
+        "cholesky": (np.linalg.cholesky, (spd,)),
+        # A real stack's eigenvalues are complex if any matrix's are; sort_spectrum
+        # casts to complex anyway, so the values are compared as complex.
+        "eigvals": (lambda m: np.linalg.eigvals(m).astype(complex), (a,)),
+        "matmul": (np.matmul, (a, b)),
+        "gram": (np.matmul, (ah, a)),  # X^H X, on one buffer when real
+        "reversed": (np.matmul, (ah, a[::-1])),
+    }
+    for name, (f, args) in calls.items():
+        stacked = f(*args)
+        for i in range(3):
+            single = f(*(x[i] for x in args))
+            assert stacked[i].tobytes() == single.tobytes(), (name, i)
+    # A matrix times a stack, as a flow moves its planes.
+    g = draw(n, n)
+    for i, single in enumerate(g @ tall):
+        assert single.tobytes() == (g @ tall[i]).tobytes()
