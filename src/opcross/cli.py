@@ -111,7 +111,7 @@ def _handle_angle(data, seed, tol):
 
 
 def _handle_equiv(data, seed, tol):
-    tol = 1e-6 if tol is None else tol
+    tol = crossratio.EQUIV_TOL if tol is None else tol
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
     first, second = _subspaces(data, "first", 2), _subspaces(data, "second", 2)
@@ -301,7 +301,7 @@ def main(args=None, prog_name="opcross"):
         command.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
         if verb == "equiv":
             command.add_argument("--tol", type=float, help="Decision tolerance of the "
-                                 "equivalence verdict (default: 1e-06).")
+                                 f"equivalence verdict (default: {crossratio.EQUIV_TOL}).")
     ns = parser.parse_args(args)
     sys.exit(run(ns.verb, ns.input_path, ns.output_path, ns.seed, getattr(ns, "tol", None)))
 

@@ -37,6 +37,9 @@ from .grassmann import project_parallel  # noqa: F401
 # The six coset labels of the permutation action (see dv_permuted).
 PERMUTATION_LABELS = ("12,34", "34,12", "12,43", "14,32", "13,24", "14,23")
 
+# pair_equivalent's tolerance: the largest principal-angle difference of equivalent pairs.
+EQUIV_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CrossRatioResult:
@@ -247,7 +250,7 @@ def comparability_witness(v, w):
     return alpha, beta
 
 
-def pair_equivalent(p, q, s, t, tol=1e-6):
+def pair_equivalent(p, q, s, t, tol=EQUIV_TOL):
     """Whether pairs (P,Q) and (S,T) are related by one orthogonal map.
 
     The decision compares the principal-angle multisets (the chart-free
@@ -262,7 +265,7 @@ def pair_equivalent(p, q, s, t, tol=1e-6):
     return compare_pairs(p, q, s, t, tol)[0]
 
 
-def compare_pairs(p, q, s, t, tol=1e-6):
+def compare_pairs(p, q, s, t, tol=EQUIV_TOL):
     """(pair_equivalent's verdict, principal_angles(P, Q), principal_angles(S, T)).
 
     Pairs of one shape, the only ones that can be equivalent, take both SVDs from

@@ -29,6 +29,8 @@ class FlowScenario:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("times must be a non-empty 1-d grid")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly ascending")
         initials = list(self.initials)

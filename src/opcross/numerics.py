@@ -187,9 +187,12 @@ def expm(m):
 
     The 1-norm of A picks the lowest degree m in {3, 5, 7, 9, 13} with
     ||A||_1 <= theta_m; above theta_13, A is scaled by 2^-s into range.
-    With U (odd terms) and V (even terms) of p_m(A), r_m(A) solves
-    (V - U) R = V + U, and R is squared s times.  A real matrix gives a
-    real result.  Overflow when the result (or ||A||_1) is not finite.
+    One loop over A^0, A^2, ..., A^(m-1) forms U (odd terms) and V (even
+    terms) of p_m(A) at every m: 7 products at m = 13, one more than
+    Algorithm 2.3's schedule, paid only above theta_9, which no benchmark
+    workload reaches.  r_m(A) solves (V - U) R = V + U, and R is squared
+    s times.  A real matrix gives a real result.  Overflow when the result
+    (or ||A||_1) is not finite.
     """
     a = as_square(m)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,21 +201,12 @@ def expm(m):
         squarings = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if degree == 13 else 0
         a = a * 2.0 ** -squarings
         b = _PADE_COEFFS[degree]
-        ident = np.eye(len(a), dtype=a.dtype)
         a2 = a @ a
-        if degree < 13:
-            powers = [ident, a2]  # A^0, A^2, ..., A^(degree - 1)
-            while len(powers) <= degree // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(c * p for c, p in zip(b[1::2], powers))
-            v = sum(c * p for c, p in zip(b[0::2], powers))
-        else:
-            a4 = a2 @ a2
-            a6 = a4 @ a2
-            u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                     + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-            v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-                 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        powers = [np.eye(len(a), dtype=a.dtype), a2]  # A^0, A^2, ..., A^(degree - 1)
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+        v = sum(c * p for c, p in zip(b[0::2], powers))
         r = np.linalg.solve(v - u, v + u)
         for _ in range(squarings):
             r = r @ r

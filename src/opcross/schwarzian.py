@@ -20,6 +20,7 @@ reader finds it, and the run ends with that node's chunk.
 
 from dataclasses import dataclass, fields
 from itertools import accumulate, islice, repeat, zip_longest
+from numbers import Integral
 
 import numpy as np
 
@@ -338,6 +339,8 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     """Node times (t advances by repeated addition of h) and the RK4 states (q, p)
     from (q0, p0) up to the first that is not finite (see _rk4, which calls on_chunk
     with the states [q; p] of each chunk and stops where it returns true)."""
+    if not isinstance(steps, Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > MAX_STEPS:

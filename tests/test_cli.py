@@ -343,6 +343,23 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
+def test_an_unwritable_error_report_keeps_its_status(tmp_path, capsys):
+    # The numerical error's status, not the failed write's.
+    w = grassmann.random_subspace(4, 2, 5)
+    inp = write_json(tmp_path / "in.json", {"subspaces": [w.to_json()] * 4})
+    assert cli.run("dv", inp, str(tmp_path / "no" / "such" / "r.json")) == 3
+    assert capsys.readouterr().err.startswith("numerical error: NotPolarization: ")
+    assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
+def test_without_out_the_report_goes_to_stdout(tmp_path, capsys):
+    status, text = run_to_files(tmp_path, "dv", dv_input())
+    capsys.readouterr()
+    assert status == 0
+    assert cli.run("dv", str(tmp_path / "in.json"), None) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_flow_overflow_exit_3(tmp_path):
     # Run as its own process so numpy warnings, if any, would reach stderr.
     inp = write_json(tmp_path / "in.json", overflowing_flow_scenario().to_json())
@@ -558,6 +575,26 @@ def test_equiv_reports_the_angles_it_decides_by(tmp_path, svd_calls):
                 *(grassmann.Subspace.from_json(w) for w in pair)).tolist()
 
 
+def test_equiv_of_pairs_of_other_shapes(tmp_path):
+    # Planes against lines of R^4: never equivalent, each pair's own angles.
+    planes = [grassmann.random_subspace(4, 2, seed) for seed in (1, 2)]
+    lines = [grassmann.random_subspace(4, 1, seed) for seed in (3, 4)]
+    payload = {"first": [w.to_json() for w in planes], "second": [w.to_json() for w in lines]}
+    status, text = run_to_files(tmp_path, "equiv", payload)
+    assert status == 0
+    results = json.loads(text)["results"]
+    assert results["equivalent"] is False
+    for key, size in (("first", 2), ("second", 1)):
+        pair = [grassmann.Subspace.from_json(w) for w in payload[key]]
+        assert results[f"angles_{key}"] == grassmann.principal_angles(*pair).tolist()
+        assert len(results[f"angles_{key}"]) == size
+    # A pair whose own ambient dimensions differ is malformed input.
+    mixed = [grassmann.random_subspace(n, 2, seed).to_json() for n, seed in ((4, 5), (5, 6))]
+    status, text = run_to_files(tmp_path, "equiv", {"first": mixed, "second": mixed})
+    assert status == 2
+    assert json.loads(text)["error"] == "ValidationError: ambient dimensions differ"
+
+
 def test_cocycle_verb(tmp_path):
     rng = np.random.default_rng(3)
     p = [grassmann.random_subspace(4, 2, int(rng.integers(2**31))) for _ in range(2)]
@@ -623,7 +660,7 @@ def test_selftest_verb(tmp_path):
     assert all(c["passed"] for c in report["results"]["checks"])
 
 
-def test_selftest_failures_show(monkeypatch):
+def test_selftest_failures_show(tmp_path, monkeypatch, capsys):
     from opcross import crossratio, selftest
     from opcross.errors import Singular
 
@@ -641,6 +678,10 @@ def test_selftest_failures_show(monkeypatch):
     checks = {name: (ok, detail) for name, ok, detail in selftest.run_all(seed=1)}
     assert checks["crossratio.cocycle_identity"] == (False, "no configuration was accepted")
     assert sum(not ok for ok, _ in checks.values()) == 1
+    # The selftest verb names the failing check and exits 3.
+    assert cli.run("selftest", None, str(tmp_path / "self.json"), seed=1) == 3
+    assert capsys.readouterr().err == ("numerical error: NumericalError: "
+                                       "selftest failed: crossratio.cocycle_identity\n")
 
 
 def test_equiv_tol_decides_the_verdict(tmp_path):

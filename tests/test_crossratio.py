@@ -237,16 +237,21 @@ def test_comparable_shape_mismatch():
         cr.comparability_witness(np.eye(2), np.eye(3))
 
 
-def test_pair_equivalence_classifier(rng):
+def test_pair_equivalence_classifier(rng, svd_calls):
     thetas = np.array([0.3, 0.9])
     p, q = pair_with_angles(thetas, 6)
     s, t = pair_with_angles(thetas, 6, rng)
     assert cr.pair_equivalent(p, q, s, t)
     s2, t2 = pair_with_angles(thetas + np.array([0.0, 0.01]), 6, rng)
     assert not cr.pair_equivalent(p, q, s2, t2)
-    # Dimension mismatch is an automatic reject.
-    assert not cr.pair_equivalent(p, q, gr.random_subspace(6, 3, 1),
-                                  gr.random_subspace(6, 3, 2))
+    # A dimension mismatch, and a pair whose own ambient dimensions differ, are
+    # automatic rejects: no SVD runs.
+    others = [gr.random_subspace(6, 3, 1), gr.random_subspace(6, 3, 2)]
+    mixed = [gr.random_subspace(n, 2, seed) for n, seed in ((4, 5), (5, 6))]
+    svd_calls.clear()
+    assert cr.pair_equivalent(p, q, *others) is False
+    assert cr.pair_equivalent(*mixed, *mixed) is False
+    assert svd_calls == []
 
 
 def test_result_invariants(rng):

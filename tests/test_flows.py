@@ -233,3 +233,13 @@ def test_scenario_validates():
         flows.FlowScenario(gen, [w], np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         flows.FlowScenario(gen, [gr.random_subspace(5, 2, 1)], np.array([0.0]))
+
+
+def test_scenario_rejects_non_finite_times():
+    # Malformed times are a ValueError when the scenario is built, not an
+    # Overflow once it flows.
+    gen = flows.shift_generator(4, 1)
+    planes = [gr.random_subspace(4, 2, seed) for seed in range(4)]
+    for times in ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            flows.FlowScenario(gen, planes, times)

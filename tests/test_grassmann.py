@@ -158,6 +158,12 @@ def test_mobius_outside_chart_detected():
     assert same_subspace(w, pol.vertical)
 
 
+def test_mobius_without_a_polarization_acts_in_ambient_coordinates(rng):
+    m = random_orthogonal(rng, 4)
+    g = gr.BlockMobius.from_matrix(m, 2)
+    assert np.array_equal(g.ambient_matrix(), m)
+
+
 def test_overflowing_mobius_denominator_is_a_silent_overflow():
     g = gr.BlockMobius.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
     with warnings.catch_warnings():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opcross import crossratio, flows, grassmann, numerics, schwarzian
-from opcross.errors import OutsideChart, Overflow, Singular
+from opcross.errors import NonConvergence, OutsideChart, Overflow, Singular
 from conftest import (LOADED_SCIPY, fresh_python, overflowing_flow_scenario, random_conditioned,
                       spectra_close)
 
@@ -142,6 +142,23 @@ def test_singular_factors_keep_their_messages(call, error, message):
     with pytest.raises(error) as exc_info:
         call()
     assert type(exc_info.value) is error and str(exc_info.value) == message
+
+
+def test_eigvals_failure_is_non_convergence(monkeypatch):
+    def failing(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(NonConvergence, match="did not converge"):
+        numerics.eigenvalues(np.eye(2))
+
+
+def test_integer_charts_are_read_as_floats():
+    charts = [[[2, 1], [0, 3]], [[0, 1], [1, -1]], [[-1, 0], [2, 1]], [[4, -2], [1, 0]]]
+    got = crossratio.dv_matrix(*(np.array(t) for t in charts))
+    ref = crossratio.dv_matrix(*(np.array(t, dtype=float) for t in charts))
+    for a, b in ((got.matrix, ref.matrix), (got.spectrum, ref.spectrum),
+                 (got.trace_powers, ref.trace_powers)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_spectrum_sorting_is_lexicographic():

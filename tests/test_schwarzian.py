@@ -262,6 +262,21 @@ def test_steps_must_be_positive():
             sz.integrate_hamiltonian(oscillator(), x0, 0.0, 1.0, steps)
 
 
+def test_steps_must_be_an_integer():
+    x0 = sz.PhasePoint(np.eye(1), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="steps must be an integer, got 2.5"):
+        sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, 1.0, 2.5)
+    with pytest.raises(ValueError, match="steps must be an integer, got 2.5"):
+        sz.integrate_hamiltonian(oscillator(), x0, 0.0, 1.0, 2.5)
+    # A numpy integer is a count, and runs as the int does.
+    ts, ws = sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, 1.0, np.int64(4))
+    ref_ts, ref_ws = sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, 1.0, 4)
+    assert np.array_equal(ts, ref_ts) and np.array_equal(ws, ref_ws)
+    _, points = sz.integrate_hamiltonian(oscillator(), x0, 0.0, 1.0, np.int64(4))
+    _, ref = sz.integrate_hamiltonian(oscillator(), x0, 0.0, 1.0, 4)
+    assert np.array_equal(points.q, ref.q) and np.array_equal(points.p, ref.p)
+
+
 def test_hamiltonian_overflow_is_numerical():
     # q' = 300 q grows like exp(300 t) and leaves the float range before t = 10.
     sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([300.0 * np.eye(1)]),
