@@ -18,8 +18,9 @@ an eigenvalue with real part <= 0.  BlowUp.t is the first such node; the chunk
 reader finds it, and the run ends with that node's chunk.
 """
 
+from collections import deque
 from dataclasses import dataclass, fields
-from itertools import accumulate, islice, repeat, zip_longest
+from itertools import islice, repeat, zip_longest
 from numbers import Integral
 
 import numpy as np
@@ -67,13 +68,6 @@ class CurveJet(_Nodes):
     def dim(self):
         return self.z.shape[-1]
 
-    def to_json(self):
-        return {"t": self.t,
-                "z": numerics.matrix_to_json(self.z),
-                "z1": numerics.matrix_to_json(self.z1),
-                "z2": numerics.matrix_to_json(self.z2),
-                "z3": numerics.matrix_to_json(self.z3)}
-
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
@@ -120,9 +114,6 @@ class MatrixPolynomial:
         """Symmetric for every t, which holds exactly when every coefficient is."""
         return all(numerics.is_symmetric(c) for c in self.coeffs)
 
-    def to_json(self):
-        return [numerics.matrix_to_json(c) for c in self.coeffs]
-
     @classmethod
     def from_json(cls, obj, dim=None):
         """Coefficients C_0, C_1, ...: each a matrix object or the list of its rows."""
@@ -154,10 +145,6 @@ class HamiltonianSystem:
     @property
     def dim(self):
         return self.a.dim
-
-    def to_json(self):
-        return {"dim": self.dim, "A": self.a.to_json(), "B": self.b.to_json(),
-                "symmetric_A": self.symmetric_a}
 
     @classmethod
     def from_json(cls, obj):
@@ -264,6 +251,10 @@ def _stage_times(ts, hs):
 # the run's memory at its states (a whole run's stage stacks would not be).  A
 # chunk takes _CHUNK steps, or more where their step matrices are small: as many
 # as fill _CHUNK_ENTRIES entries (64 12 x 12 matrices, the steps of a dim-6 run).
+# A chunk whose one step matrix advanced all its steps (a constant G over equal
+# steps) held no stack, and the next chunk is twice as long: with c steps in the
+# first, chunk k starts at step c (2^k - 1), so a run that stops at node i has
+# built at most 2i + c steps.
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
 # The most steps one run takes: it holds its step list, node times and states whole.
 MAX_STEPS = 10**6
@@ -287,17 +278,19 @@ def _rk4(g, y, hs, on_chunk=None):
     K4 = G(t_{i+1})(I + h K3): the stage vectors are K_j y_i, so the method and its
     nodes are the classical ones.  The M_i are built as stacks a chunk of steps at a
     time (see _CHUNK), each stage updated in place; a chunk of equal steps under a
-    constant G has one M, which advances every step of the chunk.  y_{i+1} is one
-    M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc call).  After each chunk,
+    constant G has one M, which advances every step of the chunk, and the next
+    chunk is twice as long.  y_{i+1} is one M_i.dot(y_i) (np.matmul's BLAS product,
+    without a ufunc call), written into its row of the states, and map drives a
+    chunk's products in order without a bytecode loop.  After each chunk,
     on_chunk(j, m, ys) gets its first step j, its stack m of step matrices (one matrix
     for a constant G) and its finite states ys, from y_j on, under the run's errstate;
     a true return ends the run there.  Returns one array of y and the states after each
     step, up to the first state that is not finite (the run stops at the end of that
     state's chunk) or to the end of a chunk that on_chunk ended."""
-    hs, eye, ys = np.asarray(hs, dtype=float), np.eye(len(y)), None
+    hs, eye, ys, j = np.asarray(hs, dtype=float), np.eye(len(y)), None, 0
     chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
-        for j in range(0, len(hs), chunk):
+        while j < len(hs):
             h = hs[j:j + chunk]
             steps = len(h)
             gs = g(slice(2 * j, 2 * (j + steps) + 1))
@@ -326,12 +319,13 @@ def _rk4(g, y, hs, on_chunk=None):
                 ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
                 ys[0] = y
                 rows = list(ys)  # each product writes its state into its row of ys
-            for i, mi in enumerate(m if len(m) == steps else repeat(m[0], steps), j):
-                mi.dot(rows[i], out=rows[i + 1])
+            deque(map(np.ndarray.dot, m if len(m) == steps else repeat(m[0], steps),
+                      rows[j:j + steps], rows[j + 1:j + steps + 1]), maxlen=0)
             finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
             end = j + 1 + (steps if finite.all() else int(np.argmin(finite)))
             if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + steps:
                 return ys[:end]
+            j, chunk = j + steps, 2 * chunk if len(m) < steps else chunk
     return ys
 
 
@@ -348,8 +342,8 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     h = (t1 - t0) / steps
     if not np.isfinite([t0, t1, h]).all():
         raise ValueError(f"the time grid must be finite: t0 = {t0!r}, t1 = {t1!r}, step = {h!r}")
-    hs = [h] * steps
-    ts = np.array(list(accumulate(hs, initial=t0)))
+    hs = np.full(steps, h)
+    ts = np.add.accumulate(np.append(t0, hs))
     st = _stage_times(ts, hs)[:, None, None]
 
     # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks

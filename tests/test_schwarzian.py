@@ -438,14 +438,20 @@ def test_symmetry_test_of_huge_coefficients():
         sz.w_from_jet(jet, np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
+def jet_json(jet):
+    return {"t": jet.t, **{k: numerics.matrix_to_json(getattr(jet, k)) for k in ("z", "z1", "z2", "z3")}}
+
+
 def test_json_round_trips(rng):
     jet = tan_jet(0.3)
-    back = sz.CurveJet.from_json(jet.to_json())
+    back = sz.CurveJet.from_json(jet_json(jet))
     assert numerics.fro(back.z3 - jet.z3) < 1e-15
     sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([_sym(rng, 2)]),
                                 sz.MatrixPolynomial([_sym(rng, 2)]),
                                 symmetric_a=True)
-    back = sz.HamiltonianSystem.from_json(sys_.to_json())
+    back = sz.HamiltonianSystem.from_json({"dim": 2, "symmetric_A": True,
+                                           "A": [numerics.matrix_to_json(c) for c in sys_.a.coeffs],
+                                           "B": [numerics.matrix_to_json(c) for c in sys_.b.coeffs]})
     assert back.symmetric_a
     assert numerics.fro(back.a(0.5) - sys_.a(0.5)) < 1e-15
 
@@ -458,7 +464,7 @@ def test_json_rejects_boolean_numbers():
             sz.MatrixPolynomial.from_json(coeffs)
     with pytest.raises(ValueError):
         sz.HamiltonianSystem.from_json({"dim": True, "A": [[[0.0]]], "B": [[[0.0]]]})
-    obj = tan_jet(0.3).to_json()
+    obj = jet_json(tan_jet(0.3))
     obj["t"] = True
     with pytest.raises(ValueError):
         sz.CurveJet.from_json(obj)
@@ -998,8 +1004,10 @@ def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
 
 
 def test_a_riccati_blow_up_ends_the_run_at_its_chunk(monkeypatch):
-    # W' = -I - W^2, W0 = 0, dim 6: W = -tan(t) I has its pole at pi/2, in the 9th
-    # of the 16 chunks of 64 steps on [0, 3]; the run builds no chunk after it.
+    # W' = -I - W^2, W0 = 0, dim 6: W = -tan(t) I has its pole at pi/2, node 524 of
+    # 1000 steps on [0, 3].  The constant system's chunks double from 64 steps, so
+    # they start at steps 0, 64, 192 and 448, and the pole lies in the 4th; the run
+    # builds no chunk after it.
     chunks, rk4 = [], sz._rk4
 
     def counted(g):
@@ -1010,7 +1018,69 @@ def test_a_riccati_blow_up_ends_the_run_at_its_chunk(monkeypatch):
     with pytest.raises(BlowUp) as exc_info:
         sz.integrate_riccati(sys_, np.zeros((6, 6)), 0.0, 3.0, 1000)
     assert exc_info.value.t == 1.57199999999998
-    assert len(chunks) == 9
+    assert [s.start // 2 for s in chunks] == [0, 64, 192, 448]
+
+
+@pytest.mark.parametrize("node", [10, 64, 65, 300, 3000])
+def test_a_constant_run_doubles_its_chunks_up_to_its_pole(monkeypatch, node):
+    # W' = -cI - W^2, W0 = 0, dim 6: W = -sqrt(c) tan(sqrt(c) t) I, its pole placed
+    # mid-step into the given node of a 10,000-step run.  The constant system builds
+    # one step matrix per chunk and doubles its chunks from 64 steps; its zero-slope
+    # degree-1 twin builds one per step, in chunks of 64.  Both must report the pole
+    # at that node, and the constant run must build at most 2 node + 64 steps (a
+    # whole-run chunk would build all 10,000).
+    n, steps, t1 = 6, 10_000, 1.0
+    c = (np.pi / (2.0 * (node - 0.5) * (t1 / steps))) ** 2
+    zero = np.zeros((n, n))
+    built, rk4 = [], sz._rk4
+
+    def counted(g):
+        return lambda s: built.append((s.stop - s.start) // 2) or g(s)
+
+    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs, on_chunk=None: rk4(counted(g), y, hs, on_chunk))
+    blowups, counts = [], []
+    for sys_ in (constant_system(zero, c * np.eye(n)),
+                 sz.HamiltonianSystem(sz.MatrixPolynomial([zero, zero]),
+                                      sz.MatrixPolynomial([c * np.eye(n), zero]))):
+        built.clear()
+        with pytest.raises(BlowUp) as exc_info:
+            sz.integrate_riccati(sys_, zero, 0.0, t1, steps)
+        blowups.append(exc_info.value.t)
+        counts.append(sum(built))
+    assert blowups[0] == blowups[1] == list(accumulate([t1 / steps] * steps, initial=0.0))[node]
+    assert counts[0] <= 2 * node + 64
+    assert counts[1] <= node + 64
+
+
+@pytest.mark.parametrize("t0", [0, -0.4, 3, 1e6])
+def test_the_node_times_are_the_repeated_sum_of_the_step(t0):
+    # The node times are t0, t0 + h, (t0 + h) + h, ...: the left-to-right sums of
+    # itertools.accumulate, byte for byte, for steps from 1e-300 to 1e3.
+    sys_ = constant_system([[0.0]], [[0.0]])
+    x0 = sz.PhasePoint(np.eye(1), np.zeros((1, 1)))
+    for steps in (1, 63, 64, 65, 1000, 10**5):
+        for step in (1e-300, 3.7e-9, 0.003, 1.0 / 3.0, 1e3):
+            t1 = t0 + step * steps
+            ts, _ = sz.integrate_hamiltonian(sys_, x0, t0, t1, steps)
+            expect = np.array(list(accumulate([(t1 - t0) / steps] * steps, initial=t0)))
+            assert ts.dtype == expect.dtype and ts.tobytes() == expect.tobytes(), (steps, step)
+
+
+def test_a_constant_run_holds_its_states_and_w():
+    # A constant dim-6 run of 20,000 steps builds one step matrix per chunk and
+    # reads W in doubling chunks; its peak stays within 1.5 times the bytes of
+    # its states [q; p] and its W stack, which it must hold whole.
+    n, steps = 6, 20_000
+    sys_ = constant_system(np.zeros((n, n)), -np.eye(n))
+    sz.integrate_riccati(sys_, np.zeros((n, n)), 0.0, 1.0, steps)
+    tracemalloc.start()
+    try:
+        sz.integrate_riccati(sys_, np.zeros((n, n)), 0.0, 1.0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (steps + 1) * (2 * n * n + n * n) * np.dtype(float).itemsize
+    assert peak <= 1.5 * held, peak / held
 
 
 def test_trajectory_memory_stays_at_its_states(rng):
