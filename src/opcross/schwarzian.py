@@ -241,10 +241,13 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
         return CurveJet(jet.t, *numerics.finite(w, "the Moebius image jet"))
 
 
-def _stage_times(ts, hs):
-    """t0, t0 + h0/2, t1, ..., tN: where RK4 over the steps hs from the nodes
-    ts reads its coefficients (index 2i is node i, 2i + 1 the midpoint of step i)."""
-    return np.insert(ts, np.arange(1, len(ts)), ts[:-1] + np.divide(hs, 2.0))
+def _stages(nodes, mids):
+    """nodes[0], mids[0], nodes[1], ..., nodes[-1] along the first axis, in the nodes'
+    dtype: the values where RK4 over the nodes reads its coefficients (index 2i is
+    node i, 2i + 1 the midpoint of step i)."""
+    out = np.empty((2 * len(nodes) - 1, *nodes.shape[1:]), nodes.dtype)
+    out[::2], out[1::2] = nodes, mids
+    return out
 
 
 # Steps whose RK4 step matrices are built together: one stack per chunk keeps
@@ -272,7 +275,7 @@ def _blocks(a, b, c, d):
 def _rk4(g, y, hs, on_chunk=None):
     """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
     where g(s) is the stack of G at the stage times s (a slice of the indices of
-    _stage_times), or a one-matrix stack when G is constant.  On a linear system RK4
+    _stages), or a one-matrix stack when G is constant.  On a linear system RK4
     is the step matrix y_{i+1} = M_i y_i, M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
     K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)(I + h/2 K2) and
     K4 = G(t_{i+1})(I + h K3): the stage vectors are K_j y_i, so the method and its
@@ -318,9 +321,9 @@ def _rk4(g, y, hs, on_chunk=None):
             if ys is None:
                 ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
                 ys[0] = y
-                rows = list(ys)  # each product writes its state into its row of ys
+            rows = list(ys[j:j + steps + 1])  # each product writes its state into its row of ys
             deque(map(np.ndarray.dot, m if len(m) == steps else repeat(m[0], steps),
-                      rows[j:j + steps], rows[j + 1:j + steps + 1]), maxlen=0)
+                      rows, rows[1:]), maxlen=0)
             finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
             end = j + 1 + (steps if finite.all() else int(np.argmin(finite)))
             if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + steps:
@@ -344,7 +347,7 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
         raise ValueError(f"the time grid must be finite: t0 = {t0!r}, t1 = {t1!r}, step = {h!r}")
     hs = np.full(steps, h)
     ts = np.add.accumulate(np.append(t0, hs))
-    st = _stage_times(ts, hs)[:, None, None]
+    st = _stages(ts, ts[:-1] + hs / 2.0)[:, None, None]
 
     # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks
     # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.  Its Horner value
@@ -472,10 +475,10 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     numerics.inverse(z1_0, Singular, "z1_0 is numerically singular")
     HamiltonianSystem(a_poly, b_poly)  # rejects a non-symmetric or mis-sized b_poly
     tcol = ts[:, None, None]
-    a_st = a_poly(_stage_times(ts, hs)[:, None, None])
+    a_st = a_poly(_stages(ts, ts[:-1] + hs / 2.0)[:, None, None])
     slopes = riccati_rhs(w_stack, (a_st[::2], b_poly(tcol)))
     mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
-    wa = np.insert(w_stack, np.arange(1, len(ts)), mid, axis=0) + a_st
+    wa = _stages(w_stack, mid) + a_st
 
     # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T)
     n, zero = len(z0), np.zeros_like(z0)

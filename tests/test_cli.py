@@ -30,6 +30,12 @@ def oscillator_json():
     return {"dim": 1, "A": [[[0.0]]], "B": [[[1.0]]], "symmetric_A": True}
 
 
+def trajectory_input(system, t1, steps, **state):
+    """A riccati or hamiltonian input over [0, t1]: the system's JSON and the initial matrices."""
+    return {"system": system, "t0": 0.0, "t1": t1, "steps": steps,
+            **{k: numerics.matrix_to_json(v) for k, v in state.items()}}
+
+
 def run_to_files(tmp_path, verb, payload, name="in.json", seed=0, tol=None):
     inp = write_json(tmp_path / name, payload)
     out = str(tmp_path / "out.json")
@@ -39,13 +45,17 @@ def run_to_files(tmp_path, verb, payload, name="in.json", seed=0, tol=None):
 
 
 def test_dv_verb_end_to_end(tmp_path):
-    status, text = run_to_files(tmp_path, "dv", dv_input())
-    assert status == 0
-    report = json.loads(text)
-    assert report["verb"] == "dv"
-    assert len(report["input_digest"]) == 64
-    spec = report["results"]["spectrum"]
-    assert len(spec) == 2 and all(len(z) == 2 for z in spec)
+    # Planes of R^4, and seeded subspaces of R^5 of dimensions 3, 2, 3, 2, which dv
+    # takes as (P2, P1; P4, P3): a 2 x 2 operator, as many traces as eigenvalues.
+    unequal = [grassmann.random_subspace(5, k, seed) for seed, k in enumerate((3, 2, 3, 2))]
+    for payload in ({"subspaces": [w.to_json() for w in unequal]}, dv_input()):
+        status, text = run_to_files(tmp_path, "dv", payload)
+        assert status == 0
+        report = json.loads(text)
+        assert report["verb"] == "dv"
+        assert len(report["input_digest"]) == 64
+        spec = report["results"]["spectrum"]
+        assert len(spec) == len(report["results"]["traces"]) == 2 and all(len(z) == 2 for z in spec)
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -117,6 +127,38 @@ def test_riccati_verb_writes_csv(tmp_path):
     assert len(rows) == report["results"]["steps"] + 1
     t, w = rows[-1].split(",")
     assert abs(float(t) - 1.0) < 1e-12
+
+
+_SYSTEM_2 = {"dim": 2, "A": [[[0.1, 0.2], [0.2, -0.1]]], "B": [[[-1.0, 0.3], [0.3, -2.0]]]}
+_SYSTEM_2T = {"dim": 2, "A": [[[0.1, 0.2], [0.2, -0.1]], [[0.3, -0.1], [-0.1, 0.2]]],
+              "B": [[[-1.0, 0.3], [0.3, -2.0]], [[0.4, 0.1], [0.1, -0.5]]], "symmetric_A": True}
+
+
+@pytest.mark.parametrize("system", [_SYSTEM_2, _SYSTEM_2T], ids=["constant", "time-dependent"])
+def test_riccati_w_is_the_hamiltonian_p_q_inverse(tmp_path, system):
+    # 1000 RK4 steps of a 2 x 2 system, constant or with A(t) = A0 + A1 t (symmetric)
+    # and B(t) = B0 + B1 t (B negative definite at t = 0, so W has no pole): one CSV
+    # row per node, and the riccati W at t1 is the hamiltonian run's p q^-1 there.
+    w0, results = np.diag([0.1, 0.2]), {}
+    for verb, state in (("riccati", {"w0": w0}), ("hamiltonian", {"q0": np.eye(2), "p0": w0})):
+        status, text = run_to_files(tmp_path, verb, trajectory_input(system, 1.0, 1000, **state))
+        assert status == 0, verb
+        assert (tmp_path / "out.csv").read_text().count("\n") == 1001, verb
+        results.update(json.loads(text)["results"])
+    w, q, p = (np.array(results[k]["data"]) for k in ("w_final", "q_final", "p_final"))
+    pq = np.linalg.solve(q.T, p.T).T
+    assert np.linalg.norm(w - pq) <= 1e-12 * np.linalg.norm(pq)
+
+
+def test_riccati_verb_near_the_pole(tmp_path):
+    # W' = -1 - W^2, W0 = 0 up to t = 1.5707963, 2.7e-8 short of the pole of W = -tan t:
+    # w_final within 3.2e-6 relative of -tan t1 (the benchmark's riccati_pole_rel_err).
+    payload = {"system": oscillator_json(), "w0": numerics.matrix_to_json([[0.0]]),
+               "t0": 0.0, "t1": 1.5707963, "steps": 1000}
+    status, text = run_to_files(tmp_path, "riccati", payload)
+    assert status == 0
+    w, exact = json.loads(text)["results"]["w_final"]["data"][0][0], -np.tan(1.5707963)
+    assert abs(w - exact) <= 3.2e-6 * abs(exact), abs(w - exact) / abs(exact)
 
 
 def test_complex_trajectory_csv_keeps_imaginary_parts(tmp_path):
@@ -360,18 +402,48 @@ def test_without_out_the_report_goes_to_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def cli_process(*args, **env):
+    """`python -m opcross.cli args` as its own process, with numpy warnings, if any, on
+    its stderr, and the environment variables env set."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-m", "opcross.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src, **env})
+
+
 def test_flow_overflow_exit_3(tmp_path):
-    # Run as its own process so numpy warnings, if any, would reach stderr.
     inp = write_json(tmp_path / "in.json", overflowing_flow_scenario().to_json())
     out = tmp_path / "out.json"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-m", "opcross.cli", "flow", "--in", inp,
-                           "--out", str(out)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = cli_process("flow", "--in", inp, "--out", str(out))
     error = "Overflow: the matrix exponential is not finite at t = 1"
     assert proc.returncode == 3
     assert json.loads(out.read_text())["error"] == error
     assert proc.stderr == f"numerical error: {error}\n"
+
+
+# A = 0, B = diag(100, -1e6), W0 = 0: W_11 = -10 tan 10t has its pole at pi/20, and
+# q_22 = cosh 1000t overflows near t = 0.70.  W' = -I - W^2 at dim 6, W0 = 0: the pole
+# of W = -tan t at node 524 of 1000 steps on [0, 3] lies in the constant run's doubled
+# chunk of steps 448-959, whose later states are computed too.  A coefficient row of
+# null is malformed input.
+_POLE = {"dim": 2, "A": [np.zeros((2, 2)).tolist()], "B": [np.diag([100.0, -1e6]).tolist()]}
+_TAN6 = {"dim": 6, "A": [np.zeros((6, 6)).tolist()], "B": [np.eye(6).tolist()]}
+_NULL_ROW = {"dim": 2, "A": [[[0.0, 0.0], None]], "B": [np.eye(2).tolist()]}
+
+
+@pytest.mark.parametrize("verb, payload, status, line", [
+    ("riccati", trajectory_input(_POLE, 1.0, 10000, w0=np.zeros((2, 2))), 3,
+     "numerical error: BlowUp: solution blew up near t = 0.1571"),
+    ("hamiltonian", trajectory_input(_POLE, 1.0, 10000, q0=np.eye(2), p0=np.zeros((2, 2))), 3,
+     "numerical error: Overflow: the Hamiltonian state overflowed at t = 0.7036"),
+    ("riccati", trajectory_input(_TAN6, 3.0, 1000, w0=np.zeros((6, 6))), 3,
+     "numerical error: BlowUp: solution blew up near t = 1.572"),
+    ("riccati", trajectory_input(_NULL_ROW, 1.0, 10, w0=np.zeros((2, 2))), 2,
+     "error: ValidationError: coefficient[1] must be a list of 2 entries")],
+    ids=["riccati-pole", "hamiltonian-overflow", "riccati-tan6", "riccati-null-row"])
+def test_a_failed_run_prints_its_line_alone_on_stderr(tmp_path, verb, payload, status, line):
+    proc = cli_process(verb, "--in", write_json(tmp_path / "in.json", payload),
+                       "--out", str(tmp_path / "out.json"))
+    assert (proc.returncode, proc.stderr) == (status, line + "\n")
 
 
 def test_a_line_near_the_float_limit_exit_0_without_warnings(tmp_path):
@@ -558,6 +630,20 @@ def test_angle_and_equiv_verbs(tmp_path):
     assert json.loads(text)["results"]["equivalent"] is True
 
 
+def test_angle_verb_spectrum_is_the_squared_cosines(tmp_path):
+    # A seeded 3 x 3 pair of charts: the reported eigenvalues are the squared cosines
+    # of the principal angles between the graphs of A and B, real to 1e-10.
+    a, b = np.random.default_rng(30).standard_normal((2, 3, 3))
+    status, text = run_to_files(tmp_path, "angle", {"a": numerics.matrix_to_json(a),
+                                                    "b": numerics.matrix_to_json(b)})
+    assert status == 0
+    graphs = [grassmann.subspace_from_basis(np.vstack([np.eye(3), m])) for m in (a, b)]
+    cos2 = np.sort(np.cos(grassmann.principal_angles(*graphs)) ** 2)
+    spectrum = np.array(json.loads(text)["results"]["spectrum"])
+    assert np.max(np.abs(np.sort(spectrum[:, 0]) - cos2)) <= 1e-10
+    assert np.max(np.abs(spectrum[:, 1])) <= 1e-10
+
+
 def test_equiv_reports_the_angles_it_decides_by(tmp_path, svd_calls):
     # One stacked SVD call serves the verdict and both pairs' reported angles.
     g, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
@@ -605,27 +691,56 @@ def test_cocycle_verb(tmp_path):
     assert json.loads(text)["results"]["residual"] < 1e-8
 
 
-def test_flow_verb_writes_spectrum_csv(tmp_path):
-    rng = np.random.default_rng(8)
-    pol = grassmann.standard_polarization(6, 3)
-    subs = [grassmann.subspace_from_graph(rng.standard_normal((3, 3)), pol)
-            for _ in range(4)]
-    payload = {"generator": numerics.matrix_to_json(np.eye(6, k=-1)),
-               "initials": [w.to_json() for w in subs],
-               "times": [0.0, 0.5, 1.0]}
-    status, text = run_to_files(tmp_path, "flow", payload)
+def test_dv_and_cocycle_of_large_subspaces(tmp_path):
+    # Seeded random 32-dim subspaces of R^64.  Then n = 256 graphs of the charts
+    # level * I + 0.3 G / sqrt(128): every pair the dv and cocycle chains project
+    # along is well separated, and the dv spectrum is the chart formula's.
+    rng = np.random.default_rng(0)
+    subs = [grassmann.subspace_from_basis(rng.standard_normal((64, 32))).to_json() for _ in range(5)]
+    assert run_to_files(tmp_path, "cocycle", {"p": subs[:2], "q": subs[2:]})[0] == 0
+    pol, k = grassmann.standard_polarization(256, 128), 128
+
+    def charts(levels):
+        ts = [lv * np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k) for lv in levels]
+        return ts, [grassmann.subspace_from_graph(t, pol).to_json() for t in ts]
+
+    (t1, t2, t3, t4), subs = charts((-3, -1, 1, 3))
+    status, text = run_to_files(tmp_path, "dv", {"subspaces": subs})
     assert status == 0
-    report = json.loads(text)
-    rows = report["results"]["rows"]
-    assert len(rows) == 3
-    first = np.array(rows[0]["spectrum"])
-    last = np.array(rows[-1]["spectrum"])
-    assert np.max(np.abs(first - last)) < 1e-6
-    # A real flow's row: t, the spectrum as (re, im) pairs, the real traces and det.
-    csv_rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
-    assert len(csv_rows) == 3
-    for row, r in zip(csv_rows, rows):
-        assert row == [r["t"], *np.ravel(r["spectrum"]), *(re for re, _ in r["traces"]), r["det"]]
+    got = np.array([complex(re, im) for re, im in json.loads(text)["results"]["spectrum"]])
+    ref = np.linalg.eigvals(np.linalg.solve(t1 - t2, t2 - t3) @ np.linalg.solve(t3 - t4, t4 - t1))
+    dist = np.abs(got[:, None] - ref[None, :])
+    assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-8
+    _, subs = charts((-3, -1, 1, 3, 5))
+    status, text = run_to_files(tmp_path, "cocycle", {"p": subs[:2], "q": subs[2:]})
+    assert status == 0 and json.loads(text)["results"]["residual"] <= 1e-8
+
+
+def test_flow_verb_writes_spectrum_csv(tmp_path):
+    # The shift generator on graphs of seeded charts at n = 12 and 64 over 11 times,
+    # and at n = 6 over 3.
+    eleven = np.linspace(0.0, 1.0, 11).tolist()
+    for n, times in ((12, eleven), (64, eleven), (6, [0.0, 0.5, 1.0])):
+        rng = np.random.default_rng(8)
+        pol = grassmann.standard_polarization(n, n // 2)
+        subs = [grassmann.subspace_from_graph(rng.standard_normal((n // 2, n // 2)), pol)
+                for _ in range(4)]
+        payload = {"generator": numerics.matrix_to_json(np.eye(n, k=-1)),
+                   "initials": [w.to_json() for w in subs],
+                   "times": times}
+        status, text = run_to_files(tmp_path, "flow", payload)
+        assert status == 0
+        report = json.loads(text)
+        rows = report["results"]["rows"]
+        assert len(rows) == len(times)
+        first = np.array(rows[0]["spectrum"])
+        last = np.array(rows[-1]["spectrum"])
+        assert np.max(np.abs(first - last)) < 1e-6
+        # A real flow's row: t, the spectrum as (re, im) pairs, the real traces and det.
+        csv_rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
+        assert len(csv_rows) == len(times)
+        for row, r in zip(csv_rows, rows):
+            assert row == [r["t"], *np.ravel(r["spectrum"]), *(re for re, _ in r["traces"]), r["det"]]
 
 
 def complex_flow_input():
@@ -651,6 +766,21 @@ def test_complex_flow_csv_keeps_imaginary_parts(tmp_path):
         det = r["det"] if isinstance(r["det"], list) else [r["det"], 0.0]
         assert row == [r["t"], *np.ravel(r["spectrum"]), *np.ravel(r["traces"]), *det]
     assert any(row[6] != 0.0 for row in csv_rows)  # the imaginary part of tr D
+
+
+def test_flow_verb_through_the_degree_13_pade(tmp_path):
+    # 3 I + J (J all ones) on four seeded planes of R^4: at t = 0.5 and 1 the exponent's
+    # 1-norm exceeds theta_9, so expm takes the degree-13 Pade approximant, and every
+    # row keeps the t = 0 spectrum.
+    initials = [grassmann.subspace_from_basis(
+        np.random.default_rng(31 + i).standard_normal((4, 2))) for i in range(4)]
+    payload = flows.FlowScenario(3.0 * np.eye(4) + np.ones((4, 4)), initials, [0.0, 0.5, 1.0]).to_json()
+    status, text = run_to_files(tmp_path, "flow", payload)
+    assert status == 0
+    rows = json.loads(text)["results"]["rows"]
+    assert [r["t"] for r in rows] == [0.0, 0.5, 1.0]
+    spectra = [np.array([complex(re, im) for re, im in r["spectrum"]]) for r in rows]
+    assert all(np.max(np.abs(s - spectra[0])) <= 1e-9 for s in spectra), spectra
 
 
 def test_selftest_verb(tmp_path):
@@ -715,6 +845,18 @@ def test_invalid_tolerance_exit_2(tmp_path):
         assert status == 2, tol
         assert json.loads(report)["error"].startswith("ValidationError"), tol
     assert run_to_files(tmp_path, "equiv", payload, tol=0.0)[0] == 0
+
+
+def test_no_environment_variable_sets_the_tolerance(tmp_path):
+    # OPCROSS_TOL is no setting: a process that has it reports what cli.run does.
+    lines = [{"basis": numerics.matrix_to_json([[x], [y]])} for x, y in ((1.0, 0.0), (0.0, 1.0),
+                                                                          (1.0, 1.0), (1.0, 2.0))]
+    inp = write_json(tmp_path / "in.json", {"subspaces": lines})
+    out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+    proc = cli_process("dv", "--in", inp, "--out", str(out), OPCROSS_TOL="abc")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.run("dv", inp, str(ref)) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_float_formatting_is_deterministic():

@@ -144,6 +144,75 @@ def test_singular_factors_keep_their_messages(call, error, message):
     assert type(exc_info.value) is error and str(exc_info.value) == message
 
 
+def _lines(n, *cols):
+    return grassmann.Subspace(np.eye(n)[:, list(cols)])
+
+
+_E3 = np.eye(3)
+_JET, _POL = _curve_jet(_I), grassmann.standard_polarization(4)
+_SCENARIO = flows.FlowScenario(np.zeros((4, 4)), [grassmann.Subspace(_E2)] * 4, [0.0])
+_INPUT_CHECKS = [
+    ("dv_composition", lambda: crossratio.dv_composition(
+        _lines(4, 0, 1), _lines(4, 2, 3), _lines(4, 0), _lines(4, 2, 3)),
+     ValueError, "dim P1 != dim P3; use dv_unequal for the reduction"),
+    ("dv_matrix-shapes", lambda: crossratio.dv_matrix(_I, _I, _I, _E3),
+     ValueError, "chart coordinates must share one shape"),
+    ("dv_matrix-square", lambda: crossratio.dv_matrix(*[np.ones((2, 3))] * 4),
+     ValueError, "chart formula needs square (half-dimensional) coordinates"),
+    ("dv_mixed", lambda: crossratio.dv_mixed(_I, _I, _I, _E3),
+     ValueError, "mixed-chart coordinate shapes are inconsistent"),
+    ("operator_angle", lambda: crossratio.operator_angle(_I, _E3),
+     ValueError, "A and B must have the same shape"),
+    ("FlowScenario-times", lambda: flows.FlowScenario(_I, [], []),
+     ValueError, "times must be a non-empty 1-d grid"),
+    ("FlowScenario-initials", lambda: flows.FlowScenario(np.eye(4), [_E2], [0.0]),
+     ValueError, "initials must be Subspace values"),
+    ("FlowScenario.from_json", lambda: flows.FlowScenario.from_json([]),
+     ValueError, "scenario JSON must be an object"),
+    ("AlmostNilpotent", lambda: flows.AlmostNilpotent(_I, 3), ValueError, "block size out of range"),
+    ("spectrum_along_flow", lambda: flows.spectrum_along_flow(_SCENARIO, (True,) * 3),
+     ValueError, "flowed mask must have four entries"),
+    ("Subspace", lambda: grassmann.Subspace(np.eye(2, 3)),
+     ValueError, "need 1 <= dim <= ambient_dim, got basis shape (2, 3)"),
+    ("random_subspace", lambda: grassmann.random_subspace(4, 4, 0),
+     ValueError, "need 1 <= k < n, got k=4, n=4"),
+    ("degenerate_sigma_min", lambda: grassmann.degenerate_sigma_min(_lines(4, 0, 1), _lines(3, 0)),
+     ValueError, "ambient dimensions differ"),
+    ("graph_coordinate-ambient", lambda: grassmann.graph_coordinate(_lines(3, 0), _POL),
+     ValueError, "ambient dimensions differ"),
+    ("graph_coordinate-dim", lambda: grassmann.graph_coordinate(_lines(4, 0), _POL),
+     OutsideChart, "dim 1 != horizontal dim 2"),
+    ("principal_angles", lambda: grassmann.principal_angles(_lines(4, 0, 1), _lines(3, 0)),
+     ValueError, "ambient dimensions differ"),
+    ("subspace_from_graph", lambda: grassmann.subspace_from_graph(_E3, _POL),
+     ValueError, "T must be 2x2, got (3, 3)"),
+    ("BlockMobius", lambda: grassmann.BlockMobius(_I, _I, _E3, _I),
+     ValueError, "block shapes are inconsistent"),
+    ("MatrixPolynomial", lambda: schwarzian.MatrixPolynomial([_I, _E3]),
+     ValueError, "coefficient shapes differ"),
+    ("HamiltonianSystem", lambda: schwarzian.HamiltonianSystem(
+        schwarzian.MatrixPolynomial([_I]), schwarzian.MatrixPolynomial([_E3])),
+     ValueError, "A and B dimensions differ"),
+    ("PhasePoint", lambda: schwarzian.PhasePoint(_I, _E3), ValueError, "q and p shapes differ"),
+    ("mobius_curve_jet", lambda: schwarzian.mobius_curve_jet(_E3, _E3, _E3, _E3, _JET),
+     ValueError, "Moebius blocks must match the jet dimension"),
+    ("curve_from_riccati-lengths", lambda: schwarzian.curve_from_riccati(
+        [0.0, 1.0, 2.0], [_O, _O], schwarzian.MatrixPolynomial([_O]), _O, _I,
+        schwarzian.MatrixPolynomial([_O])),
+     ValueError, "need matching times and W values, at least two nodes"),
+    ("curve_from_riccati-nodes", lambda: schwarzian.curve_from_riccati(
+        [0.0], [_O], schwarzian.MatrixPolynomial([_O]), _O, _I, schwarzian.MatrixPolynomial([_O])),
+     ValueError, "need matching times and W values, at least two nodes")]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in _INPUT_CHECKS],
+                         ids=[case[0] for case in _INPUT_CHECKS])
+def test_input_checks_keep_their_messages(call, error, message):
+    with pytest.raises(error) as exc_info:
+        call()
+    assert type(exc_info.value) is error and str(exc_info.value) == message
+
+
 def test_eigvals_failure_is_non_convergence(monkeypatch):
     def failing(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

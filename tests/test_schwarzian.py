@@ -689,7 +689,7 @@ def reference_hamiltonian_run(sys_, q0, p0, t1, steps, error=None):
     precision of q0 and p0."""
     hs = [t1 / steps] * steps
     ts = np.array(list(accumulate(hs, initial=0.0)))
-    st = sz._stage_times(ts, hs)
+    st = sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))
 
     def rhs(y, c):
         (a, b), (q, p) = c, y
@@ -705,7 +705,7 @@ def reference_curve(ts, ws, a_poly, z0, z1_0, b_poly, dtype=None):
     states are integrated in dtype (default: that of z0 and W) and the jets
     formed in the precision of z0 and W."""
     hs, tcol = np.diff(ts), ts[:, None, None]
-    a_st = a_poly(sz._stage_times(ts, hs)[:, None, None])
+    a_st = a_poly(sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))[:, None, None])
     slopes = sz.riccati_rhs(ws, (a_st[::2], b_poly(tcol)))
     mid = (ws[:-1] + ws[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
     wa = np.insert(ws, np.arange(1, len(ts)), mid, axis=0) + a_st
@@ -894,7 +894,7 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
         sys_ = sz.HamiltonianSystem(a, b)
         hs = [(t1 - t0) / steps] * steps
         ts = np.array(list(accumulate(hs, initial=t0)))
-        st = sz._stage_times(ts, hs)[:, None, None]
+        st = sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))[:, None, None]
 
         def assembled(s):
             at, bt = (p(st[s] if max(degrees) else st[:1]) for p in (a, b))
@@ -1102,3 +1102,44 @@ def test_trajectory_memory_stays_at_its_states(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4.0 * 2 ** 20, peak / 2 ** 20
+
+
+def test_a_run_that_stops_early_holds_only_its_states_and_w():
+    # W' = -cI - W^2, W0 = 0, dim 6, its pole placed mid-step into node 10 of a
+    # 10,000-step run: the run ends with its first chunk.  Its peak stays within 1.1
+    # times the bytes of the states [q; p] and the W stack it allocates whole; views
+    # of every state row, made before the first product, would take 1.2 times.
+    n, steps, node, t1 = 6, 10_000, 10, 1.0
+    c = (np.pi / (2.0 * (node - 0.5) * (t1 / steps))) ** 2
+    sys_ = constant_system(np.zeros((n, n)), c * np.eye(n))
+
+    def run():
+        with pytest.raises(BlowUp) as exc_info:
+            sz.integrate_riccati(sys_, np.zeros((n, n)), 0.0, t1, steps)
+        return exc_info.value.t
+
+    run()
+    tracemalloc.start()
+    try:
+        t = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t == list(accumulate([t1 / steps] * steps, initial=0.0))[node]
+    held = (steps + 1) * (2 * n * n + n * n) * np.dtype(float).itemsize
+    assert peak <= 1.1 * held, peak / held
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000, 10**5])
+def test_the_stage_grids_interleave_nodes_and_midpoints(rng, steps):
+    # The stage times of a run and the W + A stack of curve_from_riccati take node i
+    # at index 2i and the midpoint of step i at 2i + 1: np.insert's arrays, byte for byte.
+    hs = np.full(steps, 0.3 / steps)
+    ts = np.add.accumulate(np.append(-0.4, hs))
+    mids = ts[:-1] + np.divide(hs, 2.0)
+    ws = rng.standard_normal((steps + 1, 2, 2)) + 1j * rng.standard_normal((steps + 1, 2, 2))
+    for nodes, mid in ((ts, mids), (ws, ws[1:] - ws[:-1]), (ws.real, ws.real[1:] / 2.0)):
+        got = sz._stages(nodes, mid)
+        expect = np.insert(nodes, np.arange(1, len(nodes)), mid, axis=0)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
