@@ -285,9 +285,9 @@ def _csv_path(output_path):
 
 
 def main(args=None, prog_name="opcross"):
-    """Run ``VERB [--in FILE] [--out FILE] [--seed N]`` (``equiv`` also takes
-    ``--tol X``) from args (default sys.argv) and exit with run()'s status; a
-    usage error exits 2."""
+    """Run ``VERB [--in FILE] [--out FILE]`` (``equiv`` also takes ``--tol X``,
+    ``selftest`` ``--seed N``) from args (default sys.argv) and exit with run()'s
+    status; a usage error exits 2."""
     parser = argparse.ArgumentParser(prog=prog_name, description="Operator cross-ratio toolkit.",
                                      allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
@@ -298,12 +298,14 @@ def main(args=None, prog_name="opcross"):
         command.add_argument("--in", dest="input_path", metavar="FILE", help="Input JSON file.")
         command.add_argument("--out", dest="output_path", metavar="FILE", help="Report JSON "
                              "file; a trajectory verb also writes a .csv sibling.")
-        command.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
+        if verb == "selftest":
+            command.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
         if verb == "equiv":
             command.add_argument("--tol", type=float, help="Decision tolerance of the "
                                  f"equivalence verdict (default: {crossratio.EQUIV_TOL}).")
     ns = parser.parse_args(args)
-    sys.exit(run(ns.verb, ns.input_path, ns.output_path, ns.seed, getattr(ns, "tol", None)))
+    sys.exit(run(ns.verb, ns.input_path, ns.output_path, getattr(ns, "seed", 0),
+                 getattr(ns, "tol", None)))
 
 
 if __name__ == "__main__":

@@ -242,10 +242,10 @@ def mobius_curve_jet(c1, c2, c3, c4, jet):
 
 
 def _stages(nodes, mids):
-    """nodes[0], mids[0], nodes[1], ..., nodes[-1] along the first axis, in the nodes'
-    dtype: the values where RK4 over the nodes reads its coefficients (index 2i is
-    node i, 2i + 1 the midpoint of step i)."""
-    out = np.empty((2 * len(nodes) - 1, *nodes.shape[1:]), nodes.dtype)
+    """nodes[0], mids[0], nodes[1], ..., nodes[-1] along the first axis, in the dtype
+    of both (complex midpoints of real nodes stay complex): the values where RK4 over
+    the nodes reads its coefficients (index 2i is node i, 2i + 1 the midpoint of step i)."""
+    out = np.empty((2 * len(nodes) - 1, *nodes.shape[1:]), np.result_type(nodes, mids))
     out[::2], out[1::2] = nodes, mids
     return out
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opcross import __version__, cli, flows, grassmann, numerics, schwarzian
+from opcross import __version__, cli, flows, grassmann, numerics
 from opcross.errors import Overflow
 from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config,
                       overflowing_flow_scenario, sampled_symmetric_b, unequal_sharing_config)
@@ -34,6 +34,23 @@ def trajectory_input(system, t1, steps, **state):
     """A riccati or hamiltonian input over [0, t1]: the system's JSON and the initial matrices."""
     return {"system": system, "t0": 0.0, "t1": t1, "steps": steps,
             **{k: numerics.matrix_to_json(v) for k, v in state.items()}}
+
+
+def oscillator_input(verb, t1=1.0, steps=10, **system):
+    """A riccati input from W0 = 0, or a hamiltonian one from (q0, p0) = (1, 0), of
+    W' = -1 - W^2 (q'' = -q) over [0, t1], the system's fields updated by system."""
+    state = {"w0": [[0.0]]} if verb == "riccati" else {"q0": [[1.0]], "p0": [[0.0]]}
+    return trajectory_input({**oscillator_json(), **system}, t1, steps, **state)
+
+
+def subspaces(*specs):
+    """The JSON of grassmann.random_subspace(ambient, dim, seed) for each (ambient, dim, seed)."""
+    return [grassmann.random_subspace(*spec).to_json() for spec in specs]
+
+
+def stderr_line(status, error):
+    """The one line a failed run prints on stderr, for its report's error."""
+    return ("numerical error: " if status == 3 else "error: ") + error + "\n"
 
 
 def run_to_files(tmp_path, verb, payload, name="in.json", seed=0, tol=None):
@@ -66,34 +83,184 @@ def test_reports_are_byte_identical(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_malformed_inputs_exit_2(tmp_path):
-    cases = [
-        ("not json at all {", None),
-        ("[1, 2, 3]", None),
-        (None, {"subspaces": []}),
-        (None, {"subspaces": [{"basis": {"rows": 2, "cols": 1,
-                                         "data": [[1.0], ["x"]]}}] * 4}),
-        (None, {}),
-    ]
-    for i, (raw, obj) in enumerate(cases):
-        path = tmp_path / f"bad{i}.json"
-        if raw is not None:
-            path.write_text(raw)
-        else:
-            write_json(path, obj)
-        out = str(tmp_path / f"bad{i}_out.json")
-        status = cli.run("dv", str(path), out)
-        assert status == 2, f"case {i}"
-        report = json.loads(open(out).read())
-        assert report["error"].startswith("ValidationError")
+def _angle(a, b):
+    return {"a": numerics.matrix_to_json(a), "b": numerics.matrix_to_json(b)}
 
 
-def test_json_nested_too_deeply_exit_2(tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text('{"a": ' + "[" * 100000 + "]" * 100000 + "}")
-    assert cli.run("angle", str(path), str(tmp_path / "out.json")) == 2
-    report = json.loads((tmp_path / "out.json").read_text())
-    assert report["error"] == "ValidationError: the input JSON is nested too deeply"
+_DV = dv_input()["subspaces"]
+_EYE2 = numerics.matrix_to_json(np.eye(2))
+_BOOLEANS = trajectory_input({"A": [[[0.0]]], "B": [[[0.0]]]}, 1.0, 10, q0=[[1.0]], p0=[[0.0]])
+_SKEW = {"dim": 2, "A": [[[0.0, 1.0], [-1.0, 0.0]]], "B": [np.eye(2).tolist()]}
+_TAN_SAMPLES = [numerics.matrix_to_json([[float(np.tan(k * 0.01))]]) for k in range(-3, 4)]
+_HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+_EQUIV = {"first": _DV[:2], "second": dv_input(1)["subspaces"][:2]}
+
+# One input, one verdict: (id, verb, input, status, the report's exact error or None
+# for exit 0[, tol]).  The input is a JSON object, raw text, or a function that
+# builds it when its row runs.
+_VERDICTS = [
+    # No JSON object, or fields the readers reject: exit 2.
+    ("dv-not-json", "dv", "not json at all {", 2,
+     "ValidationError: Expecting value: line 1 column 1 (char 0)"),
+    ("dv-json-list", "dv", "[1, 2, 3]", 2, "ValidationError: input must be a JSON object"),
+    ("angle-nested-too-deeply", "angle", '{"a": ' + "[" * 100000 + "]" * 100000 + "}", 2,
+     "ValidationError: the input JSON is nested too deeply"),
+    ("dv-missing-field", "dv", {}, 2, "ValidationError: missing field 'subspaces'"),
+    ("dv-no-subspaces", "dv", {"subspaces": []}, 2,
+     "ValidationError: subspaces must be a list of 4 entries"),
+    ("dv-three-subspaces", "dv", {"subspaces": _DV[:3]}, 2,
+     "ValidationError: subspaces must be a list of 4 entries"),
+    ("dv-string-entry", "dv",
+     {"subspaces": [{"basis": {"rows": 2, "cols": 1, "data": [[1.0], ["x"]]}}] * 4}, 2,
+     "ValidationError: data entry must be a finite float, got 'x'"),
+    ("equiv-null-pair", "equiv", {"first": _DV[:2], "second": None}, 2,
+     "ValidationError: second must be a list of 2 entries"),
+    ("cocycle-two-qs", "cocycle", {"p": _DV[:2], "q": _DV[:2]}, 2,
+     "ValidationError: q must be a list of 3 entries"),
+    ("schwarz-samples-not-a-list", "schwarz", {"samples": 1, "h": 0.1}, 2,
+     "ValidationError: samples must be a list"),
+    ("flow-initials-not-a-list", "flow", {"generator": _DV[0]["basis"], "initials": {}, "times": [0.0]},
+     2, "ValidationError: initials must be a list"),
+    ("angle-short-data-row", "angle", {"a": {"rows": 1, "cols": 1, "data": [None]}, "b": None}, 2,
+     "ValidationError: data[0] must be a list of 1 entries"),
+    ("riccati-null-coefficient", "riccati", {"system": {"A": [[None]], "B": [[[1.0]]]}, "w0": None},
+     2, "ValidationError: coefficient[0] must be a list"),
+    # dim P1 = dim P2 with a P3 of another dim.
+    ("dv-dims-P1-P3", "dv", {"subspaces": subspaces((4, 2, 1), (4, 2, 2), (4, 1, 3), (4, 2, 2))},
+     2, "ValidationError: need dim P1 = dim P3 and dim P2 = dim P4"),
+    # A JSON boolean is no number, and a string no time.
+    ("hamiltonian-booleans-base", "hamiltonian", _BOOLEANS, 0, None),
+    ("hamiltonian-boolean-entry", "hamiltonian",
+     {**_BOOLEANS, "system": {"A": [[[True]]], "B": [[[0.0]]]}}, 2,
+     "ValidationError: coefficient entry must be a finite float, got True"),
+    ("hamiltonian-boolean-rows", "hamiltonian",
+     {**_BOOLEANS, "system": {"A": [[[0.0]]], "B": [{"rows": True, "cols": 1, "data": [[0.0]]}]}},
+     2, "ValidationError: rows must be a finite int, got True"),
+    ("hamiltonian-boolean-dim", "hamiltonian",
+     {**_BOOLEANS, "system": {"dim": True, "A": [[[0.0]]], "B": [[[0.0]]]}}, 2,
+     "ValidationError: dim must be a finite int, got True"),
+    ("hamiltonian-boolean-t1", "hamiltonian", {**_BOOLEANS, "t1": True}, 2,
+     "ValidationError: t1 must be a finite float, got True"),
+    ("hamiltonian-boolean-steps", "hamiltonian", {**_BOOLEANS, "steps": True}, 2,
+     "ValidationError: steps must be a finite int, got True"),
+    ("hamiltonian-string-t0", "hamiltonian", {**_BOOLEANS, "t0": "0"}, 2,
+     "ValidationError: t0 must be a finite float, got '0'"),
+    ("dv-boolean-dim", "dv", {"subspaces": [{**_DV[0], "dim": True}, *_DV[1:]]}, 2,
+     "ValidationError: dim must be a finite int, got True"),
+    # symmetric_A is true, false or absent (true); a skew A is no symmetric one.
+    *[(f"riccati-symmetric-A-{name}", "riccati", oscillator_input("riccati", symmetric_A=value), 2,
+       f"ValidationError: symmetric_A must be true or false, got {value!r}")
+      for name, value in (("x", "x"), ("list", [1]), ("1", 1), ("0", 0), ("empty", ""), ("null", None))],
+    ("riccati-symmetric-A-true", "riccati", oscillator_input("riccati"), 0, None),
+    ("riccati-symmetric-A-false", "riccati", oscillator_input("riccati", symmetric_A=False), 0, None),
+    ("riccati-symmetric-A-absent", "riccati",
+     trajectory_input({"dim": 1, "A": [[[0.0]]], "B": [[[1.0]]]}, 1.0, 10, w0=[[0.0]]), 0, None),
+    ("riccati-skew-A-as-symmetric", "riccati",
+     trajectory_input({**_SKEW, "symmetric_A": True}, 1.0, 10, w0=np.zeros((2, 2))), 2,
+     "ValidationError: symmetric_a is set but A(t) is not symmetric"),
+    ("riccati-skew-A", "riccati",
+     trajectory_input({**_SKEW, "symmetric_A": False}, 1.0, 10, w0=np.zeros((2, 2))), 0, None),
+    ("riccati-non-symmetric-B", "riccati",
+     trajectory_input({"dim": 2, "A": [np.zeros((2, 2)).tolist()],
+                       "B": [c.tolist() for c in sampled_symmetric_b()]}, 1.0, 10, w0=np.zeros((2, 2))),
+     2, "ValidationError: B(t) must be symmetric"),
+    # Time grids: no steps, more than MAX_STEPS (rejected before a step list of that
+    # length is allocated), and finite bounds whose step (t1 - t0) / steps overflows.
+    ("riccati-zero-steps", "riccati", oscillator_input("riccati", steps=0), 2,
+     "ValidationError: steps must be >= 1"),
+    *[(f"{verb}-too-many-steps", verb, oscillator_input(verb, steps=10**15), 2,
+       "ValidationError: steps must be at most MAX_STEPS = 1000000, got 1000000000000000")
+      for verb in ("riccati", "hamiltonian")],
+    *[(f"{verb}-time-grid-not-finite", verb, {**oscillator_input(verb, 1e308), "t0": -1e308}, 2,
+       "ValidationError: the time grid must be finite: t0 = -1e+308, t1 = 1e+308, step = inf")
+      for verb in ("riccati", "hamiltonian")],
+    # No polarization (one plane four times, or dims that do not sum to the ambient
+    # dimension), or unequal dimensions whose smaller pair shares a vector: exit 3.
+    ("dv-one-plane-four-times", "dv", {"subspaces": subspaces(*[(4, 2, 5)] * 4)}, 3,
+     "NotPolarization: stacked basis nearly singular (sigma_min = 2.635e-17)"),
+    ("dv-dims-not-summing", "dv", {"subspaces": subspaces(*[(5, 2, seed) for seed in (1, 2, 3, 4)])},
+     3, "NotPolarization: dim P1 + dim P2 != ambient dimension"),
+    ("dv-unequal-sharing", "dv", {"subspaces": [w.to_json() for w in unequal_sharing_config()]},
+     3, "DegeneratePosition: the two small subspaces are not in direct sum"),
+    ("dv-unequal-sharing-swapped", "dv",
+     {"subspaces": [unequal_sharing_config()[i].to_json() for i in (1, 0, 3, 2)]}, 3,
+     "DegeneratePosition: the two small subspaces are not in direct sum"),
+    # W = -tan t past its pole at pi/2, and W' = -W^2 from W0 = -1, whose pole is the last node.
+    ("riccati-past-the-pole", "riccati", oscillator_input("riccati", 2.5, 400), 3,
+     "BlowUp: solution blew up near t = 1.575"),
+    ("riccati-pole-at-a-node", "riccati",
+     trajectory_input({"dim": 1, "A": [[[0.0]]], "B": [[[0.0]]]}, 1.0, 4, w0=[[-1.0]]), 3,
+     "BlowUp: solution blew up near t = 1"),
+    # Finite, well-formed inputs whose results leave the float range.
+    ("riccati-overflowing-B", "riccati",
+     trajectory_input({"dim": 2, "A": [np.zeros((2, 2)).tolist()], "B": [(1e300 * np.eye(2)).tolist()]},
+                      1.0, 10, w0=np.zeros((2, 2))), 3, "BlowUp: solution blew up near t = 0.1"),
+    ("hamiltonian-overflow", "hamiltonian",
+     trajectory_input({"dim": 1, "A": [[[300.0]]], "B": [[[0.0]]]}, 10.0, 1000, q0=[[1.0]], p0=[[0.0]]),
+     3, "Overflow: the Hamiltonian state overflowed at t = 2.54"),
+    ("dv-overflowing-traces", "dv", lambda: {"subspaces": [w.to_json() for w in overflowing_dv_config()]},
+     3, "Overflow: tr M^63 is not finite"),
+    ("schwarz-overflowing-jet", "schwarz",
+     {"jet": {"z": _EYE2, "z1": _EYE2, "z2": numerics.matrix_to_json(1e200 * np.eye(2)), "z3": _EYE2}},
+     3, "Overflow: the Schwarzian is not finite"),
+    # A sample step is nonzero; h ** 3 may overflow (h = 1e300) or underflow (h = 1e-300),
+    # and neither is a program fault.
+    ("schwarz-zero-step", "schwarz",
+     {"samples": [numerics.matrix_to_json([[float(k)]]) for k in range(7)], "h": 0}, 2,
+     "ValidationError: h must be a finite nonzero step, got 0.0"),
+    ("schwarz-huge-step", "schwarz", {"samples": _TAN_SAMPLES, "h": 1e300}, 0, None),
+    ("schwarz-tiny-step", "schwarz", {"samples": _TAN_SAMPLES, "h": 1e-300}, 3,
+     "Overflow: the finite-difference jet is not finite"),
+    # A = 1e200 I: I + A*A is not finite, where the chart form would give the spectrum
+    # [0, 0] for the answer [0.5, 0.5].  I + A^T A of A = 1e8 J rounds to an exactly
+    # singular matrix: numpy's LinAlgError, a ValueError subclass, is no malformed input.
+    ("angle-overflowing-entries", "angle", _angle(np.full((2, 2), 1e200), np.eye(2)), 3,
+     "Overflow: the factor I + A*A or I + B*B is not finite"),
+    ("angle-overflowing-A", "angle", _angle(1e200 * np.eye(2), np.eye(2)), 3,
+     "Overflow: the factor I + A*A or I + B*B is not finite"),
+    ("angle-overflowing-B", "angle", _angle(np.eye(2), 1e155 * np.eye(2)), 3,
+     "Overflow: the factor I + A*A or I + B*B is not finite"),
+    ("angle-A-near-the-limit", "angle", _angle(1e154 * np.eye(2), np.eye(2)), 0, None),
+    ("angle-singular-gram", "angle", _angle(np.full((2, 2), 1e8), np.eye(2)), 3,
+     "LinAlgError: Singular matrix"),
+    # exp(tM) is finite at t = 1, and the product exp(tM) W overflows; t M = 1e308 * 10
+    # leaves the float range before exp(tM) is formed.
+    ("flow-overflowing-basis", "flow",
+     {"generator": numerics.matrix_to_json(706.8 * np.eye(4) + np.ones((4, 4))), "times": [0.0, 1.0],
+      "initials": [{"basis": numerics.matrix_to_json(_HADAMARD[:, c])}
+                   for c in ([0, 1], [2, 3], [0, 2], [1, 3])]},
+     3, "Overflow: the flowed basis is not finite at t = 1"),
+    ("flow-overflowing-exponent", "flow",
+     flows.FlowScenario(10.0 * np.eye(4, k=-1), [grassmann.Subspace(np.eye(4)[:, c])
+                                                  for c in ([0, 1], [2, 3], [0, 2], [1, 3])],
+                        [0.0, 1e308]).to_json(),
+     3, "Overflow: the exponent tM is not finite at t = 1e+308"),
+    # equiv's decision tolerance is a number >= 0.
+    ("equiv-tol-nan", "equiv", _EQUIV, 2,
+     "ValidationError: the decision tolerance must be a finite number >= 0, got nan", float("nan")),
+    ("equiv-tol-negative", "equiv", _EQUIV, 2,
+     "ValidationError: the decision tolerance must be a finite number >= 0, got -1.0", -1.0),
+    ("equiv-tol-zero", "equiv", _EQUIV, 0, None, 0.0),
+]
+
+
+@pytest.mark.parametrize("verb, given, status, error, tol",
+                         [pytest.param(*row, *[None] * (5 - len(row)), id=name)
+                          for name, *row in _VERDICTS])
+def test_one_input_one_verdict(tmp_path, capsys, verb, given, status, error, tol):
+    # Every warning an error: a numpy warning would end the call.
+    given = given() if callable(given) else given
+    inp, out = tmp_path / "in.json", tmp_path / "out.json"
+    inp.write_text(given if isinstance(given, str) else json.dumps(given))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(verb, str(inp), str(out), tol=tol) == status
+    report = json.loads(out.read_text())
+    assert report.get("error") == error
+    if error is not None:
+        assert report["results"] == {}
+    assert capsys.readouterr().err == ("" if error is None else stderr_line(status, error))
+    assert set(os.listdir(tmp_path)) <= {"in.json", "out.json", "out.csv"}
 
 
 def test_missing_input_file(tmp_path):
@@ -101,25 +268,8 @@ def test_missing_input_file(tmp_path):
     assert cli.run("dv", None, None) == 2
 
 
-def test_numerical_error_exit_3(tmp_path):
-    # Degenerate four-tuple: P1 == P2 cannot be a polarization.
-    w = grassmann.random_subspace(4, 2, 5)
-    payload = {"subspaces": [w.to_json()] * 4}
-    status, text = run_to_files(tmp_path, "dv", payload)
-    assert status == 3
-    assert "NotPolarization" in json.loads(text)["error"]
-    # Unequal dimensions whose smaller pair shares a vector, in both orders.
-    p1, p2, p3, p4 = unequal_sharing_config()
-    for order in ((p1, p2, p3, p4), (p2, p1, p4, p3)):
-        status, text = run_to_files(tmp_path, "dv", {"subspaces": [w.to_json() for w in order]})
-        assert status == 3
-        assert json.loads(text)["error"].startswith("DegeneratePosition")
-
-
 def test_riccati_verb_writes_csv(tmp_path):
-    payload = {"system": oscillator_json(), "w0": {"rows": 1, "cols": 1,
-               "data": [[0.0]]}, "t0": 0.0, "t1": 1.0, "steps": 200}
-    status, text = run_to_files(tmp_path, "riccati", payload)
+    status, text = run_to_files(tmp_path, "riccati", oscillator_input("riccati", 1.0, 200))
     assert status == 0
     report = json.loads(text)
     assert abs(report["results"]["w_final"]["data"][0][0] + np.tan(1.0)) < 1e-6
@@ -153,9 +303,7 @@ def test_riccati_w_is_the_hamiltonian_p_q_inverse(tmp_path, system):
 def test_riccati_verb_near_the_pole(tmp_path):
     # W' = -1 - W^2, W0 = 0 up to t = 1.5707963, 2.7e-8 short of the pole of W = -tan t:
     # w_final within 3.2e-6 relative of -tan t1 (the benchmark's riccati_pole_rel_err).
-    payload = {"system": oscillator_json(), "w0": numerics.matrix_to_json([[0.0]]),
-               "t0": 0.0, "t1": 1.5707963, "steps": 1000}
-    status, text = run_to_files(tmp_path, "riccati", payload)
+    status, text = run_to_files(tmp_path, "riccati", oscillator_input("riccati", 1.5707963, 1000))
     assert status == 0
     w, exact = json.loads(text)["results"]["w_final"]["data"][0][0], -np.tan(1.5707963)
     assert abs(w - exact) <= 3.2e-6 * abs(exact), abs(w - exact) / abs(exact)
@@ -178,162 +326,6 @@ def test_complex_trajectory_csv_keeps_imaginary_parts(tmp_path):
     assert any(float(v) != 0.0 for v in rows[-1][2::2])
 
 
-def test_riccati_blow_up_reported_not_crashed(tmp_path):
-    payload = {"system": oscillator_json(), "w0": {"rows": 1, "cols": 1,
-               "data": [[0.0]]}, "t0": 0.0, "t1": 2.5, "steps": 400}
-    status, text = run_to_files(tmp_path, "riccati", payload)
-    assert status == 3
-    assert "BlowUp" in json.loads(text)["error"]
-
-
-def test_riccati_pole_at_a_node_exit_3(tmp_path):
-    # W' = -W^2 from W0 = -1 escapes exactly at the last node, t = 1.
-    payload = {"system": {"dim": 1, "A": [[[0.0]]], "B": [[[0.0]]]},
-               "w0": {"rows": 1, "cols": 1, "data": [[-1.0]]}, "t0": 0.0, "t1": 1.0, "steps": 4}
-    status, text = run_to_files(tmp_path, "riccati", payload)
-    assert status == 3
-    assert json.loads(text)["error"].startswith("BlowUp")
-
-
-def test_zero_steps_exit_2(tmp_path):
-    payload = {"system": oscillator_json(), "w0": {"rows": 1, "cols": 1,
-               "data": [[0.0]]}, "t0": 0.0, "t1": 1.0, "steps": 0}
-    status, text = run_to_files(tmp_path, "riccati", payload)
-    assert status == 2
-    assert json.loads(text)["error"].startswith("ValidationError")
-
-
-def test_too_many_steps_exit_2(tmp_path):
-    # Rejected before the run allocates a step list of that length.
-    steps = 10**15
-    payloads = {"riccati": {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}},
-                "hamiltonian": {"q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
-                                "p0": {"rows": 1, "cols": 1, "data": [[0.0]]}}}
-    for verb, payload in payloads.items():
-        status, text = run_to_files(tmp_path, verb, {"system": oscillator_json(), "t0": 0.0,
-                                                     "t1": 1.0, "steps": steps, **payload})
-        assert status == 2, verb
-        assert json.loads(text)["error"] == (
-            f"ValidationError: steps must be at most MAX_STEPS = {schwarzian.MAX_STEPS}, got {steps}")
-
-
-def test_time_grid_that_is_not_finite_exit_2(tmp_path):
-    # Each bound is a finite number, but the step (t1 - t0) / steps overflows.
-    payloads = {"riccati": {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}},
-                "hamiltonian": {"q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
-                                "p0": {"rows": 1, "cols": 1, "data": [[0.0]]}}}
-    for verb, payload in payloads.items():
-        status, text = run_to_files(tmp_path, verb, {"system": oscillator_json(), "t0": -1e308,
-                                                     "t1": 1e308, "steps": 10, **payload})
-        assert status == 2, verb
-        assert json.loads(text)["error"] == (
-            "ValidationError: the time grid must be finite: t0 = -1e+308, t1 = 1e+308, step = inf")
-
-
-def test_non_symmetric_b_exit_2(tmp_path):
-    b = [c.tolist() for c in sampled_symmetric_b()]
-    payload = {"system": {"dim": 2, "A": [np.zeros((2, 2)).tolist()], "B": b},
-               "w0": {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]},
-               "t0": 0.0, "t1": 1.0, "steps": 10}
-    status, text = run_to_files(tmp_path, "riccati", payload)
-    assert status == 2
-    assert "B(t) must be symmetric" in json.loads(text)["error"]
-
-
-def test_overflow_exit_3(tmp_path):
-    payload = {"system": {"dim": 1, "A": [[[300.0]]], "B": [[[0.0]]]},
-               "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
-               "p0": {"rows": 1, "cols": 1, "data": [[0.0]]},
-               "t0": 0.0, "t1": 10.0, "steps": 1000}
-    with np.errstate(over="ignore", invalid="ignore"):
-        status, text = run_to_files(tmp_path, "hamiltonian", payload)
-        assert status == 3
-        assert json.loads(text)["error"].startswith("Overflow")
-        payload = {"subspaces": [w.to_json() for w in overflowing_dv_config()]}
-        status, text = run_to_files(tmp_path, "dv", payload, name="dv.json")
-        assert status == 3
-        assert json.loads(text)["error"].startswith("Overflow")
-        # Finite, well-formed inputs whose operator leaves the float range.
-        eye = numerics.matrix_to_json(np.eye(2))
-        jet = {"z": eye, "z1": eye, "z2": numerics.matrix_to_json(1e200 * np.eye(2)), "z3": eye}
-        for verb, payload in (("angle", {"a": numerics.matrix_to_json(np.full((2, 2), 1e200)),
-                                         "b": eye}),
-                              ("schwarz", {"jet": jet})):
-            status, text = run_to_files(tmp_path, verb, payload, name=f"{verb}.json")
-            assert status == 3, verb
-            assert json.loads(text)["error"].startswith("Overflow"), verb
-
-
-def test_overflowing_schwarz_and_riccati_exit_3_without_warnings(tmp_path):
-    # Numpy warnings are errors under this suite's filter, so one would fail the call.
-    eye = numerics.matrix_to_json(np.eye(2))
-    jet = {"z": eye, "z1": eye, "z2": numerics.matrix_to_json(1e200 * np.eye(2)), "z3": eye}
-    status, text = run_to_files(tmp_path, "schwarz", {"jet": jet})
-    assert status == 3
-    assert json.loads(text)["error"] == "Overflow: the Schwarzian is not finite"
-    payload = {"system": {"dim": 2, "A": [np.zeros((2, 2)).tolist()],
-                          "B": [(1e300 * np.eye(2)).tolist()]},
-               "w0": numerics.matrix_to_json(np.zeros((2, 2))),
-               "t0": 0.0, "t1": 1.0, "steps": 10}
-    status, text = run_to_files(tmp_path, "riccati", payload, name="riccati.json")
-    assert status == 3
-    assert json.loads(text)["error"] == "BlowUp: solution blew up near t = 0.1"
-
-
-def test_json_booleans_exit_2(tmp_path):
-    base = {"system": {"A": [[[0.0]]], "B": [[[0.0]]]},
-            "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
-            "p0": {"rows": 1, "cols": 1, "data": [[0.0]]},
-            "t0": 0.0, "t1": 1.0, "steps": 10}
-    assert run_to_files(tmp_path, "hamiltonian", base)[0] == 0
-    bad = [{"system": {"A": [[[True]]], "B": [[[0.0]]]}},
-           {"system": {"A": [[[0.0]]], "B": [{"rows": True, "cols": 1, "data": [[0.0]]}]}},
-           {"system": {"dim": True, "A": [[[0.0]]], "B": [[[0.0]]]}},
-           {"t1": True}, {"steps": True}, {"t0": "0"}]
-    for i, change in enumerate(bad):
-        status, text = run_to_files(tmp_path, "hamiltonian", {**base, **change},
-                                    name=f"bad{i}.json")
-        assert status == 2, change
-        assert json.loads(text)["error"].startswith("ValidationError"), change
-    subs = dv_input()["subspaces"]
-    subs[0] = {**subs[0], "dim": True}
-    assert run_to_files(tmp_path, "dv", {"subspaces": subs}, name="dv.json")[0] == 2
-
-
-def test_symmetric_a_must_be_a_json_boolean(tmp_path):
-    base = {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}, "t0": 0.0, "t1": 1.0, "steps": 10}
-    for value in ("x", [1], 1, 0, "", None):
-        payload = {**base, "system": {**oscillator_json(), "symmetric_A": value}}
-        status, text = run_to_files(tmp_path, "riccati", payload)
-        assert status == 2, value
-        assert json.loads(text)["error"] == \
-            f"ValidationError: symmetric_A must be true or false, got {value!r}"
-    system = oscillator_json()
-    del system["symmetric_A"]
-    for sys_ in ({**system, "symmetric_A": True}, {**system, "symmetric_A": False}, system):
-        assert run_to_files(tmp_path, "riccati", {**base, "system": sys_})[0] == 0
-    skew = {"dim": 2, "A": [[[0.0, 1.0], [-1.0, 0.0]]], "B": [[[1.0, 0.0], [0.0, 1.0]]]}
-    w0 = {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [0.0, 0.0]]}
-    for flag, status in ((True, 2), (False, 0)):
-        assert run_to_files(tmp_path, "riccati", {**base, "w0": w0,
-                                                  "system": {**skew, "symmetric_A": flag}})[0] == status
-
-
-def test_angle_with_an_overflowing_gram_factor_exit_3(tmp_path):
-    # A = 1e200 I: I + A*A is not finite, and the chart form would give the
-    # spectrum [0, 0] for the answer [0.5, 0.5].  Numpy warnings are errors here.
-    payload = {"a": numerics.matrix_to_json(1e200 * np.eye(2)), "b": numerics.matrix_to_json(np.eye(2))}
-    status, text = run_to_files(tmp_path, "angle", payload)
-    assert status == 3
-    assert json.loads(text)["error"] == "Overflow: the factor I + A*A or I + B*B is not finite"
-    payload = {"a": numerics.matrix_to_json(np.eye(2)), "b": numerics.matrix_to_json(1e155 * np.eye(2))}
-    assert run_to_files(tmp_path, "angle", payload, name="b.json")[0] == 3
-    payload = {"a": numerics.matrix_to_json(1e154 * np.eye(2)), "b": numerics.matrix_to_json(np.eye(2))}
-    status, text = run_to_files(tmp_path, "angle", payload, name="c.json")
-    assert status == 0
-    assert json.loads(text)["results"]["spectrum"] == [[0.5, 0.0], [0.5, 0.0]]
-
-
 def test_non_finite_result_exit_3_and_atomic_report(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "angle",
                         lambda data, seed, tol: ({"x": float("inf")}, None))
@@ -350,19 +342,6 @@ def test_non_finite_matrix_in_a_report_exit_3(tmp_path, monkeypatch):
                         lambda data, seed, tol: ({"m": np.inf * np.ones((2, 2))}, None))
     status, text = run_to_files(tmp_path, "angle", {})
     assert status == 3 and json.loads(text)["error"].startswith("Overflow")
-
-
-def test_dv_verb_statuses_for_mismatched_dims(tmp_path):
-    # Equal dim P1 = dim P2 with a P3 of another dim is malformed input; dims
-    # that do not sum to the ambient dimension are no polarization.
-    pair = [grassmann.random_subspace(4, 2, seed) for seed in (1, 2)]
-    cases = ((pair + [grassmann.random_subspace(4, 1, 3), pair[1]], 2,
-              "ValidationError: need dim P1 = dim P3"),
-             ([grassmann.random_subspace(5, 2, seed) for seed in (1, 2, 3, 4)], 3,
-              "NotPolarization: dim P1 + dim P2"))
-    for subs, expected, error in cases:
-        status, text = run_to_files(tmp_path, "dv", {"subspaces": [w.to_json() for w in subs]})
-        assert status == expected and json.loads(text)["error"].startswith(error)
 
 
 def test_failed_write_keeps_the_old_report(tmp_path, monkeypatch):
@@ -410,16 +389,6 @@ def cli_process(*args, **env):
                           text=True, env={**os.environ, "PYTHONPATH": src, **env})
 
 
-def test_flow_overflow_exit_3(tmp_path):
-    inp = write_json(tmp_path / "in.json", overflowing_flow_scenario().to_json())
-    out = tmp_path / "out.json"
-    proc = cli_process("flow", "--in", inp, "--out", str(out))
-    error = "Overflow: the matrix exponential is not finite at t = 1"
-    assert proc.returncode == 3
-    assert json.loads(out.read_text())["error"] == error
-    assert proc.stderr == f"numerical error: {error}\n"
-
-
 # A = 0, B = diag(100, -1e6), W0 = 0: W_11 = -10 tan 10t has its pole at pi/20, and
 # q_22 = cosh 1000t overflows near t = 0.70.  W' = -I - W^2 at dim 6, W0 = 0: the pole
 # of W = -tan t at node 524 of 1000 steps on [0, 3] lies in the constant run's doubled
@@ -430,20 +399,23 @@ _TAN6 = {"dim": 6, "A": [np.zeros((6, 6)).tolist()], "B": [np.eye(6).tolist()]}
 _NULL_ROW = {"dim": 2, "A": [[[0.0, 0.0], None]], "B": [np.eye(2).tolist()]}
 
 
-@pytest.mark.parametrize("verb, payload, status, line", [
+@pytest.mark.parametrize("verb, payload, status, error", [
     ("riccati", trajectory_input(_POLE, 1.0, 10000, w0=np.zeros((2, 2))), 3,
-     "numerical error: BlowUp: solution blew up near t = 0.1571"),
+     "BlowUp: solution blew up near t = 0.1571"),
     ("hamiltonian", trajectory_input(_POLE, 1.0, 10000, q0=np.eye(2), p0=np.zeros((2, 2))), 3,
-     "numerical error: Overflow: the Hamiltonian state overflowed at t = 0.7036"),
+     "Overflow: the Hamiltonian state overflowed at t = 0.7036"),
     ("riccati", trajectory_input(_TAN6, 3.0, 1000, w0=np.zeros((6, 6))), 3,
-     "numerical error: BlowUp: solution blew up near t = 1.572"),
+     "BlowUp: solution blew up near t = 1.572"),
     ("riccati", trajectory_input(_NULL_ROW, 1.0, 10, w0=np.zeros((2, 2))), 2,
-     "error: ValidationError: coefficient[1] must be a list of 2 entries")],
-    ids=["riccati-pole", "hamiltonian-overflow", "riccati-tan6", "riccati-null-row"])
-def test_a_failed_run_prints_its_line_alone_on_stderr(tmp_path, verb, payload, status, line):
-    proc = cli_process(verb, "--in", write_json(tmp_path / "in.json", payload),
-                       "--out", str(tmp_path / "out.json"))
-    assert (proc.returncode, proc.stderr) == (status, line + "\n")
+     "ValidationError: coefficient[1] must be a list of 2 entries"),
+    ("flow", overflowing_flow_scenario().to_json(), 3,
+     "Overflow: the matrix exponential is not finite at t = 1")],
+    ids=["riccati-pole", "hamiltonian-overflow", "riccati-tan6", "riccati-null-row", "flow-overflow"])
+def test_a_failed_run_prints_its_line_alone_on_stderr(tmp_path, verb, payload, status, error):
+    out = tmp_path / "out.json"
+    proc = cli_process(verb, "--in", write_json(tmp_path / "in.json", payload), "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (status, stderr_line(status, error))
+    assert json.loads(out.read_text())["error"] == error
 
 
 def test_a_line_near_the_float_limit_exit_0_without_warnings(tmp_path):
@@ -464,15 +436,6 @@ def test_a_line_near_the_float_limit_exit_0_without_warnings(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         results.append(json.loads(out.read_text())["results"])
     assert results[0] == results[1]
-
-
-def run_with_warnings_as_errors(tmp_path, verb, payload):
-    """cli.run's status and report error, every warning an error: a numpy warning ends the call."""
-    inp, out = write_json(tmp_path / "in.json", payload), tmp_path / "out.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        status = cli.run(verb, inp, str(out))
-    return status, json.loads(out.read_text())["error"]
 
 
 def test_planes_near_the_float_limit_exit_0(tmp_path):
@@ -506,26 +469,6 @@ def test_planes_near_the_float_limit_exit_0(tmp_path):
     assert np.abs(end - start).max() <= 1e-12
 
 
-def test_a_flowed_basis_that_overflows_exit_3(tmp_path):
-    # exp(tM) is finite at t = 1, and the product exp(tM) W overflows.
-    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
-    payload = {"generator": numerics.matrix_to_json(706.8 * np.eye(4) + np.ones((4, 4))),
-               "times": [0.0, 1.0],
-               "initials": [{"basis": numerics.matrix_to_json(h[:, c])}
-                            for c in ([0, 1], [2, 3], [0, 2], [1, 3])]}
-    assert run_with_warnings_as_errors(tmp_path, "flow", payload) \
-        == (3, "Overflow: the flowed basis is not finite at t = 1")
-
-
-def test_a_flow_time_whose_exponent_overflows_exit_3(tmp_path):
-    # t M = 1e308 * 10 leaves the float range before exp(tM) is formed.
-    payload = flows.FlowScenario(10.0 * np.eye(4, k=-1), [grassmann.Subspace(np.eye(4)[:, c]) for c in
-                                                          ([0, 1], [2, 3], [0, 2], [1, 3])],
-                                 [0.0, 1e308]).to_json()
-    assert run_with_warnings_as_errors(tmp_path, "flow", payload) \
-        == (3, "Overflow: the exponent tM is not finite at t = 1e+308")
-
-
 def test_cli_loads_no_scipy(tmp_path):
     # Importing the package and running any verb, to success or to an error
     # exit, loads no scipy: the package needs numpy only.
@@ -536,21 +479,15 @@ def test_cli_loads_no_scipy(tmp_path):
     shift_flow = flows.FlowScenario(flows.shift_generator(12, 1),
                                     [grassmann.random_subspace(12, 6, i) for i in range(4)],
                                     np.linspace(0.0, 1.0, 11))
-
-    def one(v):
-        return numerics.matrix_to_json([[v]])
-
     cases = [
         ("dv", dv_input(), 0),
         ("dv", {"subspaces": [w.to_json() for w in unequal]}, 0),
-        ("angle", {"a": one(1.0), "b": one(2.0)}, 0),
+        ("angle", _angle([[1.0]], [[2.0]]), 0),
         ("cocycle", cocycle, 0),
-        ("riccati", {"system": oscillator_json(), "w0": one(0.0),
-                     "t0": 0.0, "t1": 1.0, "steps": 20}, 0),
-        ("hamiltonian", {"system": oscillator_json(), "q0": one(1.0), "p0": one(0.0),
-                         "t0": 0.0, "t1": 1.0, "steps": 20}, 0),
+        ("riccati", oscillator_input("riccati", 1.0, 20), 0),
+        ("hamiltonian", oscillator_input("hamiltonian", 1.0, 20), 0),
         ("dv", {"subspaces": []}, 2),
-        ("dv", {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4}, 3),
+        ("dv", {"subspaces": subspaces(*[(4, 2, 5)] * 4)}, 3),
         ("flow", shift_flow.to_json(), 0),
         ("flow", overflowing_flow_scenario().to_json(), 3),
         ("selftest", {}, 0),
@@ -570,11 +507,7 @@ print(json.dumps(seen))
 
 
 def test_hamiltonian_verb(tmp_path):
-    payload = {"system": oscillator_json(),
-               "q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
-               "p0": {"rows": 1, "cols": 1, "data": [[0.0]]},
-               "t0": 0.0, "t1": 1.0, "steps": 200}
-    status, text = run_to_files(tmp_path, "hamiltonian", payload)
+    status, text = run_to_files(tmp_path, "hamiltonian", oscillator_input("hamiltonian", 1.0, 200))
     assert status == 0
     report = json.loads(text)
     assert abs(report["results"]["q_final"]["data"][0][0] - np.cos(1.0)) < 1e-6
@@ -615,11 +548,13 @@ def test_schwarz_verb_jet_and_samples(tmp_path):
 
 
 def test_angle_and_equiv_verbs(tmp_path):
-    payload = {"a": {"rows": 1, "cols": 1, "data": [[1.0]]},
-               "b": {"rows": 1, "cols": 1, "data": [[2.0]]}}
-    status, text = run_to_files(tmp_path, "angle", payload)
+    status, text = run_to_files(tmp_path, "angle", _angle([[1.0]], [[2.0]]))
     assert status == 0
     assert abs(json.loads(text)["results"]["matrix"]["data"][0][0] - 0.9) < 1e-12
+    # A = 1e154 I, B = I: I + A*A is still finite, and the spectrum the answer [0.5, 0.5].
+    status, text = run_to_files(tmp_path, "angle", _angle(1e154 * np.eye(2), np.eye(2)))
+    assert status == 0
+    assert json.loads(text)["results"]["spectrum"] == [[0.5, 0.0], [0.5, 0.0]]
 
     w1 = grassmann.random_subspace(4, 2, 1)
     w2 = grassmann.random_subspace(4, 2, 2)
@@ -814,6 +749,26 @@ def test_selftest_failures_show(tmp_path, monkeypatch, capsys):
                                        "selftest failed: crossratio.cocycle_identity\n")
 
 
+def test_a_rejected_configuration_is_redrawn(monkeypatch):
+    # The chart formula rejects the first draw once: the second draw is returned.
+    from opcross import crossratio, selftest
+    from opcross.errors import Singular
+
+    dv_matrix, calls = crossratio.dv_matrix, []
+
+    def reject_once(*ts):
+        calls.append(ts)
+        if len(calls) == 1:
+            raise Singular("rejected")
+        return dv_matrix(*ts)
+    monkeypatch.setattr(crossratio, "dv_matrix", reject_once)
+    ts, _, _ = selftest.random_half_dim_config(np.random.default_rng(7), 4)
+    rng = np.random.default_rng(7)
+    draws = [[rng.standard_normal((2, 2)) for _ in range(4)] for _ in range(2)]
+    assert len(calls) == 2
+    assert all(np.array_equal(t, d) for t, d in zip(ts, draws[1]))
+
+
 def test_equiv_tol_decides_the_verdict(tmp_path):
     w1 = grassmann.random_subspace(4, 2, 1)
     w2 = grassmann.random_subspace(4, 2, 2)
@@ -835,16 +790,12 @@ def test_equiv_tol_decides_the_verdict(tmp_path):
 
 
 def test_invalid_tolerance_exit_2(tmp_path):
-    payload = {"first": dv_input()["subspaces"][:2], "second": dv_input(1)["subspaces"][:2]}
-    inp = write_json(tmp_path / "in.json", payload)
+    # Through main: a --tol that is no number is a usage error, and nan or -1 gets
+    # the report of the equiv-tol rows of _VERDICTS.
+    inp = write_json(tmp_path / "in.json", _EQUIV)
     for text in ("abc", "nan", "-1"):
         assert main_status(["equiv", "--in", inp, "--out", str(tmp_path / "m.json"),
                             "--tol", text]) == 2, text
-    for tol in (float("nan"), -1.0):
-        status, report = run_to_files(tmp_path, "equiv", payload, tol=tol)
-        assert status == 2, tol
-        assert json.loads(report)["error"].startswith("ValidationError"), tol
-    assert run_to_files(tmp_path, "equiv", payload, tol=0.0)[0] == 0
 
 
 def test_no_environment_variable_sets_the_tolerance(tmp_path):
@@ -864,6 +815,9 @@ def test_float_formatting_is_deterministic():
     assert cli._format_float(0.1) == "0.10000000000000001"
     with pytest.raises(Overflow):
         cli._format_float(float("nan"))
+    assert cli.dumps_report([]) == "[]"
+    with pytest.raises(TypeError, match="^unserializable value of type object$"):
+        cli.dumps_report(object())
 
 
 def test_unknown_verb_rejected():
@@ -877,13 +831,16 @@ def main_status(args, **kw):
     return exc.value.code
 
 
-def test_main_version_and_usage_errors(capsys):
+def test_main_version_and_usage_errors(tmp_path, capsys):
     assert main_status(["--version"]) == 0
     assert capsys.readouterr().out == f"opcross, version {__version__}\n"
     # No verb, an unknown verb, a bad option value, an abbreviated option, and
-    # --tol, which is equiv's option alone, after another verb.
-    for args in ([], ["nosuch"], ["dv", "--seed", "x"], ["dv", "--o", "x"], ["dv", "--tol", "1e-6"]):
+    # --tol and --seed, equiv's and selftest's options alone, after another verb.
+    good, out = write_json(tmp_path / "good.json", dv_input()), str(tmp_path / "r.json")
+    for args in ([], ["nosuch"], ["selftest", "--seed", "x"], ["dv", "--o", "x"],
+                 ["dv", "--tol", "1e-6"], ["dv", "--in", good, "--out", out, "--seed", "1"]):
         assert main_status(args) == 2, args
+    assert os.listdir(tmp_path) == ["good.json"]
 
 
 def test_main_runs_the_verb(tmp_path):
@@ -921,34 +878,14 @@ print(json.dumps(statuses))
 
 
 def test_trajectory_report_named_like_its_csv_exit_2(tmp_path):
-    payloads = {"riccati": {"w0": {"rows": 1, "cols": 1, "data": [[0.0]]}},
-                "hamiltonian": {"q0": {"rows": 1, "cols": 1, "data": [[1.0]]},
-                                "p0": {"rows": 1, "cols": 1, "data": [[0.0]]}}}
-    for verb, payload in payloads.items():
-        inp = write_json(tmp_path / f"{verb}.json",
-                         {"system": oscillator_json(), "t0": 0.0, "t1": 1.0, "steps": 20, **payload})
+    for verb in ("riccati", "hamiltonian"):
+        inp = write_json(tmp_path / f"{verb}.json", oscillator_input(verb, 1.0, 20))
         out = tmp_path / f"{verb}.csv"
         assert cli.run(verb, inp, str(out)) == 2
         report = json.loads(out.read_text())
         assert report["error"].startswith("ValidationError") and report["results"] == {}
         assert cli.run(verb, inp, str(tmp_path / f"{verb}.out")) == 0
         assert (tmp_path / f"{verb}.csv").read_text().count("\n") == 21
-
-
-def test_schwarz_verb_zero_step_exit_2(tmp_path):
-    samples = [{"rows": 1, "cols": 1, "data": [[float(k)]]} for k in range(7)]
-    status, text = run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 0})
-    assert status == 2
-    assert json.loads(text)["error"] == "ValidationError: h must be a finite nonzero step, got 0.0"
-
-
-def test_a_sample_step_whose_powers_leave_the_range(tmp_path):
-    # h ** 3 overflows (h = 1e300) or underflows (h = 1e-300); neither is a program fault.
-    samples = [{"rows": 1, "cols": 1, "data": [[float(np.tan(k * 0.01))]]} for k in range(-3, 4)]
-    assert run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 1e300})[0] == 0
-    status, text = run_to_files(tmp_path, "schwarz", {"samples": samples, "h": 1e-300})
-    assert status == 3
-    assert json.loads(text)["error"] == "Overflow: the finite-difference jet is not finite"
 
 
 def _matrix(rows):
@@ -1043,29 +980,3 @@ def test_a_program_fault_propagates(tmp_path, monkeypatch):
         cli.run("selftest", None, str(tmp_path / "self.json"), seed=1)
     assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
-
-def test_missing_fields_and_wrong_lists_name_their_field(tmp_path):
-    subs = dv_input()["subspaces"]
-    cases = [("dv", {}, "missing field 'subspaces'"),
-             ("dv", {"subspaces": subs[:3]}, "subspaces must be a list of 4 entries"),
-             ("equiv", {"first": subs[:2], "second": None}, "second must be a list of 2 entries"),
-             ("cocycle", {"p": subs[:2], "q": subs[:2]}, "q must be a list of 3 entries"),
-             ("schwarz", {"samples": 1, "h": 0.1}, "samples must be a list"),
-             ("flow", {"generator": subs[0]["basis"], "initials": {}, "times": [0.0]},
-              "initials must be a list"),
-             ("angle", {"a": {"rows": 1, "cols": 1, "data": [None]}, "b": None},
-              "data[0] must be a list of 1 entries"),
-             ("riccati", {"system": {"A": [[None]], "B": [[[1.0]]]}, "w0": None},
-              "coefficient[0] must be a list")]
-    for verb, payload, error in cases:
-        status, text = run_to_files(tmp_path, verb, payload)
-        assert (status, json.loads(text)["error"]) == (2, "ValidationError: " + error), verb
-
-
-def test_numpy_linalg_error_is_numerical_exit_3(tmp_path):
-    # I + A^T A of A = 1e8 J rounds to an exactly singular matrix: numpy raises its
-    # LinAlgError, a ValueError subclass, which is no malformed input.
-    payload = {"a": {"rows": 2, "cols": 2, "data": [[1e8, 1e8], [1e8, 1e8]]},
-               "b": {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}}
-    status, text = run_to_files(tmp_path, "angle", payload)
-    assert (status, json.loads(text)["error"]) == (3, "LinAlgError: Singular matrix")

@@ -1143,3 +1143,16 @@ def test_the_stage_grids_interleave_nodes_and_midpoints(rng, steps):
         expect = np.insert(nodes, np.arange(1, len(nodes)), mid, axis=0)
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
+
+
+def test_a_real_w_stack_under_a_complex_a_keeps_its_complex_midpoints():
+    # W = 0.3 t I stored real, A(t) = i t I, B = I: the midpoint W values take
+    # complex Riccati slopes, so the curve is the one of the same W stored complex.
+    ts = np.linspace(0.0, 0.5, 11)
+    ws = 0.3 * ts[:, None, None] * np.eye(2)
+    a, b = sz.MatrixPolynomial([np.zeros((2, 2)), 1j * np.eye(2)]), sz.MatrixPolynomial([np.eye(2)])
+    real, stored_complex = (sz.curve_from_riccati(ts, w, a, np.zeros((2, 2)), np.eye(2), b)
+                            for w in (ws, ws.astype(complex)))
+    for name in ("z", "z1", "z2", "z3"):
+        got, expect = getattr(real, name), getattr(stored_complex, name)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
