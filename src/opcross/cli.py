@@ -131,9 +131,12 @@ def _handle_schwarz(data, seed, tol):
         jet = schwarz.CurveJet.from_json(data["jet"])
         s = schwarz.schwarz(jet)
     elif "samples" in data:
-        samples = numerics.list_from_json(data["samples"], "samples")
-        s = schwarz.schwarz_from_samples([numerics.matrix_from_json(m) for m in samples],
-                                         numerics.number_from_json(data["h"], "h"))
+        samples = [numerics.matrix_from_json(m)
+                   for m in numerics.list_from_json(data["samples"], "samples")]
+        shapes = list(dict.fromkeys(m.shape for m in samples))
+        if len(shapes) > 1:
+            raise ValueError(f"samples must share one shape, got {shapes[0]} and {shapes[1]}")
+        s = schwarz.schwarz_from_samples(samples, numerics.number_from_json(data["h"], "h"))
     else:
         raise ValueError("schwarz input needs 'jet' or 'samples' + 'h'")
     return {"schwarzian": s, "spectrum": numerics.eigenvalues(s)}, None
@@ -186,6 +189,8 @@ def _handle_flow(data, seed, tol):
 
 def _handle_selftest(data, seed, tol):
     from . import selftest
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     checks = selftest.run_all(seed=seed)
     results = {"checks": [{"name": name, "passed": bool(ok), "detail": detail}
                           for name, ok, detail in checks]}

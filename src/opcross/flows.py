@@ -43,11 +43,6 @@ class FlowScenario:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "initials", initials)
 
-    def to_json(self):
-        return {"generator": numerics.matrix_to_json(self.generator),
-                "initials": [w.to_json() for w in self.initials],
-                "times": [float(t) for t in self.times]}
-
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
@@ -81,10 +76,6 @@ class AlmostNilpotent:
             raise ValueError(f"entry ({i},{j}) must be zero outside the leading block")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "block_size", k)
-
-    @property
-    def block(self):
-        return self.matrix[: self.block_size, : self.block_size]
 
 
 def shift_generator(n, power):

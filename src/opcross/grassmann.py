@@ -5,7 +5,7 @@ A subspace is always stored as an orthonormal basis; oblique (non-orthogonal)
 structure lives in the operations, not the type.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class Subspace:
     def projector(self):
         """The orthogonal projector onto the subspace."""
         return self.basis @ self.basis.conj().T
-
-    def to_json(self):
-        return {"ambient": self.ambient_dim, "dim": self.dim,
-                "basis": numerics.matrix_to_json(self.basis)}
 
     @classmethod
     def from_json(cls, obj):
@@ -165,18 +161,13 @@ class Polarization:
     def ambient_dim(self):
         return self.horizontal.ambient_dim
 
-    def swapped(self):
-        return Polarization(self.vertical, self.horizontal)
-
     def frame(self):
         """The (invertible) n x n matrix [horizontal basis | vertical basis]."""
         return np.hstack([self.horizontal.basis, self.vertical.basis])
 
 
-def standard_polarization(n, k=None):
-    """First-k-coordinates vs the rest; k defaults to ceil(n/2)."""
-    if k is None:
-        k = (n + 1) // 2
+def standard_polarization(n, k):
+    """First-k-coordinates vs the rest."""
     eye = np.eye(n)
     return Polarization(Subspace(eye[:, :k]), Subspace(eye[:, k:]))
 
@@ -285,17 +276,15 @@ def subspace_from_graph(t, pol):
 
 @dataclass(frozen=True)
 class BlockMobius:
-    """Blocks (a, b; c, d) of an invertible matrix relative to a polarization.
-
-    With pol = None the blocks act directly in ambient coordinates split as
-    (first k, last n-k); otherwise they act in the polarization's frame.
-    """
+    """Blocks (a, b; c, d) of an invertible matrix relative to the polarization pol:
+    they act in its frame (horizontal basis | vertical basis), so those of the
+    standard polarization act directly in ambient coordinates."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    pol: Polarization | None = field(default=None)
+    pol: Polarization
 
     def __post_init__(self):
         a = numerics.as_matrix(self.a, "a")
@@ -317,16 +306,8 @@ class BlockMobius:
 
     def ambient_matrix(self):
         """The action realized on ambient vectors."""
-        m = self.assembled()
-        if self.pol is None:
-            return m
         f = self.pol.frame()
-        return f @ m @ np.linalg.inv(f)
-
-    @classmethod
-    def from_matrix(cls, m, k, pol=None):
-        m = numerics.as_square(m)
-        return cls(m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:], pol)
+        return f @ self.assembled() @ np.linalg.inv(f)
 
 
 def mobius_apply_coordinate(g, t):

@@ -64,10 +64,6 @@ class CurveJet(_Nodes):
             object.__setattr__(self, name, m)
         object.__setattr__(self, "t", t if t.ndim else float(t))
 
-    @property
-    def dim(self):
-        return self.z.shape[-1]
-
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
@@ -151,6 +147,8 @@ class HamiltonianSystem:
         if not isinstance(obj, dict):
             raise ValueError("system JSON must be an object")
         dim = numerics.number_from_json(obj["dim"], "dim", int) if "dim" in obj else None
+        if dim is not None and dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         a = MatrixPolynomial.from_json(obj.get("A", []), dim=dim)
         b = MatrixPolynomial.from_json(obj.get("B", []), dim=dim)
         symmetric_a = obj.get("symmetric_A", False)
@@ -336,6 +334,9 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     """Node times (t advances by repeated addition of h) and the RK4 states (q, p)
     from (q0, p0) up to the first that is not finite (see _rk4, which calls on_chunk
     with the states [q; p] of each chunk and stops where it returns true)."""
+    if len(q0) != sys.dim:
+        raise ValueError(f"the initial state is {len(q0)}x{len(q0)} but the system is "
+                         f"{sys.dim}x{sys.dim}")
     if not isinstance(steps, Integral):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
@@ -472,6 +473,10 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
         raise ValueError("the times ts and their steps must be finite")
     z0 = numerics.as_square(z0, "z0")
     z1_0 = numerics.as_square(z1_0, "z1_0")
+    n = w_stack.shape[-1]
+    for name, size in (("z0", len(z0)), ("z1_0", len(z1_0)), ("a_poly", a_poly.dim)):
+        if size != n:
+            raise ValueError(f"{name} is {size}x{size} but W is {n}x{n}")
     numerics.inverse(z1_0, Singular, "z1_0 is numerically singular")
     HamiltonianSystem(a_poly, b_poly)  # rejects a non-symmetric or mis-sized b_poly
     tcol = ts[:, None, None]
@@ -481,7 +486,7 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     wa = _stages(w_stack, mid) + a_st
 
     # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T)
-    n, zero = len(z0), np.zeros_like(z0)
+    zero = np.zeros_like(z0)
     ys = _rk4(lambda s: _blocks(zero, np.eye(n), zero, -2.0 * wa[s].swapaxes(-1, -2)),
               np.concatenate([z0.T, z1_0.T]), hs)
     m = len(ys)  # the states at nodes before m are finite

@@ -29,7 +29,7 @@ def random_half_dim_config(rng, n):
         return ts, subs, pol
 
 
-def run_all(seed=0):
+def run_all(seed):
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -45,8 +45,9 @@ def random_half_dim_charts(rng, n, need_invertible_verticals=False):
         if not need_invertible_verticals:
             return ts, subs, pol
         try:
-            grassmann.graph_coordinate(subs[1], pol.swapped())
-            grassmann.graph_coordinate(subs[3], pol.swapped())
+            swapped = grassmann.Polarization(pol.vertical, pol.horizontal)
+            grassmann.graph_coordinate(subs[1], swapped)
+            grassmann.graph_coordinate(subs[3], swapped)
         except OutsideChart:
             continue
         return ts, subs, pol
@@ -86,6 +87,24 @@ def sampled_symmetric_b():
     p = np.poly([-1.0, 0.0, 0.37, 1.0, 2.0])[::-1]
     k = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return [np.eye(2) + p[0] * k] + [c * k for c in p[1:]]
+
+
+def subspace_json(w):
+    """The JSON object of a subspace, as Subspace.from_json reads it."""
+    return {"ambient": w.ambient_dim, "dim": w.dim, "basis": numerics.matrix_to_json(w.basis)}
+
+
+def flow_json(scenario):
+    """The JSON object of a flow scenario, as FlowScenario.from_json reads it."""
+    return {"generator": numerics.matrix_to_json(scenario.generator),
+            "initials": [subspace_json(w) for w in scenario.initials],
+            "times": [float(t) for t in scenario.times]}
+
+
+def block_mobius(m, pol):
+    """The BlockMobius of the n x n matrix m in pol's frame, split at pol's horizontal dim."""
+    k = pol.horizontal.dim
+    return grassmann.BlockMobius(m[:k, :k], m[:k, k:], m[k:, :k], m[k:, k:], pol)
 
 
 def random_conditioned(rng, n, cond_max=1e3):

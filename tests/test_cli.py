@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opcross import __version__, cli, flows, grassmann, numerics
 from opcross.errors import Overflow
-from conftest import (LOADED_SCIPY, fresh_python, overflowing_dv_config,
-                      overflowing_flow_scenario, sampled_symmetric_b, unequal_sharing_config)
+from conftest import (LOADED_SCIPY, flow_json, fresh_python, overflowing_dv_config,
+                      overflowing_flow_scenario, sampled_symmetric_b, subspace_json,
+                      unequal_sharing_config)
 
 
 def write_json(path, obj):
@@ -23,7 +25,7 @@ def dv_input(seed=0):
     pol = grassmann.standard_polarization(4, 2)
     subs = [grassmann.subspace_from_graph(rng.standard_normal((2, 2)), pol)
             for _ in range(4)]
-    return {"subspaces": [w.to_json() for w in subs]}
+    return {"subspaces": [subspace_json(w) for w in subs]}
 
 
 def oscillator_json():
@@ -45,7 +47,7 @@ def oscillator_input(verb, t1=1.0, steps=10, **system):
 
 def subspaces(*specs):
     """The JSON of grassmann.random_subspace(ambient, dim, seed) for each (ambient, dim, seed)."""
-    return [grassmann.random_subspace(*spec).to_json() for spec in specs]
+    return [subspace_json(grassmann.random_subspace(*spec)) for spec in specs]
 
 
 def stderr_line(status, error):
@@ -57,7 +59,7 @@ def run_to_files(tmp_path, verb, payload, name="in.json", seed=0, tol=None):
     inp = write_json(tmp_path / name, payload)
     out = str(tmp_path / "out.json")
     status = cli.run(verb, inp, out, seed=seed, tol=tol)
-    text = open(out).read() if os.path.exists(out) else ""
+    text = Path(out).read_text() if os.path.exists(out) else ""
     return status, text
 
 
@@ -65,7 +67,7 @@ def test_dv_verb_end_to_end(tmp_path):
     # Planes of R^4, and seeded subspaces of R^5 of dimensions 3, 2, 3, 2, which dv
     # takes as (P2, P1; P4, P3): a 2 x 2 operator, as many traces as eigenvalues.
     unequal = [grassmann.random_subspace(5, k, seed) for seed, k in enumerate((3, 2, 3, 2))]
-    for payload in ({"subspaces": [w.to_json() for w in unequal]}, dv_input()):
+    for payload in ({"subspaces": [subspace_json(w) for w in unequal]}, dv_input()):
         status, text = run_to_files(tmp_path, "dv", payload)
         assert status == 0
         report = json.loads(text)
@@ -80,7 +82,7 @@ def test_reports_are_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert cli.run("dv", inp, out1) == 0
     assert cli.run("dv", inp, out2) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def _angle(a, b):
@@ -174,16 +176,28 @@ _VERDICTS = [
     *[(f"{verb}-time-grid-not-finite", verb, {**oscillator_input(verb, 1e308), "t0": -1e308}, 2,
        "ValidationError: the time grid must be finite: t0 = -1e+308, t1 = 1e+308, step = inf")
       for verb in ("riccati", "hamiltonian")],
+    # Sizes that disagree: a start of another size than its system, a dim below 1
+    # (no coefficients given, so none fixes the size), and samples of two shapes.
+    ("riccati-w0-size", "riccati", trajectory_input(_SKEW, 1.0, 10, w0=np.zeros((3, 3))), 2,
+     "ValidationError: the initial state is 3x3 but the system is 2x2"),
+    ("hamiltonian-start-size", "hamiltonian",
+     trajectory_input(_SKEW, 1.0, 10, q0=[[1.0]], p0=[[0.0]]), 2,
+     "ValidationError: the initial state is 1x1 but the system is 2x2"),
+    *[(f"riccati-dim-{name}", "riccati", trajectory_input({"dim": dim}, 1.0, 10, w0=[[0.0]]), 2,
+       f"ValidationError: dim must be >= 1, got {dim}")
+      for name, dim in (("zero", 0), ("negative", -1))],
+    ("schwarz-mixed-samples", "schwarz", {"samples": _TAN_SAMPLES[:6] + [_EYE2], "h": 0.01}, 2,
+     "ValidationError: samples must share one shape, got (1, 1) and (2, 2)"),
     # No polarization (one plane four times, or dims that do not sum to the ambient
     # dimension), or unequal dimensions whose smaller pair shares a vector: exit 3.
     ("dv-one-plane-four-times", "dv", {"subspaces": subspaces(*[(4, 2, 5)] * 4)}, 3,
      "NotPolarization: stacked basis nearly singular (sigma_min = 2.635e-17)"),
     ("dv-dims-not-summing", "dv", {"subspaces": subspaces(*[(5, 2, seed) for seed in (1, 2, 3, 4)])},
      3, "NotPolarization: dim P1 + dim P2 != ambient dimension"),
-    ("dv-unequal-sharing", "dv", {"subspaces": [w.to_json() for w in unequal_sharing_config()]},
+    ("dv-unequal-sharing", "dv", {"subspaces": [subspace_json(w) for w in unequal_sharing_config()]},
      3, "DegeneratePosition: the two small subspaces are not in direct sum"),
     ("dv-unequal-sharing-swapped", "dv",
-     {"subspaces": [unequal_sharing_config()[i].to_json() for i in (1, 0, 3, 2)]}, 3,
+     {"subspaces": [subspace_json(unequal_sharing_config()[i]) for i in (1, 0, 3, 2)]}, 3,
      "DegeneratePosition: the two small subspaces are not in direct sum"),
     # W = -tan t past its pole at pi/2, and W' = -W^2 from W0 = -1, whose pole is the last node.
     ("riccati-past-the-pole", "riccati", oscillator_input("riccati", 2.5, 400), 3,
@@ -198,7 +212,8 @@ _VERDICTS = [
     ("hamiltonian-overflow", "hamiltonian",
      trajectory_input({"dim": 1, "A": [[[300.0]]], "B": [[[0.0]]]}, 10.0, 1000, q0=[[1.0]], p0=[[0.0]]),
      3, "Overflow: the Hamiltonian state overflowed at t = 2.54"),
-    ("dv-overflowing-traces", "dv", lambda: {"subspaces": [w.to_json() for w in overflowing_dv_config()]},
+    ("dv-overflowing-traces", "dv",
+     lambda: {"subspaces": [subspace_json(w) for w in overflowing_dv_config()]},
      3, "Overflow: tr M^63 is not finite"),
     ("schwarz-overflowing-jet", "schwarz",
      {"jet": {"z": _EYE2, "z1": _EYE2, "z2": numerics.matrix_to_json(1e200 * np.eye(2)), "z3": _EYE2}},
@@ -231,9 +246,9 @@ _VERDICTS = [
                    for c in ([0, 1], [2, 3], [0, 2], [1, 3])]},
      3, "Overflow: the flowed basis is not finite at t = 1"),
     ("flow-overflowing-exponent", "flow",
-     flows.FlowScenario(10.0 * np.eye(4, k=-1), [grassmann.Subspace(np.eye(4)[:, c])
-                                                  for c in ([0, 1], [2, 3], [0, 2], [1, 3])],
-                        [0.0, 1e308]).to_json(),
+     flow_json(flows.FlowScenario(10.0 * np.eye(4, k=-1),
+                                  [grassmann.Subspace(np.eye(4)[:, c])
+                                   for c in ([0, 1], [2, 3], [0, 2], [1, 3])], [0.0, 1e308])),
      3, "Overflow: the exponent tM is not finite at t = 1e+308"),
     # equiv's decision tolerance is a number >= 0.
     ("equiv-tol-nan", "equiv", _EQUIV, 2,
@@ -273,7 +288,7 @@ def test_riccati_verb_writes_csv(tmp_path):
     assert status == 0
     report = json.loads(text)
     assert abs(report["results"]["w_final"]["data"][0][0] + np.tan(1.0)) < 1e-6
-    rows = open(tmp_path / "out.csv").read().strip().split("\n")
+    rows = (tmp_path / "out.csv").read_text().strip().split("\n")
     assert len(rows) == report["results"]["steps"] + 1
     t, w = rows[-1].split(",")
     assert abs(float(t) - 1.0) < 1e-12
@@ -319,7 +334,7 @@ def test_complex_trajectory_csv_keeps_imaginary_parts(tmp_path):
                "t0": 0.0, "t1": 1.0, "steps": 50}
     status, text = run_to_files(tmp_path, "riccati", payload)
     assert status == 0
-    rows = [row.split(",") for row in open(tmp_path / "out.csv").read().splitlines()]
+    rows = [row.split(",") for row in (tmp_path / "out.csv").read_text().splitlines()]
     assert len(rows) == 51 and {len(row) for row in rows} == {1 + 2 * n * n}
     w_final = json.loads(text)["results"]["w_final"]["data"]
     assert [float(v) for v in rows[-1][1:]] == [x for row in w_final for entry in row for x in entry]
@@ -367,7 +382,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
 def test_an_unwritable_error_report_keeps_its_status(tmp_path, capsys):
     # The numerical error's status, not the failed write's.
     w = grassmann.random_subspace(4, 2, 5)
-    inp = write_json(tmp_path / "in.json", {"subspaces": [w.to_json()] * 4})
+    inp = write_json(tmp_path / "in.json", {"subspaces": [subspace_json(w)] * 4})
     assert cli.run("dv", inp, str(tmp_path / "no" / "such" / "r.json")) == 3
     assert capsys.readouterr().err.startswith("numerical error: NotPolarization: ")
     assert sorted(os.listdir(tmp_path)) == ["in.json"]
@@ -408,7 +423,7 @@ _NULL_ROW = {"dim": 2, "A": [[[0.0, 0.0], None]], "B": [np.eye(2).tolist()]}
      "BlowUp: solution blew up near t = 1.572"),
     ("riccati", trajectory_input(_NULL_ROW, 1.0, 10, w0=np.zeros((2, 2))), 2,
      "ValidationError: coefficient[1] must be a list of 2 entries"),
-    ("flow", overflowing_flow_scenario().to_json(), 3,
+    ("flow", flow_json(overflowing_flow_scenario()), 3,
      "Overflow: the matrix exponential is not finite at t = 1")],
     ids=["riccati-pole", "hamiltonian-overflow", "riccati-tan6", "riccati-null-row", "flow-overflow"])
 def test_a_failed_run_prints_its_line_alone_on_stderr(tmp_path, verb, payload, status, error):
@@ -474,22 +489,22 @@ def test_cli_loads_no_scipy(tmp_path):
     # exit, loads no scipy: the package needs numpy only.
     unequal = [grassmann.random_subspace(3, d, 10 + i) for i, d in enumerate((1, 2, 1, 2))]
     rng = np.random.default_rng(3)
-    cocycle = {key: [grassmann.random_subspace(4, 2, int(rng.integers(2**31))).to_json()
+    cocycle = {key: [subspace_json(grassmann.random_subspace(4, 2, int(rng.integers(2**31))))
                      for _ in range(count)] for key, count in (("p", 2), ("q", 3))}
     shift_flow = flows.FlowScenario(flows.shift_generator(12, 1),
                                     [grassmann.random_subspace(12, 6, i) for i in range(4)],
                                     np.linspace(0.0, 1.0, 11))
     cases = [
         ("dv", dv_input(), 0),
-        ("dv", {"subspaces": [w.to_json() for w in unequal]}, 0),
+        ("dv", {"subspaces": [subspace_json(w) for w in unequal]}, 0),
         ("angle", _angle([[1.0]], [[2.0]]), 0),
         ("cocycle", cocycle, 0),
         ("riccati", oscillator_input("riccati", 1.0, 20), 0),
         ("hamiltonian", oscillator_input("hamiltonian", 1.0, 20), 0),
         ("dv", {"subspaces": []}, 2),
         ("dv", {"subspaces": subspaces(*[(4, 2, 5)] * 4)}, 3),
-        ("flow", shift_flow.to_json(), 0),
-        ("flow", overflowing_flow_scenario().to_json(), 3),
+        ("flow", flow_json(shift_flow), 0),
+        ("flow", flow_json(overflowing_flow_scenario()), 3),
         ("selftest", {}, 0),
     ]
     runs = [(verb, write_json(tmp_path / f"in{i}.json", payload), str(tmp_path / f"out{i}.json"))
@@ -523,7 +538,7 @@ def test_hamiltonian_csv_row_is_q_then_p(tmp_path, p0):
     status, text = run_to_files(tmp_path, "hamiltonian", payload)
     assert status == 0
     results = json.loads(text)["results"]
-    rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
+    rows = [[float(v) for v in row.split(",")] for row in (tmp_path / "out.csv").read_text().splitlines()]
     assert len(rows) == 51
     q, p = (np.ravel(results[k]["data"]) for k in ("q_final", "p_final"))
     assert rows[-1] == [results["t_final"], *q, *p]
@@ -558,8 +573,8 @@ def test_angle_and_equiv_verbs(tmp_path):
 
     w1 = grassmann.random_subspace(4, 2, 1)
     w2 = grassmann.random_subspace(4, 2, 2)
-    payload = {"first": [w1.to_json(), w2.to_json()],
-               "second": [w1.to_json(), w2.to_json()]}
+    payload = {"first": [subspace_json(w1), subspace_json(w2)],
+               "second": [subspace_json(w1), subspace_json(w2)]}
     status, text = run_to_files(tmp_path, "equiv", payload, name="eq.json")
     assert status == 0
     assert json.loads(text)["results"]["equivalent"] is True
@@ -585,7 +600,8 @@ def test_equiv_reports_the_angles_it_decides_by(tmp_path, svd_calls):
     p, q = (grassmann.random_subspace(6, 3, seed) for seed in (1, 2))
     rotated = [grassmann.subspace_from_basis(g @ w.basis) for w in (p, q)]
     for second, equivalent in ((rotated, True), ([p, grassmann.random_subspace(6, 3, 3)], False)):
-        payload = {"first": [p.to_json(), q.to_json()], "second": [w.to_json() for w in second]}
+        payload = {"first": [subspace_json(p), subspace_json(q)],
+                   "second": [subspace_json(w) for w in second]}
         svd_calls.clear()
         status, text = run_to_files(tmp_path, "equiv", payload)
         assert status == 0 and svd_calls == [(2, 3, 3)]
@@ -600,7 +616,8 @@ def test_equiv_of_pairs_of_other_shapes(tmp_path):
     # Planes against lines of R^4: never equivalent, each pair's own angles.
     planes = [grassmann.random_subspace(4, 2, seed) for seed in (1, 2)]
     lines = [grassmann.random_subspace(4, 1, seed) for seed in (3, 4)]
-    payload = {"first": [w.to_json() for w in planes], "second": [w.to_json() for w in lines]}
+    payload = {"first": [subspace_json(w) for w in planes],
+               "second": [subspace_json(w) for w in lines]}
     status, text = run_to_files(tmp_path, "equiv", payload)
     assert status == 0
     results = json.loads(text)["results"]
@@ -610,7 +627,7 @@ def test_equiv_of_pairs_of_other_shapes(tmp_path):
         assert results[f"angles_{key}"] == grassmann.principal_angles(*pair).tolist()
         assert len(results[f"angles_{key}"]) == size
     # A pair whose own ambient dimensions differ is malformed input.
-    mixed = [grassmann.random_subspace(n, 2, seed).to_json() for n, seed in ((4, 5), (5, 6))]
+    mixed = [subspace_json(grassmann.random_subspace(n, 2, seed)) for n, seed in ((4, 5), (5, 6))]
     status, text = run_to_files(tmp_path, "equiv", {"first": mixed, "second": mixed})
     assert status == 2
     assert json.loads(text)["error"] == "ValidationError: ambient dimensions differ"
@@ -620,7 +637,7 @@ def test_cocycle_verb(tmp_path):
     rng = np.random.default_rng(3)
     p = [grassmann.random_subspace(4, 2, int(rng.integers(2**31))) for _ in range(2)]
     q = [grassmann.random_subspace(4, 2, int(rng.integers(2**31))) for _ in range(3)]
-    payload = {"p": [w.to_json() for w in p], "q": [w.to_json() for w in q]}
+    payload = {"p": [subspace_json(w) for w in p], "q": [subspace_json(w) for w in q]}
     status, text = run_to_files(tmp_path, "cocycle", payload)
     assert status == 0
     assert json.loads(text)["results"]["residual"] < 1e-8
@@ -631,13 +648,14 @@ def test_dv_and_cocycle_of_large_subspaces(tmp_path):
     # level * I + 0.3 G / sqrt(128): every pair the dv and cocycle chains project
     # along is well separated, and the dv spectrum is the chart formula's.
     rng = np.random.default_rng(0)
-    subs = [grassmann.subspace_from_basis(rng.standard_normal((64, 32))).to_json() for _ in range(5)]
+    subs = [subspace_json(grassmann.subspace_from_basis(rng.standard_normal((64, 32))))
+            for _ in range(5)]
     assert run_to_files(tmp_path, "cocycle", {"p": subs[:2], "q": subs[2:]})[0] == 0
     pol, k = grassmann.standard_polarization(256, 128), 128
 
     def charts(levels):
         ts = [lv * np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k) for lv in levels]
-        return ts, [grassmann.subspace_from_graph(t, pol).to_json() for t in ts]
+        return ts, [subspace_json(grassmann.subspace_from_graph(t, pol)) for t in ts]
 
     (t1, t2, t3, t4), subs = charts((-3, -1, 1, 3))
     status, text = run_to_files(tmp_path, "dv", {"subspaces": subs})
@@ -661,7 +679,7 @@ def test_flow_verb_writes_spectrum_csv(tmp_path):
         subs = [grassmann.subspace_from_graph(rng.standard_normal((n // 2, n // 2)), pol)
                 for _ in range(4)]
         payload = {"generator": numerics.matrix_to_json(np.eye(n, k=-1)),
-                   "initials": [w.to_json() for w in subs],
+                   "initials": [subspace_json(w) for w in subs],
                    "times": times}
         status, text = run_to_files(tmp_path, "flow", payload)
         assert status == 0
@@ -672,7 +690,7 @@ def test_flow_verb_writes_spectrum_csv(tmp_path):
         last = np.array(rows[-1]["spectrum"])
         assert np.max(np.abs(first - last)) < 1e-6
         # A real flow's row: t, the spectrum as (re, im) pairs, the real traces and det.
-        csv_rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
+        csv_rows = [[float(v) for v in row.split(",")] for row in (tmp_path / "out.csv").read_text().splitlines()]
         assert len(csv_rows) == len(times)
         for row, r in zip(csv_rows, rows):
             assert row == [r["t"], *np.ravel(r["spectrum"]), *(re for re, _ in r["traces"]), r["det"]]
@@ -695,7 +713,7 @@ def test_complex_flow_csv_keeps_imaginary_parts(tmp_path):
     status, text = run_to_files(tmp_path, "flow", complex_flow_input())
     assert status == 0
     rows = json.loads(text)["results"]["rows"]
-    csv_rows = [[float(v) for v in row.split(",")] for row in open(tmp_path / "out.csv").read().splitlines()]
+    csv_rows = [[float(v) for v in row.split(",")] for row in (tmp_path / "out.csv").read_text().splitlines()]
     assert len(csv_rows) == 4 and {len(row) for row in csv_rows} == {1 + 4 * 2 + 2}
     for row, r in zip(csv_rows, rows):
         det = r["det"] if isinstance(r["det"], list) else [r["det"], 0.0]
@@ -709,7 +727,8 @@ def test_flow_verb_through_the_degree_13_pade(tmp_path):
     # row keeps the t = 0 spectrum.
     initials = [grassmann.subspace_from_basis(
         np.random.default_rng(31 + i).standard_normal((4, 2))) for i in range(4)]
-    payload = flows.FlowScenario(3.0 * np.eye(4) + np.ones((4, 4)), initials, [0.0, 0.5, 1.0]).to_json()
+    payload = flow_json(flows.FlowScenario(3.0 * np.eye(4) + np.ones((4, 4)), initials,
+                                           [0.0, 0.5, 1.0]))
     status, text = run_to_files(tmp_path, "flow", payload)
     assert status == 0
     rows = json.loads(text)["results"]["rows"]
@@ -718,11 +737,16 @@ def test_flow_verb_through_the_degree_13_pade(tmp_path):
     assert all(np.max(np.abs(s - spectra[0])) <= 1e-9 for s in spectra), spectra
 
 
-def test_selftest_verb(tmp_path):
+def test_selftest_verb(tmp_path, capsys):
     out = str(tmp_path / "self.json")
     assert cli.run("selftest", None, out, seed=1) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert all(c["passed"] for c in report["results"]["checks"])
+    # A negative seed is malformed input, and the error names the option.
+    assert main_status(["selftest", "--seed", "-1", "--out", out]) == 2
+    error = "ValidationError: --seed must be >= 0, got -1"
+    assert json.loads(Path(out).read_text())["error"] == error
+    assert capsys.readouterr().err == stderr_line(2, error)
 
 
 def test_selftest_failures_show(tmp_path, monkeypatch, capsys):
@@ -775,18 +799,18 @@ def test_equiv_tol_decides_the_verdict(tmp_path):
     g, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
     w3 = grassmann.subspace_from_basis(g @ w1.basis)
     w4 = grassmann.subspace_from_basis(g @ w2.basis)
-    payload = {"first": [w1.to_json(), w2.to_json()],
-               "second": [w3.to_json(), w4.to_json()]}
+    payload = {"first": [subspace_json(w1), subspace_json(w2)],
+               "second": [subspace_json(w3), subspace_json(w4)]}
     inp = write_json(tmp_path / "in.json", payload)
     out = str(tmp_path / "out.json")
     assert cli.run("equiv", inp, out, tol=1e-300) == 0
-    strict = json.loads(open(out).read())["results"]["equivalent"]
+    strict = json.loads(Path(out).read_text())["results"]["equivalent"]
     assert main_status(["equiv", "--in", inp, "--out", out, "--tol", "1e-6"]) == 0
-    loose = open(out).read()
+    loose = Path(out).read_text()
     assert json.loads(loose)["results"]["equivalent"] is True and strict is False
     # The default tolerance is 1e-6.
     assert cli.run("equiv", inp, out) == 0
-    assert open(out).read() == loose
+    assert Path(out).read_text() == loose
 
 
 def test_invalid_tolerance_exit_2(tmp_path):
@@ -850,7 +874,7 @@ def test_main_runs_the_verb(tmp_path):
     assert cli.run("dv", good, str(ref)) == 0
     assert out.read_bytes() == ref.read_bytes()
     same = write_json(tmp_path / "same.json",
-                      {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4})
+                      {"subspaces": [subspace_json(grassmann.random_subspace(4, 2, 5))] * 4})
     assert main_status(["dv", "--in", same, "--out", str(out)]) == 3
 
 
@@ -858,7 +882,7 @@ def test_cli_runs_without_click(tmp_path):
     # The command line is the standard library's argparse: with click made
     # unimportable, main still runs a verb, an inadmissible input and a usage error.
     same = write_json(tmp_path / "same.json",
-                      {"subspaces": [grassmann.random_subspace(4, 2, 5).to_json()] * 4})
+                      {"subspaces": [subspace_json(grassmann.random_subspace(4, 2, 5))] * 4})
     runs = [["selftest", "--seed", "1", "--out", str(tmp_path / "st.json")],
             ["dv", "--in", same, "--out", str(tmp_path / "dv.json")],
             ["nosuch"]]

@@ -8,7 +8,7 @@ from opcross import flows
 from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import DegeneratePosition, NotPolarization, Overflow, Singular
-from conftest import (complementary_pair, overflowing_dv_config, pair_with_angles,
+from conftest import (block_mobius, complementary_pair, overflowing_dv_config, pair_with_angles,
                       random_half_dim_charts, random_orthogonal, spectra_close,
                       unequal_sharing_config)
 
@@ -31,7 +31,7 @@ def test_three_presentations_agree(rng):
                                                    need_invertible_verticals=True)
             s_chart = cr.dv_matrix(*ts).spectrum
             s_comp = cr.dv_composition(*subs).spectrum
-            swapped = pol.swapped()
+            swapped = gr.Polarization(pol.vertical, pol.horizontal)
             mixed = cr.dv_mixed(ts[0],
                                 gr.graph_coordinate(subs[1], swapped),
                                 ts[2],
@@ -103,7 +103,7 @@ def test_mobius_invariance_of_spectrum(rng):
         ts, subs, _ = random_half_dim_charts(rng, 6)
         base = cr.dv_composition(*subs).spectrum
         m = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        g = gr.BlockMobius.from_matrix(m, 3, pol)
+        g = block_mobius(m, pol)
         moved = [gr.mobius_apply_subspace(g, w) for w in subs]
         try:
             spec = cr.dv_composition(*moved).spectrum
@@ -262,7 +262,8 @@ def test_result_invariants(rng):
     assert abs(d.det - np.linalg.det(d.matrix)) < 1e-8
     # Every presentation returns tr D^j for j = 1..n, n = len(spectrum) the size of D.
     ts, subs, pol = random_half_dim_charts(rng, 6, need_invertible_verticals=True)
-    v2, v4 = (gr.graph_coordinate(subs[i], pol.swapped()) for i in (1, 3))
+    v2, v4 = (gr.graph_coordinate(subs[i], gr.Polarization(pol.vertical, pol.horizontal))
+              for i in (1, 3))
     unequal = [gr.random_subspace(5, k, seed) for seed, k in enumerate((3, 2, 3, 2))]
     swapped = cr.dv_unequal(*unequal)
     assert swapped.basis_space == "P2"

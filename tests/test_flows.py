@@ -7,8 +7,8 @@ from opcross import flows
 from opcross import grassmann as gr
 from opcross import crossratio as cr
 from opcross.errors import NotPolarization, Overflow, RankDeficient
-from conftest import (LOADED_SCIPY, fresh_python, overflowing_flow_scenario, same_subspace,
-                      spectra_close)
+from conftest import (LOADED_SCIPY, flow_json, fresh_python, overflowing_flow_scenario,
+                      same_subspace, spectra_close)
 
 
 def generic_initials(n, rng, count=4):
@@ -186,7 +186,7 @@ def test_almost_nilpotent_rejects_lower_entries():
     # Entries above the diagonal and inside the block are allowed.
     m = np.triu(np.ones((4, 4)), 1)
     m[:2, :2] = 1.0
-    assert flows.AlmostNilpotent(m, 2).block.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert flows.AlmostNilpotent(m, 2).matrix[:2, :2].tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
 
 def test_trace_invariants_fixture():
@@ -208,8 +208,8 @@ def test_trace_invariants_types_and_overflow():
 
 
 def test_scenario_json_rejects_boolean_times(rng):
-    obj = flows.FlowScenario(flows.shift_generator(4, 1), generic_initials(4, rng),
-                             [0.0, 1.0]).to_json()
+    obj = flow_json(flows.FlowScenario(flows.shift_generator(4, 1), generic_initials(4, rng),
+                                       [0.0, 1.0]))
     obj["times"] = [False, True]
     with pytest.raises(ValueError, match="times"):
         flows.FlowScenario.from_json(obj)
@@ -219,7 +219,7 @@ def test_scenario_json_round_trip(rng):
     gen = flows.shift_generator(4, 1)
     scenario = flows.FlowScenario(gen, generic_initials(4, rng),
                                   np.linspace(0.0, 1.0, 3))
-    back = flows.FlowScenario.from_json(scenario.to_json())
+    back = flows.FlowScenario.from_json(flow_json(scenario))
     assert np.array_equal(back.generator, gen)
     assert np.array_equal(back.times, scenario.times)
     assert all(same_subspace(a, b)

@@ -8,8 +8,8 @@ from opcross import grassmann as gr
 from opcross import numerics
 from opcross.errors import (DegeneratePosition, NonConvergence, NotPolarization,
                             OutsideChart, Overflow, RankDeficient)
-from conftest import (chart_subspaces, complementary_pair, contains, random_orthogonal,
-                      same_subspace)
+from conftest import (block_mobius, chart_subspaces, complementary_pair, contains,
+                      random_orthogonal, same_subspace, subspace_json)
 
 
 def test_subspace_requires_orthonormal_columns():
@@ -92,7 +92,7 @@ def test_polarization_validates():
     e = np.eye(4)
     with pytest.raises(NotPolarization):
         gr.Polarization(gr.Subspace(e[:, :2]), gr.Subspace(e[:, 1:3]))
-    pol = gr.standard_polarization(5)
+    pol = gr.standard_polarization(5, 3)
     assert pol.horizontal.dim == 3 and pol.vertical.dim == 2
     assert np.allclose(pol.frame(), np.eye(5))
 
@@ -136,7 +136,7 @@ def test_mobius_action_commutes_with_charts(rng):
     pol = gr.standard_polarization(6, 3)
     for _ in range(20):
         m = rng.standard_normal((6, 6)) + 3 * np.eye(6)
-        g = gr.BlockMobius.from_matrix(m, 3, pol)
+        g = block_mobius(m, pol)
         t = rng.standard_normal((3, 3))
         w = gr.subspace_from_graph(t, pol)
         try:
@@ -150,7 +150,7 @@ def test_mobius_action_commutes_with_charts(rng):
 def test_mobius_outside_chart_detected():
     pol = gr.standard_polarization(2, 1)
     # The quarter rotation sends the horizontal axis to the vertical one.
-    g = gr.BlockMobius.from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]), 1, pol)
+    g = block_mobius(np.array([[0.0, -1.0], [1.0, 0.0]]), pol)
     with pytest.raises(OutsideChart):
         gr.mobius_apply_coordinate(g, np.zeros((1, 1)))
     # The subspace-level action still works.
@@ -158,14 +158,14 @@ def test_mobius_outside_chart_detected():
     assert same_subspace(w, pol.vertical)
 
 
-def test_mobius_without_a_polarization_acts_in_ambient_coordinates(rng):
+def test_mobius_in_the_standard_polarization_acts_in_ambient_coordinates(rng):
     m = random_orthogonal(rng, 4)
-    g = gr.BlockMobius.from_matrix(m, 2)
+    g = block_mobius(m, gr.standard_polarization(4, 2))
     assert np.array_equal(g.ambient_matrix(), m)
 
 
 def test_overflowing_mobius_denominator_is_a_silent_overflow():
-    g = gr.BlockMobius.from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+    g = block_mobius(np.array([[1.0, 2.0], [0.0, 1.0]]), gr.standard_polarization(2, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # a + b T = 1 + 2e308 leaves the float range.
@@ -174,7 +174,7 @@ def test_overflowing_mobius_denominator_is_a_silent_overflow():
 
 
 def test_overflowing_mobius_image_is_a_silent_overflow():
-    g = gr.BlockMobius.from_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]), 1)
+    g = block_mobius(np.array([[1.0, 0.0], [0.0, 2.0]]), gr.standard_polarization(2, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # a + b T = 1 is finite, the numerator c + d T = 2e308 is not.
@@ -206,7 +206,7 @@ def test_principal_angles_invariant_under_rotation(rng):
 
 def test_subspace_json_round_trip(rng):
     w = gr.random_subspace(5, 2, 11)
-    back = gr.Subspace.from_json(w.to_json())
+    back = gr.Subspace.from_json(subspace_json(w))
     assert same_subspace(w, back)
     with pytest.raises(ValueError):
         gr.Subspace.from_json({"dim": 2})

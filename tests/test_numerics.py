@@ -53,11 +53,12 @@ def test_a_factor_beyond_the_float_range_is_judged_by_its_conditioning():
     zero, eye = np.zeros((2, 2)), np.eye(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grassmann.BlockMobius(t, zero, zero, t)
-        image = grassmann.mobius_apply_coordinate(grassmann.BlockMobius(zero, eye, eye, zero), t)
+        grassmann.BlockMobius(t, zero, zero, t, _POL)
+        flip = grassmann.BlockMobius(zero, eye, eye, zero, _POL)
+        image = grassmann.mobius_apply_coordinate(flip, t)
         # diag(T, I) has sigma_min / sigma_max = 4.5e-309: singular by the rule.
         with pytest.raises(ValueError, match="^assembled block matrix is singular$"):
-            grassmann.BlockMobius(t, zero, zero, eye)
+            grassmann.BlockMobius(t, zero, zero, eye, _POL)
     with np.errstate(under="ignore"):  # T^-1 has entries near 1e-308
         assert np.array_equal(image, np.linalg.inv(t))  # (c + d T)(a + b T)^-1 = T^-1
         assert numerics.fro(t @ image - eye) <= 1e-15
@@ -107,11 +108,13 @@ def _curve_jet(z1):
 
 
 def _mobius(a, b, c, d):
-    return grassmann.BlockMobius(*(np.atleast_2d(m) for m in (a, b, c, d)))
+    return grassmann.BlockMobius(*(np.atleast_2d(m) for m in (a, b, c, d)),
+                                 grassmann.standard_polarization(2, 1))
 
 
 _I, _O = np.eye(2), np.zeros((2, 2))
 _E2, _E4 = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+_POL = grassmann.standard_polarization(4, 2)
 
 
 _SINGULAR_FACTORS = [
@@ -122,7 +125,7 @@ _SINGULAR_FACTORS = [
     (lambda: crossratio.dv_permuted(_O, "14,32"), Singular, "D is not invertible"),
     (lambda: crossratio.dv_permuted(_O, "14,23"), Singular, "D is not invertible"),
     (lambda: crossratio.dv_permuted(_I, "13,24"), Singular, "(I - D^-1) is not invertible"),
-    (lambda: grassmann.graph_coordinate(grassmann.Subspace(_E4), grassmann.standard_polarization(4)),
+    (lambda: grassmann.graph_coordinate(grassmann.Subspace(_E4), _POL),
      OutsideChart, "projection onto the horizontal subspace is singular"),
     (lambda: grassmann.mobius_apply_coordinate(_mobius(0.0, 1.0, 1.0, 0.0), [[0.0]]),
      OutsideChart, "(a + bT) is singular: image leaves the big cell"),
@@ -148,8 +151,14 @@ def _lines(n, *cols):
     return grassmann.Subspace(np.eye(n)[:, list(cols)])
 
 
+def _curve(z0=_O, z1_0=_I, a=_O):
+    """curve_from_riccati from z0, z1_0 with A(t) = a along two nodes of W = 0 (2 x 2)."""
+    return schwarzian.curve_from_riccati([0.0, 1.0], [_O, _O], schwarzian.MatrixPolynomial([a]),
+                                         z0, z1_0, schwarzian.MatrixPolynomial([_O]))
+
+
 _E3 = np.eye(3)
-_JET, _POL = _curve_jet(_I), grassmann.standard_polarization(4)
+_JET = _curve_jet(_I)
 _SCENARIO = flows.FlowScenario(np.zeros((4, 4)), [grassmann.Subspace(_E2)] * 4, [0.0])
 _INPUT_CHECKS = [
     ("dv_composition", lambda: crossratio.dv_composition(
@@ -186,7 +195,7 @@ _INPUT_CHECKS = [
      ValueError, "ambient dimensions differ"),
     ("subspace_from_graph", lambda: grassmann.subspace_from_graph(_E3, _POL),
      ValueError, "T must be 2x2, got (3, 3)"),
-    ("BlockMobius", lambda: grassmann.BlockMobius(_I, _I, _E3, _I),
+    ("BlockMobius", lambda: grassmann.BlockMobius(_I, _I, _E3, _I, _POL),
      ValueError, "block shapes are inconsistent"),
     ("MatrixPolynomial", lambda: schwarzian.MatrixPolynomial([_I, _E3]),
      ValueError, "coefficient shapes differ"),
@@ -202,7 +211,10 @@ _INPUT_CHECKS = [
      ValueError, "need matching times and W values, at least two nodes"),
     ("curve_from_riccati-nodes", lambda: schwarzian.curve_from_riccati(
         [0.0], [_O], schwarzian.MatrixPolynomial([_O]), _O, _I, schwarzian.MatrixPolynomial([_O])),
-     ValueError, "need matching times and W values, at least two nodes")]
+     ValueError, "need matching times and W values, at least two nodes"),
+    ("curve_from_riccati-z0", lambda: _curve(z0=_E3), ValueError, "z0 is 3x3 but W is 2x2"),
+    ("curve_from_riccati-z1_0", lambda: _curve(z1_0=_E3), ValueError, "z1_0 is 3x3 but W is 2x2"),
+    ("curve_from_riccati-a_poly", lambda: _curve(a=_E3), ValueError, "a_poly is 3x3 but W is 2x2")]
 
 
 @pytest.mark.parametrize("call, error, message", [case[1:] for case in _INPUT_CHECKS],

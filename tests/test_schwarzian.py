@@ -36,7 +36,7 @@ def test_jet_validates():
         sz.CurveJet(0.0, np.eye(2), np.eye(2), np.eye(2), np.eye(3))
     # The z' test is relative: a tiny but well-conditioned z' is accepted.
     jet = sz.CurveJet(0.0, np.eye(2), 1e-30 * np.eye(2), np.eye(2), np.eye(2))
-    assert jet.dim == 2
+    assert jet.z.shape == (2, 2)
 
 
 def test_schwarzian_of_tan_is_two():
