@@ -291,6 +291,10 @@ class BlockMobius:
         b = numerics.as_matrix(self.b, "b")
         c = numerics.as_matrix(self.c, "c")
         d = numerics.as_matrix(self.d, "d")
+        h, v = self.pol.horizontal.dim, self.pol.vertical.dim
+        if a.shape != (h, h) or d.shape != (v, v):
+            raise ValueError(f"blocks a {a.shape[0]}x{a.shape[1]} and d {d.shape[0]}x{d.shape[1]} "
+                             f"must be {h}x{h} and {v}x{v}, the polarization's split")
         if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0] \
                 or a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
             raise ValueError("block shapes are inconsistent")

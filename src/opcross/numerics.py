@@ -182,8 +182,32 @@ _PADE_COEFFS = {m: [math.factorial(2 * m - j) / (math.factorial(j) * math.factor
                     for j in range(m + 1)] for m in _PADE_THETA}
 
 
+def _pade_plan(norm):
+    """(m, s) for an exponent of 1-norm norm: the lowest degree m with norm <= theta_m,
+    else m = 13 and the fewest squarings s that bring norm 2^-s to theta_13."""
+    degree = next((d for d, theta in _PADE_THETA.items() if norm <= theta), 13)
+    return degree, max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if degree == 13 else 0
+
+
+def _pade_exp(a, degree, squarings):
+    """r_m(A 2^-s) squared s times, for a matrix or a stack that shares m and s."""
+    a = a * 2.0 ** -squarings
+    b = _PADE_COEFFS[degree]
+    a2 = a @ a
+    powers = [np.eye(a.shape[-1], dtype=a.dtype), a2]  # A^0, A^2, ..., A^(degree - 1)
+    while len(powers) <= degree // 2:
+        powers.append(powers[-1] @ a2)
+    u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+    v = sum(c * p for c, p in zip(b[0::2], powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
 def expm(m):
-    """Matrix exponential by scaling and squaring (Higham 2005, Algorithm 2.3).
+    """Matrix exponential by scaling and squaring (Higham 2005, Algorithm 2.3),
+    of a matrix or of each matrix of a 3-d stack.
 
     The 1-norm of A picks the lowest degree m in {3, 5, 7, 9, 13} with
     ||A||_1 <= theta_m; above theta_13, A is scaled by 2^-s into range.
@@ -191,25 +215,23 @@ def expm(m):
     terms) of p_m(A) at every m: 7 products at m = 13, one more than
     Algorithm 2.3's schedule, paid only above theta_9, which no benchmark
     workload reaches.  r_m(A) solves (V - U) R = V + U, and R is squared
-    s times.  A real matrix gives a real result.  Overflow when the result
-    (or ||A||_1) is not finite.
+    s times.  Each matrix of a stack takes its own m and s, and those that
+    share both are evaluated together; stacked products and solves are the
+    per-matrix ones, so each result is its own call's, bit for bit.  A real
+    matrix gives a real result.  Overflow when a result (or a ||A||_1) is
+    not finite.
     """
-    a = as_square(m)
+    a = as_square(m, stack=np.ndim(m) == 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = finite(np.abs(a).sum(axis=0).max(initial=0.0), "the exponent's 1-norm")
-        degree = next((d for d, theta in _PADE_THETA.items() if norm <= theta), 13)
-        squarings = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if degree == 13 else 0
-        a = a * 2.0 ** -squarings
-        b = _PADE_COEFFS[degree]
-        a2 = a @ a
-        powers = [np.eye(len(a), dtype=a.dtype), a2]  # A^0, A^2, ..., A^(degree - 1)
-        while len(powers) <= degree // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(c * p for c, p in zip(b[1::2], powers))
-        v = sum(c * p for c, p in zip(b[0::2], powers))
-        r = np.linalg.solve(v - u, v + u)
-        for _ in range(squarings):
-            r = r @ r
+        norms = finite(np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0), "the exponent's 1-norm")
+        plans = [_pade_plan(norm) for norm in np.ravel(norms)]
+        if len(set(plans)) == 1:
+            r = _pade_exp(a, *plans[0])
+        else:
+            r = np.empty_like(a)
+            for plan in set(plans):
+                i = [k for k, p in enumerate(plans) if p == plan]
+                r[i] = _pade_exp(a[i], *plan)
     return finite(r, "the matrix exponential")
 
 

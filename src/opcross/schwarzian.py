@@ -2,9 +2,12 @@
 Hamiltonian systems and matrix Riccati equations.
 
 Curves are handled through third-order jets; coefficient matrices A(t), B(t)
-are matrix polynomials so that A' is exact.  All integrators are the
-classical fixed-step fourth-order one-step method, run by one kernel; the
-systems are linear in the state, so it takes one RK4 step matrix per step.
+are matrix polynomials so that A' is exact.  The systems integrated are
+linear in the state, y' = G(t) y.  A Hamiltonian system with constant
+coefficients takes its exact flow, y_i = e^(i h G) y_0, from one stacked
+matrix exponential; every other run (a time-dependent system, and the curve
+of curve_from_riccati) takes the classical fixed-step fourth-order method,
+one RK4 step matrix per step.
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
 Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk
@@ -13,14 +16,15 @@ where the state is not finite, q is exactly singular, ||W||_F >=
 1/SINGULAR_RTOL (the singularity rule on the q block of an orthonormal basis
 of span(q; p), whose smallest singular value is (1 + ||W||_2^2)^-1/2), or the
 step to the node holds a pole: q_{i+1} q_i^-1 = M11 + M12 W_i, read off the
-step matrix M_i without a solve and whatever basis the run has reached, has
-an eigenvalue with real part <= 0.  BlowUp.t is the first such node; the chunk
-reader finds it, and the run ends with that node's chunk.
+step matrix M_i (e^(h G) for a constant G) without a solve and whatever basis
+the run has reached, has an eigenvalue with real part <= 0.  BlowUp.t is the
+first such node; the chunk reader finds it, and the run ends with that node's
+chunk.
 """
 
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice, repeat, zip_longest
+from itertools import islice, zip_longest
 from numbers import Integral
 
 import numpy as np
@@ -252,11 +256,13 @@ def _stages(nodes, mids):
 # the run's memory at its states (a whole run's stage stacks would not be).  A
 # chunk takes _CHUNK steps, or more where their step matrices are small: as many
 # as fill _CHUNK_ENTRIES entries (64 12 x 12 matrices, the steps of a dim-6 run).
-# A chunk whose one step matrix advanced all its steps (a constant G over equal
-# steps) held no stack, and the next chunk is twice as long: with c steps in the
-# first, chunk k starts at step c (2^k - 1), so a run that stops at node i has
-# built at most 2i + c steps.
+# The exact flow of a constant G builds no stack; its reader's chunks are its
+# blocks of nodes (see _flow), so a run that stops at node i has built at most
+# max(2i + 1, 2 _CHUNK) nodes.
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
+# The largest 1-norm of an exponent A of the exact flow: e^A is then finite, since
+# ||e^A||_1 <= e^||A||_1, with a factor e to spare for rounding.
+_EXPONENT_NORM_MAX = np.log(np.finfo(float).max) - 1.0
 # The most steps one run takes: it holds its step list, node times and states whole.
 MAX_STEPS = 10**6
 
@@ -273,21 +279,18 @@ def _blocks(a, b, c, d):
 def _rk4(g, y, hs, on_chunk=None):
     """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
     where g(s) is the stack of G at the stage times s (a slice of the indices of
-    _stages), or a one-matrix stack when G is constant.  On a linear system RK4
-    is the step matrix y_{i+1} = M_i y_i, M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
-    K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)(I + h/2 K2) and
-    K4 = G(t_{i+1})(I + h K3): the stage vectors are K_j y_i, so the method and its
-    nodes are the classical ones.  The M_i are built as stacks a chunk of steps at a
-    time (see _CHUNK), each stage updated in place; a chunk of equal steps under a
-    constant G has one M, which advances every step of the chunk, and the next
-    chunk is twice as long.  y_{i+1} is one M_i.dot(y_i) (np.matmul's BLAS product,
-    without a ufunc call), written into its row of the states, and map drives a
-    chunk's products in order without a bytecode loop.  After each chunk,
-    on_chunk(j, m, ys) gets its first step j, its stack m of step matrices (one matrix
-    for a constant G) and its finite states ys, from y_j on, under the run's errstate;
-    a true return ends the run there.  Returns one array of y and the states after each
-    step, up to the first state that is not finite (the run stops at the end of that
-    state's chunk) or to the end of a chunk that on_chunk ended."""
+    _stages).  On a linear system RK4 is the step matrix y_{i+1} = M_i y_i,
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1),
+    K3 = G(t_i + h/2)(I + h/2 K2) and K4 = G(t_{i+1})(I + h K3): the stage vectors are
+    K_j y_i, so the method and its nodes are the classical ones.  The M_i are built as
+    stacks a chunk of steps at a time (see _CHUNK), each stage updated in place.
+    y_{i+1} is one M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc call),
+    written into its row of the states, and map drives a chunk's products in order
+    without a bytecode loop.  After each chunk, on_chunk(j, m, ys) gets its first step
+    j, its stack m of step matrices and its finite states ys, from y_j on, under the
+    run's errstate; a true return ends the run there.  Returns one array of y and the
+    states after each step, up to the first state that is not finite (the run stops at
+    the end of that state's chunk) or to the end of a chunk that on_chunk ended."""
     hs, eye, ys, j = np.asarray(hs, dtype=float), np.eye(len(y)), None, 0
     chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
@@ -295,10 +298,9 @@ def _rk4(g, y, hs, on_chunk=None):
             h = hs[j:j + chunk]
             steps = len(h)
             gs = g(slice(2 * j, 2 * (j + steps) + 1))
-            # Equal steps make h a scalar; with a one-matrix gs every stage then
-            # broadcasts to one matrix, and so does M.
+            # Equal steps make h a scalar, which numpy multiplies faster than a column.
             h = h.item(0) if (h == h[0]).all() else h[:, None, None]
-            k1, gm, g1 = (gs, gs, gs) if len(gs) == 1 else (gs[:-1:2], gs[1::2], gs[2::2])
+            k1, gm, g1 = gs[:-1:2], gs[1::2], gs[2::2]
             x = k1 * (h / 2.0)
             x += eye
             k2 = gm @ x
@@ -320,20 +322,56 @@ def _rk4(g, y, hs, on_chunk=None):
                 ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
                 ys[0] = y
             rows = list(ys[j:j + steps + 1])  # each product writes its state into its row of ys
-            deque(map(np.ndarray.dot, m if len(m) == steps else repeat(m[0], steps),
-                      rows, rows[1:]), maxlen=0)
+            deque(map(np.ndarray.dot, m, rows, rows[1:]), maxlen=0)
             finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
             end = j + 1 + (steps if finite.all() else int(np.argmin(finite)))
             if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + steps:
                 return ys[:end]
-            j, chunk = j + steps, 2 * chunk if len(m) < steps else chunk
+            j += steps
+    return ys
+
+
+def _flow(g, y, h, steps, on_chunk=None):
+    """The exact flow y_i = e^(i h G) y of a constant G at the nodes i = 0, ..., steps.
+    One stacked expm gives E_b = e^(2^b h G) for b = 0 and for each 2^b <= steps whose
+    exponent has a 1-norm below _EXPONENT_NORM_MAX (so E_b is finite); if E_0 is not
+    finite, node 1 is the first state out of range.  The nodes come in blocks: node
+    2^b + i is E_b times node i, and past the widest E_b, node i is that E_b times node
+    i - 2^b.  So unless the widths stop doubling, node i is a product of at most
+    log2(i) + 1 exponentials, each exact to rounding.  on_chunk is called as _rk4 calls
+    it, with [E_0] as the step matrix of every step: once at least _CHUNK new nodes
+    exist, then after each block (or after _CHUNK nodes of narrower blocks); and the
+    run stops as _rk4's does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
+        hg = h * g
+        scales = 2.0 ** np.arange(int(steps).bit_length())  # 2^b <= steps
+        norm = np.abs(hg).sum(axis=0).max()
+        widths = 1 + np.count_nonzero(scales[1:] * norm < _EXPONENT_NORM_MAX)
+        try:
+            es = numerics.expm(numerics.finite(scales[:widths, None, None] * hg, "the exponent"))
+        except Overflow:  # E_0 is out of range (every other E_b is in it)
+            es = np.full((1, *hg.shape), np.inf)
+        ys = np.empty((steps + 1, *y.shape), np.result_type(y, es))
+        ys[0], j, lo = y, 0, 1
+        while lo <= steps:
+            b = min(lo.bit_length(), len(es)) - 1
+            hi = min(lo + 2 ** b, steps + 1)
+            np.matmul(es[b], ys[lo - 2 ** b:hi - 2 ** b], out=ys[lo:hi])
+            finite = np.isfinite(ys[lo:hi]).reshape(hi - lo, -1).all(axis=1)
+            end = lo + (hi - lo if finite.all() else int(np.argmin(finite)))
+            if end - 1 - j >= _CHUNK or end == steps + 1 or end < hi:
+                if on_chunk is not None and on_chunk(j, es[:1], ys[j:end]) or end < hi:
+                    return ys[:end]
+                j = end - 1
+            lo = hi
     return ys
 
 
 def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
-    """Node times (t advances by repeated addition of h) and the RK4 states (q, p)
-    from (q0, p0) up to the first that is not finite (see _rk4, which calls on_chunk
-    with the states [q; p] of each chunk and stops where it returns true)."""
+    """Node times (t advances by repeated addition of h) and the states (q, p) from
+    (q0, p0) up to the first that is not finite: the exact flow of a constant G
+    (_flow), else RK4 (_rk4).  Either kernel calls on_chunk with the states [q; p] of
+    each chunk and stops where it returns true."""
     if len(q0) != sys.dim:
         raise ValueError(f"the initial state is {len(q0)}x{len(q0)} but the system is "
                          f"{sys.dim}x{sys.dim}")
@@ -348,7 +386,6 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
         raise ValueError(f"the time grid must be finite: t0 = {t0!r}, t1 = {t1!r}, step = {h!r}")
     hs = np.full(steps, h)
     ts = np.add.accumulate(np.append(t0, hs))
-    st = _stages(ts, ts[:-1] + hs / 2.0)[:, None, None]
 
     # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks
     # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.  Its Horner value
@@ -357,13 +394,18 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     n, zero = sys.dim, np.zeros((sys.dim, sys.dim))
     coeffs = enumerate(zip_longest(sys.a.coeffs, sys.b.coeffs, fillvalue=zero))
     gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), -b, -a.T) for k, (a, b) in coeffs])
-    ys = _rk4(lambda s: gen(st[s] if len(gen.coeffs) > 1 else st[:1]),  # a constant G: one matrix
-              np.concatenate([q0, p0]), hs, on_chunk)
+    y0 = np.concatenate([q0, p0])
+    if len(gen.coeffs) == 1:
+        ys = _flow(gen.coeffs[0], y0, h, steps, on_chunk)
+    else:
+        st = _stages(ts, ts[:-1] + hs / 2.0)[:, None, None]
+        ys = _rk4(lambda s: gen(st[s]), y0, hs, on_chunk)
     return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
-    """Fixed-step RK4 trajectory of the Hamiltonian system from one phase point x0.
+    """Fixed-step trajectory of the Hamiltonian system from one phase point x0: its
+    exact flow for constant coefficients, else RK4.
 
     Returns (times, PhasePoint) with the states stacked, both endpoints included;
     raises Overflow at the first time the state is no longer finite.
@@ -382,7 +424,7 @@ def riccati_rhs(w, c):
 
 
 def integrate_riccati(sys, w0, t0, t1, steps):
-    """Fixed-step RK4 solution (times, W stack) of the matrix Riccati equation,
+    """Fixed-step solution (times, W stack) of the matrix Riccati equation,
     read as W = p q^-1 off the Hamiltonian run from (q, p) = (I, W0); raises
     BlowUp at the first node where that chart is lost (see the module docstring)."""
     w0 = numerics.as_square(w0, "W0")

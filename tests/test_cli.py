@@ -211,7 +211,7 @@ _VERDICTS = [
                       1.0, 10, w0=np.zeros((2, 2))), 3, "BlowUp: solution blew up near t = 0.1"),
     ("hamiltonian-overflow", "hamiltonian",
      trajectory_input({"dim": 1, "A": [[[300.0]]], "B": [[[0.0]]]}, 10.0, 1000, q0=[[1.0]], p0=[[0.0]]),
-     3, "Overflow: the Hamiltonian state overflowed at t = 2.54"),
+     3, "Overflow: the Hamiltonian state overflowed at t = 2.37"),
     ("dv-overflowing-traces", "dv",
      lambda: {"subspaces": [subspace_json(w) for w in overflowing_dv_config()]},
      3, "Overflow: tr M^63 is not finite"),
@@ -542,6 +542,20 @@ def test_hamiltonian_csv_row_is_q_then_p(tmp_path, p0):
     assert len(rows) == 51
     q, p = (np.ravel(results[k]["data"]) for k in ("q_final", "p_final"))
     assert rows[-1] == [results["t_final"], *q, *p]
+
+
+def test_a_stiff_hamiltonian_run_reports_its_decay(tmp_path):
+    # q' = -300 q from (q0, p0) = (1, 0) over [0, 10] in 1000 steps: q = e^(-300 t).
+    # Stepped by RK4 it grew by 1.375 per step and exited 0 with q(10) = 2.0e138.
+    payload = trajectory_input({"dim": 1, "A": [[[-300.0]]], "B": [[[0.0]]]}, 10.0, 1000,
+                               q0=[[1.0]], p0=[[0.0]])
+    status, text = run_to_files(tmp_path, "hamiltonian", payload)
+    assert status == 0
+    assert json.loads(text)["results"]["q_final"]["data"] == [[0.0]]
+    rows = [[float(v) for v in row.split(",")] for row in (tmp_path / "out.csv").read_text().splitlines()]
+    assert len(rows) == 1001 and all(row[2] == 0.0 for row in rows)
+    assert abs(rows[5][1] - np.exp(-15.0)) <= 1e-13 * np.exp(-15.0)
+    assert rows[-1][1] == 0.0
 
 
 def test_schwarz_verb_jet_and_samples(tmp_path):

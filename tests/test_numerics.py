@@ -197,6 +197,12 @@ _INPUT_CHECKS = [
      ValueError, "T must be 2x2, got (3, 3)"),
     ("BlockMobius", lambda: grassmann.BlockMobius(_I, _I, _E3, _I, _POL),
      ValueError, "block shapes are inconsistent"),
+    ("BlockMobius-split-2+2", lambda: grassmann.BlockMobius(
+        np.eye(1), [[0.0]], [[0.0]], np.eye(1), _POL),
+     ValueError, "blocks a 1x1 and d 1x1 must be 2x2 and 2x2, the polarization's split"),
+    ("BlockMobius-split-1+3", lambda: grassmann.BlockMobius(
+        _I, _O, _O, _I, grassmann.standard_polarization(4, 1)),
+     ValueError, "blocks a 2x2 and d 2x2 must be 1x1 and 3x3, the polarization's split"),
     ("MatrixPolynomial", lambda: schwarzian.MatrixPolynomial([_I, _E3]),
      ValueError, "coefficient shapes differ"),
     ("HamiltonianSystem", lambda: schwarzian.HamiltonianSystem(
@@ -356,6 +362,34 @@ def test_expm_overflow_is_typed_and_silent():
             numerics.expm(np.full((2, 2), 1e308))
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_a_stacked_expm_is_the_per_matrix_calls(rng, n):
+    # Members of degrees 3, 5 (two of them), 7, 9 and 13, the last with 0 to 3
+    # squarings, shuffled through the stack: each equals its own call, bit for bit,
+    # and so do the two degree-5 members stacked alone, which share one evaluation.
+    thetas = list(numerics._PADE_THETA.values())
+    norms = [0.5 * thetas[0], 0.5 * thetas[1], 0.9 * thetas[1], 0.9 * thetas[2], 0.9 * thetas[3]] + \
+        [f * thetas[4] for f in (0.9, 1.5, 3.0, 6.0)]
+    for cplx in (False, True):
+        stack = rng.standard_normal((len(norms), n, n))
+        if cplx:
+            stack = stack + 1j * rng.standard_normal(stack.shape)
+        stack *= (np.array(norms) / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+        for part in (stack[rng.permutation(len(norms))], stack[1:3]):
+            got = numerics.expm(part)
+            assert got.dtype == part.dtype and got.shape == part.shape
+            for member, single in zip(got, part):
+                assert member.tobytes() == numerics.expm(single).tobytes()
+
+
+def test_a_stack_with_an_overflowing_member_is_an_overflow():
+    m = overflowing_flow_scenario().generator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="^the matrix exponential is not finite$"):
+            numerics.expm(np.array([0.5 * m, m, np.zeros((4, 4))]))
+
+
 def test_power_sums_overflow_is_typed_and_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -405,23 +439,24 @@ def test_stacks_only_where_asked():
         numerics.as_square(np.zeros((3, 2, 3)), stack=True)
     with pytest.raises(ValueError, match="non-finite"):
         numerics.as_square(np.full((3, 2, 2), np.nan), stack=True)
-    for single in (numerics.as_matrix, numerics.as_square, numerics.eigenvalues, numerics.expm,
+    for single in (numerics.as_matrix, numerics.as_square, numerics.eigenvalues,
                    numerics.matrix_to_json):
         with pytest.raises(ValueError, match="2-dimensional"):
             single(stack)
-    # expm rejects a stack or a non-finite matrix, and loads no scipy.
+    # expm takes a matrix or a stack, rejects more axes or a non-finite matrix,
+    # and loads no scipy.
     out = fresh_python(f"""
 import sys
 from opcross import numerics
-for bad in ([[[0.0]]], [[float("nan")]]):
+for bad in ([[[[0.0]]]], [[float("nan")]]):
     try:
         numerics.expm(bad)
     except ValueError as exc:
         print(exc)
-print({LOADED_SCIPY})
+print(numerics.expm([[[0.0]]]).shape, {LOADED_SCIPY})
 """)
-    assert out.splitlines() == ["matrix must be 2-dimensional, got shape (1, 1, 1)",
-                                "matrix contains non-finite entries", "[]"]
+    assert out.splitlines() == ["matrix must be 2-dimensional, got shape (1, 1, 1, 1)",
+                                "matrix contains non-finite entries", "(1, 1, 1) []"]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

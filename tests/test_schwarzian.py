@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -185,6 +186,55 @@ def test_riccati_near_pole_accuracy():
     assert abs(ws[-1][0, 0] + np.tan(t1)) <= 1e-5 * np.tan(t1)
 
 
+def test_the_pole_oscillator_is_exact_at_every_node():
+    # W' = -1 - W^2 from W0 = 0 is -tan t, 2.7e-8 short of its pole at the end of
+    # [0, 1.5707963].  A constant system takes its exact flow, so W at node i meets
+    # -tan(t0 + i h) within 1e-8 relative (5.7e-9 at these step counts; RK4 read
+    # 7.6e-4 at 250 steps and 3.0e-6 at 1000).
+    t1 = 1.5707963
+    for steps in (250, 1000, 4000):
+        _, ws = sz.integrate_riccati(oscillator(), np.zeros((1, 1)), 0.0, t1, steps)
+        with mpmath.workdps(30):
+            exact = np.array([float(-mpmath.tan(i * mpmath.mpf(t1 / steps)))
+                              for i in range(steps + 1)])
+        assert np.all(np.abs(ws[:, 0, 0] - exact) <= 1e-8 * np.abs(exact)), steps
+
+
+def test_tan_systems_meet_their_closed_form(rng):
+    # W' = -b I - W^2 from W0 = V diag(mu) V^T, drawn as the benchmark's riccati_tan
+    # problems are: W = V diag(-sqrt(b) tan(sqrt(b) t - atan(mu / sqrt(b)))) V^T up to
+    # where the largest tangent argument reaches 1.2.  At t0 + i h the exact flow
+    # meets it to 5e-15 of max |W| at every node of 1000 steps (RK4: 7e-15 to 8e-14).
+    n, steps = 6, 1000
+    for _ in range(6):
+        b, mu = float(rng.uniform(0.5, 2.0)), rng.uniform(-0.5, 0.5, size=n)
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w0 = (v * mu) @ v.T
+        rb = np.sqrt(b)
+        t1 = float((1.2 + np.arctan(mu.min() / rb)) / rb)
+        _, ws = sz.integrate_riccati(constant_system(np.zeros((n, n)), b * np.eye(n)),
+                                     0.5 * (w0 + w0.T), 0.0, t1, steps)
+        t = np.arange(steps + 1)[:, None] * (t1 / steps)
+        exact = (v * -rb * np.tan(rb * t - np.arctan(mu / rb))[:, None]) @ v.T
+        assert np.max(np.abs(ws - exact)) <= 5e-15 * np.max(np.abs(exact))
+
+
+def test_a_stiff_constant_system_decays(monkeypatch):
+    # q' = -300 q, p = 0 on [0, 10] in 1000 steps: RK4 multiplies q by R(-3) = 1.375
+    # per step (q(10) = 2.0e138, exit 0).  The exact flow gives q = e^(-300 t) at every
+    # node, 0 once it leaves the float range.  Its exponentials 2^b h G have 1-norm
+    # 2^b 3.01, past the float range's bound from 2^b = 256: the blocks stop doubling
+    # at 128 nodes, and E_0, ..., E_7 come from one expm call.
+    stacks, expm = [], numerics.expm
+    monkeypatch.setattr(numerics, "expm", lambda m: stacks.append(len(m)) or expm(m))
+    ts, points = sz.integrate_hamiltonian(constant_system([[-300.0]], [[0.0]]),
+                                          sz.PhasePoint([[1.0]], [[0.0]]), 0.0, 10.0, 1000)
+    exact = np.exp(-300.0 * (np.arange(1001) * 0.01))
+    assert np.all(np.abs(points.q[:, 0, 0] - exact) <= 1e-11 * exact + np.finfo(float).tiny)
+    assert points.q[-1, 0, 0] == 0.0 and not points.p.any()
+    assert stacks == [8]
+
+
 def test_riccati_pole_at_a_node():
     # W' = -W^2, W0 = -1: W = -1/(1 - t), and q = 1 - t is exactly 0 at t = 1,
     # the last node of [0, 1] and an inner node of [0, 2].
@@ -229,8 +279,6 @@ def test_riccati_matrix_poles(b, pole):
 
 def test_riccati_against_mpmath():
     # Non-symmetric A(t) that commutes neither with itself nor with B(t).
-    import mpmath
-
     a = [np.array([[0.3, 0.8], [0.6, -0.5]]), np.array([[-0.4, 0.7], [-1.0, 0.6]])]
     b = [np.array([[1.2, -0.5], [-0.5, -0.8]]), np.array([[-1.0, -0.1], [-0.1, 0.2]])]
     w0 = np.array([[1.0, 0.6], [0.2, 1.0]])
@@ -745,17 +793,27 @@ def linear_system(rng, n):
                                 symmetric_a=True)
 
 
-def test_constant_coefficients_step_by_the_stability_polynomial(rng):
-    # For constant G, RK4's step matrix is R(hG) = sum_{k<=4} (hG)^k / k!.
+def exact_flow(g, y0, h, steps):
+    """exp(i h G) y0 at i = 0, ..., steps, stepped by exp(hG) in 30-digit mpmath: the
+    exact flow of a constant G, hG rounded to double as the run rounds it."""
+    with mpmath.workdps(30):
+        e, y = mpmath.expm(mpmath.matrix((h * g).tolist())), mpmath.matrix(y0.tolist())
+        ys = [y]
+        for _ in range(steps):
+            ys.append(e * ys[-1])
+        ys = np.array([y.tolist() for y in ys], dtype=complex)
+    return ys if np.iscomplexobj(g) or np.iscomplexobj(y0) else ys.real
+
+
+def test_constant_coefficients_follow_the_exact_flow(rng):
+    # For constant G the run is the exact flow: node i is exp(i h G) y0.
     for n in (1, 2, 6):
         a, b, q0, p0 = 0.3 * rng.standard_normal((n, n)), _sym(rng, n), *rng.standard_normal((2, n, n))
         steps, t1 = 200, 0.8
-        hg = t1 / steps * np.block([[a, np.eye(n)], [-b, -a.T]])
-        r = sum(np.linalg.matrix_power(hg, k) / math.factorial(k) for k in range(5))
-        y = np.concatenate([q0, p0])
-        ref = [y := r @ y for _ in range(steps)]
+        g, y0 = np.block([[a, np.eye(n)], [-b, -a.T]]), np.concatenate([q0, p0])
+        ref = exact_flow(g, y0, t1 / steps, steps)
         _, points = sz.integrate_hamiltonian(constant_system(a, b), sz.PhasePoint(q0, p0), 0.0, t1, steps)
-        assert _rel(np.concatenate([points.q, points.p], axis=1)[1:], np.array(ref)) <= 1e-13
+        assert _rel(np.concatenate([points.q, points.p], axis=1), ref) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -852,41 +910,50 @@ def test_a_pole_next_to_a_chunk_boundary(rng, n, node, degree):
 
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
 def test_a_constant_system_steps_as_its_zero_slope_polynomial(rng, monkeypatch, steps):
-    # A constant G gives the kernel a one-matrix stack, and each chunk one step
-    # matrix; the same system written as degree-1 polynomials with zero slope
-    # gives one G per stage time and one step matrix per step.  Both are the
-    # same RK4 steps, bit for bit, for a real, complex or float32 W0.
+    # A constant G takes the exact flow; the same system written as degree-1
+    # polynomials with zero slope takes RK4.  Each meets the exact solution, the
+    # flow to rounding (1.4e-15 here) and RK4 to its O(h^4) truncation error
+    # (0.017 at 1 step, 2.0e-9 at 63, 5.7e-14 at 1000), for a real, complex or
+    # float32 W0, on the same node times and in the same precision.
     n = 3
     a, b = 0.3 * rng.standard_normal((n, n)), _sym(rng, n)
     const = constant_system(a, b)
     sloped = sz.HamiltonianSystem(sz.MatrixPolynomial([a, np.zeros((n, n))]),
                                   sz.MatrixPolynomial([b, np.zeros((n, n))]))
-    stacks, rk4 = [], sz._rk4
-    monkeypatch.setattr(sz, "_rk4", lambda g, *args: stacks.append(len(g(slice(0, 3)))) or rk4(g, *args))
+    kernels, flow, rk4 = [], sz._flow, sz._rk4
+    monkeypatch.setattr(sz, "_flow", lambda *args: kernels.append("flow") or flow(*args))
+    monkeypatch.setattr(sz, "_rk4", lambda *args: kernels.append("rk4") or rk4(*args))
+    g = np.block([[a, np.eye(n)], [-b, -a.T]])
+    phi = exact_flow(g, np.eye(2 * n), (0.5 - -0.3) / steps, steps)  # the fundamental solution
     w0 = 0.1 * _sym(rng, n)
     for w in (w0, w0 + 0.1j * _sym(rng, n), w0.astype(np.float32)):
+        exact = phi @ np.concatenate([np.eye(n), w])
+        exact_w = sz.PhasePoint(exact[:, :n], exact[:, n:]).w()
         runs = []
-        for sys_ in (const, sloped):
+        for sys_, tol in ((const, 1e-14), (sloped, 0.1 / steps ** 4 + 1e-13)):
             ts, ws = sz.integrate_riccati(sys_, w, -0.3, 0.5, steps)
             _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n, dtype=w.dtype), w),
                                                  -0.3, 0.5, steps)
-            runs.append([(x.dtype, x.tobytes()) for x in (ts, ws, points.q, points.p)])
+            assert _rel(np.concatenate([points.q, points.p], axis=1), exact) <= tol
+            assert _rel(ws, exact_w) <= tol
+            runs.append([(x.dtype, x.shape) for x in (ws, points.q, points.p)] + [ts.tobytes()])
         assert runs[0] == runs[1]
-    assert stacks == [1, 1, 3, 3] * 3
+    assert kernels == ["flow", "flow", "rk4", "rk4"] * 3
 
 
 @pytest.mark.parametrize("degrees", [(2, 0), (0, 3), (0, 0)])
 def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degrees):
     # The Hamiltonian run evaluates G = [[A, I], [-B, -A^T]] as one polynomial of
-    # blocks (a constant G as one matrix).  At every stage time it must equal the
-    # matrix assembled from A(t) and B(t); B is diagonal, its other entries 0.0 in
-    # one pass and -0.0 in the next, and t0 < 0, so a zero may differ in sign,
-    # which no output shows: the step matrices that _rk4 hands to on_chunk (the
-    # pole verdict reads them) and the states must be those of _rk4 on the
-    # assembled G, bit for bit, whose in-place stages give the bits of each step
-    # matrix written as one expression.
+    # blocks (a constant G as one matrix, which takes the exact flow).  At every
+    # stage time it must equal the matrix assembled from A(t) and B(t); B is
+    # diagonal, its other entries 0.0 in one pass and -0.0 in the next, and t0 < 0,
+    # so a zero may differ in sign, which no output shows: the step matrices that
+    # the kernel hands to on_chunk (the pole verdict reads them) and the states must
+    # be those of the kernel on the assembled G, bit for bit; RK4's in-place stages
+    # give the bits of each step matrix written as one expression.
     n, steps, t0, t1 = 3, 1000, -0.4, 0.5
-    rk4 = sz._rk4
+    name = "_rk4" if max(degrees) else "_flow"
+    kernel = getattr(sz, name)
     for zero in (0.0, -0.0):
         a = sz.MatrixPolynomial([0.3 * rng.standard_normal((n, n)) for _ in range(degrees[0] + 1)])
         b = sz.MatrixPolynomial([np.where(np.eye(n, dtype=bool), rng.standard_normal(n), zero)
@@ -900,30 +967,38 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
             at, bt = (p(st[s] if max(degrees) else st[:1]) for p in (a, b))
             return sz._blocks(at, np.eye(n), -bt, -at.swapaxes(-1, -2))
 
+        def run(y0, on_chunk=None):  # the kernel on the assembled G
+            if max(degrees):
+                return kernel(assembled, y0, hs, on_chunk)
+            return kernel(assembled(slice(0, 1))[0], y0, hs[0], steps, on_chunk)
+
         generators, chunks = [], []
 
-        def recording(g, y, hs, on_chunk=None):
+        def recording(g, *args):
             generators.append(g)
-            return rk4(g, y, hs,
-                       on_chunk and (lambda j, m, ys: chunks.append(m.copy()) or on_chunk(j, m, ys)))
+            *args, on_chunk = args
+            return kernel(g, *args,
+                          on_chunk and (lambda j, m, ys: chunks.append(m.copy()) or on_chunk(j, m, ys)))
 
-        monkeypatch.setattr(sz, "_rk4", recording)
+        monkeypatch.setattr(sz, name, recording)
         w0 = 0.1 * _sym(rng, n)
         whole = slice(0, 2 * steps + 1)
         for w in (w0, w0 + 0.1j * _sym(rng, n)):
             y0 = np.concatenate([np.eye(n), w])
-            ys = rk4(assembled, y0, hs)
-            gs = np.broadcast_to(assembled(whole), (2 * steps + 1, 2 * n, 2 * n))
-            assert ys.tobytes() == expression_rk4(gs, y0, hs).tobytes()
+            ys = run(y0)
+            if max(degrees):
+                gs = np.broadcast_to(assembled(whole), (2 * steps + 1, 2 * n, 2 * n))
+                assert ys.tobytes() == expression_rk4(gs, y0, hs).tobytes()
             got_ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w), t0, t1, steps)
             assert got_ts.tobytes() == ts.tobytes()
             got = np.stack([points.q, points.p], axis=1)
             assert got.dtype == ys.dtype and got.tobytes() == ys.reshape(got.shape).tobytes()
             expect, chunks[:] = [], []
-            rk4(assembled, y0, hs, lambda j, m, ys: expect.append(m.copy()))
+            run(y0, lambda j, m, ys: expect.append(m.copy()))
             sz.integrate_riccati(sys_, w, t0, t1, steps)
             assert [m.tobytes() for m in chunks] == [m.tobytes() for m in expect]
-        assert np.array_equal(*np.broadcast_arrays(generators[0](whole), assembled(whole)))
+        g = generators[0]
+        assert np.array_equal(*np.broadcast_arrays(g(whole) if callable(g) else g, assembled(whole)))
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (float("nan"), 1.0),
@@ -1003,53 +1078,56 @@ def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
     assert len(chunks) <= 2
 
 
+def read_chunks(monkeypatch, chunks):
+    """Patch both kernels so that each chunk handed to the Riccati reader appends
+    (its first node, the number of nodes built) to chunks."""
+    for name in ("_flow", "_rk4"):
+        def counting(g, *args, kernel=getattr(sz, name)):
+            *args, on_chunk = args
+            return kernel(g, *args,
+                          lambda j, m, ys: chunks.append((j, j + len(ys))) or on_chunk(j, m, ys))
+        monkeypatch.setattr(sz, name, counting)
+
+
 def test_a_riccati_blow_up_ends_the_run_at_its_chunk(monkeypatch):
     # W' = -I - W^2, W0 = 0, dim 6: W = -tan(t) I has its pole at pi/2, node 524 of
-    # 1000 steps on [0, 3].  The constant system's chunks double from 64 steps, so
-    # they start at steps 0, 64, 192 and 448, and the pole lies in the 4th; the run
-    # builds no chunk after it.
-    chunks, rk4 = [], sz._rk4
-
-    def counted(g):
-        return lambda s: chunks.append(s) or g(s)
-
-    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs, on_chunk=None: rk4(counted(g), y, hs, on_chunk))
+    # 1000 steps on [0, 3].  The constant system's exact flow doubles its blocks of
+    # nodes: the reader gets nodes 0-127, then the blocks from nodes 128, 256 and
+    # 512 (each with the node before it), and the pole lies in the 4th.
+    chunks = []
+    read_chunks(monkeypatch, chunks)
     sys_ = constant_system(np.zeros((6, 6)), np.eye(6))
     with pytest.raises(BlowUp) as exc_info:
         sz.integrate_riccati(sys_, np.zeros((6, 6)), 0.0, 3.0, 1000)
     assert exc_info.value.t == 1.57199999999998
-    assert [s.start // 2 for s in chunks] == [0, 64, 192, 448]
+    assert chunks == [(0, 128), (127, 256), (255, 512), (511, 1001)]
 
 
 @pytest.mark.parametrize("node", [10, 64, 65, 300, 3000])
 def test_a_constant_run_doubles_its_chunks_up_to_its_pole(monkeypatch, node):
     # W' = -cI - W^2, W0 = 0, dim 6: W = -sqrt(c) tan(sqrt(c) t) I, its pole placed
-    # mid-step into the given node of a 10,000-step run.  The constant system builds
-    # one step matrix per chunk and doubles its chunks from 64 steps; its zero-slope
-    # degree-1 twin builds one per step, in chunks of 64.  Both must report the pole
-    # at that node, and the constant run must build at most 2 node + 64 steps (a
-    # whole-run chunk would build all 10,000).
+    # mid-step into the given node of a 10,000-step run.  The constant system's
+    # exact flow builds its nodes in doubling blocks; its zero-slope degree-1 twin
+    # runs RK4 in chunks of 64 steps.  Both must report the pole at that node; the
+    # constant run must build at most max(2 node + 1, 128) nodes, and the twin at
+    # most node + 64 (a whole-run block would build all 10,001).
     n, steps, t1 = 6, 10_000, 1.0
     c = (np.pi / (2.0 * (node - 0.5) * (t1 / steps))) ** 2
     zero = np.zeros((n, n))
-    built, rk4 = [], sz._rk4
-
-    def counted(g):
-        return lambda s: built.append((s.stop - s.start) // 2) or g(s)
-
-    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs, on_chunk=None: rk4(counted(g), y, hs, on_chunk))
-    blowups, counts = [], []
+    chunks = []
+    read_chunks(monkeypatch, chunks)
+    blowups, built = [], []
     for sys_ in (constant_system(zero, c * np.eye(n)),
                  sz.HamiltonianSystem(sz.MatrixPolynomial([zero, zero]),
                                       sz.MatrixPolynomial([c * np.eye(n), zero]))):
-        built.clear()
+        chunks.clear()
         with pytest.raises(BlowUp) as exc_info:
             sz.integrate_riccati(sys_, zero, 0.0, t1, steps)
         blowups.append(exc_info.value.t)
-        counts.append(sum(built))
+        built.append(chunks[-1][1])
     assert blowups[0] == blowups[1] == list(accumulate([t1 / steps] * steps, initial=0.0))[node]
-    assert counts[0] <= 2 * node + 64
-    assert counts[1] <= node + 64
+    assert built[0] <= max(2 * node + 1, 2 * sz._CHUNK)
+    assert built[1] <= node + 64
 
 
 @pytest.mark.parametrize("t0", [0, -0.4, 3, 1e6])
