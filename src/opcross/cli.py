@@ -18,51 +18,31 @@ import numpy as np
 
 from . import __version__, crossratio, flows, grassmann, numerics
 from . import schwarzian as schwarz
-from .errors import NumericalError, Overflow
+from .errors import NumericalError
 
 
-# --- deterministic JSON with 17-significant-digit floats ------------------
+# --- the report: json.dumps of plain values, each float as its shortest repr ---
 
-def _format_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
-        raise Overflow(f"non-finite float in output: {x!r}")
-    text = format(float(x), ".17g")
-    # Keep floats recognizably floats.
-    if "e" not in text and "." not in text:
-        text += ".0"
-    return text
+def dumps_report(obj):
+    """obj as deterministic JSON, indented by 2: numpy scalars become Python values,
+    complex numbers [re, im], a 2-d array a matrix object and another array a list.
+    Each array and each float is checked finite once."""
+    return json.dumps(_plain(obj), indent=2)
 
 
-def dumps_report(obj, indent=0):
-    """obj as deterministic JSON; numpy scalars and arrays and complex numbers ([re, im])
-    are converted as they are written, a 2-d array as a matrix object."""
-    pad = "  " * indent
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, complex):
-        obj = [obj.real, obj.imag]
-    elif isinstance(obj, np.ndarray):
-        obj = numerics.matrix_to_json(numerics.finite(obj, "a matrix in the output")) \
-            if obj.ndim == 2 else list(obj)
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _plain(obj):
+    if isinstance(obj, (np.generic, float, complex)):
+        obj = np.asarray(obj)  # a 0-d array
+    if isinstance(obj, np.ndarray):
+        obj = numerics.finite(obj, "a value in the output")
+        return numerics.matrix_to_json(obj) if obj.ndim == 2 else \
+            numerics.split_complex(obj).tolist()
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(f'{pad}  {json.dumps(str(k))}: {dumps_report(v, indent + 1)}'
-                           for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{pad}  {dumps_report(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        return [_plain(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
     raise TypeError(f"unserializable value of type {type(obj).__name__}")
 
 
@@ -146,11 +126,10 @@ def _trajectory_csv(ts, *stacks):
     """One CSV row per time t_i: t_i, then the entries of each stack's i-th array
     in turn; a complex array's entries take two columns each, re then im, as the
     report lists them."""
+    columns = [numerics.split_complex(np.asarray(s)).reshape(len(ts), -1) for s in stacks]
+    rows = numerics.finite(np.column_stack([ts, *columns]), "a trajectory in the output")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for t, *arrays in zip(ts, *stacks):
-        parts = [np.stack([a.real, a.imag], -1) if np.iscomplexobj(a) else a for a in arrays]
-        writer.writerow([_format_float(v) for v in np.concatenate([[t], *map(np.ravel, parts)])])
+    csv.writer(buf, lineterminator="\n").writerows(rows.tolist())
     return buf.getvalue()
 
 
@@ -184,7 +163,7 @@ def _handle_flow(data, seed, tol):
     results = {"rows": [{"t": t, "spectrum": spec, "traces": traces.astype(complex), "det": det}
                         for t, spec, traces, det in table]}
     ts, spectra, traces, dets = zip(*table)
-    return results, _trajectory_csv(ts, spectra, map(np.append, traces, dets))
+    return results, _trajectory_csv(ts, spectra, list(map(np.append, traces, dets)))
 
 
 def _handle_selftest(data, seed, tol):

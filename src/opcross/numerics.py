@@ -243,11 +243,12 @@ def expm(m):
 def matrix_to_json(m):
     m = as_matrix(m)
     rows, cols = m.shape
-    if np.iscomplexobj(m):
-        data = [[[float(v.real), float(v.imag)] for v in row] for row in m]
-    else:
-        data = [[float(v) for v in row] for row in m]
-    return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": split_complex(m).tolist()}
+
+
+def split_complex(a):
+    """a itself if it is real; else its entries as (re, im) pairs along a new last axis."""
+    return np.stack([a.real, a.imag], -1) if np.iscomplexobj(a) else a
 
 
 def number_from_json(v, name, kind=float):

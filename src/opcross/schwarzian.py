@@ -260,8 +260,8 @@ def _stages(nodes, mids):
 # blocks of nodes (see _flow), so a run that stops at node i has built at most
 # max(2i + 1, 2 _CHUNK) nodes.
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
-# The largest 1-norm of an exponent A of the exact flow: e^A is then finite, since
-# ||e^A||_1 <= e^||A||_1, with a factor e to spare for rounding.
+# The largest 1-norm of an exponent A of the exact flow's stacked expm call: e^A is
+# then finite, since ||e^A||_1 <= e^||A||_1, with a factor e to spare for rounding.
 _EXPONENT_NORM_MAX = np.log(np.finfo(float).max) - 1.0
 # The most steps one run takes: it holds its step list, node times and states whole.
 MAX_STEPS = 10**6
@@ -335,9 +335,10 @@ def _flow(g, y, h, steps, on_chunk=None):
     """The exact flow y_i = e^(i h G) y of a constant G at the nodes i = 0, ..., steps.
     One stacked expm gives E_b = e^(2^b h G) for b = 0 and for each 2^b <= steps whose
     exponent has a 1-norm below _EXPONENT_NORM_MAX (so E_b is finite); if E_0 is not
-    finite, node 1 is the first state out of range.  The nodes come in blocks: node
-    2^b + i is E_b times node i, and past the widest E_b, node i is that E_b times node
-    i - 2^b.  So unless the widths stop doubling, node i is a product of at most
+    finite, node 1 is the first state out of range.  Each wider E_b then takes its own
+    expm call, and the widths stop at the first that is not finite.  The nodes come in
+    blocks: node 2^b + i is E_b times node i, and past the widest E_b, node i is that
+    E_b times node i - 2^b.  So unless an E_b overflows, node i is a product of at most
     log2(i) + 1 exponentials, each exact to rounding.  on_chunk is called as _rk4 calls
     it, with [E_0] as the step matrix of every step: once at least _CHUNK new nodes
     exist, then after each block (or after _CHUNK nodes of narrower blocks); and the
@@ -351,6 +352,13 @@ def _flow(g, y, h, steps, on_chunk=None):
             es = numerics.expm(numerics.finite(scales[:widths, None, None] * hg, "the exponent"))
         except Overflow:  # E_0 is out of range (every other E_b is in it)
             es = np.full((1, *hg.shape), np.inf)
+        else:
+            for scale in scales[widths:]:  # each wider E_b, up to the first out of range
+                try:
+                    e = numerics.expm(numerics.finite(scale * hg, "the exponent"))
+                except Overflow:
+                    break
+                es = np.append(es, e[None], axis=0)
         ys = np.empty((steps + 1, *y.shape), np.result_type(y, es))
         ys[0], j, lo = y, 0, 1
         while lo <= steps:

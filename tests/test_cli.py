@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opcross import __version__, cli, flows, grassmann, numerics
 from opcross.errors import Overflow
@@ -849,13 +852,35 @@ def test_no_environment_variable_sets_the_tolerance(tmp_path):
 
 
 def test_float_formatting_is_deterministic():
-    assert cli._format_float(1.0) == "1.0"
-    assert cli._format_float(0.1) == "0.10000000000000001"
-    with pytest.raises(Overflow):
-        cli._format_float(float("nan"))
+    # Each float is written as its shortest repr that reads back to it.
+    assert cli.dumps_report([1.0, 0.1, 1e16]) == "[\n  1.0,\n  0.1,\n  1e+16\n]"
+    assert cli._trajectory_csv([1.0], [[0.1 + 1e16j]]) == "1.0,0.1,1e+16\n"
+    for value in (float("nan"), complex(0.0, float("inf")), np.array([[1.0, np.nan]])):
+        with pytest.raises(Overflow, match="^a value in the output is not finite$"):
+            cli.dumps_report({"x": value})
+    with pytest.raises(Overflow, match="^a trajectory in the output is not finite$"):
+        cli._trajectory_csv([0.0], [[float("inf")]])
     assert cli.dumps_report([]) == "[]"
     with pytest.raises(TypeError, match="^unserializable value of type object$"):
         cli.dumps_report(object())
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_FLOATS, _FLOATS)
+@example(-0.0, 5e-324)
+@example(1e16, sys.float_info.max)
+@example(-sys.float_info.max, -sys.float_info.min / 3.0)
+def test_every_float_reads_back_bit_for_bit(x, y):
+    # A report's float, complex and array entries and a trajectory CSV row give
+    # back x and y with their bits: -0.0, subnormals and the float limit included.
+    report = json.loads(cli.dumps_report({"x": x, "z": complex(x, y), "v": np.array([x, y])}))
+    row = next(csv.reader(io.StringIO(cli._trajectory_csv([x], [[[complex(x, y)]]]))))
+    values = [report["x"], *report["z"], *report["v"]]
+    assert [v.hex() for v in values] == [x.hex(), x.hex(), y.hex(), x.hex(), y.hex()]
+    assert [float(v).hex() for v in row] == [x.hex(), x.hex(), y.hex()]
 
 
 def test_unknown_verb_rejected():

@@ -223,8 +223,9 @@ def test_a_stiff_constant_system_decays(monkeypatch):
     # q' = -300 q, p = 0 on [0, 10] in 1000 steps: RK4 multiplies q by R(-3) = 1.375
     # per step (q(10) = 2.0e138, exit 0).  The exact flow gives q = e^(-300 t) at every
     # node, 0 once it leaves the float range.  Its exponentials 2^b h G have 1-norm
-    # 2^b 3.01, past the float range's bound from 2^b = 256: the blocks stop doubling
-    # at 128 nodes, and E_0, ..., E_7 come from one expm call.
+    # 2^b 3.01, past the float range's bound from 2^b = 256: E_0, ..., E_7 come from
+    # one expm call, and E_8, tried on its own, overflows (p's block grows as e^(300 t)),
+    # so the blocks stop doubling at 128 nodes.
     stacks, expm = [], numerics.expm
     monkeypatch.setattr(numerics, "expm", lambda m: stacks.append(len(m)) or expm(m))
     ts, points = sz.integrate_hamiltonian(constant_system([[-300.0]], [[0.0]]),
@@ -232,7 +233,7 @@ def test_a_stiff_constant_system_decays(monkeypatch):
     exact = np.exp(-300.0 * (np.arange(1001) * 0.01))
     assert np.all(np.abs(points.q[:, 0, 0] - exact) <= 1e-11 * exact + np.finfo(float).tiny)
     assert points.q[-1, 0, 0] == 0.0 and not points.p.any()
-    assert stacks == [8]
+    assert stacks == [8, 2]
 
 
 def test_riccati_pole_at_a_node():
@@ -1100,6 +1101,20 @@ def test_a_riccati_blow_up_ends_the_run_at_its_chunk(monkeypatch):
     with pytest.raises(BlowUp) as exc_info:
         sz.integrate_riccati(sys_, np.zeros((6, 6)), 0.0, 3.0, 1000)
     assert exc_info.value.t == 1.57199999999998
+    assert chunks == [(0, 128), (127, 256), (255, 512), (511, 1001)]
+
+
+def test_the_blocks_double_past_the_norm_bound_while_they_stay_finite(monkeypatch):
+    # W' = -W^2 (A = B = 0, dim 2), W0 = -I/524500: q = I - t I/524500 is singular at
+    # t = 524500, between nodes 524 and 525 of [0, 1e6] in 1000 steps.  Each exponent
+    # 2^b hG = [[0, 2^b 1000 I], [0, 0]] has a 1-norm past ln(DBL_MAX) - 1, yet its
+    # exponential I + 2^b hG is finite, so the blocks keep doubling.
+    chunks = []
+    read_chunks(monkeypatch, chunks)
+    with pytest.raises(BlowUp) as exc_info:
+        sz.integrate_riccati(constant_system(np.zeros((2, 2)), np.zeros((2, 2))),
+                             -np.eye(2) / 524500.0, 0.0, 1e6, 1000)
+    assert exc_info.value.t == 525000.0
     assert chunks == [(0, 128), (127, 256), (255, 512), (511, 1001)]
 
 
