@@ -7,7 +7,12 @@ linear in the state, y' = G(t) y.  A Hamiltonian system with constant
 coefficients takes its exact flow, y_i = e^(i h G) y_0, from one stacked
 matrix exponential; every other run (a time-dependent system, and the curve
 of curve_from_riccati) takes the classical fixed-step fourth-order method,
-one RK4 step matrix per step.
+one RK4 step matrix per step, through one propagation kernel (_rk4).  For a
+polynomial G of degree d the step matrix is a matrix polynomial of degree 4d
+in t: a time-dependent system builds its step matrices from that polynomial's
+Taylor coefficients, one expansion per block of 64 nodes (_taylor_steps).  The
+curve's W is tabulated, so its step matrices come from G at the stage times
+(_stage_steps).
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
 Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk
@@ -25,6 +30,7 @@ chunk.
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import islice, zip_longest
+from math import comb
 from numbers import Integral
 
 import numpy as np
@@ -76,6 +82,15 @@ class CurveJet(_Nodes):
                    *(numerics.matrix_from_json(obj[k]) for k in ("z", "z1", "z2", "z3")))
 
 
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k by Horner's rule, a new array of the shape of t and the
+    coefficients broadcast together."""
+    *lower, out = coeffs
+    for c in reversed(lower):
+        out = out * t + c
+    return out if lower else out + 0 * t
+
+
 class MatrixPolynomial:
     """A matrix-valued polynomial sum_k C_k t^k with exact differentiation."""
 
@@ -97,10 +112,7 @@ class MatrixPolynomial:
 
     def __call__(self, t):
         """sum_k C_k t^k, a new array of the shape of t and C_k broadcast together."""
-        *lower, out = self.coeffs
-        for c in reversed(lower):
-            out = out * t + c
-        return out if lower else out + 0 * t
+        return _horner(self.coeffs, t)
 
     def derivative(self):
         """sum_k k C_k t^(k-1); Overflow when a coefficient k C_k is not finite."""
@@ -260,6 +272,12 @@ def _stages(nodes, mids):
 # blocks of nodes (see _flow), so a run that stops at node i has built at most
 # max(2i + 1, 2 _CHUNK) nodes.
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
+# The steps of a polynomial run whose step matrices share one Taylor expansion,
+# about the block's first node (see _taylor_steps): fixed by node index, not by chunk.
+_BLOCK = 64
+# The Taylor blocks whose step-matrix polynomials are built together (fewer numpy
+# calls per block); a run that stops early has built those of fewer blocks past its last.
+_BATCH = 16
 # The largest 1-norm of an exponent A of the exact flow's stacked expm call: e^A is
 # then finite, since ||e^A||_1 <= e^||A||_1, with a factor e to spare for rounding.
 _EXPONENT_NORM_MAX = np.log(np.finfo(float).max) - 1.0
@@ -276,59 +294,146 @@ def _blocks(a, b, c, d):
     return out
 
 
-def _rk4(g, y, hs, on_chunk=None):
-    """Classical RK4 from y over the steps hs for the linear system y' = G(t) y,
-    where g(s) is the stack of G at the stage times s (a slice of the indices of
-    _stages).  On a linear system RK4 is the step matrix y_{i+1} = M_i y_i,
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1),
-    K3 = G(t_i + h/2)(I + h/2 K2) and K4 = G(t_{i+1})(I + h K3): the stage vectors are
-    K_j y_i, so the method and its nodes are the classical ones.  The M_i are built as
-    stacks a chunk of steps at a time (see _CHUNK), each stage updated in place.
-    y_{i+1} is one M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc call),
-    written into its row of the states, and map drives a chunk's products in order
-    without a bytecode loop.  After each chunk, on_chunk(j, m, ys) gets its first step
-    j, its stack m of step matrices and its finite states ys, from y_j on, under the
-    run's errstate; a true return ends the run there.  Returns one array of y and the
-    states after each step, up to the first state that is not finite (the run stops at
-    the end of that state's chunk) or to the end of a chunk that on_chunk ended."""
-    hs, eye, ys, j = np.asarray(hs, dtype=float), np.eye(len(y)), None, 0
+def _rk4(step_matrices, y, steps, on_chunk=None):
+    """The states of y_{i+1} = M_i y_i from y over steps steps, where
+    step_matrices(j, k) is the stack of M_j, ..., M_{j+k-1}: RK4's step matrices
+    (see _rk4_step) from a polynomial G's Taylor blocks (_taylor_steps) or from G at
+    the stage times (_stage_steps).  The M_i come a chunk of steps at a time (see
+    _CHUNK).  y_{i+1} is one M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc
+    call), written into its row of the states, and map drives a chunk's products in
+    order without a bytecode loop.  After each chunk, on_chunk(j, m, ys) gets its
+    first step j, its stack m of step matrices and its finite states ys, from y_j on,
+    under the run's errstate; a true return ends the run there.  Returns one array of
+    y and the states after each step, up to the first state that is not finite (the
+    run stops at the end of that state's chunk) or to the end of a chunk that
+    on_chunk ended."""
+    ys, j = None, 0
     chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
-        while j < len(hs):
-            h = hs[j:j + chunk]
-            steps = len(h)
-            gs = g(slice(2 * j, 2 * (j + steps) + 1))
-            # Equal steps make h a scalar, which numpy multiplies faster than a column.
-            h = h.item(0) if (h == h[0]).all() else h[:, None, None]
-            k1, gm, g1 = gs[:-1:2], gs[1::2], gs[2::2]
-            x = k1 * (h / 2.0)
-            x += eye
-            k2 = gm @ x
-            np.multiply(k2, h / 2.0, out=x)
-            x += eye
-            k3 = gm @ x
-            np.multiply(k3, h, out=x)
-            x += eye
-            k4 = g1 @ x
-            m = k2  # I + h/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
-            m *= 2.0
-            m += k1
-            k3 *= 2.0
-            m += k3
-            m += k4
-            m *= h / 6.0
-            m += eye
+        while j < steps:
+            k = min(chunk, steps - j)
+            m = step_matrices(j, k)
             if ys is None:
-                ys = np.empty((len(hs) + 1, *y.shape), np.result_type(y, m))
+                ys = np.empty((steps + 1, *y.shape), np.result_type(y, m))
                 ys[0] = y
-            rows = list(ys[j:j + steps + 1])  # each product writes its state into its row of ys
+            rows = list(ys[j:j + k + 1])  # each product writes its state into its row of ys
             deque(map(np.ndarray.dot, m, rows, rows[1:]), maxlen=0)
-            finite = np.isfinite(ys[j + 1:j + steps + 1]).reshape(steps, -1).all(axis=1)
-            end = j + 1 + (steps if finite.all() else int(np.argmin(finite)))
-            if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + steps:
+            finite = np.isfinite(ys[j + 1:j + k + 1]).reshape(k, -1).all(axis=1)
+            end = j + 1 + (k if finite.all() else int(np.argmin(finite)))
+            if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + k:
                 return ys[:end]
-            j += steps
+            j += k
     return ys
+
+
+def _rk4_step(k1, gm, g1, h, eye, times=np.matmul):
+    """RK4's step matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from G at a step's start,
+    midpoint and end: K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)
+    (I + h/2 K2) and K4 = G(t_{i+1})(I + h K3), each stage updated in place, where
+    times is the product and eye is I in the shape of K1.  On y' = G(t) y an RK4 step
+    is y_{i+1} = M_i y_i: the stage vectors are K_j y_i, so the method and its nodes
+    are the classical ones."""
+    x = k1 * (h / 2.0)
+    x += eye
+    k2 = times(gm, x)
+    np.multiply(k2, h / 2.0, out=x)
+    x += eye
+    k3 = times(gm, x)
+    np.multiply(k3, h, out=x)
+    x += eye
+    k4 = times(g1, x)
+    m = k2  # I + h/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
+    m *= 2.0
+    m += k1
+    k3 *= 2.0
+    m += k3
+    m += k4
+    m *= h / 6.0
+    m += eye
+    return m
+
+
+def _stage_steps(g, hs):
+    """RK4's step matrices, for _rk4, from G at the stage times: g(j, k) is one
+    contiguous stack of G at the nodes j, ..., j + k followed by G at the midpoints
+    of the steps j, ..., j + k - 1, and hs are the steps.  I is added from one
+    contiguous stack of identities."""
+    eyes = np.empty(0)
+
+    def step_matrices(j, k):
+        nonlocal eyes
+        gs = g(j, k)
+        if len(eyes) < k:
+            eyes = np.tile(np.eye(gs.shape[-1]), (k, 1, 1))
+        h = hs[j:j + k]
+        # Equal steps make h a scalar, which numpy multiplies faster than a column.
+        h = h.item(0) if (h == h[0]).all() else h[:, None, None]
+        return _rk4_step(gs[:k], gs[k + 1:], gs[1:k + 1], h, eyes[:k])
+
+    return step_matrices
+
+
+def _taylor(poly):
+    """The Taylor coefficients p^(k)(t)/k! = sum_{j >= k} C(j, k) C_j t^(j - k),
+    k = 0, ..., degree, of a matrix polynomial p = sum_j C_j t^j, as a function of
+    times t of shape (..., 1, 1, 1) that returns them stacked on the axis before the
+    matrices, in p's precision.  One Horner pass over the stacked coefficients gives
+    them all, in long double: where p is far smaller than its terms (A(t) =
+    5 (t - 100)^2 S near t = 100), a double Horner value is off by about eps times the
+    terms, and a Taylor block keeps that error for all of its steps, where stage-time
+    values would round each step afresh."""
+    c = np.asarray(poly.coeffs, np.result_type(*poly.coeffs, np.longdouble))
+    coeffs = np.zeros((len(c), *c.shape), c.dtype)
+    for k in range(len(c)):
+        coeffs[:len(c) - k, k] = [comb(j, k) * c[j] for j in range(k, len(c))]
+    dtype = np.result_type(*poly.coeffs, float)
+    return lambda t: _horner(coeffs, t).astype(dtype)
+
+
+def _convolve(f, x):
+    """The coefficients of the products f(s) x(s) of two stacks of matrix polynomials
+    in s (each stack's coefficients on its axis 1), up to the degree of x."""
+    out = np.zeros(x.shape, np.result_type(f, x))
+    for i in range(f.shape[1]):
+        out[:, i:] += f[:, i, None] @ x[:, :x.shape[1] - i]
+    return out
+
+
+def _taylor_steps(taylor, ts, h):
+    """RK4's step matrices, for _rk4, of y' = G(t) y for a polynomial G of degree
+    d >= 1 over the nodes ts with the equal steps h, where taylor(t) gives G's Taylor
+    coefficients at t (see _taylor).  RK4's step matrix M(t) (see _rk4_step) is then a
+    matrix polynomial of degree 4d in t.  Its coefficients P_0, ..., P_4d about an
+    origin o are _rk4_step's on G's Taylor coefficients about o, o + h/2 and o + h,
+    with products of matrix polynomials in s = t - o.  Each block of _BLOCK steps
+    takes its first node as its origin, so |s| < _BLOCK |h| and the sum of the
+    monomials does not cancel, and its step matrices are one product V P,
+    V[i, k] = (t_i - o)^k over its nodes.  The P of _BATCH blocks (or of a chunk's
+    blocks, if more) are built together, and a call takes the whole blocks that hold
+    its steps, so no chunk size changes a bit."""
+    steps = len(ts) - 1
+    # The node that starts each step, the last block padded with its origin (s = 0).
+    starts = np.append(ts[:-1], np.full(-steps % _BLOCK, ts[steps - steps % _BLOCK]))
+    starts = starts.reshape(-1, _BLOCK)
+    first, p = 0, starts[:0]  # the blocks built: the first one, and their P
+
+    def step_matrices(j, k):
+        nonlocal first, p
+        lo, hi = j // _BLOCK, -(-(j + k) // _BLOCK)
+        if lo < first or hi > first + len(p):
+            first = lo
+            o = starts[lo:lo + max(hi - lo, _BATCH), :1].astype(np.longdouble)  # as _taylor sums
+            k1, gm, g1 = taylor(np.stack([o, o + h / 2.0, o + h])[..., None, None])
+            d = k1.shape[1] - 1
+            eye = np.zeros((4 * d + 1, *k1.shape[2:]))  # I, and K1, as polynomials of degree 4d
+            eye[0] = np.eye(len(eye[0]))
+            p = _rk4_step(np.pad(k1, ((0, 0), (0, 3 * d), (0, 0), (0, 0))), gm, g1, h, eye, _convolve)
+        nodes = starts[lo:hi]
+        v = (nodes - nodes[:, :1])[..., None] ** np.arange(p.shape[1])
+        m = v @ p[lo - first:hi - first].reshape(hi - lo, p.shape[1], -1)
+        return m.reshape(-1, *p.shape[2:])[j - lo * _BLOCK:][:k]
+
+    return step_matrices
 
 
 def _flow(g, y, h, steps, on_chunk=None):
@@ -378,8 +483,9 @@ def _flow(g, y, h, steps, on_chunk=None):
 def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     """Node times (t advances by repeated addition of h) and the states (q, p) from
     (q0, p0) up to the first that is not finite: the exact flow of a constant G
-    (_flow), else RK4 (_rk4).  Either kernel calls on_chunk with the states [q; p] of
-    each chunk and stops where it returns true."""
+    (_flow), else RK4 from G's Taylor blocks (_rk4 on _taylor_steps).  Either kernel
+    calls on_chunk with the states [q; p] of each chunk and stops where it returns
+    true."""
     if len(q0) != sys.dim:
         raise ValueError(f"the initial state is {len(q0)}x{len(q0)} but the system is "
                          f"{sys.dim}x{sys.dim}")
@@ -392,13 +498,13 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     h = (t1 - t0) / steps
     if not np.isfinite([t0, t1, h]).all():
         raise ValueError(f"the time grid must be finite: t0 = {t0!r}, t1 = {t1!r}, step = {h!r}")
-    hs = np.full(steps, h)
-    ts = np.add.accumulate(np.append(t0, hs))
+    ts = np.add.accumulate(np.append(t0, np.full(steps, h)))
 
     # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks
-    # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.  Its Horner value
-    # may differ from the assembled G in the sign of a zero, which no step matrix
-    # shows: M adds I last, and x + 0 is +0 for x = -0.
+    # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.  Its Taylor
+    # coefficients may differ from the assembled ones of A and B in the sign of a
+    # zero, which no step matrix shows: P adds the polynomial I last, and x + 0 is +0
+    # for x = -0.
     n, zero = sys.dim, np.zeros((sys.dim, sys.dim))
     coeffs = enumerate(zip_longest(sys.a.coeffs, sys.b.coeffs, fillvalue=zero))
     gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), -b, -a.T) for k, (a, b) in coeffs])
@@ -406,8 +512,7 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     if len(gen.coeffs) == 1:
         ys = _flow(gen.coeffs[0], y0, h, steps, on_chunk)
     else:
-        st = _stages(ts, ts[:-1] + hs / 2.0)[:, None, None]
-        ys = _rk4(lambda s: gen(st[s]), y0, hs, on_chunk)
+        ys = _rk4(_taylor_steps(_taylor(gen), ts, h), y0, steps, on_chunk)
     return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 
@@ -535,10 +640,15 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
     wa = _stages(w_stack, mid) + a_st
 
-    # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T)
+    # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T), G at a chunk's nodes
+    # and then at its midpoints
     zero = np.zeros_like(z0)
-    ys = _rk4(lambda s: _blocks(zero, np.eye(n), zero, -2.0 * wa[s].swapaxes(-1, -2)),
-              np.concatenate([z0.T, z1_0.T]), hs)
+
+    def g(j, k):
+        wt = wa[2 * j:2 * (j + k) + 1].swapaxes(-1, -2)
+        return _blocks(zero, np.eye(n), zero, -2.0 * np.concatenate((wt[::2], wt[1::2])))
+
+    ys = _rk4(_stage_steps(g, hs), np.concatenate([z0.T, z1_0.T]), len(hs))
     m = len(ys)  # the states at nodes before m are finite
     z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[:2 * m:2]
     with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range: Overflow

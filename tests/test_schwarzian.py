@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from itertools import accumulate
+from itertools import accumulate, product
 
 import mpmath
 import numpy as np
@@ -733,19 +733,19 @@ def reference_rk4(f, y, hs, coef, error=None):
     return ys
 
 
-def reference_hamiltonian_run(sys_, q0, p0, t1, steps, error=None):
-    """Node times and states (q, p) from t = 0 by reference_rk4, in the
-    precision of q0 and p0."""
-    hs = [t1 / steps] * steps
-    ts = np.array(list(accumulate(hs, initial=0.0)))
-    st = sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))
+def reference_hamiltonian_run(sys_, q0, p0, t1, steps, error=None, t0=0.0):
+    """Node times and states (q, p) from t0 by reference_rk4, in the precision of
+    q0 and p0; A and B are evaluated in that of q0 at the stage times."""
+    hs = [(t1 - t0) / steps] * steps
+    ts = np.array(list(accumulate(hs, initial=t0)))
+    st = sz._stages(ts, ts[:-1] + np.divide(hs, 2.0)).astype(np.asarray(q0).dtype)
 
     def rhs(y, c):
         (a, b), (q, p) = c, y
         return np.array([a @ q + p, -b @ q - a.T @ p])
 
     return ts, reference_rk4(rhs, np.array([q0, p0]), hs,
-                             lambda k: (sys_.a(st.item(k)), sys_.b(st.item(k))),
+                             lambda k: (sys_.a(st[k]), sys_.b(st[k])),
                              error and (lambda i: error(ts.item(i))))
 
 
@@ -788,10 +788,10 @@ def _rel(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
-def linear_system(rng, n):
-    a = sz.MatrixPolynomial([0.2 * _sym(rng, n), 0.1 * _sym(rng, n)])
-    return sz.HamiltonianSystem(a, sz.MatrixPolynomial([_sym(rng, n), 0.2 * _sym(rng, n)]),
-                                symmetric_a=True)
+def linear_system(rng, n, degree=1):
+    a = sz.MatrixPolynomial([0.2 * _sym(rng, n)] + [0.1 * _sym(rng, n) for _ in range(degree)])
+    b = sz.MatrixPolynomial([_sym(rng, n)] + [0.2 * _sym(rng, n) for _ in range(degree)])
+    return sz.HamiltonianSystem(a, b, symmetric_a=True)
 
 
 def exact_flow(g, y0, h, steps):
@@ -834,6 +834,46 @@ def test_integrators_match_stage_by_stage_rk4(rng, n, steps):
         assert _rel(jets.z, ref_z) <= 1e-12 and _rel(jets.z1, ref_z1) <= 1e-12
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+def test_higher_degree_generators_match_stage_by_stage_rk4(rng, degree, steps):
+    # A generator of degree d has step matrices of degree 4d in t, expanded about
+    # every 64th node: quadratic and cubic A(t), B(t) over less than one block, one
+    # block, a block and a step, and 16 blocks.
+    n = 3
+    sys_ = linear_system(rng, n, degree)
+    w0 = 0.1 * _sym(rng, n)
+    ts, ref = reference_hamiltonian_run(sys_, np.eye(n), w0, 0.6, steps, BlowUp)
+    _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w0), 0.0, 0.6, steps)
+    assert _rel(np.stack([points.q, points.p], axis=1), ref) <= 1e-12
+    _, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
+    assert _rel(ws, sz.PhasePoint(ref[:, 0], ref[:, 1]).w()) <= 1e-12
+
+
+@pytest.mark.parametrize("c, center, r, staged", [(5.0, 100.0, 1.0, 1.58e-13),
+                                                 (500.0, 10.0, 0.2, 1.75e-14)])
+def test_a_generator_far_from_t_0_keeps_its_accuracy(rng, c, center, r, staged):
+    # A(t) = c (t - center)^2 S on [center - r, center + r]: A's coefficients
+    # c center^2 S, -2 c center S and c S are far larger than its values there.  The
+    # step matrices' Taylor expansion about every 64th node keeps |t - origin| <= 64 h,
+    # where one expansion about t = 0 sums monomials of t^8 (it reads 2.7e-4 and
+    # 1.5e-6 here).  The oracle is the stage-by-stage run in long double, A evaluated
+    # in long double too.  The bound is twice the error of step matrices built from G
+    # at the stage times in double (staged, read on this draw); the Taylor blocks read
+    # 3.9e-14 and 1.8e-14.
+    n, steps = 3, 1000
+    s = _sym(rng, n)
+    sys_ = sz.HamiltonianSystem(
+        sz.MatrixPolynomial([c * center ** 2 * s, -2.0 * c * center * s, c * s]),
+        sz.MatrixPolynomial([_sym(rng, n)]))
+    t0, t1 = center - r, center + r
+    _, ref = reference_hamiltonian_run(sys_, np.eye(n, dtype=np.longdouble), np.zeros((n, n)),
+                                       t1, steps, t0=t0)
+    _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), np.zeros((n, n))),
+                                         t0, t1, steps)
+    assert _rel(np.stack([points.q, points.p], axis=1), ref) <= 2.0 * staged
+
+
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
     # The kernel advances each state by M_i.dot(y_i, out=y_{i+1}); it must write
@@ -853,7 +893,8 @@ def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
                 on_chunk(j, m, ys)
         return check
 
-    monkeypatch.setattr(sz, "_rk4", lambda g, y, hs, on_chunk=None: rk4(g, y, hs, checked(on_chunk)))
+    monkeypatch.setattr(sz, "_rk4", lambda source, y, steps, on_chunk=None:
+                        rk4(source, y, steps, checked(on_chunk)))
     sys_ = linear_system(rng, n)
     for w0 in (0.1 * _sym(rng, n), 0.1 * (_sym(rng, n) + 1j * _sym(rng, n))):
         ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, 1000)
@@ -866,10 +907,11 @@ def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
 def test_chunk_size_does_not_change_a_bit(rng, monkeypatch):
     # Chunks of 1 step, of 64 steps, of the whole run and of the rule's own size
     # (2304, 576 and 64 steps at dims 1, 2 and 6, so the run ends in a part chunk)
-    # give the same bits.
-    for n, rule in ((1, 2304), (2, 576), (6, 64)):
+    # give the same bits, for a linear and a cubic system; the cubic run ends in a
+    # Taylor block of 17 steps.
+    for (n, rule), (degree, extra) in product(((1, 2304), (2, 576), (6, 64)), ((1, 66), (3, 81))):
         assert max(sz._CHUNK, sz._CHUNK_ENTRIES // (2 * n) ** 2) == rule
-        steps, sys_, w0 = rule + 66, linear_system(rng, n), 0.1 * _sym(rng, n)
+        steps, sys_, w0 = rule + extra, linear_system(rng, n, degree), 0.1 * _sym(rng, n)
 
         def run():
             ts, ws = sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
@@ -944,52 +986,69 @@ def test_a_constant_system_steps_as_its_zero_slope_polynomial(rng, monkeypatch, 
 
 @pytest.mark.parametrize("degrees", [(2, 0), (0, 3), (0, 0)])
 def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degrees):
-    # The Hamiltonian run evaluates G = [[A, I], [-B, -A^T]] as one polynomial of
-    # blocks (a constant G as one matrix, which takes the exact flow).  At every
-    # stage time it must equal the matrix assembled from A(t) and B(t); B is
-    # diagonal, its other entries 0.0 in one pass and -0.0 in the next, and t0 < 0,
-    # so a zero may differ in sign, which no output shows: the step matrices that
-    # the kernel hands to on_chunk (the pole verdict reads them) and the states must
-    # be those of the kernel on the assembled G, bit for bit; RK4's in-place stages
-    # give the bits of each step matrix written as one expression.
+    # The Hamiltonian run takes G = [[A, I], [-B, -A^T]] as one polynomial of blocks:
+    # a constant G as one matrix, which takes the exact flow, else the Taylor
+    # coefficients of G about the blocks' origins.  At every time they must equal the
+    # blocks assembled from A's and B's own Taylor coefficients (C(j, k) C_j summed by
+    # Horner's rule in long double); B is diagonal, its other entries 0.0 in one pass
+    # and -0.0 in the next, and t0 < 0, so a zero may differ in sign, which no output
+    # shows: the step matrices that the kernel hands to on_chunk (the pole verdict
+    # reads them) and the states must be those of the run on the assembled
+    # coefficients, bit for bit.  That run is RK4 to rounding: within 1e-13 of RK4
+    # from G at the stage times, whose in-place stages (the curve's source) give the
+    # bits of each step matrix written as one expression.
     n, steps, t0, t1 = 3, 1000, -0.4, 0.5
-    name = "_rk4" if max(degrees) else "_flow"
-    kernel = getattr(sz, name)
+    degree = max(degrees)
+    kernel, taylor_steps = (sz._rk4 if degree else sz._flow), sz._taylor_steps
+    h, eye = (t1 - t0) / steps, np.eye(n)
+    hs = np.full(steps, h)
+    ts = np.array(list(accumulate(hs, initial=t0)))
+    st = sz._stages(ts, ts[:-1] + hs / 2.0)[:, None, None, None]
     for zero in (0.0, -0.0):
         a = sz.MatrixPolynomial([0.3 * rng.standard_normal((n, n)) for _ in range(degrees[0] + 1)])
         b = sz.MatrixPolynomial([np.where(np.eye(n, dtype=bool), rng.standard_normal(n), zero)
                                  for _ in range(degrees[1] + 1)])
         sys_ = sz.HamiltonianSystem(a, b)
-        hs = [(t1 - t0) / steps] * steps
-        ts = np.array(list(accumulate(hs, initial=t0)))
-        st = sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))[:, None, None]
 
-        def assembled(s):
-            at, bt = (p(st[s] if max(degrees) else st[:1]) for p in (a, b))
-            return sz._blocks(at, np.eye(n), -bt, -at.swapaxes(-1, -2))
+        def taylor(p, t):  # p's Taylor coefficients 0, ..., degree at t, in double
+            c = [x.astype(np.longdouble) for x in p.coeffs]
+            c += [0.0 * c[0]] * (degree + 1 - len(c))  # up to G's degree
+            return np.stack([sz.MatrixPolynomial([math.comb(j, k) * c[j] for j in range(k, len(c))])(
+                t[..., 0, :, :]) for k in range(len(c))], axis=-3).astype(float)
 
-        def run(y0, on_chunk=None):  # the kernel on the assembled G
-            if max(degrees):
-                return kernel(assembled, y0, hs, on_chunk)
-            return kernel(assembled(slice(0, 1))[0], y0, hs[0], steps, on_chunk)
+        def assembled(t):
+            at, bt = taylor(a, t), taylor(b, t)
+            ident = np.zeros_like(at)
+            ident[..., 0, :, :] = eye
+            return sz._blocks(at, ident, -bt, -at.swapaxes(-1, -2))
+
+        def run(y0, on_chunk=None):  # the kernel on the assembled coefficients
+            if degree:
+                return kernel(taylor_steps(assembled, ts, h), y0, steps, on_chunk)
+            return kernel(assembled(st[:1])[0, 0], y0, h, steps, on_chunk)
 
         generators, chunks = [], []
 
         def recording(g, *args):
-            generators.append(g)
             *args, on_chunk = args
             return kernel(g, *args,
                           on_chunk and (lambda j, m, ys: chunks.append(m.copy()) or on_chunk(j, m, ys)))
 
-        monkeypatch.setattr(sz, name, recording)
+        # The flow's G, or the Taylor coefficients that the step matrices come from.
+        inner = taylor_steps if degree else recording
+        monkeypatch.setattr(sz, "_rk4" if degree else "_flow", recording)
+        monkeypatch.setattr(sz, "_taylor_steps" if degree else "_flow",
+                            lambda g, *args: generators.append(g) or inner(g, *args))
         w0 = 0.1 * _sym(rng, n)
-        whole = slice(0, 2 * steps + 1)
         for w in (w0, w0 + 0.1j * _sym(rng, n)):
             y0 = np.concatenate([np.eye(n), w])
             ys = run(y0)
-            if max(degrees):
-                gs = np.broadcast_to(assembled(whole), (2 * steps + 1, 2 * n, 2 * n))
-                assert ys.tobytes() == expression_rk4(gs, y0, hs).tobytes()
+            if degree:
+                gs = np.ascontiguousarray(assembled(st)[:, 0])  # G at the stage times
+                staged = kernel(sz._stage_steps(lambda j, k: np.concatenate(
+                    (gs[2 * j:2 * (j + k) + 1:2], gs[2 * j + 1:2 * (j + k):2])), hs), y0, steps)
+                assert staged.tobytes() == expression_rk4(gs, y0, hs).tobytes()
+                assert _rel(ys, staged) <= 1e-13
             got_ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w), t0, t1, steps)
             assert got_ts.tobytes() == ts.tobytes()
             got = np.stack([points.q, points.p], axis=1)
@@ -998,8 +1057,11 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
             run(y0, lambda j, m, ys: expect.append(m.copy()))
             sz.integrate_riccati(sys_, w, t0, t1, steps)
             assert [m.tobytes() for m in chunks] == [m.tobytes() for m in expect]
-        g = generators[0]
-        assert np.array_equal(*np.broadcast_arrays(g(whole) if callable(g) else g, assembled(whole)))
+        g, st_wide = generators[0], st.astype(np.longdouble)
+        if degree:
+            assert np.array_equal(g(st_wide), assembled(st_wide))
+        else:
+            assert np.array_equal(*np.broadcast_arrays(g, assembled(st)[:, 0]))
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (float("nan"), 1.0),
@@ -1169,6 +1231,23 @@ def test_a_constant_run_holds_its_states_and_w():
     tracemalloc.start()
     try:
         sz.integrate_riccati(sys_, np.zeros((n, n)), 0.0, 1.0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (steps + 1) * (2 * n * n + n * n) * np.dtype(float).itemsize
+    assert peak <= 1.5 * held, peak / held
+
+
+def test_a_long_time_dependent_run_holds_its_states_and_w(rng):
+    # A time-dependent dim-6 run of 100,000 steps builds its step matrices a chunk
+    # of 64 steps (one Taylor block) at a time; its peak stays within 1.5 times the
+    # bytes of its states [q; p] and its W stack, which it must hold whole.
+    n, steps = 6, 100_000
+    sys_, w0 = linear_system(rng, n), 0.1 * _sym(rng, n)
+    sz.integrate_riccati(sys_, w0, 0.0, 0.6, 1000)
+    tracemalloc.start()
+    try:
+        sz.integrate_riccati(sys_, w0, 0.0, 0.6, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
