@@ -9,10 +9,11 @@ matrix exponential; every other run (a time-dependent system, and the curve
 of curve_from_riccati) takes the classical fixed-step fourth-order method,
 one RK4 step matrix per step, through one propagation kernel (_rk4).  For a
 polynomial G of degree d the step matrix is a matrix polynomial of degree 4d
-in t: a time-dependent system builds its step matrices from that polynomial's
-Taylor coefficients, one expansion per block of 64 nodes (_taylor_steps).  The
-curve's W is tabulated, so its step matrices come from G at the stage times
-(_stage_steps).
+in t: a time-dependent system of degree d <= 3 builds its step matrices from
+that polynomial's Taylor coefficients, one expansion per block of 64 nodes
+(_taylor_steps).  A G of higher degree, whose blocks would take more matrix
+products than its steps, and the curve, whose W is tabulated, take their step
+matrices from G at the stage times (_stage_steps).
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
 Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk
@@ -82,15 +83,6 @@ class CurveJet(_Nodes):
                    *(numerics.matrix_from_json(obj[k]) for k in ("z", "z1", "z2", "z3")))
 
 
-def _horner(coeffs, t):
-    """sum_k coeffs[k] t^k by Horner's rule, a new array of the shape of t and the
-    coefficients broadcast together."""
-    *lower, out = coeffs
-    for c in reversed(lower):
-        out = out * t + c
-    return out if lower else out + 0 * t
-
-
 class MatrixPolynomial:
     """A matrix-valued polynomial sum_k C_k t^k with exact differentiation."""
 
@@ -112,7 +104,10 @@ class MatrixPolynomial:
 
     def __call__(self, t):
         """sum_k C_k t^k, a new array of the shape of t and C_k broadcast together."""
-        return _horner(self.coeffs, t)
+        *lower, out = self.coeffs
+        for c in reversed(lower):
+            out = out * t + c
+        return out if lower else out + 0 * t
 
     def derivative(self):
         """sum_k k C_k t^(k-1); Overflow when a coefficient k C_k is not finite."""
@@ -276,8 +271,14 @@ _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
 # about the block's first node (see _taylor_steps): fixed by node index, not by chunk.
 _BLOCK = 64
 # The Taylor blocks whose step-matrix polynomials are built together (fewer numpy
-# calls per block); a run that stops early has built those of fewer blocks past its last.
-_BATCH = 16
+# calls per block): as many as hold _BATCH_ENTRIES step-matrix entries (16 blocks of
+# 12 x 12 matrices, a dim-6 run), at least one.  A run that stops early has built
+# those of fewer blocks past its last.
+_BATCH_ENTRIES = 16 * 12 ** 2
+# The highest degree of a G whose step matrices come from Taylor blocks.  Each block
+# then takes 3 (d + 1)(3.5 d + 1) matrix products (see _taylor_steps), fewer than the
+# 3 _BLOCK of G at the stage times for d <= 3; a G of higher degree takes the stages.
+_TAYLOR_DEGREE_MAX = 3
 # The largest 1-norm of an exponent A of the exact flow's stacked expm call: e^A is
 # then finite, since ||e^A||_1 <= e^||A||_1, with a factor e to spare for rounding.
 _EXPONENT_NORM_MAX = np.log(np.finfo(float).max) - 1.0
@@ -354,40 +355,82 @@ def _rk4_step(k1, gm, g1, h, eye, times=np.matmul):
 
 
 def _stage_steps(g, hs):
-    """RK4's step matrices, for _rk4, from G at the stage times: g(j, k) is one
-    contiguous stack of G at the nodes j, ..., j + k followed by G at the midpoints
-    of the steps j, ..., j + k - 1, and hs are the steps.  I is added from one
-    contiguous stack of identities."""
-    eyes = np.empty(0)
-
+    """RK4's step matrices, for _rk4, from G at the stage times: g(s) is the stack of
+    G at the stage times s (a slice of the indices of _stages), and hs are the steps."""
     def step_matrices(j, k):
-        nonlocal eyes
-        gs = g(j, k)
-        if len(eyes) < k:
-            eyes = np.tile(np.eye(gs.shape[-1]), (k, 1, 1))
+        gs = g(slice(2 * j, 2 * (j + k) + 1))
         h = hs[j:j + k]
         # Equal steps make h a scalar, which numpy multiplies faster than a column.
         h = h.item(0) if (h == h[0]).all() else h[:, None, None]
-        return _rk4_step(gs[:k], gs[k + 1:], gs[1:k + 1], h, eyes[:k])
+        return _rk4_step(gs[:-1:2], gs[1::2], gs[2::2], h, np.eye(gs.shape[-1]))
 
     return step_matrices
 
 
+def _two_sum(a, b):
+    """a + b = s + e exactly: s = fl(a + b) and its rounding error e (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _split(x):
+    """x = hi + lo, each half of at most 26 significant bits (Veltkamp's split by
+    2^27 + 1); not finite where 2^27 x overflows."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_prod(a, b):
+    """a b = p + e exactly: p = fl(a b) and its rounding error e (Dekker's TwoProduct),
+    barring overflow and underflow."""
+    p = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
 def _taylor(poly):
-    """The Taylor coefficients p^(k)(t)/k! = sum_{j >= k} C(j, k) C_j t^(j - k),
+    """The Taylor coefficients p^(k)(x)/k! = sum_{j >= k} C(j, k) C_j x^(j - k),
     k = 0, ..., degree, of a matrix polynomial p = sum_j C_j t^j, as a function of
-    times t of shape (..., 1, 1, 1) that returns them stacked on the axis before the
-    matrices, in p's precision.  One Horner pass over the stacked coefficients gives
-    them all, in long double: where p is far smaller than its terms (A(t) =
-    5 (t - 100)^2 S near t = 100), a double Horner value is off by about eps times the
-    terms, and a Taylor block keeps that error for all of its steps, where stage-time
-    values would round each step afresh."""
-    c = np.asarray(poly.coeffs, np.result_type(*poly.coeffs, np.longdouble))
-    coeffs = np.zeros((len(c), *c.shape), c.dtype)
-    for k in range(len(c)):
-        coeffs[:len(c) - k, k] = [comb(j, k) * c[j] for j in range(k, len(c))]
-    dtype = np.result_type(*poly.coeffs, float)
-    return lambda t: _horner(coeffs, t).astype(dtype)
+    times x of shape (..., 1, 1, 1) that returns them stacked on the axis before the
+    matrices.  One compensated Horner pass over the stacked C(j, k) C_j, each held
+    exactly as a sum of two doubles, gives them all: each partial sum carries its
+    rounding errors (TwoSum, TwoProduct) in a second double, so the result is as
+    accurate as if summed in twice the precision and rounded once (Graillat, Langlois
+    and Louvet 2005), in double arithmetic alone.  Where p is far smaller than its
+    terms (A(t) = 5 (t - 100)^2 S near t = 100), a plain Horner value is off by about
+    eps times the terms, and a Taylor block keeps that error for all of its steps,
+    where stage-time values round each step afresh.  Where the error terms are not
+    finite (a term beyond 2^996), the plain sum stands."""
+    c = np.asarray(poly.coeffs, np.result_type(*poly.coeffs, float))
+    dtype, c = c.dtype, c.view(float)  # complex as real and imaginary parts: x is real
+    hi, lo = np.zeros((2, len(c), *c.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, j in ((k, j) for k in range(len(c)) for j in range(k, len(c))):
+            hi[j - k, k], lo[j - k, k] = _two_prod(float(comb(j, k)), c[j])
+
+    def taylor(x):
+        s, e = hi[-1], lo[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ah, al in zip(hi[-2::-1], lo[-2::-1]):
+                p, pe = _two_prod(s, x)
+                s, se = _two_sum(p, ah)
+                e = e * x + (pe + se + al)
+            return (s + np.where(np.isfinite(e), e, 0.0)).view(dtype)
+
+    return taylor
+
+
+def _shift(t, x):
+    """The coefficients in s of T(x + s) for the matrix polynomials T whose coefficients
+    are stacked on axis -3 of t, x of shape (..., 1, 1, 1): repeated synthetic division
+    (Horner's rule applied degree times)."""
+    t = np.broadcast_to(t, np.broadcast_shapes(t.shape, x.shape)).copy()
+    for i in range(t.shape[-3] - 1):
+        for j in range(t.shape[-3] - 2, i - 1, -1):
+            t[..., j, :, :] += x[..., 0, :, :] * t[..., j + 1, :, :]
+    return t
 
 
 def _convolve(f, x):
@@ -399,18 +442,22 @@ def _convolve(f, x):
     return out
 
 
-def _taylor_steps(taylor, ts, h):
+def _taylor_steps(taylor, ts, h, batch):
     """RK4's step matrices, for _rk4, of y' = G(t) y for a polynomial G of degree
-    d >= 1 over the nodes ts with the equal steps h, where taylor(t) gives G's Taylor
-    coefficients at t (see _taylor).  RK4's step matrix M(t) (see _rk4_step) is then a
-    matrix polynomial of degree 4d in t.  Its coefficients P_0, ..., P_4d about an
+    d >= 1 over the nodes ts with the equal steps h, where taylor(x) gives G's Taylor
+    coefficients at x (see _taylor).  RK4's step matrix M(t) (see _rk4_step) is then
+    a matrix polynomial of degree 4d in t.  Its coefficients P_0, ..., P_4d about an
     origin o are _rk4_step's on G's Taylor coefficients about o, o + h/2 and o + h,
-    with products of matrix polynomials in s = t - o.  Each block of _BLOCK steps
-    takes its first node as its origin, so |s| < _BLOCK |h| and the sum of the
-    monomials does not cancel, and its step matrices are one product V P,
-    V[i, k] = (t_i - o)^k over its nodes.  The P of _BATCH blocks (or of a chunk's
-    blocks, if more) are built together, and a call takes the whole blocks that hold
-    its steps, so no chunk size changes a bit."""
+    with products of matrix polynomials in s = t - o.  The last two are those about
+    o shifted by h/2 and h (_shift): sums of G's Taylor terms over one step, which do
+    not grow with |o|, cheaper than two more compensated passes.  Each block
+    of _BLOCK steps takes its first node as its origin, so |s| < _BLOCK |h| and the
+    sum of the monomials does not cancel, and its step matrices are one product V P,
+    V[i, k] = (t_i - o)^k over its nodes.  Each of a block's 3 convolutions takes
+    d + 1 products with the 4d + 1 coefficients of its other factor, less those
+    shifted past degree 4d: 3 (d + 1)(3.5 d + 1) products of two matrices.  The P of
+    batch blocks (or of a chunk's blocks, if more) are built together, and a call
+    takes the whole blocks that hold its steps, so no chunk size changes a bit."""
     steps = len(ts) - 1
     # The node that starts each step, the last block padded with its origin (s = 0).
     starts = np.append(ts[:-1], np.full(-steps % _BLOCK, ts[steps - steps % _BLOCK]))
@@ -422,8 +469,8 @@ def _taylor_steps(taylor, ts, h):
         lo, hi = j // _BLOCK, -(-(j + k) // _BLOCK)
         if lo < first or hi > first + len(p):
             first = lo
-            o = starts[lo:lo + max(hi - lo, _BATCH), :1].astype(np.longdouble)  # as _taylor sums
-            k1, gm, g1 = taylor(np.stack([o, o + h / 2.0, o + h])[..., None, None])
+            k1 = taylor(starts[lo:lo + max(hi - lo, batch), :1, None, None])
+            gm, g1 = _shift(k1, np.array([h / 2.0, h])[:, None, None, None, None])
             d = k1.shape[1] - 1
             eye = np.zeros((4 * d + 1, *k1.shape[2:]))  # I, and K1, as polynomials of degree 4d
             eye[0] = np.eye(len(eye[0]))
@@ -483,7 +530,8 @@ def _flow(g, y, h, steps, on_chunk=None):
 def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     """Node times (t advances by repeated addition of h) and the states (q, p) from
     (q0, p0) up to the first that is not finite: the exact flow of a constant G
-    (_flow), else RK4 from G's Taylor blocks (_rk4 on _taylor_steps).  Either kernel
+    (_flow), else RK4 (_rk4) from G's Taylor blocks (_taylor_steps) up to degree
+    _TAYLOR_DEGREE_MAX, or from G at the stage times (_stage_steps).  Either kernel
     calls on_chunk with the states [q; p] of each chunk and stops where it returns
     true."""
     if len(q0) != sys.dim:
@@ -508,11 +556,15 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     n, zero = sys.dim, np.zeros((sys.dim, sys.dim))
     coeffs = enumerate(zip_longest(sys.a.coeffs, sys.b.coeffs, fillvalue=zero))
     gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), -b, -a.T) for k, (a, b) in coeffs])
-    y0 = np.concatenate([q0, p0])
-    if len(gen.coeffs) == 1:
+    y0, degree = np.concatenate([q0, p0]), len(gen.coeffs) - 1
+    if not degree:
         ys = _flow(gen.coeffs[0], y0, h, steps, on_chunk)
+    elif degree <= _TAYLOR_DEGREE_MAX:
+        batch = max(1, _BATCH_ENTRIES // len(y0) ** 2)
+        ys = _rk4(_taylor_steps(_taylor(gen), ts, h, batch), y0, steps, on_chunk)
     else:
-        ys = _rk4(_taylor_steps(_taylor(gen), ts, h), y0, steps, on_chunk)
+        st = _stages(ts, ts[:-1] + h / 2.0)[:, None, None]
+        ys = _rk4(_stage_steps(lambda s: gen(st[s]), np.full(steps, h)), y0, steps, on_chunk)
     return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 
@@ -640,15 +692,10 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
     wa = _stages(w_stack, mid) + a_st
 
-    # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T), G at a chunk's nodes
-    # and then at its midpoints
+    # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T)
     zero = np.zeros_like(z0)
-
-    def g(j, k):
-        wt = wa[2 * j:2 * (j + k) + 1].swapaxes(-1, -2)
-        return _blocks(zero, np.eye(n), zero, -2.0 * np.concatenate((wt[::2], wt[1::2])))
-
-    ys = _rk4(_stage_steps(g, hs), np.concatenate([z0.T, z1_0.T]), len(hs))
+    ys = _rk4(_stage_steps(lambda s: _blocks(zero, np.eye(n), zero, -2.0 * wa[s].swapaxes(-1, -2)), hs),
+              np.concatenate([z0.T, z1_0.T]), len(hs))
     m = len(ys)  # the states at nodes before m are finite
     z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[:2 * m:2]
     with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range: Overflow

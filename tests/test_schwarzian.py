@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import accumulate, product
 
 import mpmath
@@ -874,6 +875,72 @@ def test_a_generator_far_from_t_0_keeps_its_accuracy(rng, c, center, r, staged):
     assert _rel(np.stack([points.q, points.p], axis=1), ref) <= 2.0 * staged
 
 
+def test_taylor_coefficients_are_rounded_once(rng):
+    # _taylor sums in double arithmetic alone, as if in twice the precision: at times
+    # where the polynomials nearly vanish, 5 (t - 100)^2 S and a complex (t - 7)^3 C,
+    # each Taylor coefficient is its exact value (in fractions) rounded once, to within
+    # 1e-30 of its terms, where the plain Horner value is off by more than 1000 of
+    # those roundings.
+    s, c = _sym(rng, 3), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for coeffs, times in (([5e4 * s, -1e3 * s, 5.0 * s], [99.5, 100.0 - 2.0 ** -20, 101.0]),
+                          ([-343.0 * c, 147.0 * c, -21.0 * c, c], [6.9, 7.0 + 2.0 ** -30])):
+        poly = sz.MatrixPolynomial(coeffs)
+        x = np.array(times)[:, None, None, None]
+        got, plain = sz._taylor(poly)(x), poly(x[:, 0])
+        assert got.shape == (len(times), len(coeffs), 3, 3) and got.dtype == plain.dtype
+        plain_missed = False
+        for part in (np.real, np.imag):
+            cs = np.vectorize(Fraction, otypes=[object])(part(np.array(coeffs)))
+            for i, k in product(range(len(times)), range(len(coeffs))):
+                t = Fraction(times[i])
+                exact = sum(math.comb(j, k) * cs[j] * t ** (j - k) for j in range(k, len(cs)))
+                terms = sum(math.comb(j, k) * abs(cs[j]) * abs(t) ** (j - k) for j in range(k, len(cs)))
+                for g, e, bound in zip(part(got[i, k]).flat, exact.flat, terms.flat):
+                    assert abs(Fraction(g) - e) <= 2.0 ** -53 * abs(e) + 1e-30 * bound
+                if k == 0:
+                    plain_missed |= any(abs(Fraction(g) - e) > 1e3 * 2.0 ** -53 * abs(e)
+                                        for g, e in zip(part(plain[i]).flat, exact.flat))
+        assert plain_missed
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_a_generator_past_the_taylor_degree_steps_from_the_stage_times(rng, degree):
+    # Past _TAYLOR_DEGREE_MAX a Taylor block takes more matrix products than G at
+    # the stage times: the run's step matrices are then those of G = [[A, I], [-B,
+    # -A^T]] at the stage times, each bit for bit the one written as one expression.
+    n, steps, t1 = 3, 200, 0.6
+    assert degree > sz._TAYLOR_DEGREE_MAX
+    sys_, w0 = linear_system(rng, n, degree), 0.1 * _sym(rng, n)
+    hs = np.full(steps, t1 / steps)
+    ts = np.array(list(accumulate(hs, initial=0.0)))
+    st = sz._stages(ts, ts[:-1] + hs / 2.0)[:, None, None]
+    a, b = sys_.a(st), sys_.b(st)
+    gs = sz._blocks(a, np.eye(n), -b, -a.swapaxes(-1, -2))
+    y0 = np.concatenate([np.eye(n), w0])
+    _, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w0), 0.0, t1, steps)
+    got = np.concatenate([points.q, points.p], axis=1)
+    assert got.tobytes() == expression_rk4(gs, y0, hs).tobytes()
+
+
+def test_a_large_cubic_run_builds_its_taylor_blocks_in_small_batches(rng):
+    # The Taylor blocks built together hold _BATCH_ENTRIES step-matrix entries: at
+    # dim 32 one block (a 64 x 64 step matrix) at a time, and a 1000-step cubic run
+    # peaks within twice its states.  A batch of 16 blocks, as at dim 6, would peak at
+    # about 3 times its states.
+    n, steps = 32, 1000
+    sys_ = linear_system(rng, n, 3)
+    x0 = sz.PhasePoint(np.eye(n), 0.01 * _sym(rng, n))
+    sz.integrate_hamiltonian(sys_, x0, 0.0, 0.1, 10)
+    tracemalloc.start()
+    try:
+        sz.integrate_hamiltonian(sys_, x0, 0.0, 0.1, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (steps + 1) * 2 * n * n * np.dtype(float).itemsize
+    assert peak <= 2.0 * held, peak / held
+
+
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
     # The kernel advances each state by M_i.dot(y_i, out=y_{i+1}); it must write
@@ -989,14 +1056,14 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
     # The Hamiltonian run takes G = [[A, I], [-B, -A^T]] as one polynomial of blocks:
     # a constant G as one matrix, which takes the exact flow, else the Taylor
     # coefficients of G about the blocks' origins.  At every time they must equal the
-    # blocks assembled from A's and B's own Taylor coefficients (C(j, k) C_j summed by
-    # Horner's rule in long double); B is diagonal, its other entries 0.0 in one pass
-    # and -0.0 in the next, and t0 < 0, so a zero may differ in sign, which no output
+    # blocks assembled from A's and B's own Taylor coefficients (sz._taylor of each,
+    # its degree raised to G's); B is diagonal, its other entries 0.0 in one pass and
+    # -0.0 in the next, and t0 < 0, so a zero may differ in sign, which no output
     # shows: the step matrices that the kernel hands to on_chunk (the pole verdict
     # reads them) and the states must be those of the run on the assembled
-    # coefficients, bit for bit.  That run is RK4 to rounding: within 1e-13 of RK4
-    # from G at the stage times, whose in-place stages (the curve's source) give the
-    # bits of each step matrix written as one expression.
+    # coefficients, built one Taylor block at a time, bit for bit.  That run is RK4 to
+    # rounding: within 1e-13 of RK4 from G at the stage times, whose in-place stages
+    # (the curve's source) give the bits of each step matrix written as one expression.
     n, steps, t0, t1 = 3, 1000, -0.4, 0.5
     degree = max(degrees)
     kernel, taylor_steps = (sz._rk4 if degree else sz._flow), sz._taylor_steps
@@ -1010,22 +1077,20 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
                                  for _ in range(degrees[1] + 1)])
         sys_ = sz.HamiltonianSystem(a, b)
 
-        def taylor(p, t):  # p's Taylor coefficients 0, ..., degree at t, in double
-            c = [x.astype(np.longdouble) for x in p.coeffs]
-            c += [0.0 * c[0]] * (degree + 1 - len(c))  # up to G's degree
-            return np.stack([sz.MatrixPolynomial([math.comb(j, k) * c[j] for j in range(k, len(c))])(
-                t[..., 0, :, :]) for k in range(len(c))], axis=-3).astype(float)
+        # A's and B's Taylor functions, their degrees raised to G's
+        ta, tb = (sz._taylor(sz.MatrixPolynomial(p.coeffs + [0.0 * p.coeffs[0]] * (degree + 1 - len(p.coeffs))))
+                  for p in (a, b))
 
-        def assembled(t):
-            at, bt = taylor(a, t), taylor(b, t)
+        def assembled(x):  # for a constant G, [G] at any time
+            at, bt = ta(x), tb(x)
             ident = np.zeros_like(at)
             ident[..., 0, :, :] = eye
             return sz._blocks(at, ident, -bt, -at.swapaxes(-1, -2))
 
         def run(y0, on_chunk=None):  # the kernel on the assembled coefficients
             if degree:
-                return kernel(taylor_steps(assembled, ts, h), y0, steps, on_chunk)
-            return kernel(assembled(st[:1])[0, 0], y0, h, steps, on_chunk)
+                return kernel(taylor_steps(assembled, ts, h, 1), y0, steps, on_chunk)  # block by block
+            return kernel(assembled(0.0)[0], y0, h, steps, on_chunk)
 
         generators, chunks = [], []
 
@@ -1044,9 +1109,8 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
             y0 = np.concatenate([np.eye(n), w])
             ys = run(y0)
             if degree:
-                gs = np.ascontiguousarray(assembled(st)[:, 0])  # G at the stage times
-                staged = kernel(sz._stage_steps(lambda j, k: np.concatenate(
-                    (gs[2 * j:2 * (j + k) + 1:2], gs[2 * j + 1:2 * (j + k):2])), hs), y0, steps)
+                gs = assembled(st)[:, 0]  # G at the stage times
+                staged = kernel(sz._stage_steps(lambda s: gs[s], hs), y0, steps)
                 assert staged.tobytes() == expression_rk4(gs, y0, hs).tobytes()
                 assert _rel(ys, staged) <= 1e-13
             got_ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint(np.eye(n), w), t0, t1, steps)
@@ -1057,11 +1121,11 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
             run(y0, lambda j, m, ys: expect.append(m.copy()))
             sz.integrate_riccati(sys_, w, t0, t1, steps)
             assert [m.tobytes() for m in chunks] == [m.tobytes() for m in expect]
-        g, st_wide = generators[0], st.astype(np.longdouble)
+        g = generators[0]
         if degree:
-            assert np.array_equal(g(st_wide), assembled(st_wide))
+            assert np.array_equal(g(st), assembled(st))
         else:
-            assert np.array_equal(*np.broadcast_arrays(g, assembled(st)[:, 0]))
+            assert np.array_equal(g, assembled(0.0)[0])
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, float("nan")), (float("nan"), 1.0),
