@@ -1,7 +1,7 @@
 """Operator cross-ratio of subspaces, the operator Schwarzian derivative and
 its Hamiltonian/Riccati correspondences, and Moebius flow invariants."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .crossratio import (CrossRatioResult, cocycle_product, comparable,
                          comparability_witness, dv_composition, dv_matrix,

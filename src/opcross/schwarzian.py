@@ -3,29 +3,22 @@ Hamiltonian systems and matrix Riccati equations.
 
 Curves are handled through third-order jets; coefficient matrices A(t), B(t)
 are matrix polynomials so that A' is exact.  The systems integrated are
-linear in the state, y' = G(t) y.  A Hamiltonian system with constant
-coefficients takes its exact flow, y_i = e^(i h G) y_0, from one stacked
-matrix exponential; every other run (a time-dependent system, and the curve
-of curve_from_riccati) takes the classical fixed-step fourth-order method,
-one RK4 step matrix per step, through one propagation kernel (_rk4).  For a
-polynomial G of degree d the step matrix is a matrix polynomial of degree 4d
-in t: a time-dependent system of degree d <= 3 builds its step matrices from
-that polynomial's Taylor coefficients, one expansion per block of 64 nodes
-(_taylor_steps).  A G of higher degree, whose blocks would take more matrix
-products than its steps, and the curve, whose W is tabulated, take their step
-matrices from G at the stage times (_stage_steps).
+linear in the state, y' = G(t) y, and a Hamiltonian run's node i is at t0 + i h.
+A constant G takes its exact flow, y_i = e^(i h G) y_0, from stacked matrix
+exponentials (_flow); a polynomial G takes, on each block of up to 64 steps,
+the power series of its fundamental solution (_series).  Both hand their blocks
+of nodes to one propagation loop (_propagate).  The curve of curve_from_riccati,
+whose W is tabulated, takes the classical fixed-step RK4 (_rk4).
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
-Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk
-of steps at a time as the kernel hands each one over.  The chart is lost
-where the state is not finite, q is exactly singular, ||W||_F >=
-1/SINGULAR_RTOL (the singularity rule on the q block of an orthonormal basis
-of span(q; p), whose smallest singular value is (1 + ||W||_2^2)^-1/2), or the
-step to the node holds a pole: q_{i+1} q_i^-1 = M11 + M12 W_i, read off the
-step matrix M_i (e^(h G) for a constant G) without a solve and whatever basis
-the run has reached, has an eigenvalue with real part <= 0.  BlowUp.t is the
-first such node; the chunk reader finds it, and the run ends with that node's
-chunk.
+Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk of
+states at a time.  The chart is lost where the state is not finite, q is
+exactly singular, ||W||_F >= 1/SINGULAR_RTOL (the singularity rule on the q
+block of an orthonormal basis of span(q; p), whose smallest singular value is
+(1 + ||W||_2^2)^-1/2), or the step to the node holds a pole: q_{i+1} q_i^-1,
+solved with W_i against q_i in whatever basis the run has reached, has an
+eigenvalue with real part <= 0.  BlowUp.t is the first such node; the run ends
+with that node's chunk.
 """
 
 from collections import deque
@@ -259,30 +252,25 @@ def _stages(nodes, mids):
     return out
 
 
-# Steps whose RK4 step matrices are built together: one stack per chunk keeps
-# the run's memory at its states (a whole run's stage stacks would not be).  A
-# chunk takes _CHUNK steps, or more where their step matrices are small: as many
-# as fill _CHUNK_ENTRIES entries (64 12 x 12 matrices, the steps of a dim-6 run).
-# The exact flow of a constant G builds no stack; its reader's chunks are its
-# blocks of nodes (see _flow), so a run that stops at node i has built at most
-# max(2i + 1, 2 _CHUNK) nodes.
+# A run hands its states to its reader a chunk at a time (see _propagate): the exact
+# flow once at least _CHUNK new nodes exist, so a run that stops at node i has built
+# at most max(2i + 1, 2 _CHUNK) nodes, its blocks of nodes doubling.  A chunk of the
+# series, and of the curve's RK4, whose step matrices are built a chunk at a time
+# (one stack per chunk keeps its memory at its states), is _CHUNK steps, or more
+# where its matrices are small: as many as fill _CHUNK_ENTRIES entries (64 12 x 12
+# matrices, the steps of a dim-6 run).
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
-# The steps of a polynomial run whose step matrices share one Taylor expansion,
-# about the block's first node (see _taylor_steps): fixed by node index, not by chunk.
+# The most steps that one block of a polynomial run spans (see _series).
 _BLOCK = 64
-# The Taylor blocks whose step-matrix polynomials are built together (fewer numpy
-# calls per block): as many as hold _BATCH_ENTRIES step-matrix entries (16 blocks of
-# 12 x 12 matrices, a dim-6 run), at least one.  A run that stops early has built
-# those of fewer blocks past its last.
+# The blocks of a polynomial run whose series are built together (fewer numpy calls
+# per block): as many as hold _BATCH_ENTRIES entries per term (16 blocks of 12 x 12
+# matrices, a dim-6 run), at least one.  A run that stops early has built those of
+# fewer blocks past its last.
 _BATCH_ENTRIES = 16 * 12 ** 2
-# The highest degree of a G whose step matrices come from Taylor blocks.  Each block
-# then takes 3 (d + 1)(3.5 d + 1) matrix products (see _taylor_steps), fewer than the
-# 3 _BLOCK of G at the stage times for d <= 3; a G of higher degree takes the stages.
-_TAYLOR_DEGREE_MAX = 3
 # The largest 1-norm of an exponent A of the exact flow's stacked expm call: e^A is
 # then finite, since ||e^A||_1 <= e^||A||_1, with a factor e to spare for rounding.
 _EXPONENT_NORM_MAX = np.log(np.finfo(float).max) - 1.0
-# The most steps one run takes: it holds its step list, node times and states whole.
+# The most steps one run takes: it holds its node times and states whole.
 MAX_STEPS = 10**6
 
 
@@ -295,19 +283,14 @@ def _blocks(a, b, c, d):
     return out
 
 
-def _rk4(step_matrices, y, steps, on_chunk=None):
+def _rk4(step_matrices, y, steps):
     """The states of y_{i+1} = M_i y_i from y over steps steps, where
-    step_matrices(j, k) is the stack of M_j, ..., M_{j+k-1}: RK4's step matrices
-    (see _rk4_step) from a polynomial G's Taylor blocks (_taylor_steps) or from G at
-    the stage times (_stage_steps).  The M_i come a chunk of steps at a time (see
-    _CHUNK).  y_{i+1} is one M_i.dot(y_i) (np.matmul's BLAS product, without a ufunc
-    call), written into its row of the states, and map drives a chunk's products in
-    order without a bytecode loop.  After each chunk, on_chunk(j, m, ys) gets its
-    first step j, its stack m of step matrices and its finite states ys, from y_j on,
-    under the run's errstate; a true return ends the run there.  Returns one array of
+    step_matrices(j, k) is the stack of M_j, ..., M_{j+k-1} (see _stage_steps), built
+    a chunk of steps at a time (see _CHUNK).  y_{i+1} is one M_i.dot(y_i) (np.matmul's
+    BLAS product, without a ufunc call), written into its row of the states, and map
+    drives a chunk's products in order without a bytecode loop.  Returns one array of
     y and the states after each step, up to the first state that is not finite (the
-    run stops at the end of that state's chunk) or to the end of a chunk that
-    on_chunk ended."""
+    run stops at the end of that state's chunk)."""
     ys, j = None, 0
     chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
@@ -320,29 +303,28 @@ def _rk4(step_matrices, y, steps, on_chunk=None):
             rows = list(ys[j:j + k + 1])  # each product writes its state into its row of ys
             deque(map(np.ndarray.dot, m, rows, rows[1:]), maxlen=0)
             finite = np.isfinite(ys[j + 1:j + k + 1]).reshape(k, -1).all(axis=1)
-            end = j + 1 + (k if finite.all() else int(np.argmin(finite)))
-            if on_chunk is not None and on_chunk(j, m, ys[j:end]) or end < j + 1 + k:
-                return ys[:end]
+            if not finite.all():
+                return ys[:j + 1 + int(np.argmin(finite))]
             j += k
     return ys
 
 
-def _rk4_step(k1, gm, g1, h, eye, times=np.matmul):
+def _rk4_step(k1, gm, g1, h):
     """RK4's step matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from G at a step's start,
     midpoint and end: K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)
-    (I + h/2 K2) and K4 = G(t_{i+1})(I + h K3), each stage updated in place, where
-    times is the product and eye is I in the shape of K1.  On y' = G(t) y an RK4 step
-    is y_{i+1} = M_i y_i: the stage vectors are K_j y_i, so the method and its nodes
-    are the classical ones."""
+    (I + h/2 K2) and K4 = G(t_{i+1})(I + h K3), each stage updated in place.  On
+    y' = G(t) y an RK4 step is y_{i+1} = M_i y_i: the stage vectors are K_j y_i, so
+    the method and its nodes are the classical ones."""
+    eye = np.eye(k1.shape[-1])
     x = k1 * (h / 2.0)
     x += eye
-    k2 = times(gm, x)
+    k2 = gm @ x
     np.multiply(k2, h / 2.0, out=x)
     x += eye
-    k3 = times(gm, x)
+    k3 = gm @ x
     np.multiply(k3, h, out=x)
     x += eye
-    k4 = times(g1, x)
+    k4 = g1 @ x
     m = k2  # I + h/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
     m *= 2.0
     m += k1
@@ -362,7 +344,7 @@ def _stage_steps(g, hs):
         h = hs[j:j + k]
         # Equal steps make h a scalar, which numpy multiplies faster than a column.
         h = h.item(0) if (h == h[0]).all() else h[:, None, None]
-        return _rk4_step(gs[:-1:2], gs[1::2], gs[2::2], h, np.eye(gs.shape[-1]))
+        return _rk4_step(gs[:-1:2], gs[1::2], gs[2::2], h)
 
     return step_matrices
 
@@ -400,9 +382,8 @@ def _taylor(poly):
     accurate as if summed in twice the precision and rounded once (Graillat, Langlois
     and Louvet 2005), in double arithmetic alone.  Where p is far smaller than its
     terms (A(t) = 5 (t - 100)^2 S near t = 100), a plain Horner value is off by about
-    eps times the terms, and a Taylor block keeps that error for all of its steps,
-    where stage-time values round each step afresh.  Where the error terms are not
-    finite (a term beyond 2^996), the plain sum stands."""
+    eps times the terms, and a block's series keeps that error for all of its steps.
+    Where the error terms are not finite (a term beyond 2^996), the plain sum stands."""
     c = np.asarray(poly.coeffs, np.result_type(*poly.coeffs, float))
     dtype, c = c.dtype, c.view(float)  # complex as real and imaginary parts: x is real
     hi, lo = np.zeros((2, len(c), *c.shape))
@@ -422,80 +403,70 @@ def _taylor(poly):
     return taylor
 
 
-def _shift(t, x):
-    """The coefficients in s of T(x + s) for the matrix polynomials T whose coefficients
-    are stacked on axis -3 of t, x of shape (..., 1, 1, 1): repeated synthetic division
-    (Horner's rule applied degree times)."""
-    t = np.broadcast_to(t, np.broadcast_shapes(t.shape, x.shape)).copy()
-    for i in range(t.shape[-3] - 1):
-        for j in range(t.shape[-3] - 2, i - 1, -1):
-            t[..., j, :, :] += x[..., 0, :, :] * t[..., j + 1, :, :]
-    return t
-
-
-def _convolve(f, x):
-    """The coefficients of the products f(s) x(s) of two stacks of matrix polynomials
-    in s (each stack's coefficients on its axis 1), up to the degree of x."""
-    out = np.zeros(x.shape, np.result_type(f, x))
-    for i in range(f.shape[1]):
-        out[:, i:] += f[:, i, None] @ x[:, :x.shape[1] - i]
-    return out
-
-
-def _taylor_steps(taylor, ts, h, batch):
-    """RK4's step matrices, for _rk4, of y' = G(t) y for a polynomial G of degree
+def _series(taylor, ts, h, batch):
+    """The blocks of nodes, for _propagate, of y' = G(t) y for a polynomial G of degree
     d >= 1 over the nodes ts with the equal steps h, where taylor(x) gives G's Taylor
-    coefficients at x (see _taylor).  RK4's step matrix M(t) (see _rk4_step) is then
-    a matrix polynomial of degree 4d in t.  Its coefficients P_0, ..., P_4d about an
-    origin o are _rk4_step's on G's Taylor coefficients about o, o + h/2 and o + h,
-    with products of matrix polynomials in s = t - o.  The last two are those about
-    o shifted by h/2 and h (_shift): sums of G's Taylor terms over one step, which do
-    not grow with |o|, cheaper than two more compensated passes.  Each block
-    of _BLOCK steps takes its first node as its origin, so |s| < _BLOCK |h| and the
-    sum of the monomials does not cancel, and its step matrices are one product V P,
-    V[i, k] = (t_i - o)^k over its nodes.  Each of a block's 3 convolutions takes
-    d + 1 products with the 4d + 1 coefficients of its other factor, less those
-    shifted past degree 4d: 3 (d + 1)(3.5 d + 1) products of two matrices.  The P of
-    batch blocks (or of a chunk's blocks, if more) are built together, and a call
-    takes the whole blocks that hold its steps, so no chunk size changes a bit."""
-    steps = len(ts) - 1
-    # The node that starts each step, the last block padded with its origin (s = 0).
-    starts = np.append(ts[:-1], np.full(-steps % _BLOCK, ts[steps - steps % _BLOCK]))
-    starts = starts.reshape(-1, _BLOCK)
-    first, p = 0, starts[:0]  # the blocks built: the first one, and their P
+    coefficients G_j at x (see _taylor).  The fundamental solution about a block's first
+    node o is the power series Phi(o + s) = sum_k Phi_k s^k, Phi_0 = I and Phi_{k+1} =
+    (sum_{j <= min(d, k)} G_j Phi_{k-j}) / (k + 1) (the Taylor-series method: Corliss
+    and Chang 1982, Jorba and Zou 2005).  Scaled by the block's span R = L h, the terms
+    R^k Phi_k follow the same recurrence from the R^(j+1) G_j, and the block's node at
+    time o + tau R takes the propagator sum_k tau^k R^k Phi_k (tau = i/L up to the
+    rounding of the node times): a block's propagators are one product V Phi, V[i, k]
+    = tau_i^k, and its states one stacked product on its first node's state.  So each
+    node's state is at its own time, and the blocks meet without a gap.
+    The series of batch blocks are built together, each summed up to the (d + 1)th
+    consecutive term whose entries are all within eps (or to a term that is not
+    finite, whose states are not either).  L is the largest power of two <= _BLOCK with
+    sum_j ||G_j(o)||_1 (L |h|)^(j+1) <= 1 at every node o, so the terms fall at least
+    as fast as 1/k!: from G_j at every _BLOCK-th node o_b, that sum is at most
+    sum_j ||G_j(o_b)||_1 r (_BLOCK |h| + r)^j, r = L |h|, for o within _BLOCK steps."""
+    steps, eps = len(ts) - 1, np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.concatenate([taylor(ts[i:steps:_BLOCK][:batch, None, None, None])
+                                 for i in range(0, steps, batch * _BLOCK)])
+        d = coeffs.shape[1] - 1
+        sizes = _BLOCK >> np.arange(_BLOCK.bit_length())  # _BLOCK, ..., 2, 1
+        r = sizes[:, None] * abs(h)
+        norms = np.abs(coeffs).sum(-2).max(-1)[:, None]
+        rho = (norms * (r * (_BLOCK * abs(h) + r) ** np.arange(d + 1))).sum(-1).max(0)
+        size = next((int(s) for s, x in zip(sizes, rho) if x <= 1.0), 1)
+        scale = (size * h) ** np.arange(1.0, d + 2.0)[:, None, None]
+        origins = ts[:steps:size]
+        # Each block's nodes (the last block padded with the last node) as fractions
+        # tau of its span R from its first node o: o + tau R is the node's own time.
+        offsets = np.append(ts[1:], np.full(-steps % size, ts[-1])).reshape(-1, size) - origins[:, None]
+        taus = offsets / (size * h) if h else offsets
+        for first in range(0, len(origins), batch):
+            g = (coeffs[first:first + batch] if size == _BLOCK else
+                 taylor(origins[first:first + batch, None, None, None])) * scale
+            phi, small = [np.broadcast_to(np.eye(g.shape[-1]), g[:, 0].shape)], 0
+            while small <= d:
+                k = len(phi)
+                phi.append(sum(g[:, j] @ phi[k - 1 - j] for j in range(min(d, k - 1) + 1)) / k)
+                top = np.abs(phi[-1]).max()
+                if not np.isfinite(top):
+                    break
+                small = small + 1 if top <= eps else 0
+            v = taus[first:first + batch, :, None] ** np.arange(len(phi))
+            p = (v @ np.stack(phi, axis=1).reshape(len(g), len(phi), -1)).reshape(len(g), size, *g.shape[-2:])
+            for b, m in enumerate(p, first):
+                lo = b * size + 1
+                hi = min(lo + size, steps + 1)
+                yield lo, hi, m[:hi - lo], lo - 1
 
-    def step_matrices(j, k):
-        nonlocal first, p
-        lo, hi = j // _BLOCK, -(-(j + k) // _BLOCK)
-        if lo < first or hi > first + len(p):
-            first = lo
-            k1 = taylor(starts[lo:lo + max(hi - lo, batch), :1, None, None])
-            gm, g1 = _shift(k1, np.array([h / 2.0, h])[:, None, None, None, None])
-            d = k1.shape[1] - 1
-            eye = np.zeros((4 * d + 1, *k1.shape[2:]))  # I, and K1, as polynomials of degree 4d
-            eye[0] = np.eye(len(eye[0]))
-            p = _rk4_step(np.pad(k1, ((0, 0), (0, 3 * d), (0, 0), (0, 0))), gm, g1, h, eye, _convolve)
-        nodes = starts[lo:hi]
-        v = (nodes - nodes[:, :1])[..., None] ** np.arange(p.shape[1])
-        m = v @ p[lo - first:hi - first].reshape(hi - lo, p.shape[1], -1)
-        return m.reshape(-1, *p.shape[2:])[j - lo * _BLOCK:][:k]
 
-    return step_matrices
-
-
-def _flow(g, y, h, steps, on_chunk=None):
-    """The exact flow y_i = e^(i h G) y of a constant G at the nodes i = 0, ..., steps.
-    One stacked expm gives E_b = e^(2^b h G) for b = 0 and for each 2^b <= steps whose
-    exponent has a 1-norm below _EXPONENT_NORM_MAX (so E_b is finite); if E_0 is not
-    finite, node 1 is the first state out of range.  Each wider E_b then takes its own
-    expm call, and the widths stop at the first that is not finite.  The nodes come in
-    blocks: node 2^b + i is E_b times node i, and past the widest E_b, node i is that
-    E_b times node i - 2^b.  So unless an E_b overflows, node i is a product of at most
-    log2(i) + 1 exponentials, each exact to rounding.  on_chunk is called as _rk4 calls
-    it, with [E_0] as the step matrix of every step: once at least _CHUNK new nodes
-    exist, then after each block (or after _CHUNK nodes of narrower blocks); and the
-    run stops as _rk4's does."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
+def _flow(g, h, steps):
+    """The blocks of nodes, for _propagate, of the exact flow y_i = e^(i h G) y_0 of a
+    constant G at the nodes i = 0, ..., steps.  One stacked expm gives E_b = e^(2^b h G)
+    for b = 0 and for each 2^b <= steps whose exponent has a 1-norm below
+    _EXPONENT_NORM_MAX (so E_b is finite); if E_0 is not finite, node 1 is the first
+    state out of range.  Each wider E_b then takes its own expm call, and the widths
+    stop at the first that is not finite.  Node 2^b + i is E_b times node i, and past
+    the widest E_b, node i is that E_b times node i - 2^b.  So unless an E_b
+    overflows, node i is a product of at most log2(i) + 1 exponentials, each exact to
+    rounding."""
+    with np.errstate(over="ignore", invalid="ignore"):
         hg = h * g
         scales = 2.0 ** np.arange(int(steps).bit_length())  # 2^b <= steps
         norm = np.abs(hg).sum(axis=0).max()
@@ -511,29 +482,40 @@ def _flow(g, y, h, steps, on_chunk=None):
                 except Overflow:
                     break
                 es = np.append(es, e[None], axis=0)
-        ys = np.empty((steps + 1, *y.shape), np.result_type(y, es))
-        ys[0], j, lo = y, 0, 1
-        while lo <= steps:
-            b = min(lo.bit_length(), len(es)) - 1
-            hi = min(lo + 2 ** b, steps + 1)
-            np.matmul(es[b], ys[lo - 2 ** b:hi - 2 ** b], out=ys[lo:hi])
-            finite = np.isfinite(ys[lo:hi]).reshape(hi - lo, -1).all(axis=1)
-            end = lo + (hi - lo if finite.all() else int(np.argmin(finite)))
-            if end - 1 - j >= _CHUNK or end == steps + 1 or end < hi:
-                if on_chunk is not None and on_chunk(j, es[:1], ys[j:end]) or end < hi:
+    lo = 1
+    while lo <= steps:
+        b = min(lo.bit_length(), len(es)) - 1
+        hi = min(lo + 2 ** b, steps + 1)
+        yield lo, hi, es[b], slice(lo - 2 ** b, hi - 2 ** b)
+        lo = hi
+
+
+def _propagate(ys, blocks, on_chunk=None, chunk=_CHUNK):
+    """The states ys[1:] from ys[0], a block of nodes at a time: blocks yields
+    (lo, hi, m, src) with ys[lo:hi] = m ys[src] (one stacked product), src built
+    before.  Once at least chunk new nodes exist, at the last node and at the first
+    state that is not finite, on_chunk(j, ys[j:end]) gets the states from j, the last
+    node of the chunk before, under the run's errstate; a true return ends the run
+    there.  Returns ys up to the first state that is not finite (the run stops with
+    its block) or to the end of a chunk that on_chunk ended."""
+    j = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
+        for lo, hi, m, src in blocks:
+            np.matmul(m, ys[src], out=ys[lo:hi])
+            end = hi if np.isfinite(ys[lo:hi]).all() else \
+                lo + int(np.argmin(np.isfinite(ys[lo:hi]).reshape(hi - lo, -1).all(axis=1)))
+            if end - 1 - j >= chunk or end == len(ys) or end < hi:
+                if on_chunk is not None and on_chunk(j, ys[j:end]) or end < hi:
                     return ys[:end]
                 j = end - 1
-            lo = hi
     return ys
 
 
 def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
-    """Node times (t advances by repeated addition of h) and the states (q, p) from
-    (q0, p0) up to the first that is not finite: the exact flow of a constant G
-    (_flow), else RK4 (_rk4) from G's Taylor blocks (_taylor_steps) up to degree
-    _TAYLOR_DEGREE_MAX, or from G at the stage times (_stage_steps).  Either kernel
-    calls on_chunk with the states [q; p] of each chunk and stops where it returns
-    true."""
+    """Node times t0 + i h and the states (q, p) from (q0, p0) up to the first that is
+    not finite: the exact flow of a constant G (_flow), else each block's power series
+    (_series), through _propagate, which calls on_chunk with the states [q; p] of each
+    chunk and stops where it returns true."""
     if len(q0) != sys.dim:
         raise ValueError(f"the initial state is {len(q0)}x{len(q0)} but the system is "
                          f"{sys.dim}x{sys.dim}")
@@ -546,31 +528,27 @@ def _hamiltonian_run(sys, q0, p0, t0, t1, steps, on_chunk=None):
     h = (t1 - t0) / steps
     if not np.isfinite([t0, t1, h]).all():
         raise ValueError(f"the time grid must be finite: t0 = {t0!r}, t1 = {t1!r}, step = {h!r}")
-    ts = np.add.accumulate(np.append(t0, np.full(steps, h)))
+    ts = t0 + h * np.arange(steps + 1)
 
     # (q, p)' = G (q, p) with G = [[A, I], [-B, -A^T]]: one polynomial of blocks
-    # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.  Its Taylor
-    # coefficients may differ from the assembled ones of A and B in the sign of a
-    # zero, which no step matrix shows: P adds the polynomial I last, and x + 0 is +0
-    # for x = -0.
+    # [[A_k, I or 0], [-B_k, -A_k^T]], a missing coefficient zero.
     n, zero = sys.dim, np.zeros((sys.dim, sys.dim))
     coeffs = enumerate(zip_longest(sys.a.coeffs, sys.b.coeffs, fillvalue=zero))
     gen = MatrixPolynomial([_blocks(a, zero if k else np.eye(n), -b, -a.T) for k, (a, b) in coeffs])
-    y0, degree = np.concatenate([q0, p0]), len(gen.coeffs) - 1
-    if not degree:
-        ys = _flow(gen.coeffs[0], y0, h, steps, on_chunk)
-    elif degree <= _TAYLOR_DEGREE_MAX:
-        batch = max(1, _BATCH_ENTRIES // len(y0) ** 2)
-        ys = _rk4(_taylor_steps(_taylor(gen), ts, h, batch), y0, steps, on_chunk)
+    y0 = np.concatenate([q0, p0])
+    ys = np.empty((steps + 1, *y0.shape), np.result_type(y0, *gen.coeffs))
+    ys[0] = y0
+    if len(gen.coeffs) == 1:
+        ys = _propagate(ys, _flow(gen.coeffs[0], h, steps), on_chunk)
     else:
-        st = _stages(ts, ts[:-1] + h / 2.0)[:, None, None]
-        ys = _rk4(_stage_steps(lambda s: gen(st[s]), np.full(steps, h)), y0, steps, on_chunk)
+        blocks = _series(_taylor(gen), ts, h, max(1, _BATCH_ENTRIES // len(y0) ** 2))
+        ys = _propagate(ys, blocks, on_chunk, max(_CHUNK, _CHUNK_ENTRIES // len(y0) ** 2))
     return ts, ys.reshape(len(ys), 2, *q0.shape)
 
 
 def integrate_hamiltonian(sys, x0, t0, t1, steps):
     """Fixed-step trajectory of the Hamiltonian system from one phase point x0: its
-    exact flow for constant coefficients, else RK4.
+    exact flow for constant coefficients, else each block's power series.
 
     Returns (times, PhasePoint) with the states stacked, both endpoints included;
     raises Overflow at the first time the state is no longer finite.
@@ -595,27 +573,32 @@ def integrate_riccati(sys, w0, t0, t1, steps):
     w0 = numerics.as_square(w0, "W0")
     n, wt, lost = len(w0), None, []
 
-    def read(j, m, ys):
-        # W^T = (q^T)^-1 p^T at the chunk's nodes j, ..., j + k - 1 into one stack
-        # (node j was read with the chunk before, unless j = 0), each new one held to
-        # ||W||_F < 1/SINGULAR_RTOL, then d_i = M11 + M12 W_i - I = q_{i+1} q_i^-1 - I
-        # for the steps i from them: a step with ||d_i||_F < 1 holds no pole.  The
-        # chunk records its first lost node (the first exactly singular q, large W or
-        # pole) and then ends the run.
+    def solve(j, qt, rhs):
+        # (q_i^T)^-1 rhs_i for the nodes i = j, j + 1, ... up to the first exactly
+        # singular q, whose node is lost; W_i^T, the first n columns, goes into wt,
+        # each held to ||W||_F < 1/SINGULAR_RTOL.  Returns the other columns.
+        try:
+            x = np.linalg.solve(qt, rhs)
+        except np.linalg.LinAlgError:
+            k = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
+            lost.append(j + k)
+            x = np.linalg.solve(qt[:k], rhs[:k])
+        wt[j:j + len(x)] = x[..., :n]
+        lost.extend(j + np.flatnonzero(~(numerics.sq_fro(x[..., :n]) < numerics.SINGULAR_RTOL ** -2))[:1])
+        return x[..., n:]
+
+    def read(j, ys):
+        # One solve against q_i^T per step i of the chunk, of [p_i^T, q_{i+1}^T] (the
+        # rows [p_i; q_{i+1}] of ys, transposed): W_i^T and (q_{i+1} q_i^-1)^T, so
+        # d_i = q_{i+1} q_i^-1 - I in one basis, whatever the run has reached; a step
+        # with ||d_i||_F < 1 holds no pole.  The chunk's last node is the next
+        # chunk's first.  The chunk records its first lost node and then ends the run.
         nonlocal wt
         if wt is None:
             wt = np.empty((steps + 1, n, n), ys.dtype)
-        qt, pt, k, new = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), len(ys), int(j > 0)
-        try:
-            wt[j + new:j + k] = np.linalg.solve(qt[new:], pt[new:])
-        except np.linalg.LinAlgError:  # q is exactly singular at node j + k
-            k = int(np.argmax(np.linalg.slogdet(qt)[0] == 0))
-            lost.append(j + k)
-            wt[j + new:j + k] = np.linalg.solve(qt[new:k], pt[new:k])
-        big = ~(numerics.sq_fro(wt[j + new:j + k]) < numerics.SINGULAR_RTOL ** -2)
-        lost.extend(j + new + np.flatnonzero(big)[:1])
-        d = m[:k - 1, :n, n:] @ wt[j:j + k - 1].swapaxes(-1, -2)
-        d += m[:k - 1, :n, :n]
+        k = len(ys) - 1
+        rhs = ys.reshape(-1, n)[n:(2 * k + 1) * n].reshape(k, 2 * n, n).swapaxes(-1, -2)
+        d = solve(j, ys[:k, :n].swapaxes(-1, -2), rhs)
         d -= np.eye(n)
         poles = (j + i + 1 for i in np.flatnonzero(~(numerics.sq_fro(d) < 1.0))
                  if not np.isfinite(d[i]).all() or numerics.eigenvalues(d[i])[0].real <= -1.0)
@@ -623,6 +606,8 @@ def integrate_riccati(sys, w0, t0, t1, steps):
         return bool(lost)
 
     ts, ys = _hamiltonian_run(sys, np.eye(n, dtype=w0.dtype), w0, t0, t1, steps, read)
+    if not lost:  # the last state's W, which no step of a chunk reads
+        solve(len(ys) - 1, ys[-1:, 0].swapaxes(-1, -2), ys[-1:, 1].swapaxes(-1, -2))
     lost = min(lost, default=len(ys))  # or the first state that is not finite
     if lost < len(ts):
         raise BlowUp(ts.item(lost))
