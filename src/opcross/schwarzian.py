@@ -440,20 +440,27 @@ def _series(taylor, ts, h, batch):
         for first in range(0, len(origins), batch):
             g = (coeffs[first:first + batch] if size == _BLOCK else
                  taylor(origins[first:first + batch, None, None, None])) * scale
-            phi, small = [np.broadcast_to(np.eye(g.shape[-1]), g[:, 0].shape)], 0
+            nb, n2 = len(g), g.shape[-1]
+            # [G_d, ..., G_0] side by side, times the d + 1 terms before the next,
+            # stacked: each term is one product.  The terms sit after d zeros.
+            gs = g[:, ::-1].transpose(0, 2, 1, 3).reshape(nb, n2, -1)
+            phi = np.zeros((nb, d + 16, n2, n2), g.dtype)
+            phi[:, d] = np.eye(n2)
+            k, small = d + 1, 0
             while small <= d:
-                k = len(phi)
-                phi.append(sum(g[:, j] @ phi[k - 1 - j] for j in range(min(d, k - 1) + 1)) / k)
-                top = np.abs(phi[-1]).max()
+                if k == phi.shape[1]:
+                    phi = np.concatenate([phi, np.zeros_like(phi)], axis=1)
+                np.divide(gs @ phi[:, k - 1 - d:k].reshape(nb, -1, n2), k - d, out=phi[:, k])
+                top = np.abs(phi[:, k]).max()
+                k += 1
                 if not np.isfinite(top):
                     break
                 small = small + 1 if top <= eps else 0
-            v = taus[first:first + batch, :, None] ** np.arange(len(phi))
-            p = (v @ np.stack(phi, axis=1).reshape(len(g), len(phi), -1)).reshape(len(g), size, *g.shape[-2:])
-            for b, m in enumerate(p, first):
+            v = taus[first:first + nb, :, None] ** np.arange(k - d)
+            for b, (vb, terms) in enumerate(zip(v, phi[:, d:k]), first):
                 lo = b * size + 1
                 hi = min(lo + size, steps + 1)
-                yield lo, hi, m[:hi - lo], lo - 1
+                yield lo, hi, (vb[:hi - lo] @ terms.reshape(k - d, -1)).reshape(hi - lo, n2, n2), lo - 1
 
 
 def _flow(g, h, steps):
