@@ -914,8 +914,8 @@ def test_a_generator_far_from_t_0_keeps_its_accuracy(rng, c, center, r, staged):
 def test_a_stiff_time_dependent_system_decays():
     # q' = -(300 + 30 t) q, p = 0 on [0, 1] in 100 steps: q = exp(-300 t - 15 t^2) at
     # every node within 1e-12 relative (1.3e-13; down to 1e-137 at t = 1), where RK4
-    # multiplied q by R(-3.x) > 1 per step and ended at 8.0e159.  ||G|| h = 3.3, so
-    # each block is one step.
+    # multiplied q by R(-3.x) > 1 per step and ended at q(1) = 1.3e23, 8.0e159 times
+    # the exact value.  ||G|| h = 3.3, so each block is one step.
     sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([[[-300.0]], [[-30.0]]]), sz.MatrixPolynomial([[[0.0]]]))
     ts, points = sz.integrate_hamiltonian(sys_, sz.PhasePoint([[1.0]], [[0.0]]), 0.0, 1.0, 100)
     with mpmath.workdps(30):
