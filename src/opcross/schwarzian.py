@@ -8,7 +8,8 @@ A constant G takes its exact flow, y_i = e^(i h G) y_0, from stacked matrix
 exponentials (_flow); a polynomial G takes, on each block of up to 64 steps,
 the power series of its fundamental solution (_series).  Both hand their blocks
 of nodes to one propagation loop (_propagate).  The curve of curve_from_riccati,
-whose W is tabulated, takes the classical fixed-step RK4 (_rk4).
+whose W is tabulated, takes the classical fixed-step RK4 (_rk4) of the block
+triangular (z^T, z'^T)' = [[0, I], [0, F]] (z^T, z'^T), as n x n step matrices.
 
 integrate_riccati reads W = p q^-1, the Lagrangian subspace of the linear
 Hamiltonian system in one chart, off the run from (q, p) = (I, W0), a chunk of
@@ -257,8 +258,9 @@ def _stages(nodes, mids):
 # at most max(2i + 1, 2 _CHUNK) nodes, its blocks of nodes doubling.  A chunk of the
 # series, and of the curve's RK4, whose step matrices are built a chunk at a time
 # (one stack per chunk keeps its memory at its states), is _CHUNK steps, or more
-# where its matrices are small: as many as fill _CHUNK_ENTRIES entries (64 12 x 12
-# matrices, the steps of a dim-6 run).
+# where its matrices are small: as many as fill _CHUNK_ENTRIES entries, of 2n x 2n
+# matrices for the series (64 12 x 12 matrices, the steps of a dim-6 run) and of
+# n x n ones for the curve (256 steps at dim 6).
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
 # The most steps that one block of a polynomial run spans (see _series).
 _BLOCK = 64
@@ -283,70 +285,70 @@ def _blocks(a, b, c, d):
     return out
 
 
-def _rk4(step_matrices, y, steps):
-    """The states of y_{i+1} = M_i y_i from y over steps steps, where
-    step_matrices(j, k) is the stack of M_j, ..., M_{j+k-1} (see _stage_steps), built
-    a chunk of steps at a time (see _CHUNK).  y_{i+1} is one M_i.dot(y_i) (np.matmul's
-    BLAS product, without a ufunc call), written into its row of the states, and map
-    drives a chunk's products in order without a bytecode loop.  Returns one array of
-    y and the states after each step, up to the first state that is not finite (the
-    run stops at the end of that state's chunk)."""
-    ys, j = None, 0
-    chunk = max(_CHUNK, _CHUNK_ENTRIES // len(y) ** 2)
+def _rk4_steps(wa, h):
+    """The curve's RK4 step matrices, for _rk4, from P = W + A at the stage times of
+    k steps (wa, 2k + 1 matrices: see _stages) and the steps h (a scalar, or a column
+    of k).  On (z^T, z'^T)' = G (z^T, z'^T), G = [[0, I], [0, F]], F = -2 P^T, RK4's
+    step matrix is [[I, M12], [0, M22]]: with X2 = I + h/2 F_0, Y2 = F_m X2, X3 = I +
+    h/2 Y2, Y3 = F_m X3, X4 = I + h Y3 and Y4 = F_1 X4, M22 = I + h/6 (F_0 + 2 Y2 +
+    2 Y3 + Y4) and M12 = h/6 (I + 2 X2 + 2 X3 + X4) = h (I + h/6 (F_0 + Y2 + Y3)).
+    The curve's rows take the transposes, so no P is transposed: with V_j = -Y_j^T / 2
+    (V2 = X2^T P_m, X2^T = I - h P_0, and so on), M22^T = I - h/3 (P_0 + 2 V2 + 2 V3 +
+    V4) and M12^T = h (I - h/3 (P_0 + V2 + V3)), three products per step, each stage
+    updated in place.  Returns the stacks of M12^T and M22^T."""
+    eye, p0, pm = np.eye(wa.shape[-1]), wa[:-1:2], wa[1::2]
+    x = p0 * -h
+    x += eye
+    v2 = x @ pm
+    np.multiply(v2, -h, out=x)
+    x += eye
+    v3 = x @ pm
+    np.multiply(v3, -2.0 * h, out=x)
+    x += eye
+    m12 = p0 + v2
+    m12 += v3
+    m22 = m12 + v2
+    m22 += v3
+    m22 += np.matmul(x, wa[2::2], out=v2)
+    for m in (m12, m22):
+        m *= -h / 3.0
+        m += eye
+    m12 *= h
+    return m12, m22
+
+
+def _rk4(wa, hs, z, z1):
+    """The curve's classical RK4 from z and z' over the steps hs, where wa holds W + A
+    at the stage times (see _stages): z'_{i+1} = z'_i M22_i^T and z_{i+1} = z_i + z'_i
+    M12_i^T (see _rk4_steps), the step matrices built a chunk of steps at a time (see
+    _CHUNK).  z'_{i+1} is one z'_i.dot(M22_i^T) (np.matmul's BLAS product, without a
+    ufunc call), written into its row of the states, and map drives a chunk's products
+    in order without a bytecode loop; the chunk's z are one stacked product and its
+    running sum from the chunk's first z, in order.  Returns the stack of z and the
+    stack of z' at the nodes, up to the first that is not finite (the run stops at the
+    end of that node's chunk)."""
+    steps, n, ys, j = len(hs), len(z), None, 0
+    chunk = max(_CHUNK, _CHUNK_ENTRIES // n ** 2)
     with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
         while j < steps:
             k = min(chunk, steps - j)
-            m = step_matrices(j, k)
+            h = hs[j:j + k]
+            # Equal steps make h a scalar, which numpy multiplies faster than a column.
+            h = h.item(0) if (h == h[0]).all() else h[:, None, None]
+            m12, m22 = _rk4_steps(wa[2 * j:2 * (j + k) + 1], h)
             if ys is None:
-                ys = np.empty((steps + 1, *y.shape), np.result_type(y, m))
-                ys[0] = y
-            rows = list(ys[j:j + k + 1])  # each product writes its state into its row of ys
-            deque(map(np.ndarray.dot, m, rows, rows[1:]), maxlen=0)
-            finite = np.isfinite(ys[j + 1:j + k + 1]).reshape(k, -1).all(axis=1)
+                ys = np.empty((2, steps + 1, n, n), np.result_type(z, z1, m22))
+                ys[:, 0] = z, z1
+            zs, rows = ys[0, j + 1:j + k + 1], list(ys[1, j:j + k + 1])
+            deque(map(np.ndarray.dot, rows, m22, rows[1:]), maxlen=0)
+            np.matmul(ys[1, j:j + k], m12, out=zs)
+            zs[0] += ys[0, j]
+            np.cumsum(zs, axis=0, out=zs)
+            finite = np.isfinite(ys[:, j + 1:j + k + 1]).all(axis=(0, 2, 3))
             if not finite.all():
-                return ys[:j + 1 + int(np.argmin(finite))]
+                return ys[:, :j + 1 + int(np.argmin(finite))]
             j += k
     return ys
-
-
-def _rk4_step(k1, gm, g1, h):
-    """RK4's step matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) from G at a step's start,
-    midpoint and end: K1 = G(t_i), K2 = G(t_i + h/2)(I + h/2 K1), K3 = G(t_i + h/2)
-    (I + h/2 K2) and K4 = G(t_{i+1})(I + h K3), each stage updated in place.  On
-    y' = G(t) y an RK4 step is y_{i+1} = M_i y_i: the stage vectors are K_j y_i, so
-    the method and its nodes are the classical ones."""
-    eye = np.eye(k1.shape[-1])
-    x = k1 * (h / 2.0)
-    x += eye
-    k2 = gm @ x
-    np.multiply(k2, h / 2.0, out=x)
-    x += eye
-    k3 = gm @ x
-    np.multiply(k3, h, out=x)
-    x += eye
-    k4 = g1 @ x
-    m = k2  # I + h/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
-    m *= 2.0
-    m += k1
-    k3 *= 2.0
-    m += k3
-    m += k4
-    m *= h / 6.0
-    m += eye
-    return m
-
-
-def _stage_steps(g, hs):
-    """RK4's step matrices, for _rk4, from G at the stage times: g(s) is the stack of
-    G at the stage times s (a slice of the indices of _stages), and hs are the steps."""
-    def step_matrices(j, k):
-        gs = g(slice(2 * j, 2 * (j + k) + 1))
-        h = hs[j:j + k]
-        # Equal steps make h a scalar, which numpy multiplies faster than a column.
-        h = h.item(0) if (h == h[0]).all() else h[:, None, None]
-        return _rk4_step(gs[:-1:2], gs[1::2], gs[2::2], h)
-
-    return step_matrices
 
 
 def _two_sum(a, b):
@@ -658,7 +660,9 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
 
     RK4 reads W at the nodes and at the step midpoints, where it takes the
     cubic Hermite interpolant of the node values and the Riccati slopes W';
-    the same slopes give W' in the third-derivative member of each jet.
+    the same slopes give W' in the third-derivative member of each jet.  Its
+    step matrix of (z^T, z'^T) is [[I, M12], [0, M22]], so a step is
+    z'_{i+1} = z'_i M22^T and z_{i+1} = z_i + z'_i M12^T (see _rk4_steps).
     Returns one CurveJet stacked over the nodes; raises Overflow at the first
     node whose jet is not finite.
     """
@@ -684,12 +688,9 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
     wa = _stages(w_stack, mid) + a_st
 
-    # (z^T, z'^T)' = [[0, I], [0, -2 (W + A)^T]] (z^T, z'^T)
-    zero = np.zeros_like(z0)
-    ys = _rk4(_stage_steps(lambda s: _blocks(zero, np.eye(n), zero, -2.0 * wa[s].swapaxes(-1, -2)), hs),
-              np.concatenate([z0.T, z1_0.T]), len(hs))
-    m = len(ys)  # the states at nodes before m are finite
-    z, z1, wa = ys[:, :n].swapaxes(-1, -2), ys[:, n:].swapaxes(-1, -2), wa[:2 * m:2]
+    z, z1 = _rk4(wa, hs, z0, z1_0)
+    m = len(z)  # the states at nodes before m are finite
+    wa = wa[:2 * m:2]
     with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range: Overflow
         z2 = -2.0 * z1 @ wa
         z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes[:m] + a_poly.derivative()(tcol[:m]))

@@ -750,15 +750,22 @@ def reference_hamiltonian_run(sys_, q0, p0, t1, steps):
     return ts, reference_rk4(rhs, np.array([q0, p0]), hs, lambda k: (sys_.a(st[k]), sys_.b(st[k])))
 
 
+def curve_stage_values(ts, ws, a_poly, b_poly):
+    """W + A at the stage times of curve_from_riccati (W at a midpoint the cubic
+    Hermite value from the Riccati slopes W'), and the slopes at the nodes."""
+    hs, tcol = np.diff(ts), ts[:, None, None]
+    a_st = a_poly(sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))[:, None, None])
+    slopes = sz.riccati_rhs(ws, (a_st[::2], b_poly(tcol)))
+    mid = (ws[:-1] + ws[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
+    return np.insert(ws, np.arange(1, len(ts)), mid, axis=0) + a_st, slopes
+
+
 def reference_curve(ts, ws, a_poly, z0, z1_0, b_poly, dtype=None):
     """z and z' of curve_from_riccati by reference_rk4, or its Overflow; the
     states are integrated in dtype (default: that of z0 and W) and the jets
     formed in the precision of z0 and W."""
     hs, tcol = np.diff(ts), ts[:, None, None]
-    a_st = a_poly(sz._stages(ts, ts[:-1] + np.divide(hs, 2.0))[:, None, None])
-    slopes = sz.riccati_rhs(ws, (a_st[::2], b_poly(tcol)))
-    mid = (ws[:-1] + ws[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
-    wa = np.insert(ws, np.arange(1, len(ts)), mid, axis=0) + a_st
+    wa, slopes = curve_stage_values(ts, ws, a_poly, b_poly)
     ys = reference_rk4(lambda y, c: np.array([y[1], -2.0 * y[1] @ c]),
                        np.array([z0, z1_0], dtype), hs, lambda k: wa[k])
     ys = ys.astype(np.result_type(ws, z0))
@@ -1015,20 +1022,47 @@ def test_a_large_cubic_run_builds_its_taylor_blocks_in_small_batches(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
-def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
-    # The curve's RK4 advances each state by M_i.dot(y_i, out=y_{i+1}); it must write
-    # exactly np.matmul's product, for real, complex and mixed operands (a complex
-    # z'(0) under a real W; a complex W).  The step matrices reach the check through the
-    # source that _rk4 is given, the states through its return value.
-    steps, kinds, rk4 = [], set(), sz._rk4
+def test_the_curve_is_rk4_on_its_block_generator(rng, n):
+    # The curve takes RK4's step matrix of G = [[0, I], [0, F]], F = -2 (W + A)^T, as
+    # its blocks [[I, M12], [0, M22]] (_rk4_steps): its z and z' must be within 1e-13
+    # relative of RK4 on the 2n x 2n G at the stage times, each step matrix one
+    # expression, from z(0) != 0, for a real and a complex W, with equal steps (a
+    # power of two, so every step is the same scalar) and unequal ones (a column of
+    # steps), over one chunk and, at dim 6, several.
+    sys_ = linear_system(rng, n)
+    w0, w1, wi = 0.1 * _sym(rng, n), _sym(rng, n), 0.1j * _sym(rng, n)
+    z0, z1_0 = 0.5 * rng.standard_normal((n, n)), np.eye(n)
+    for steps, equal, imag in product((7, 1000), (True, False), (0.0, 1.0)):
+        h = 2.0 ** -round(math.log2(steps / 0.6))
+        hs = np.full(steps, h) if equal else h * rng.uniform(0.5, 1.5, steps)
+        ts = np.append(0.0, np.cumsum(hs))
+        assert (np.diff(ts) == h).all() == equal
+        ws = w0 + ts[:, None, None] * w1 + imag * wi
+        jets = sz.curve_from_riccati(ts, ws, sys_.a, z0, z1_0, sys_.b)
+        wa, _ = curve_stage_values(ts, ws, sys_.a, sys_.b)
+        zero = np.zeros((n, n))
+        gs = sz._blocks(zero, np.eye(n), zero, -2.0 * wa.swapaxes(-1, -2))
+        ys = expression_rk4(gs, np.concatenate([z0.T, z1_0.T]), np.diff(ts)).swapaxes(-1, -2)
+        assert _rel(jets.z, ys[..., :n]) <= 1e-13 and _rel(jets.z1, ys[..., n:]) <= 1e-13
 
-    def checked(source, y, count):
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
+    # The curve's RK4 advances each z' by z'_i.dot(M22_i^T, out=z'_{i+1}); it must
+    # write exactly np.matmul's product, for real, complex and mixed operands (a complex
+    # z'(0) under a real W; a complex W).  The step matrices reach the check through
+    # _rk4_steps, the states through _rk4's return value.
+    steps, kinds, rk4, source = [], set(), sz._rk4, sz._rk4_steps
+
+    def checked(wa, hs, z, z1):
         stacks = []
-        ys = rk4(lambda j, k: stacks.append(source(j, k)) or stacks[-1], y, count)
-        for mi, y0, y1 in zip(np.concatenate(stacks), ys, ys[1:]):
-            assert np.matmul(mi, y0).tobytes() == y1.tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(sz, "_rk4_steps", lambda *args: stacks.append(source(*args)) or stacks[-1])
+            ys = rk4(wa, hs, z, z1)
+        for mi, y0, y1 in zip(np.concatenate([m22 for _, m22 in stacks]), ys[1], ys[1, 1:]):
+            assert np.matmul(y0, mi).tobytes() == y1.tobytes()
             kinds.add((mi.dtype.kind, ys.dtype.kind))
-        steps.append(len(ys) - 1)
+        steps.append(ys.shape[1] - 1)
         return ys
 
     monkeypatch.setattr(sz, "_rk4", checked)
@@ -1042,9 +1076,10 @@ def test_dot_steps_are_the_matmul_product(rng, monkeypatch, n):
 
 
 def test_chunk_size_does_not_change_a_bit(rng, monkeypatch):
-    # Chunks of 1 step, of 64 steps, of the whole run and of the rule's own size
-    # (2304, 576 and 64 steps at dims 1, 2 and 6, so the run ends in a part chunk):
-    # the reader's and the curve's, give the same bits, for a linear and a cubic
+    # Chunks of 1 step, of 64 steps, of the whole run and of the rules' own sizes
+    # (the reader's 2304, 576 and 64 steps at dims 1, 2 and 6, so its run ends in a
+    # part chunk; the curve's n x n rule, 9216, 2304 and 256 steps, takes the whole
+    # run): the reader's and the curve's, give the same bits, for a linear and a cubic
     # system; the cubic run ends in a block of 17 steps.
     for (n, rule), (degree, extra) in product(((1, 2304), (2, 576), (6, 64)), ((1, 66), (3, 81))):
         assert max(sz._CHUNK, sz._CHUNK_ENTRIES // (2 * n) ** 2) == rule
@@ -1175,12 +1210,6 @@ def test_the_generator_polynomial_is_the_assembled_blocks(rng, monkeypatch, degr
         g, x = generators[0], ts[::7, None, None, None]
         if degree:
             assert np.array_equal(g(x), assembled(x))
-            # The curve's RK4 source: in-place stages from G at the stage times give
-            # the bits of each step matrix written as one expression.
-            hs = np.full(steps, h)
-            gs = assembled(sz._stages(ts, ts[:-1] + hs / 2.0)[:, None, None, None])[:, 0]
-            staged = sz._rk4(sz._stage_steps(lambda s: gs[s], hs), ys[0], steps)
-            assert staged.tobytes() == expression_rk4(gs, ys[0], hs).tobytes()
         else:
             assert np.array_equal(g, assembled(0.0)[0])
 
@@ -1214,7 +1243,7 @@ def test_overflow_in_the_second_chunk_is_the_first_state_out_of_range(monkeypatc
     # steps; RK4 at the same step reached it late.  The integrators must stop there.
     # So must the curve under W + A = -4000 I, at the node where the stage-by-stage
     # loop run in long double, whose range holds these states, leaves the float range
-    # (in the first chunk of the dim-2 rule's 576 steps; both chunk sizes run).
+    # (in the first chunk of the dim-2 curve rule's 2304 steps; both chunk sizes run).
     n, steps = 2, 1000
     sys_ = sz.HamiltonianSystem(sz.MatrixPolynomial([np.zeros((n, n)), 2e5 * np.eye(n)]),
                                 sz.MatrixPolynomial([np.zeros((n, n))]))
@@ -1253,11 +1282,11 @@ def test_an_overflowing_curve_stops_at_its_first_bad_chunk(monkeypatch):
     ws = np.array([-4000.0 * np.eye(n)] * (steps + 1))
     zero = sz.MatrixPolynomial([np.zeros((n, n))])
     chunks = []
-    blocks = sz._blocks
-    monkeypatch.setattr(sz, "_blocks", lambda *a: chunks.append(a) or blocks(*a))
+    source = sz._rk4_steps
+    monkeypatch.setattr(sz, "_rk4_steps", lambda *a: chunks.append(a) or source(*a))
     with pytest.raises(Overflow, match="at t = 0.122$"):
         sz.curve_from_riccati(ts, ws, zero, np.zeros((n, n)), np.eye(n), zero)
-    assert len(chunks) <= 2
+    assert 1 <= len(chunks) <= 2
 
 
 def read_chunks(monkeypatch, chunks):
