@@ -14,10 +14,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import __version__, crossratio, flows, grassmann, numerics
-from . import schwarzian as schwarz
+from . import __version__
 from .errors import NumericalError
 
 
@@ -31,18 +28,20 @@ def dumps_report(obj):
 
 
 def _plain(obj):
-    if isinstance(obj, (np.generic, float, complex)):
-        obj = np.asarray(obj)  # a 0-d array
-    if isinstance(obj, np.ndarray):
-        obj = numerics.finite(obj, "a value in the output")
-        return numerics.matrix_to_json(obj) if obj.ndim == 2 else \
-            numerics.split_complex(obj).tolist()
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    import numpy as np
+    from . import numerics
+    if isinstance(obj, (np.generic, float, complex)):
+        obj = np.asarray(obj)  # a 0-d array
+    if isinstance(obj, np.ndarray):
+        obj = numerics.finite(obj, "a value in the output")
+        return numerics.matrix_to_json(obj) if obj.ndim == 2 else \
+            numerics.split_complex(obj).tolist()
     raise TypeError(f"unserializable value of type {type(obj).__name__}")
 
 
@@ -74,16 +73,19 @@ def _result_fields(result):
 
 
 def _subspaces(data, key, count):
+    from . import grassmann, numerics
     subs = numerics.list_from_json(data[key], key, count)
     return [grassmann.Subspace.from_json(s) for s in subs]
 
 
 def _handle_dv(data, seed, tol):
+    from . import crossratio
     result = crossratio.dv_unequal(*_subspaces(data, "subspaces", 4))
     return _result_fields(result), None
 
 
 def _handle_angle(data, seed, tol):
+    from . import crossratio, numerics
     a = numerics.matrix_from_json(data["a"])
     b = numerics.matrix_from_json(data["b"])
     result = crossratio.operator_angle(a, b)
@@ -91,6 +93,7 @@ def _handle_angle(data, seed, tol):
 
 
 def _handle_equiv(data, seed, tol):
+    from . import crossratio
     tol = crossratio.EQUIV_TOL if tol is None else tol
     if not 0.0 <= tol < float("inf"):
         raise ValueError(f"the decision tolerance must be a finite number >= 0, got {tol!r}")
@@ -101,12 +104,15 @@ def _handle_equiv(data, seed, tol):
 
 
 def _handle_cocycle(data, seed, tol):
+    import numpy as np
+    from . import crossratio, numerics
     product = crossratio.cocycle_product(*_subspaces(data, "p", 2), *_subspaces(data, "q", 3))
     residual = numerics.fro(product - np.eye(product.shape[0]))
     return {"product": product, "residual": residual}, None
 
 
 def _handle_schwarz(data, seed, tol):
+    from . import numerics, schwarzian as schwarz
     if "jet" in data:
         jet = schwarz.CurveJet.from_json(data["jet"])
         s = schwarz.schwarz(jet)
@@ -126,6 +132,8 @@ def _trajectory_csv(ts, *stacks):
     """One CSV row per time t_i: t_i, then the entries of each stack's i-th array
     in turn; a complex array's entries take two columns each, re then im, as the
     report lists them."""
+    import numpy as np
+    from . import numerics
     columns = [numerics.split_complex(np.asarray(s)).reshape(len(ts), -1) for s in stacks]
     rows = numerics.finite(np.column_stack([ts, *columns]), "a trajectory in the output")
     buf = io.StringIO()
@@ -135,11 +143,12 @@ def _trajectory_csv(ts, *stacks):
 
 def _time_grid(data):
     """(t0, t1, steps) of a trajectory input; steps defaults to 1000."""
-    num = numerics.number_from_json
+    from .numerics import number_from_json as num
     return num(data["t0"], "t0"), num(data["t1"], "t1"), num(data.get("steps", 1000), "steps", int)
 
 
 def _handle_riccati(data, seed, tol):
+    from . import numerics, schwarzian as schwarz
     sys_ = schwarz.HamiltonianSystem.from_json(data["system"])
     w0 = numerics.matrix_from_json(data["w0"])
     ts, ws = schwarz.integrate_riccati(sys_, w0, *_time_grid(data))
@@ -148,6 +157,7 @@ def _handle_riccati(data, seed, tol):
 
 
 def _handle_hamiltonian(data, seed, tol):
+    from . import numerics, schwarzian as schwarz
     sys_ = schwarz.HamiltonianSystem.from_json(data["system"])
     x0 = schwarz.PhasePoint(numerics.matrix_from_json(data["q0"]),
                             numerics.matrix_from_json(data["p0"]))
@@ -158,6 +168,8 @@ def _handle_hamiltonian(data, seed, tol):
 
 
 def _handle_flow(data, seed, tol):
+    import numpy as np
+    from . import flows
     scenario = flows.FlowScenario.from_json(data)
     table = flows.spectrum_along_flow(scenario)
     results = {"rows": [{"t": t, "spectrum": spec, "traces": traces.astype(complex), "det": det}
@@ -232,9 +244,11 @@ def run(verb, input_path, output_path, seed=0, tol=None):
             raise ValueError(f"--out {output_path} is where the {verb} CSV goes; "
                              "give the report another extension")
         text = emit_report(verb, seed, digest, results)
-    except (NumericalError, np.linalg.LinAlgError) as exc:  # numpy's is a ValueError too
-        return fail(3, f"{type(exc).__name__}: {exc}")
-    except ValueError as exc:
+    except (NumericalError, ValueError) as exc:
+        # numpy's LinAlgError is a ValueError too; only a loaded numpy raises it.
+        numpy = sys.modules.get("numpy")
+        if isinstance(exc, NumericalError) or numpy and isinstance(exc, numpy.linalg.LinAlgError):
+            return fail(3, f"{type(exc).__name__}: {exc}")
         return fail(2, f"ValidationError: {exc}")
 
     try:
@@ -286,7 +300,7 @@ def main(args=None, prog_name="opcross"):
             command.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
         if verb == "equiv":
             command.add_argument("--tol", type=float, help="Decision tolerance of the "
-                                 f"equivalence verdict (default: {crossratio.EQUIV_TOL}).")
+                                 "equivalence verdict (default: 1e-06).")
     ns = parser.parse_args(args)
     sys.exit(run(ns.verb, ns.input_path, ns.output_path, getattr(ns, "seed", 0),
                  getattr(ns, "tol", None)))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opcross import __version__, cli, flows, grassmann, numerics
+from opcross import __version__, cli, crossratio, flows, grassmann, numerics
 from opcross.errors import Overflow
 from conftest import (LOADED_SCIPY, flow_json, fresh_python, overflowing_dv_config,
                       overflowing_flow_scenario, sampled_symmetric_b, subspace_json,
@@ -522,6 +523,80 @@ print(json.dumps(seen))
 """))
     assert seen[0] == []
     assert seen[1:] == [[status, []] for _, _, status in cases]
+
+
+_MATHS = ("numpy", "opcross.numerics", "opcross.grassmann", "opcross.crossratio",
+          "opcross.schwarzian", "opcross.flows")
+_TRUNCATED = '{"subspaces": [{"basis": {"rows": 2, "cols": 1, "data": [[1.0], ['
+
+
+def test_a_process_loads_only_what_its_verb_uses(tmp_path):
+    # One interpreter per row: `import opcross.cli` loads no numpy and no module
+    # of the maths; a cross-ratio verb then loads nothing of the Schwarzian half,
+    # a Schwarzian verb nothing of the cross-ratio half, and --version, a usage
+    # error and an input that does not parse load no numpy at all.
+    shift_flow = flows.FlowScenario(flows.shift_generator(4, 1),
+                                    [grassmann.random_subspace(4, 2, i) for i in range(4)], [0.0, 1.0])
+    planes = subspaces(*[(4, 2, i) for i in range(5)])
+    cross_ratio_half, schwarzian_half = ("opcross.schwarzian", "opcross.flows"), \
+        ("opcross.crossratio", "opcross.grassmann", "opcross.flows")
+    rows = [  # (verb and input, or None for the import alone; exit status; modules not loaded)
+        (None, None, _MATHS),
+        (["--version"], 0, ("numpy",)),
+        (["nosuch"], 2, ("numpy",)),
+        (("dv", _TRUNCATED), 2, ("numpy",)),
+        (("dv", dv_input()), 0, cross_ratio_half),
+        (("angle", _angle([[1.0]], [[2.0]])), 0, cross_ratio_half),
+        (("equiv", _EQUIV), 0, cross_ratio_half),
+        (("cocycle", {"p": planes[:2], "q": planes[2:]}), 0, cross_ratio_half),
+        (("riccati", oscillator_input("riccati", 1.0, 20)), 0, schwarzian_half),
+        (("hamiltonian", oscillator_input("hamiltonian", 1.0, 20)), 0, schwarzian_half),
+        (("schwarz", {"samples": _TAN_SAMPLES, "h": 0.01}), 0, schwarzian_half),
+        (("flow", flow_json(shift_flow)), 0, ("opcross.schwarzian",)),
+    ]
+    for i, (command, status, unloaded) in enumerate(rows):
+        args = command
+        if isinstance(command, tuple):
+            verb, given = command
+            inp = tmp_path / f"in{i}.json"
+            inp.write_text(given if isinstance(given, str) else json.dumps(given))
+            args = [verb, "--in", str(inp), "--out", str(tmp_path / f"out{i}.json")]
+        seen = json.loads(fresh_python(f"""
+import json, sys
+import opcross.cli
+status = None
+if {args!r} is not None:
+    try:
+        opcross.cli.main({args!r})
+    except SystemExit as exc:
+        status = exc.code
+print(json.dumps([status, [m for m in {unloaded!r} if m in sys.modules]]))
+""").splitlines()[-1])
+        assert seen == [status, []], command
+    # The report of the truncated input is the one a process with numpy loaded writes.
+    i = next(i for i, (command, _, _) in enumerate(rows) if command == ("dv", _TRUNCATED))
+    in_process = tmp_path / "in_process.json"
+    assert cli.run("dv", str(tmp_path / f"in{i}.json"), str(in_process)) == 2
+    assert (tmp_path / f"out{i}.json").read_bytes() == in_process.read_bytes()
+    assert json.loads(in_process.read_text())["error"] == \
+        "ValidationError: Expecting value: line 1 column 66 (char 65)"
+
+
+def test_equiv_help_shows_the_default_tolerance():
+    # The help names equiv's default tolerance without loading the cross-ratio
+    # module, and the number it names is crossratio.EQUIV_TOL.
+    out = fresh_python("""
+import sys
+import opcross.cli
+try:
+    opcross.cli.main(["equiv", "--help"])
+except SystemExit:
+    pass
+print("opcross.crossratio" in sys.modules, "numpy" in sys.modules)
+""")
+    default = re.search(r"\(default:\s+([^)]+)\)", out).group(1)
+    assert float(default) == crossratio.EQUIV_TOL
+    assert out.splitlines()[-1] == "False False"
 
 
 def test_hamiltonian_verb(tmp_path):
