@@ -104,7 +104,7 @@ def spectrum_along_flow(scenario, flowed=(True, True, True, True)):
     Returns a list of (t, spectrum, trace_powers, det) tuples.
 
     Consecutive moving subspaces of one shape (all four, for half-dimensional
-    ones) flow by one stacked product, QR and certified inverse of R per time,
+    ones) flow by one stacked product, QR and check of R per time,
     bit for bit the per-subspace results; the first failing time, and in it the
     first failing subspace, raises.
     """

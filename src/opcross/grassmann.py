@@ -97,16 +97,16 @@ def subspace_from_basis(cols):
 
 def _orthonormal(cols):
     """The Q factors of finite full-column-rank columns, or of a stack of such blocks by
-    one stacked QR and one certified stacked inverse of R.  The QR is of the columns times
+    one stacked QR and one stacked check of R.  The QR is of the columns times
     numerics.binary_scale, which leaves Q and the scale-free rank rule as they are and
     keeps LAPACK's column norms in range for columns near the float limit.  R has their
-    singular values, so numerics.inverse(R) gives the singularity rule's verdict: the first
-    block without full rank raises RankDeficient."""
+    singular values, so numerics.check_invertible(R) gives the singularity rule's
+    verdict: the first block without full rank raises RankDeficient."""
     message = f"columns have numerical rank < {cols.shape[-1]}"
     if cols.shape[-1] > cols.shape[-2]:
         raise RankDeficient(message)
     q, r = np.linalg.qr(cols * numerics.binary_scale(cols))
-    numerics.inverse(r, RankDeficient, message)
+    numerics.check_invertible(r, RankDeficient, message)
     return numerics.finite(q, "the orthonormal basis")
 
 
@@ -302,7 +302,7 @@ class BlockMobius:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        numerics.inverse(self.assembled(), ValueError, "assembled block matrix is singular")
+        numerics.check_invertible(self.assembled(), ValueError, "assembled block matrix is singular")
 
     def assembled(self):
         """The full matrix in the polarization's coordinate frame."""

@@ -3,13 +3,15 @@
 Thin, contract-enforcing wrappers around numpy plus the JSON matrix
 encoding.  All functions are pure; inputs are never mutated.  Every
 invertibility verdict is ``inverse``'s, which returns the inverse it
-certified.  Every range verdict on a value computed from finite input is
-``finite``'s, an Overflow; input read from outside is ``as_matrix``'s, a
-ValueError.  Everything here needs numpy alone, the matrix exponential
-included: ``expm`` is the scaling-and-squaring Pade algorithm of N. J.
-Higham, "The scaling and squaring method for the matrix exponential
-revisited", SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193, which takes
-matrix products and one solve.
+certified; ``check_invertible`` gives the same verdict for a factor that is
+only checked, without forming its inverse where a Cholesky of its Gram
+matrix proves it far inside the rule.  Every range verdict on a value
+computed from finite input is ``finite``'s, an Overflow; input read from
+outside is ``as_matrix``'s, a ValueError.  Everything here needs numpy
+alone, the matrix exponential included: ``expm`` is the scaling-and-squaring
+Pade algorithm of N. J. Higham, "The scaling and squaring method for the
+matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005)
+1179-1193, which takes matrix products and one solve.
 """
 
 import math
@@ -111,9 +113,11 @@ def inverse(a, error, message, chart=False):
             x, certified = None, np.zeros(a.shape[:-2], bool)
         else:
             r = x @ a
-            r -= np.eye(a.shape[-1], dtype=r.dtype)  # X a - I, in place
-            sq_a = np.maximum(sq_fro(a), 1.0) if chart else sq_fro(a)
-            scale = 4.0 * sq_fro(x) * sq_a * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
+            diagonal = _diagonal(r)
+            diagonal -= 1.0  # X a - I, in place
+            sq_a = sq_fro(a)
+            scale = sq_fro(x) * (np.maximum(sq_a, 1.0) if chart else sq_a)
+            scale *= 4.0 * np.finfo(a.dtype).eps  # (2 ||X|| ||a||)^2 eps
             certified = (sq_fro(r) <= 0.25) & (0.0 < scale) & (scale <= 1.0)
             if certified.all():
                 return x
@@ -125,6 +129,56 @@ def inverse(a, error, message, chart=False):
                             message(i) if callable(message) else message,
                             pow2[0, 0] if chart else 0.0)
     return np.linalg.inv(a) if x is None else x  # inv raises again if the SVD accepts
+
+
+def check_invertible(a, error, message):
+    """Nothing when a (each matrix of a stack) passes the singularity rule, else what
+    inverse(a, error, message) raises: inverse's verdict, without forming the inverse
+    where one stacked Cholesky proves every matrix far inside the rule.
+
+    The certificate.  Let s = ||a||_F^2, n the order, u = eps/2 and tau = max(1e-8,
+    100 n^2 eps).  Form G = fl(a^T conj(a)), the conjugate of a^H a (the same
+    eigenvalues), and H = fl(G - tau s I), s as computed.  If the Cholesky of H runs to
+    completion, lambda_min(a^H a) >= tau s / 2, so sigma_min(a) >= (tau/2)^1/2 ||a||_F
+    >= 7e-5 sigma_max.  Proof (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002): G is off by at most gamma_n s in the 2-norm (sec. 3.5; |a|^T |a| has Frobenius
+    norm at most s), the shift by at most 2u (1 + tau) s.  The computed factor has R^H R
+    = H + dH with |dH| <= gamma_(n+1) |R^H| |R| (Thm 10.3), so ||dH||_2 <= gamma_(n+1)
+    ||R||_F^2 = gamma_(n+1) tr(H + dH), hence ||dH||_2 <= gamma_(n+1) tr(H) / (1 -
+    gamma_(n+1)) <= 2 gamma_(n+1) s.  R^H R is positive semidefinite, so lambda_min(a^H a)
+    >= tau s - (gamma_n + 2 gamma_(n+1) + 4u) s >= tau s - 8 (n + 1) u s, and tau >=
+    200 n^2 u is at least 12 times 8 (n + 1) u, which leaves room for complex
+    arithmetic's larger constants and for s being ||a||_F^2 only to within gamma_(n^2).
+    Underflow adds about n^2 eps tiny at most, below tau s / 100 once s >= tiny.  So a
+    certified matrix is 10^5 times inside the rule's 1e-10: inverse's own certificate
+    holds there, and the SVD it would fall back on is off by about n eps sigma_max.
+
+    The proof needs s in [tiny, max/4] (G and R then stay finite).  A stack with any s
+    outside that range (a non-finite one included), or whose Cholesky fails for any
+    matrix, goes to inverse whole, so its verdict, error, message and failing index are
+    inverse's by construction.  In float32, tau reaches 1/n at n = 44, and no larger
+    matrix is certified."""
+    info = np.finfo(a.dtype)
+    n = a.shape[-1]
+    tau = max(1e-8, 100.0 * n * n * info.eps)
+    with np.errstate(all="ignore"):
+        s = sq_fro(a)
+        if ((info.tiny <= s) & (s <= info.max / 4.0)).all():
+            g = a.swapaxes(-1, -2) @ np.conjugate(a)  # a new conj(a): no syrk of one buffer
+            diagonal = _diagonal(g)
+            diagonal -= (tau * s)[..., None]
+            try:
+                np.linalg.cholesky(g)
+                return
+            except np.linalg.LinAlgError:
+                pass
+    inverse(a, error, message)
+
+
+def _diagonal(m):
+    """The writable view of the diagonals of a C-contiguous stack of n x n matrices."""
+    n = m.shape[-1]
+    return m.reshape(*m.shape[:-2], n * n)[..., ::n + 1]
 
 
 def eigenvalues(m):

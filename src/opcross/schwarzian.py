@@ -48,7 +48,8 @@ class _Nodes:
 @dataclass(frozen=True)
 class CurveJet(_Nodes):
     """A curve value with its first three derivatives at a time t, or stacked at times t (N,);
-    z' is certified by its inverse, else an SVD names the first singular node."""
+    z' must pass the singularity rule (numerics.check_invertible: one stacked Cholesky of
+    its Gram matrices certifies it, else inverse's SVD names the first singular node)."""
 
     t: float
     z: np.ndarray
@@ -63,8 +64,8 @@ class CurveJet(_Nodes):
             mats[name] = numerics.as_square(getattr(self, name), name, stack=t.ndim > 0)
         if len({m.shape for m in mats.values()} | {t.shape + mats["z"].shape[-2:]}) != 1:
             raise ValueError("jet matrices must share one square shape, one per time")
-        numerics.inverse(mats["z1"], Singular,
-                         lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
+        numerics.check_invertible(mats["z1"], Singular,
+                                  lambda i: f"z' is numerically singular at t = {t.item(i):.6g}")
         for name, m in mats.items():
             object.__setattr__(self, name, m)
         object.__setattr__(self, "t", t if t.ndim else float(t))
@@ -96,12 +97,20 @@ class MatrixPolynomial:
     def dim(self):
         return self.coeffs[0].shape[0]
 
-    def __call__(self, t):
-        """sum_k C_k t^k, a new array of the shape of t and C_k broadcast together."""
-        *lower, out = self.coeffs
-        for c in reversed(lower):
-            out = out * t + c
-        return out if lower else out + 0 * t
+    def __call__(self, t, out=None):
+        """sum_k C_k t^k, of the shape of t and C_k broadcast together, by Horner's rule
+        in place: in a new array, or in out (of that shape and dtype)."""
+        *lower, top = self.coeffs
+        if not lower:
+            return np.add(top, 0 * t, out=out)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(t), top.shape), np.result_type(t, *self.coeffs))
+        np.multiply(top, t, out=out)
+        out += lower[-1]
+        for c in reversed(lower[:-1]):
+            out *= t
+            out += c
+        return out
 
     def derivative(self):
         """sum_k k C_k t^(k-1); Overflow when a coefficient k C_k is not finite."""
@@ -180,7 +189,7 @@ class PhasePoint(_Nodes):
 
     def w(self):
         """Grassmann coordinate W = p q^-1 (requires q invertible), one per node of a stack."""
-        numerics.inverse(self.q, Singular, "q is numerically singular")
+        numerics.check_invertible(self.q, Singular, "q is numerically singular")
         return np.linalg.solve(self.q.swapaxes(-1, -2), self.p.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
@@ -256,11 +265,12 @@ def _stages(nodes, mids):
 # A run hands its states to its reader a chunk at a time (see _propagate): the exact
 # flow once at least _CHUNK new nodes exist, so a run that stops at node i has built
 # at most max(2i + 1, 2 _CHUNK) nodes, its blocks of nodes doubling.  A chunk of the
-# series, and of the curve's RK4, whose step matrices are built a chunk at a time
-# (one stack per chunk keeps its memory at its states), is _CHUNK steps, or more
-# where its matrices are small: as many as fill _CHUNK_ENTRIES entries, of 2n x 2n
-# matrices for the series (64 12 x 12 matrices, the steps of a dim-6 run) and of
-# n x n ones for the curve (256 steps at dim 6).
+# series, whose step matrices are built a chunk at a time (one stack per chunk keeps
+# its memory at its states), and of the curve's RK4, whose stage values, step matrices
+# and jets are (its buffers of one chunk's size keep its memory at its jets), is
+# _CHUNK steps, or more where its matrices are small: as many as fill _CHUNK_ENTRIES
+# entries, of 2n x 2n matrices for the series (64 12 x 12 matrices, the steps of a
+# dim-6 run) and of n x n ones for the curve (256 steps at dim 6).
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
 # The most steps that one block of a polynomial run spans (see _series).
 _BLOCK = 64
@@ -317,38 +327,70 @@ def _rk4_steps(wa, h):
     return m12, m22
 
 
-def _rk4(wa, hs, z, z1):
-    """The curve's classical RK4 from z and z' over the steps hs, where wa holds W + A
-    at the stage times (see _stages): z'_{i+1} = z'_i M22_i^T and z_{i+1} = z_i + z'_i
-    M12_i^T (see _rk4_steps), the step matrices built a chunk of steps at a time (see
-    _CHUNK).  z'_{i+1} is one z'_i.dot(M22_i^T) (np.matmul's BLAS product, without a
-    ufunc call), written into its row of the states, and map drives a chunk's products
-    in order without a bytecode loop; the chunk's z are one stacked product and its
-    running sum from the chunk's first z, in order.  Returns the stack of z and the
-    stack of z' at the nodes, up to the first that is not finite (the run stops at the
-    end of that node's chunk)."""
-    steps, n, ys, j = len(hs), len(z), None, 0
-    chunk = max(_CHUNK, _CHUNK_ENTRIES // n ** 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a state out of range ends the run
-        while j < steps:
+def _rk4_chunk(ys, wa, h):
+    """One chunk of the curve's RK4: z and z' (ys[0], ys[1]) at the chunk's nodes from
+    its first, with W + A at its stage times (wa, see _stages) and its steps h (a
+    scalar, or a column).  z'_{i+1} = z'_i M22_i^T is one z'_i.dot(M22_i^T) (np.matmul's
+    BLAS product, without a ufunc call), written into its row of ys, and map drives the
+    products in order without a bytecode loop; z_{i+1} = z_i + z'_i M12_i^T are one
+    stacked product and its running sum from the first z, in order (see _rk4_steps).
+    A function of its own, so that a chunk's step matrices are freed before the next
+    chunk's are built."""
+    m12, m22 = _rk4_steps(wa, h)
+    rows = list(ys[1])
+    deque(map(np.ndarray.dot, rows, m22, rows[1:]), maxlen=0)
+    zs = ys[0, 1:]
+    np.matmul(ys[1, :-1], m12, out=zs)
+    zs[0] += ys[0, 0]
+    np.cumsum(zs, axis=0, out=zs)
+
+
+def _rk4(ts, hs, ws, a_poly, b_poly, z0, z1_0):
+    """The jets of curve_from_riccati, stacked as (z, z', z'', z''') over the nodes ts
+    with the steps hs: the curve's classical RK4 from z0 and z1_0 (_rk4_chunk), a chunk
+    of steps at a time (see _CHUNK).  Each chunk first evaluates, in place in buffers
+    of one chunk's size that the chunks share, A at its stage times (see _stages), B
+    and the Riccati slopes W' at its nodes, W at the midpoints (the cubic Hermite value
+    from the nodes and slopes) and W + A at the stage times; after its steps, its
+    z'' = -2 z' (W + A) and z''' = -2 z'' (W + A) - 2 z' (W' + A') go into their rows.
+    Returns the jets up to the first node where one is not finite (the run stops with
+    that node's chunk)."""
+    steps, n = len(hs), ws.shape[-1]
+    chunk = min(steps, max(_CHUNK, _CHUNK_ENTRIES // n ** 2))
+    a_dot = a_poly.derivative()
+    wa_type = np.result_type(ws, *a_poly.coeffs, *b_poly.coeffs, float)
+    jets = np.empty((4, steps + 1, n, n), np.result_type(z0, z1_0, wa_type))
+    jets[:2, 0] = z0, z1_0
+    a_buf = np.empty((2 * chunk + 1, n, n), np.result_type(float, *a_poly.coeffs))
+    b_buf = np.empty((chunk + 1, n, n), np.result_type(float, *b_poly.coeffs))
+    s_buf = np.empty((chunk + 1, n, n), wa_type)
+    wa_buf = np.empty((2 * chunk + 1, n, n), wa_type)
+    with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range ends the run
+        for j in range(0, steps, chunk):
             k = min(chunk, steps - j)
-            h = hs[j:j + k]
+            h, w = hs[j:j + k], ws[j:j + k + 1]
+            t = _stages(ts[j:j + k + 1], ts[j:j + k] + h / 2.0)[:, None, None]
+            a = a_poly(t, out=a_buf[:2 * k + 1])
+            s = riccati_rhs(w, (a[::2], b_poly(t[::2], out=b_buf[:k + 1])), out=s_buf[:k + 1])
+            wa = wa_buf[:2 * k + 1]
+            wa[::2] = w
+            np.divide(w[:-1] + w[1:], 2.0, out=wa[1::2])  # in W's precision, as its sum
+            wa[1::2] += h[:, None, None] * (s[:-1] - s[1:]) / 8.0
+            wa += a
             # Equal steps make h a scalar, which numpy multiplies faster than a column.
-            h = h.item(0) if (h == h[0]).all() else h[:, None, None]
-            m12, m22 = _rk4_steps(wa[2 * j:2 * (j + k) + 1], h)
-            if ys is None:
-                ys = np.empty((2, steps + 1, n, n), np.result_type(z, z1, m22))
-                ys[:, 0] = z, z1
-            zs, rows = ys[0, j + 1:j + k + 1], list(ys[1, j:j + k + 1])
-            deque(map(np.ndarray.dot, rows, m22, rows[1:]), maxlen=0)
-            np.matmul(ys[1, j:j + k], m12, out=zs)
-            zs[0] += ys[0, j]
-            np.cumsum(zs, axis=0, out=zs)
-            finite = np.isfinite(ys[:, j + 1:j + k + 1]).all(axis=(0, 2, 3))
+            _rk4_chunk(jets[:2, j:j + k + 1], wa, h.item(0) if (h == h[0]).all() else h[:, None, None])
+            # The jets from node lo: node j's z'' and z''' are the chunk before's.
+            lo = j + 1 if j else 0
+            z1, z2, z3 = jets[1:, lo:j + k + 1]
+            wa_nodes, s = wa[2 * (lo - j)::2], s[lo - j:]
+            np.matmul(-2.0 * z1, wa_nodes, out=z2)
+            np.matmul(-2.0 * z2, wa_nodes, out=z3)
+            s += a_dot(t[2 * (lo - j)::2], out=a[:len(s)])  # W' + A', A' in A's buffer
+            z3 -= 2.0 * z1 @ s
+            finite = np.isfinite(jets[:, lo:j + k + 1]).all(axis=(0, 2, 3))
             if not finite.all():
-                return ys[:, :j + 1 + int(np.argmin(finite))]
-            j += k
-    return ys
+                return jets[:, :lo + int(np.argmin(finite))]
+    return jets
 
 
 def _two_sum(a, b):
@@ -568,11 +610,15 @@ def integrate_hamiltonian(sys, x0, t0, t1, steps):
     return ts, PhasePoint(ys[:, 0], ys[:, 1])
 
 
-def riccati_rhs(w, c):
+def riccati_rhs(w, c, out=None):
     """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow) for
-    c = (A, B); w, A and B may be stacks of N matrices."""
+    c = (A, B); w, A and B may be stacks of N matrices.  The terms are taken from
+    -B in turn, in a new array or in out (of the result's shape and dtype)."""
     a, b = c
-    return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
+    out = np.subtract(-b, a.swapaxes(-1, -2) @ w, out=out)
+    out -= w @ a
+    out -= w @ w
+    return out
 
 
 def integrate_riccati(sys, w0, t0, t1, steps):
@@ -680,21 +726,9 @@ def curve_from_riccati(ts, ws, a_poly, z0, z1_0, b_poly):
     for name, size in (("z0", len(z0)), ("z1_0", len(z1_0)), ("a_poly", a_poly.dim)):
         if size != n:
             raise ValueError(f"{name} is {size}x{size} but W is {n}x{n}")
-    numerics.inverse(z1_0, Singular, "z1_0 is numerically singular")
+    numerics.check_invertible(z1_0, Singular, "z1_0 is numerically singular")
     HamiltonianSystem(a_poly, b_poly)  # rejects a non-symmetric or mis-sized b_poly
-    tcol = ts[:, None, None]
-    a_st = a_poly(_stages(ts, ts[:-1] + hs / 2.0)[:, None, None])
-    slopes = riccati_rhs(w_stack, (a_st[::2], b_poly(tcol)))
-    mid = (w_stack[:-1] + w_stack[1:]) / 2.0 + hs[:, None, None] * (slopes[:-1] - slopes[1:]) / 8.0
-    wa = _stages(w_stack, mid) + a_st
-
-    z, z1 = _rk4(wa, hs, z0, z1_0)
-    m = len(z)  # the states at nodes before m are finite
-    wa = wa[:2 * m:2]
-    with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range: Overflow
-        z2 = -2.0 * z1 @ wa
-        z3 = -2.0 * z2 @ wa - 2.0 * z1 @ (slopes[:m] + a_poly.derivative()(tcol[:m]))
-    finite = np.all([np.isfinite(s).reshape(m, -1).all(axis=1) for s in (z2, z3)], axis=0)
-    if m < len(ts) or not finite.all():
-        raise Overflow(f"the curve jet overflowed at t = {ts[np.append(finite, False).argmin()]:.6g}")
-    return CurveJet(ts, z, z1, z2, z3)
+    jets = _rk4(ts, hs, w_stack, a_poly, b_poly, z0, z1_0)
+    if jets.shape[1] < len(ts):
+        raise Overflow(f"the curve jet overflowed at t = {ts[jets.shape[1]]:.6g}")
+    return CurveJet(ts, *jets)

@@ -3,6 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opcross import crossratio, flows, grassmann, numerics, schwarzian
 from opcross.errors import NonConvergence, OutsideChart, Overflow, Singular
@@ -28,6 +29,60 @@ def test_inverse_raises_singular():
     # A tiny but well-scaled matrix is fine.
     tiny = 1e-30 * np.eye(2)
     assert np.array_equal(numerics.inverse(tiny, Singular, "z is singular"), np.linalg.inv(tiny))
+
+
+def _outcome(call):
+    """"pass", or the type and message of what call raises."""
+    try:
+        call()
+    except Exception as exc:  # the verdicts compared are typed errors
+        return type(exc), str(exc)
+    return "pass"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 64),
+       st.sampled_from([np.float64, np.complex128, np.float32]), st.floats(-14.0, 0.0),
+       st.integers(-1, 24), st.integers(-1, 24), st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_the_cholesky_check_gives_the_inverse_verdict(seed, count, n, dtype, log_ratio,
+                                                      scaled, broken, bad):
+    # A stack of count n x n matrices U diag(sigma) V^H, each with sigma_min/sigma_max
+    # drawn from [10^log_ratio, 1], perhaps one member scaled to 1e300 (1e30 in float32,
+    # whose Gram overflows) and one with a non-finite entry (scaled and broken are
+    # indices; those past the stack change nothing).  check_invertible must raise what
+    # inverse raises, type, message and failing index, or pass where it passes; and a
+    # stack its Cholesky certifies, without calling inverse, must hold sigma_min >=
+    # (tau/2)^1/2 ||a||_F, tau = max(1e-8, 100 n^2 eps), in every member, far inside the
+    # singularity rule.
+    rng = np.random.default_rng(seed)
+    complex_ = dtype is np.complex128
+    mats = []
+    for ratio in 10.0 ** rng.uniform(log_ratio, 0.0, count):
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * complex_ * rng.standard_normal((n, n)))[0]
+                for _ in range(2))
+        mats.append((u * np.geomspace(1.0, ratio, n)) @ v.conj().T)
+    a = np.array(mats if complex_ else np.real(mats))
+    if scaled < count:
+        a[scaled] *= 1e30 if dtype is np.float32 else 1e300
+    a = a.astype(dtype)
+    if broken < count:
+        a[broken, -1, 0] = bad
+
+    def message(i):
+        return f"member {i} is singular"
+
+    calls, inverse = [], numerics.inverse
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "inverse", lambda *args: calls.append(args) or inverse(*args))
+        got = _outcome(lambda: numerics.check_invertible(a, Singular, message))
+    assert got == _outcome(lambda: numerics.inverse(a, Singular, message))
+    if not calls:
+        wide = a.astype(np.complex128 if complex_ else np.float64)
+        sigma = np.linalg.svd(wide, compute_uv=False)
+        tau = max(1e-8, 100.0 * n * n * np.finfo(dtype).eps)
+        assert got == "pass"
+        assert (sigma[:, -1] > numerics.SINGULAR_RTOL * sigma[:, 0]).all()
+        assert (sigma[:, -1] >= (1.0 - 1e-6) * np.sqrt(tau / 2.0) * np.linalg.norm(wide, axis=(1, 2))).all()
 
 
 def test_an_inaccurate_inverse_certifies_nothing(svd_calls):
