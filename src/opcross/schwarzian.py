@@ -97,20 +97,12 @@ class MatrixPolynomial:
     def dim(self):
         return self.coeffs[0].shape[0]
 
-    def __call__(self, t, out=None):
-        """sum_k C_k t^k, of the shape of t and C_k broadcast together, by Horner's rule
-        in place: in a new array, or in out (of that shape and dtype)."""
-        *lower, top = self.coeffs
-        if not lower:
-            return np.add(top, 0 * t, out=out)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(np.shape(t), top.shape), np.result_type(t, *self.coeffs))
-        np.multiply(top, t, out=out)
-        out += lower[-1]
-        for c in reversed(lower[:-1]):
-            out *= t
-            out += c
-        return out
+    def __call__(self, t):
+        """sum_k C_k t^k, a new array of the shape of t and C_k broadcast together."""
+        *lower, out = self.coeffs
+        for c in reversed(lower):
+            out = out * t + c
+        return out if lower else out + 0 * t
 
     def derivative(self):
         """sum_k k C_k t^(k-1); Overflow when a coefficient k C_k is not finite."""
@@ -267,8 +259,8 @@ def _stages(nodes, mids):
 # at most max(2i + 1, 2 _CHUNK) nodes, its blocks of nodes doubling.  A chunk of the
 # series, whose step matrices are built a chunk at a time (one stack per chunk keeps
 # its memory at its states), and of the curve's RK4, whose stage values, step matrices
-# and jets are (its buffers of one chunk's size keep its memory at its jets), is
-# _CHUNK steps, or more where its matrices are small: as many as fill _CHUNK_ENTRIES
+# and jets are (one chunk's temporaries keep its memory near its jets), is _CHUNK
+# steps, or more where its matrices are small: as many as fill _CHUNK_ENTRIES
 # entries, of 2n x 2n matrices for the series (64 12 x 12 matrices, the steps of a
 # dim-6 run) and of n x n ones for the curve (256 steps at dim 6).
 _CHUNK, _CHUNK_ENTRIES = 64, 64 * 12 ** 2
@@ -330,8 +322,8 @@ def _rk4_steps(wa, h):
 def _rk4_chunk(ys, wa, h):
     """One chunk of the curve's RK4: z and z' (ys[0], ys[1]) at the chunk's nodes from
     its first, with W + A at its stage times (wa, see _stages) and its steps h (a
-    scalar, or a column).  z'_{i+1} = z'_i M22_i^T is one z'_i.dot(M22_i^T) (np.matmul's
-    BLAS product, without a ufunc call), written into its row of ys, and map drives the
+    column).  z'_{i+1} = z'_i M22_i^T is one z'_i.dot(M22_i^T) (np.matmul's BLAS
+    product, without a ufunc call), written into its row of ys, and map drives the
     products in order without a bytecode loop; z_{i+1} = z_i + z'_i M12_i^T are one
     stacked product and its running sum from the first z, in order (see _rk4_steps).
     A function of its own, so that a chunk's step matrices are freed before the next
@@ -348,45 +340,35 @@ def _rk4_chunk(ys, wa, h):
 def _rk4(ts, hs, ws, a_poly, b_poly, z0, z1_0):
     """The jets of curve_from_riccati, stacked as (z, z', z'', z''') over the nodes ts
     with the steps hs: the curve's classical RK4 from z0 and z1_0 (_rk4_chunk), a chunk
-    of steps at a time (see _CHUNK).  Each chunk first evaluates, in place in buffers
-    of one chunk's size that the chunks share, A at its stage times (see _stages), B
-    and the Riccati slopes W' at its nodes, W at the midpoints (the cubic Hermite value
-    from the nodes and slopes) and W + A at the stage times; after its steps, its
-    z'' = -2 z' (W + A) and z''' = -2 z'' (W + A) - 2 z' (W' + A') go into their rows.
-    Returns the jets up to the first node where one is not finite (the run stops with
-    that node's chunk)."""
+    of steps at a time (see _CHUNK).  Each chunk first evaluates A at its stage times
+    (see _stages), B and the Riccati slopes W' at its nodes, W at the midpoints (the
+    cubic Hermite value from the nodes and slopes) and W + A at the stage times; after
+    its steps, its z'' = -2 z' (W + A) and z''' = -2 z'' (W + A) - 2 z' (W' + A') go
+    into their rows.  Returns the jets up to the first node where one is not finite
+    (the run stops with that node's chunk)."""
     steps, n = len(hs), ws.shape[-1]
-    chunk = min(steps, max(_CHUNK, _CHUNK_ENTRIES // n ** 2))
+    chunk = max(_CHUNK, _CHUNK_ENTRIES // n ** 2)
     a_dot = a_poly.derivative()
-    wa_type = np.result_type(ws, *a_poly.coeffs, *b_poly.coeffs, float)
-    jets = np.empty((4, steps + 1, n, n), np.result_type(z0, z1_0, wa_type))
+    jets = np.empty((4, steps + 1, n, n),
+                    np.result_type(z0, z1_0, ws, *a_poly.coeffs, *b_poly.coeffs, float))
     jets[:2, 0] = z0, z1_0
-    a_buf = np.empty((2 * chunk + 1, n, n), np.result_type(float, *a_poly.coeffs))
-    b_buf = np.empty((chunk + 1, n, n), np.result_type(float, *b_poly.coeffs))
-    s_buf = np.empty((chunk + 1, n, n), wa_type)
-    wa_buf = np.empty((2 * chunk + 1, n, n), wa_type)
     with np.errstate(over="ignore", invalid="ignore"):  # a jet out of range ends the run
         for j in range(0, steps, chunk):
             k = min(chunk, steps - j)
-            h, w = hs[j:j + k], ws[j:j + k + 1]
-            t = _stages(ts[j:j + k + 1], ts[j:j + k] + h / 2.0)[:, None, None]
-            a = a_poly(t, out=a_buf[:2 * k + 1])
-            s = riccati_rhs(w, (a[::2], b_poly(t[::2], out=b_buf[:k + 1])), out=s_buf[:k + 1])
-            wa = wa_buf[:2 * k + 1]
-            wa[::2] = w
-            np.divide(w[:-1] + w[1:], 2.0, out=wa[1::2])  # in W's precision, as its sum
-            wa[1::2] += h[:, None, None] * (s[:-1] - s[1:]) / 8.0
-            wa += a
-            # Equal steps make h a scalar, which numpy multiplies faster than a column.
-            _rk4_chunk(jets[:2, j:j + k + 1], wa, h.item(0) if (h == h[0]).all() else h[:, None, None])
+            h, w = hs[j:j + k, None, None], ws[j:j + k + 1]
+            t = _stages(ts[j:j + k + 1], ts[j:j + k] + hs[j:j + k] / 2.0)[:, None, None]
+            a = a_poly(t)
+            s = riccati_rhs(w, (a[::2], b_poly(t[::2])))
+            # The midpoints' mean is in W's precision, as its sum.
+            wa = _stages(w, (w[:-1] + w[1:]) / 2.0 + h * (s[:-1] - s[1:]) / 8.0) + a
+            _rk4_chunk(jets[:2, j:j + k + 1], wa, h)
             # The jets from node lo: node j's z'' and z''' are the chunk before's.
             lo = j + 1 if j else 0
             z1, z2, z3 = jets[1:, lo:j + k + 1]
-            wa_nodes, s = wa[2 * (lo - j)::2], s[lo - j:]
+            wa_nodes = wa[2 * (lo - j)::2]
             np.matmul(-2.0 * z1, wa_nodes, out=z2)
             np.matmul(-2.0 * z2, wa_nodes, out=z3)
-            s += a_dot(t[2 * (lo - j)::2], out=a[:len(s)])  # W' + A', A' in A's buffer
-            z3 -= 2.0 * z1 @ s
+            z3 -= 2.0 * z1 @ (s[lo - j:] + a_dot(t[2 * (lo - j)::2]))  # W' + A'
             finite = np.isfinite(jets[:, lo:j + k + 1]).all(axis=(0, 2, 3))
             if not finite.all():
                 return jets[:, :lo + int(np.argmin(finite))]
@@ -610,15 +592,11 @@ def integrate_hamiltonian(sys, x0, t0, t1, steps):
     return ts, PhasePoint(ys[:, 0], ys[:, 1])
 
 
-def riccati_rhs(w, c, out=None):
+def riccati_rhs(w, c):
     """W' = -B - A^T W - W A - W^2 (chart form of the Hamiltonian flow) for
-    c = (A, B); w, A and B may be stacks of N matrices.  The terms are taken from
-    -B in turn, in a new array or in out (of the result's shape and dtype)."""
+    c = (A, B); w, A and B may be stacks of N matrices."""
     a, b = c
-    out = np.subtract(-b, a.swapaxes(-1, -2) @ w, out=out)
-    out -= w @ a
-    out -= w @ w
-    return out
+    return -b - a.swapaxes(-1, -2) @ w - w @ a - w @ w
 
 
 def integrate_riccati(sys, w0, t0, t1, steps):

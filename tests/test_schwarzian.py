@@ -441,15 +441,40 @@ def test_euler_residual_is_complex_linear(rng):
 
 
 def test_polynomial_on_a_time_stack(rng):
+    # Degrees 0 and 2, real, complex and float32 coefficients, on a real time stack:
+    # the stack is the per-node values bit for bit, each within rounding of
+    # sum_k C_k t^k (its terms summed in another order), in the coefficients' and the
+    # times' common dtype, and never a view of a coefficient.
     ts = np.array([-0.7, 0.0, 0.4, 1.9])
-    for coeffs in ([rng.standard_normal((3, 3))], [rng.standard_normal((3, 3)) for _ in range(3)]):
+    for degree, kind in product((0, 2), ("real", "complex", "float32")):
+        coeffs = [rng.standard_normal((3, 3)) for _ in range(degree + 1)]
+        if kind == "complex":
+            coeffs = [c + 1j * rng.standard_normal((3, 3)) for c in coeffs]
+        elif kind == "float32":
+            coeffs = [c.astype(np.float32) for c in coeffs]
         poly = sz.MatrixPolynomial(coeffs)
         stacked = poly(ts[:, None, None])
         assert stacked.shape == (4, 3, 3)
+        assert stacked.dtype == np.result_type(ts, *coeffs)
         assert np.array_equal(stacked, np.array([poly(t) for t in ts]))
+        terms = [c * ts[:, None, None] ** k for k, c in enumerate(coeffs)]
+        assert (abs(stacked - sum(terms)) <= 1e-14 * sum(map(abs, terms))).all()
         assert not np.shares_memory(poly(0.5), poly.coeffs[-1])
     # A Python float time keeps float32 coefficients in float32.
     assert sz.MatrixPolynomial([np.eye(2, dtype=np.float32)])(0.5).dtype == np.float32
+
+
+def test_stacked_riccati_slopes_are_the_per_node_slopes(rng):
+    # A stack of W (real) under a stack of A (complex) and B (real) gives, node for
+    # node, the bits of one call per node, complex where A is.
+    n, nodes = 3, 5
+    w = rng.standard_normal((nodes, n, n))
+    a = rng.standard_normal((nodes, n, n)) + 1j * rng.standard_normal((nodes, n, n))
+    b = rng.standard_normal((nodes, n, n))
+    stacked = sz.riccati_rhs(w, (a, b))
+    assert stacked.dtype == np.complex128
+    per_node = [sz.riccati_rhs(wi, (ai, bi)) for wi, ai, bi in zip(w, a, b)]
+    assert stacked.tobytes() == np.array(per_node).tobytes()
 
 
 def test_an_overflowing_derivative_is_a_silent_overflow():
@@ -1027,8 +1052,8 @@ def test_the_curve_is_rk4_on_its_block_generator(rng, n):
     # its blocks [[I, M12], [0, M22]] (_rk4_steps): its z and z' must be within 1e-13
     # relative of RK4 on the 2n x 2n G at the stage times, each step matrix one
     # expression, from z(0) != 0, for a real and a complex W, with equal steps (a
-    # power of two, so every step is the same scalar) and unequal ones (a column of
-    # steps), over one chunk and, at dim 6, several.
+    # power of two, so every step is the same) and unequal ones, over one chunk and,
+    # at dim 6, several.
     sys_ = linear_system(rng, n)
     w0, w1, wi = 0.1 * _sym(rng, n), _sym(rng, n), 0.1j * _sym(rng, n)
     z0, z1_0 = 0.5 * rng.standard_normal((n, n)), np.eye(n)
@@ -1440,10 +1465,11 @@ def test_trajectory_memory_stays_at_its_states(rng):
 
 
 def test_a_curve_peaks_near_its_jets(rng):
-    # The curve evaluates its stage values a chunk at a time, in buffers the chunks
-    # share, and writes its jets into one stack: a 1000-step dim-6 call alone peaks at
-    # about 1.8 times the bytes of its four jet stacks (1.96 MiB); whole-run stage
-    # arrays beside the states would take 3.3 times (3.59 MiB).
+    # The curve evaluates its stage values a chunk at a time, so only one chunk's
+    # temporaries live beside the jets, and writes its jets into one stack: a
+    # 1000-step dim-6 call alone peaks at about 1.85 times the bytes of its four jet
+    # stacks (2.03 MiB); whole-run stage arrays beside the states would take 3.3 times
+    # (3.59 MiB).
     n, steps = 6, 1000
     sys_ = linear_system(rng, n)
     ts, ws = sz.integrate_riccati(sys_, 0.1 * _sym(rng, n), 0.0, 0.6, steps)
